@@ -16,7 +16,8 @@ from fractions import Fraction
 import numpy as np
 from sortedcontainers import SortedList
 
-from .core import CEStream, NEVER, ceil_div, ceil_sqrt, profile_from_bits
+from .core import (CEStream, NEVER, ceil_div, ceil_sqrt, exact_ints,
+                   prefix_counts, profile_from_bits)
 from .errors import BudgetExceeded, PreconditionViolated
 
 
@@ -41,9 +42,7 @@ class SubsetArtifact:
         return self.bits.size
 
     def counts(self) -> np.ndarray:
-        out = np.zeros(self.n_max + 1, dtype=np.int64)
-        np.cumsum(self.bits, out=out[1:])
-        return out
+        return prefix_counts(self.bits)
 
     def profile(self):
         return profile_from_bits(self.bits, label=self.kind)
@@ -315,8 +314,7 @@ def _lookahead_bits(stream: CEStream, s_table: np.ndarray, n_lo: int):
 def _margin_guarantee_holds(bits, stream, s_table, n_lo):
     """counts_B[n] >= |A_{s(n)} ∩ [0,n)| − ceil_sqrt(n) for all window n,
     returned with the first violating n (None if none — expected)."""
-    counts_b = np.zeros(stream.n_max + 1, dtype=np.int64)
-    np.cumsum(bits, out=counts_b[1:])
+    counts_b = prefix_counts(bits)
     window = SortedList()
     entries = [int(e) for e in stream.entry[:n_lo] if e != NEVER]
     window.update(entries)
@@ -349,10 +347,11 @@ def lookahead_subset(stream: CEStream, q, n0: int = 1) -> SubsetArtifact:
         raise ValueError(f"q must be in (0,1), got {q}")
     if n0 < 1:
         raise ValueError("n0 must be >= 1")
-    final_counts = np.zeros(stream.n_max + 1, dtype=np.int64)
-    np.cumsum(stream.final_members(), out=final_counts[1:])
+    final_counts = prefix_counts(stream.final_members())
+    bound = max(q.numerator, q.denominator) * stream.n_max
     ns = np.arange(n0, stream.n_max + 1, dtype=np.int64)
-    bad = np.nonzero(final_counts[n0:] * q.denominator < q.numerator * ns)[0]
+    bad = np.nonzero(exact_ints(final_counts[n0:], bound) * q.denominator
+                     < q.numerator * exact_ints(ns, bound))[0]
     if bad.size:
         n_bad = int(ns[bad[0]])
         raise PreconditionViolated(
@@ -422,8 +421,7 @@ def witnessed_subset(stream: CEStream, w) -> SubsetArtifact:
             lvl += 1
         h_of_n[n] = min(lvl, n)
 
-    final_counts = np.zeros(n_max + 1, dtype=np.int64)
-    np.cumsum(stream.final_members(), out=final_counts[1:])
+    final_counts = prefix_counts(stream.final_members())
     for n in range(1, n_max + 1):
         if final_counts[n] < _need_for_level(n, int(h_of_n[n])):
             raise PreconditionViolated(
@@ -434,8 +432,7 @@ def witnessed_subset(stream: CEStream, w) -> SubsetArtifact:
         stream, lambda n: _need_for_level(n, int(h_of_n[n])), 1)
     assert missing is None
     bits, _ = _lookahead_bits(stream, s_table, 1)
-    counts_b = np.zeros(n_max + 1, dtype=np.int64)
-    np.cumsum(bits, out=counts_b[1:])
+    counts_b = prefix_counts(bits)
     viol = None
     for n in range(1, n_max + 1):
         if counts_b[n] < _need_for_level(n, int(h_of_n[n])) - ceil_sqrt(n):

@@ -3,21 +3,22 @@ records, and an integrity digest.
 
 Verification is two-layered: the digest catches any byte-level corruption
 (including bit flips that would otherwise *strengthen* an inequality and
-slip past a semantic re-check), and ``verify_payload`` re-derives every
+slip past a semantic re-check), and ``verify_artifact`` re-derives every
 certified inequality from the stored bitset and numbers.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
-from fractions import Fraction
+from itertools import repeat
+from math import factorial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .approximators import SubsetArtifact
-from .core import ceil_div, ceil_sqrt
+from .core import ceil_sqrt, exact_ints
 from .errors import ArtifactError
 
 FORMAT_VERSION = 1
@@ -102,140 +103,154 @@ def load_artifact(path) -> SubsetArtifact:
                           meta=payload["meta"])
 
 
-# -- semantic re-verification -------------------------------------------------
+# -- guarantee forms ----------------------------------------------------------
+#
+# Every guarantee form is declared once, in FORMS: (a) its per-n count bounds
+# lower_num/lower_den <= counts[n] <= upper_num/upper_den, as reduced integer
+# fractions, and (b) labelled checks of whatever else its records claim.
+# verify_artifact, write_certified_csv and the builders' verifiers read it.
+# Bound arithmetic is exact: int64 where a value provably fits, Python ints
+# (dtype=object) where a user's rational or a power of two may not.
 
-def verify_artifact(art: SubsetArtifact) -> dict:
-    """Recompute every certified inequality from the artifact's own bitset
-    and stored numbers.  Returns {'ok': bool, 'failures': [...]} with one
-    entry per violated record."""
-    form = art.guarantee.get("form", "")
-    fn = _VERIFIERS.get(form)
-    if fn is None:
-        return {"ok": False, "failures": [f"unknown guarantee form {form!r}"]}
-    failures = fn(art)
-    return {"ok": not failures, "failures": failures}
+CSV_HEADER = "n,count,lower_num,lower_den,upper_num,upper_den,holds\n"
 
 
-def _verify_checkpoint_ratio(art):
-    counts = art.counts()
-    num = art.guarantee["q_num"]
-    den = art.guarantee["q_den"]
-    failures = []
-    for cp in art.checkpoints:
-        s = cp["s"]
-        if int(counts[s]) != cp["count"]:
-            failures.append(f"checkpoint s={s}: stored count {cp['count']} "
-                            f"!= bitset count {int(counts[s])}")
-        if s > 0 and int(counts[s]) * den < num * s:
-            failures.append(f"checkpoint s={s}: density below target")
-    return failures
+class Form(NamedTuple):
+    """``bounds(art)`` returns ``(n, lower, upper)``: the int64 array of
+    window lengths n and the (num, den) array pairs bounding counts[n], or
+    None where the form has no such bound.  ``checks`` are
+    ``(label, fn(art, counts) -> [message])`` pairs; violated bound rows
+    carry ``bound_label``."""
+
+    bounds: Callable | None = None
+    strict_upper: bool = False
+    bound_label: str = "bound"
+    checks: tuple = ()
 
 
-def _verify_tracking_ratio(art):
-    counts = art.counts()
-    failures = []
-    for cp in art.checkpoints:
-        s = cp["s"]
-        if int(counts[s]) != cp["count"]:
-            failures.append(f"checkpoint s={s}: count mismatch")
-            continue
-        if s == 0:
-            continue
-        thr = (Fraction(cp["target_num"], cp["target_den"])
-               - Fraction(1, 2 ** cp["slack_pow"]))
-        if thr > 0 and (int(counts[s]) * thr.denominator
-                        < thr.numerator * s):
-            failures.append(f"checkpoint s={s}: density below slacked target")
-    return failures
+def _column(records, key) -> np.ndarray:
+    return np.array([r[key] for r in records], dtype=object)
 
 
-def _verify_lookahead(art):
-    counts = art.counts()
+def _reduced(num, den):
+    g = np.gcd(num, den)
+    return num // g, den // g
+
+
+def _whole(values):
+    return values, np.ones(len(values), dtype=np.int64)
+
+
+def _ceil_sqrt(n: np.ndarray) -> np.ndarray:
+    roots = np.arange(ceil_sqrt(int(n.max())) + 1 if n.size else 1,
+                      dtype=np.int64)
+    return np.searchsorted(roots * roots, n)  # least c with c·c >= n
+
+
+def _checkpoint_bounds(art):
+    # count · den >= num · s at every checkpoint with s >= 1
+    q_num, q_den = art.guarantee["q_num"], art.guarantee["q_den"]
+    n = np.array([cp["s"] for cp in art.checkpoints if cp["s"] > 0],
+                 dtype=np.int64)
+    s = exact_ints(n, max(q_num, q_den) * art.n_max)
+    return n, _reduced(q_num * s, q_den), None
+
+
+def _tracking_bounds(art):
+    # count >= max(q_t − 2^-slack_pow, 0) · s
+    cps = [cp for cp in art.checkpoints if cp["s"] != 0]
+    s, num, den = (_column(cps, k) for k in ("s", "target_num", "target_den"))
+    scale = np.array([1 << cp["slack_pow"] for cp in cps], dtype=object)
+    slacked = np.maximum(num * scale - den, 0)
+    return s.astype(np.int64), _reduced(slacked * s, den * scale), None
+
+
+def _lookahead_bounds(art):
+    # count >= ceil(q·n) − ceil_sqrt(n) for n in [n0, n_max]
     g = art.guarantee
-    num, den, n0 = g["q_num"], g["q_den"], g["n0"]
+    q_num, q_den = g["q_num"], g["q_den"]
+    n = np.arange(g["n0"], art.n_max + 1, dtype=np.int64)
+    need = -(-q_num * exact_ints(n, max(q_num, q_den) * art.n_max) // q_den)
+    return n, _whole(need - _ceil_sqrt(n)), None
+
+
+def _witness_bounds(art):
+    # count >= ceil(n·(2^h − 1)/2^h) − ceil_sqrt(n) = n − ⌊n/2^h⌋ − ceil_sqrt(n);
+    # n < 2^62, so every h >= 62 gives ⌊n/2^h⌋ = 0
+    n = np.arange(1, art.n_max + 1, dtype=np.int64)
+    h = np.minimum(np.asarray(art.guarantee["h_of_n"], dtype=np.int64), 62)
+    return n, _whole(n - (n >> h) - _ceil_sqrt(n)), None
+
+
+def _approach_bounds(art):
+    # |count − q·s| <= s/(n+1) at checkpoint n, over the denominator q_den·(n+1)
+    cps = art.checkpoints
+    s, q_num, q_den = (_column(cps, k) for k in ("s", "q_num", "q_den"))
+    m = _column(cps, "n") + 1
+    return (s.astype(np.int64), _reduced(s * (q_num * m - q_den), q_den * m),
+            _reduced(s * (q_num * m + q_den), q_den * m))
+
+
+def _blockwise_bounds(art):
+    # rho((n+1)!) − L/n within [−L/n, 1 − L/n]·1/(n+1), i.e.
+    # L·n! <= count((n+1)!) <= (L + 1)·n!
+    levels = art.guarantee["levels"]
+    n = np.array([factorial(k + 1) for k, _ in levels], dtype=np.int64)
+    block = np.array([factorial(k) for k, _ in levels], dtype=object)
+    L = np.array([L for _, L in levels], dtype=object)
+    return n, _whole(L * block), _whole((L + 1) * block)
+
+
+def _restraint_bounds(art):
+    # rho_m(A) strictly below 1 − 2^-(k+2) at each final interval's end m
+    recs = [r for r in art.checkpoints if r.get("final_interval") is not None]
+    m = np.array([r["final_interval"][1] for r in recs], dtype=object)
+    p = np.array([1 << (r["k"] + 2) for r in recs], dtype=object)
+    return m.astype(np.int64), None, _reduced((p - 1) * m, p)
+
+
+def _sparse_bounds(art):
+    # count <= floor(log2 n) + 1, the number of powers of two <= n
+    n = np.arange(1, art.n_max + 1, dtype=np.int64)
+    powers = np.left_shift(1, np.arange(63, dtype=np.int64))
+    return n, None, _whole(np.searchsorted(powers, n, side="right"))
+
+
+def _stored_counts(art, counts):
+    return [f"checkpoint s={cp['s']}: stored count {cp['count']} "
+            f"!= bitset count {int(counts[cp['s']])}"
+            for cp in art.checkpoints if int(counts[cp["s"]]) != cp["count"]]
+
+
+def _betweenness(art, counts):
+    """Each prefix density strictly between two consecutive checkpoints
+    lies between theirs: (rho_k − rho_a)·(rho_k − rho_b) <= 0."""
     failures = []
-    for n in range(n0, art.n_max + 1):
-        need = ceil_div(num * n, den) - ceil_sqrt(n)
-        if int(counts[n]) < need:
-            failures.append(f"n={n}: count {int(counts[n])} below "
-                            f"ceil(qn) − ceil_sqrt(n) = {need}")
-            if len(failures) > 4:
-                break
+    for a, b in zip(art.checkpoints, art.checkpoints[1:]):
+        sa, sb = a["s"], b["s"]
+        k = exact_ints(np.arange(sa + 1, sb), art.n_max ** 2)
+        ck = exact_ints(counts[sa + 1:sb], art.n_max ** 2)
+        side_a = np.sign(ck * sa - int(counts[sa]) * k)
+        side_b = np.sign(ck * sb - int(counts[sb]) * k)
+        bad = np.nonzero(side_a * side_b > 0)[0]
+        if bad.size:
+            failures.append(f"betweenness fails at k={sa + 1 + int(bad[0])}")
     return failures
 
 
-def _verify_witness_margin(art):
-    counts = art.counts()
-    h = art.guarantee["h_of_n"]
+def _block_density(art, counts):
     failures = []
-    for n in range(1, art.n_max + 1):
-        p = 1 << h[n - 1]
-        need = ceil_div(n * (p - 1), p) - ceil_sqrt(n)
-        if int(counts[n]) < need:
-            failures.append(f"n={n}: count below witnessed margin {need}")
-            if len(failures) > 4:
-                break
-    return failures
-
-
-def _verify_relative(art):
-    # the relative margin needs the source stream; the artifact alone can
-    # only re-check its recorded verdict flag
-    if art.guarantee.get("holds") is True:
-        return []
-    return ["recorded guarantee verdict is not 'holds'"]
-
-
-def _verify_target_approach(art):
-    counts = art.counts()
-    failures = []
-    prev = None
-    for cp in art.checkpoints:
-        n, s = cp["n"], cp["s"]
-        num, den = cp["q_num"], cp["q_den"]
-        c = int(counts[s])
-        if c != cp["count"]:
-            failures.append(f"checkpoint n={n}: count mismatch at s={s}")
-        if abs(c * den - num * s) * (n + 1) > s * den:
-            failures.append(f"checkpoint n={n}: approach bound violated")
-        if prev is not None:
-            lo = min(Fraction(prev[1], prev[0]), Fraction(c, s))
-            hi = max(Fraction(prev[1], prev[0]), Fraction(c, s))
-            for k in range(prev[0] + 1, s):
-                r = Fraction(int(counts[k]), k)
-                if not lo <= r <= hi:
-                    failures.append(f"betweenness fails at k={k}")
-                    break
-        prev = (s, c)
-    return failures
-
-
-def _verify_blockwise_levels(art):
-    counts = art.counts()
-    levels = art.guarantee["levels"]  # list of [n, L]
-    failures = []
-    fact = [1]
-    top = max(n for n, _ in levels)
-    for i in range(1, top + 2):
-        fact.append(fact[-1] * i)
-    for n, L in levels:
-        lo, hi = fact[n], fact[n + 1]
-        blk = int(counts[hi] - counts[lo])
-        if blk * n != L * (hi - lo):
+    for n, L in art.guarantee["levels"]:
+        lo, hi = factorial(n), factorial(n + 1)
+        if int(counts[hi] - counts[lo]) * n != L * (hi - lo):
             failures.append(f"block {n}: density != {L}/{n}")
-        rho_hi = Fraction(int(counts[hi]), hi)
-        hval = Fraction(L, n)
-        d = rho_hi - hval
-        if not (-hval / (n + 1) <= d <= (1 - hval) / (n + 1)):
-            failures.append(f"block {n}: endpoint sandwich violated")
     return failures
 
 
-def _verify_ratio_intervals(art):
-    counts = art.counts()
+def _interval_records(art, counts):
     failures = []
     for iv in art.checkpoints:
-        a, b, c, e = iv["a"], iv["b"], iv["c"], iv["e"]
+        a, c, e = iv["a"], iv["c"], iv["e"]
         blk = int(counts[c + 1] - counts[a])
         if blk != iv["block_count"]:
             failures.append(f"interval [{a},{c}]: block count mismatch")
@@ -245,45 +260,100 @@ def _verify_ratio_intervals(art):
         if iv.get("gap_avoided") and iv.get("identity_exact") is False:
             failures.append(f"interval [{a},{c}]: exact ratio identity "
                             "recorded violated")
-        if iv["state"] == "finalized":
-            w = iv["witness"]
-            if art.bits[w]:
-                failures.append(f"witness {w} was enumerated")
+        if iv["state"] == "finalized" and art.bits[iv["witness"]]:
+            failures.append(f"witness {iv['witness']} was enumerated")
         # block density floor 1 − 2^-e (waiting/finalized keep >= |J|/|I|)
-        size = c - a + 1
-        if blk * (1 << e) < size * ((1 << e) - 1):
+        if blk * (1 << e) < (c - a + 1) * ((1 << e) - 1):
             failures.append(f"interval [{a},{c}]: density floor violated")
     return failures
 
 
-def _verify_restraint(art):
-    counts = art.counts()
-    failures = []
-    for rec in art.checkpoints:
-        if rec.get("final_interval") is None:
-            continue
-        k = rec["k"]
-        m = rec["final_interval"][1]
-        lhs = int(counts[m]) * (1 << (k + 2))
-        rhs = ((1 << (k + 2)) - 1) * m
-        if not lhs < rhs:
-            failures.append(f"requirement {k}: rho_m(A) not strictly below "
-                            f"1 − 2^-{k + 2}")
-    return failures
+def _recorded_verdict(art, counts):
+    # the relative margin needs the source stream; the artifact alone can
+    # only re-check its recorded verdict flag
+    if art.guarantee.get("holds") is True:
+        return []
+    return ["recorded guarantee verdict is not 'holds'"]
 
 
-def _verify_log_sparse(art):
+FORMS = {
+    "checkpoint-ratio": Form(_checkpoint_bounds,
+                             checks=(("count", _stored_counts),)),
+    "tracking-checkpoint-ratio": Form(_tracking_bounds,
+                                      checks=(("count", _stored_counts),)),
+    "lookahead-margin": Form(_lookahead_bounds),
+    "witness-margin": Form(_witness_bounds),
+    "lookahead-margin-relative": Form(
+        checks=(("holds", _recorded_verdict),)),
+    "target-approach": Form(_approach_bounds, bound_label="approach",
+                            checks=(("approach", _stored_counts),
+                                    ("between", _betweenness))),
+    "blockwise-levels": Form(_blockwise_bounds, bound_label="sandwich",
+                             checks=(("block_density", _block_density),)),
+    "ratio-interval-report": Form(checks=(("interval", _interval_records),)),
+    "restraint-report": Form(_restraint_bounds, strict_upper=True),
+    "log-sparse": Form(_sparse_bounds),
+    "membership-only": Form(),
+}
+
+
+def _bound_rows(form: Form, art: SubsetArtifact, counts):
+    """Columns n, count, lower_num, lower_den, upper_num, upper_den (None
+    where absent) of the form's bounds, and whether each row holds."""
+    n, lower, upper = form.bounds(art)
+    c = counts[n]
+    holds = np.ones(n.size, dtype=bool)
+    if lower is not None:
+        holds &= c * lower[1] >= lower[0]
+    if upper is not None:
+        lhs = c * upper[1]
+        holds &= lhs < upper[0] if form.strict_upper else lhs <= upper[0]
+    return [n, c, *(lower or (None, None)), *(upper or (None, None))], holds
+
+
+def _format_rows(cols, holds) -> list:
+    fields = [repeat("") if col is None else map(str, col.tolist())
+              for col in cols]
+    fields.append(map(str, holds.view(np.uint8).tolist()))
+    return list(map(",".join, zip(*fields)))
+
+
+def labelled_failures(art: SubsetArtifact) -> list:
+    """(label, message) for every failed record check and every violated
+    bound row of the artifact's guarantee form."""
+    name = art.guarantee.get("form", "")
+    form = FORMS.get(name)
+    if form is None:
+        return [("form", f"unknown guarantee form {name!r}")]
     counts = art.counts()
-    failures = []
-    for n in range(1, art.n_max + 1):
-        if int(counts[n]) > n.bit_length():  # floor(log2 n) + 1
-            failures.append(f"n={n}: sparsity bound violated")
-            break
-    return failures
+    out = [(label, msg) for label, check in form.checks
+           for msg in check(art, counts)]
+    if form.bounds is not None:
+        cols, holds = _bound_rows(form, art, counts)
+        bad = ~holds
+        out += [(form.bound_label, f"certified row fails: {row}")
+                for row in _format_rows(
+                    [None if col is None else col[bad] for col in cols],
+                    holds[bad])]
+    return out
+
+
+def passed_groups(art: SubsetArtifact, labels) -> dict:
+    """{label: True if no check or bound row with that label failed}."""
+    failed = {label for label, _ in labelled_failures(art)}
+    return {label: label not in failed for label in labels}
+
+
+def verify_artifact(art: SubsetArtifact) -> dict:
+    """Recompute every certified inequality from the artifact's own bitset
+    and stored numbers.  Returns {'ok': bool, 'failures': [...]} with one
+    entry per failed record check or violated bound row."""
+    failures = [msg for _, msg in labelled_failures(art)]
+    return {"ok": not failures, "failures": failures}
 
 
 def write_certified_csv(art: SubsetArtifact, path) -> None:
-    """One row per certified inequality: the count at n together with the
+    """One row per certified per-n bound: the count at n together with the
     certified rational lower and/or upper bound on it.
 
     Checkpoint-style guarantees yield one row per checkpoint length;
@@ -292,94 +362,10 @@ def write_certified_csv(art: SubsetArtifact, path) -> None:
     guarantee cannot be expressed as per-n count bounds (relative margins,
     interval reports, bare membership) emit only the header.
     """
-    counts = art.counts()
-    g = art.guarantee
-    form = g.get("form", "")
+    form = FORMS.get(art.guarantee.get("form", ""))
     rows = []
-
-    def row(n, lower=None, upper=None, strict_upper=False):
-        c = int(counts[n])
-        ok = True
-        if lower is not None:
-            ok = ok and c * lower.denominator >= lower.numerator
-        if upper is not None:
-            lhs = c * upper.denominator
-            ok = ok and (lhs < upper.numerator if strict_upper
-                         else lhs <= upper.numerator)
-        rows.append([n, c,
-                     lower.numerator if lower is not None else "",
-                     lower.denominator if lower is not None else "",
-                     upper.numerator if upper is not None else "",
-                     upper.denominator if upper is not None else "",
-                     int(ok)])
-
-    if form == "checkpoint-ratio":
-        q = Fraction(g["q_num"], g["q_den"])
-        for cp in art.checkpoints:
-            if cp["s"] > 0:
-                row(cp["s"], lower=q * cp["s"])
-    elif form == "tracking-checkpoint-ratio":
-        for cp in art.checkpoints:
-            if cp["s"] == 0:
-                continue
-            thr = (Fraction(cp["target_num"], cp["target_den"])
-                   - Fraction(1, 2 ** cp["slack_pow"]))
-            row(cp["s"], lower=max(thr, Fraction(0)) * cp["s"])
-    elif form == "lookahead-margin":
-        q = Fraction(g["q_num"], g["q_den"])
-        for n in range(g["n0"], art.n_max + 1):
-            row(n, lower=Fraction(
-                ceil_div(q.numerator * n, q.denominator) - ceil_sqrt(n)))
-    elif form == "witness-margin":
-        h = g["h_of_n"]
-        for n in range(1, art.n_max + 1):
-            p = 1 << h[n - 1]
-            row(n, lower=Fraction(ceil_div(n * (p - 1), p) - ceil_sqrt(n)))
-    elif form == "target-approach":
-        for cp in art.checkpoints:
-            n, s = cp["n"], cp["s"]
-            q = Fraction(cp["q_num"], cp["q_den"])
-            slack = Fraction(s, n + 1)
-            row(s, lower=q * s - slack, upper=q * s + slack)
-    elif form == "blockwise-levels":
-        fact = [1]
-        top = max((n for n, _ in g["levels"]), default=0)
-        for i in range(1, top + 2):
-            fact.append(fact[-1] * i)
-        for n, L in g["levels"]:
-            hi = fact[n + 1]
-            h = Fraction(L, n)
-            row(hi, lower=(h - h / (n + 1)) * hi,
-                upper=(h + (1 - h) / (n + 1)) * hi)
-    elif form == "restraint-report":
-        for rec in art.checkpoints:
-            if rec.get("final_interval") is None:
-                continue
-            m = rec["final_interval"][1]
-            k = rec["k"]
-            row(m, upper=(1 - Fraction(1, 1 << (k + 2))) * m,
-                strict_upper=True)
-    elif form == "log-sparse":
-        for n in range(1, art.n_max + 1):
-            row(n, upper=Fraction(n.bit_length()))
-
+    if form is not None and form.bounds is not None:
+        rows = _format_rows(*_bound_rows(form, art, art.counts()))
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["n", "count", "lower_num", "lower_den",
-                    "upper_num", "upper_den", "holds"])
-        w.writerows(rows)
-
-
-_VERIFIERS = {
-    "checkpoint-ratio": _verify_checkpoint_ratio,
-    "tracking-checkpoint-ratio": _verify_tracking_ratio,
-    "lookahead-margin": _verify_lookahead,
-    "witness-margin": _verify_witness_margin,
-    "lookahead-margin-relative": _verify_relative,
-    "target-approach": _verify_target_approach,
-    "blockwise-levels": _verify_blockwise_levels,
-    "ratio-interval-report": _verify_ratio_intervals,
-    "restraint-report": _verify_restraint,
-    "log-sparse": _verify_log_sparse,
-    "membership-only": lambda art: [],
-}
+        fh.write(CSV_HEADER)
+        fh.writelines(row + "\n" for row in rows)

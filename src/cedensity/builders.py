@@ -8,13 +8,15 @@ actually establishes on the window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 import numpy as np
 
 from .approximators import SubsetArtifact, _seq_to_fn
-from .core import CEStream, NEVER, ceil_div, profile_from_bits
+from .artifacts import passed_groups
+from .core import CEStream, NEVER, ceil_div, prefix_counts
 from .errors import (CapExceeded, ContractViolated, RatioUnrealizable,
                      WindowExhausted)
 
@@ -100,27 +102,7 @@ def interleave_targets(low_seq, high_seq, pivot, n_pairs: int):
 def verify_infsup(artifact: SubsetArtifact) -> dict:
     """Re-check the target-approach bound and blockwise betweenness from
     the artifact's own bits; returns {'approach': ok, 'between': ok}."""
-    counts = artifact.counts()
-    approach = True
-    for cp in artifact.checkpoints:
-        n, s = cp["n"], cp["s"]
-        num, den = cp["q_num"], cp["q_den"]
-        if cp["count"] != int(counts[s]):
-            approach = False
-        if abs(int(counts[s]) * den - num * s) * (n + 1) > s * den:
-            approach = False
-    between = True
-    cps = artifact.checkpoints
-    for (a, b) in zip(cps, cps[1:]):
-        lo_r = Fraction(int(counts[a["s"]]), a["s"])
-        hi_r = Fraction(int(counts[b["s"]]), b["s"])
-        lo_r, hi_r = min(lo_r, hi_r), max(lo_r, hi_r)
-        for k in range(a["s"] + 1, b["s"]):
-            r = Fraction(int(counts[k]), k)
-            if not lo_r <= r <= hi_r:
-                between = False
-                break
-    return {"approach": approach, "between": between}
+    return passed_groups(artifact, ("approach", "between"))
 
 
 # -- exact-ratio finite extension ------------------------------------------
@@ -234,8 +216,7 @@ def density_transfer_build(B: Delta2Approx, n_checkpoints: int,
     truncated = None
     for s in range(1, stage_budget + 1):
         bs = B.at(s - 1)
-        bcounts = np.zeros(B.window + 1, dtype=np.int64)
-        np.cumsum(bs, out=bcounts[1:])
+        bcounts = prefix_counts(bs)
         fired = None
         for n in range(1, min(s, n_checkpoints) + 1):
             target = _transfer_target(int(bcounts[n]), n)
@@ -286,11 +267,9 @@ def _transfer_target(count_n: int, n: int) -> Fraction:
 
 def _transfer_report(stream, B, t, n_checkpoints, stage_budget):
     final_b = B.at(stage_budget - 1) if stage_budget >= 1 else B.at(0)
-    bcounts = np.zeros(B.window + 1, dtype=np.int64)
-    np.cumsum(final_b, out=bcounts[1:])
+    bcounts = prefix_counts(final_b)
     members = stream.final_members()
-    acounts = np.zeros(stream.n_max + 1, dtype=np.int64)
-    np.cumsum(members, out=acounts[1:])
+    acounts = prefix_counts(members)
     settled = {}
     segments = {}
     for n in range(1, n_checkpoints + 1):
@@ -341,13 +320,6 @@ def _round_to_grid(v: Fraction, n: int) -> int:
     return min(max(L, 0), n)
 
 
-def _factorials(k):
-    out = [1]
-    for i in range(1, k + 2):
-        out.append(out[-1] * i)
-    return out
-
-
 def blockwise_limit_build(g: StableMonotoneG, n_blocks: int,
                           stage_max: int, *, allow_large=False):
     """Enumerate a set over factorial blocks [n!, (n+1)!) so that the final
@@ -362,15 +334,14 @@ def blockwise_limit_build(g: StableMonotoneG, n_blocks: int,
     if n_blocks > FACTORIAL_BLOCK_CAP and not allow_large:
         raise CapExceeded(
             f"n_blocks={n_blocks} exceeds cap {FACTORIAL_BLOCK_CAP}")
-    fact = _factorials(n_blocks)
-    n_max = fact[n_blocks + 1]
+    n_max = factorial(n_blocks + 1)
     entry = np.full(n_max, NEVER, dtype=np.int64)
     levels = {n: 0 for n in range(1, n_blocks + 1)}
     for s in range(stage_max + 1):
         for n in range(1, n_blocks + 1):
             L = _round_to_grid(g.eval(n, s), n)
             if L > levels[n]:
-                lo, hi = fact[n], fact[n + 1]
+                lo, hi = factorial(n), factorial(n + 1)
                 for run in range(lo, hi, n):
                     entry[run + levels[n]: run + L] = s
                 levels[n] = L
@@ -378,25 +349,18 @@ def blockwise_limit_build(g: StableMonotoneG, n_blocks: int,
     return stream, levels
 
 
+def levels_guarantee(levels: dict) -> dict:
+    """The blockwise-levels guarantee record of final grid numerators."""
+    return {"form": "blockwise-levels",
+            "levels": sorted([n, L] for n, L in levels.items())}
+
+
 def verify_blockwise(stream: CEStream, levels: dict) -> dict:
     """Exact checks: block density == L/n, and the rho((n+1)!) sandwich
     −L/n·1/(n+1) <= rho − L/n <= (1 − L/n)·1/(n+1)."""
-    members = stream.final_members()
-    counts = np.zeros(stream.n_max + 1, dtype=np.int64)
-    np.cumsum(members, out=counts[1:])
-    fact = _factorials(max(levels) if levels else 1)
-    out = {"block_density": True, "sandwich": True}
-    for n, L in levels.items():
-        lo, hi = fact[n], fact[n + 1]
-        blk = int(counts[hi] - counts[lo])
-        if blk * n != L * (hi - lo):
-            out["block_density"] = False
-        rho_hi = Fraction(int(counts[hi]), hi)
-        h = Fraction(L, n)
-        dlt = rho_hi - h
-        if not (-h / (n + 1) <= dlt <= (1 - h) / (n + 1)):
-            out["sandwich"] = False
-    return out
+    art = SubsetArtifact("blockwise_levels", stream.final_members(),
+                         guarantee=levels_guarantee(levels))
+    return passed_groups(art, ("block_density", "sandwich"))
 
 
 def limsup_density_build(q_seq, n_blocks: int, stage_max: int):

@@ -4,7 +4,9 @@ reproducible CSV/JSONL/artifact emission.
 All machine behaviour is declared from a fixed vocabulary of rule kinds —
 configs never carry executable code.  Outputs are byte-deterministic:
 sorted JSON keys, LF-terminated CSV, no timestamps.
-Exit codes: 0 success, 2 configuration, 3 budget, 4 artifact integrity.
+Exit codes: 0 success, 1 library precondition error (``InvalidResidue``,
+``PreconditionViolated``, ``RatioUnrealizable``, ``WindowExhausted``, ...),
+2 configuration, 3 budget, 4 artifact integrity or verification failure.
 """
 
 from __future__ import annotations
@@ -31,6 +33,15 @@ def _frac(v) -> Fraction:
         return Fraction(v)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad rational {v!r}") from exc
+
+
+def _need(table, key, path: str):
+    """table[key]; a missing field, or a label that names nothing, is a
+    ConfigError naming the JSON path that holds it."""
+    try:
+        return table[key]
+    except (KeyError, TypeError):
+        raise ConfigError(f"{path}: {key!r} not found") from None
 
 
 def _load_config(path) -> dict:
@@ -178,13 +189,18 @@ class _ListTrace:
 def _approx(spec: dict, sets, n_max: int) -> builders.Delta2Approx:
     kind = spec.get("kind")
     window = spec.get("window", n_max)
+    path = "construction.approx"
+
+    def members(key):
+        label = _need(spec, key, path)
+        return _need(sets, label, f"{path}.{key}").membership_array(window)
+
     if kind == "constant":
-        bits = sets[spec["set"]].membership_array(window)
-        return builders.Delta2Approx.constant(bits, label=spec["set"])
+        return builders.Delta2Approx.constant(members("set"),
+                                              label=spec["set"])
     if kind == "flip":
-        before = sets[spec["before"]].membership_array(window)
-        after = sets[spec["after"]].membership_array(window)
-        at = spec["at"]
+        before, after = members("before"), members("after")
+        at = _need(spec, "at", path)
         return builders.Delta2Approx(
             lambda s: after if s >= at else before, window, label="flip")
     raise ConfigError(f"unknown approximation kind {kind!r}")
@@ -218,10 +234,8 @@ def cmd_metrics(cfg, outdir):
     spec = cfg.get("metrics")
     if not spec:
         raise ConfigError("config has no 'metrics' section")
-    try:
-        a, b = sets[spec["a"]], sets[spec["b"]]
-    except KeyError as exc:
-        raise ConfigError(f"metrics references unknown set {exc}") from exc
+    a, b = (_need(sets, _need(spec, k, "metrics"), f"metrics.{k}")
+            for k in ("a", "b"))
     hi = spec.get("hi", cfg["universe"]["n_max"])
     lo = spec.get("lo", 1)
     prof = symdiff_profile(a, b, hi)
@@ -245,32 +259,26 @@ def _dispatch_construct(cfg, sets, streams, deciders):
     n_max = cfg["universe"]["n_max"]
     stage_max = cfg["universe"]["stage_max"]
 
+    def need(key):
+        return _need(spec, key, "construction")
+
     def stream(key="stream"):
-        try:
-            return streams[spec[key]]
-        except KeyError as exc:
-            raise ConfigError(f"unknown stream {exc}") from exc
+        return _need(streams, need(key), f"construction.{key}")
 
     def stream_list(key="streams"):
-        try:
-            return [streams[x] for x in spec[key]]
-        except KeyError as exc:
-            raise ConfigError(f"unknown stream {exc}") from exc
+        return [_need(streams, x, f"construction.{key}") for x in need(key)]
 
     def decider_list(key="deciders"):
-        try:
-            return [deciders[x] for x in spec[key]]
-        except KeyError as exc:
-            raise ConfigError(f"unknown decider {exc}") from exc
+        return [_need(deciders, x, f"construction.{key}") for x in need(key)]
 
     if op == "checkpoint-subset":
-        return approximators.checkpoint_subset(stream(), _frac(spec["q"])), None
+        return approximators.checkpoint_subset(stream(), _frac(need("q"))), None
     if op == "tracking-checkpoint-subset":
         return approximators.tracking_checkpoint_subset(
-            stream(), _targets(spec["targets"])), None
+            stream(), _targets(need("targets"))), None
     if op == "lookahead-subset":
         return approximators.lookahead_subset(
-            stream(), _frac(spec["q"]), spec.get("n0", 1)), None
+            stream(), _frac(need("q")), spec.get("n0", 1)), None
     if op == "witnessed-subset":
         w = spec.get("witness", {})
         if w.get("kind") == "constant":
@@ -282,15 +290,12 @@ def _dispatch_construct(cfg, sets, streams, deciders):
             raise ConfigError(f"unknown witness kind {w.get('kind')!r}")
         return approximators.witnessed_subset(stream(), wfn), None
     if op == "target-oscillation":
-        return builders.infsup_build(_targets(spec["targets"]),
-                                     spec["n_checkpoints"], n_max), None
+        return builders.infsup_build(_targets(need("targets")),
+                                     need("n_checkpoints"), n_max), None
     if op == "density-transfer":
-        try:
-            B = _approx(spec["approx"], sets, n_max)
-        except KeyError as exc:
-            raise ConfigError(f"unknown set {exc}") from exc
+        B = _approx(need("approx"), sets, n_max)
         st, t, rows, report = builders.density_transfer_build(
-            B, spec["n_checkpoints"], stage_max, n_max)
+            B, need("n_checkpoints"), stage_max, n_max)
         art = _stream_artifact(st, "density_transfer",
                                {"form": "membership-only"})
         art.meta["t"] = {str(k): v for k, v in sorted(t.items())}
@@ -299,20 +304,18 @@ def _dispatch_construct(cfg, sets, streams, deciders):
             art.diagnostics = report.pop("diagnostics")
         return art, _ListTrace(rows)
     if op == "blockwise-levels":
-        vals = {int(k): _frac(v) for k, v in spec["levels"].items()}
+        vals = {int(k): _frac(v) for k, v in need("levels").items()}
         g = builders.StableMonotoneG(
             lambda n, s: vals.get(n, Fraction(0)), label="const-levels")
         st, levels = builders.blockwise_limit_build(
-            g, spec["n_blocks"], stage_max)
-        return _stream_artifact(st, "blockwise_levels", {
-            "form": "blockwise-levels",
-            "levels": sorted([n, L] for n, L in levels.items())}), None
+            g, need("n_blocks"), stage_max)
+        return _stream_artifact(st, "blockwise_levels",
+                                builders.levels_guarantee(levels)), None
     if op == "limsup-blockwise":
         st, levels, _g = builders.limsup_density_build(
-            _targets(spec["targets"]), spec["n_blocks"], stage_max)
-        return _stream_artifact(st, "limsup_blockwise", {
-            "form": "blockwise-levels",
-            "levels": sorted([n, L] for n, L in levels.items())}), None
+            _targets(need("targets")), need("n_blocks"), stage_max)
+        return _stream_artifact(st, "limsup_blockwise",
+                                builders.levels_guarantee(levels)), None
     if op == "blockwise-union":
         st = prioritysim.blockwise_union_build(stream_list(), n_max,
                                                stage_max)
@@ -417,11 +420,8 @@ def cmd_generic(cfg, outdir):
     spec = cfg.get("generic")
     if not spec:
         raise ConfigError("config has no 'generic' section")
-    try:
-        dec = deciders[spec["decider"]]
-        target = sets[spec["set"]]
-    except KeyError as exc:
-        raise ConfigError(f"generic references unknown label {exc}") from exc
+    dec = _need(deciders, _need(spec, "decider", "generic"), "generic.decider")
+    target = _need(sets, _need(spec, "set", "generic"), "generic.set")
     n_max = cfg["universe"]["n_max"]
     report = genericity.at_density_report(
         dec, target, _frac(spec.get("r", "0")), n_max,

@@ -319,17 +319,26 @@ def density_profile(oracle: SetOracle, n_max: int, label=None) -> DensityProfile
     """Single-pass cumulative profile of the oracle over [0, n_max)."""
     if n_max < 1:
         raise InvalidWindow(f"n_max must be >= 1, got {n_max}")
-    member = oracle.membership_array(n_max)
-    counts = np.zeros(n_max + 1, dtype=np.int64)
-    np.cumsum(member, out=counts[1:])
+    counts = prefix_counts(oracle.membership_array(n_max))
     return DensityProfile(counts, label=label if label is not None else oracle.label)
 
 
-def profile_from_bits(bits, label="") -> DensityProfile:
+def prefix_counts(bits) -> np.ndarray:
+    """counts[n] = |{i < n : bits[i]}| for 0 <= n <= len(bits), in int64."""
     bits = np.asarray(bits, dtype=bool)
     counts = np.zeros(bits.size + 1, dtype=np.int64)
     np.cumsum(bits, out=counts[1:])
-    return DensityProfile(counts, label=label)
+    return counts
+
+
+def exact_ints(values, bound: int) -> np.ndarray:
+    """values as int64 if ``bound`` caps every magnitude the caller computes
+    from them, else as Python ints (dtype=object), so arithmetic stays exact."""
+    return np.asarray(values, dtype=np.int64 if bound < 2**63 else object)
+
+
+def profile_from_bits(bits, label="") -> DensityProfile:
+    return DensityProfile(prefix_counts(bits), label=label)
 
 
 def window_bounds(profile: DensityProfile, lo: int, hi: int):

@@ -12,10 +12,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import factorial
 
 import numpy as np
 
-from .core import CEStream, NEVER, trailing_zeros
+from .core import CEStream, NEVER, prefix_counts, trailing_zeros
 from .errors import ContractViolated, RatioUnrealizable, WindowExhausted
 
 
@@ -143,9 +144,7 @@ def interval_for_index(n: int) -> tuple[int, int]:
     """The factorial interval assigned to roster index n: [(n+1)!, (n+2)!).
     Index 0 owns [1, 2), so every positive natural is owned by exactly one
     index."""
-    f = 1
-    for i in range(1, n + 2):
-        f *= i
+    f = factorial(n + 1)
     return f, f * (n + 2)
 
 
@@ -419,9 +418,7 @@ def restraint_witness_build(streams, n_max: int, stage_max: int):
     stream = CEStream.from_schedule(entry.items(), n_max=n_max,
                                     stage_max=stage_max,
                                     label="restraint-witness")
-    members = stream.final_members()
-    counts = np.zeros(n_max + 1, dtype=np.int64)
-    np.cumsum(members, out=counts[1:])
+    counts = prefix_counts(stream.final_members())
     outcomes = {}
     for k in range(E):
         iv = current.get(k)

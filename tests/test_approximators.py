@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cedensity import approximators as ap
+from cedensity import artifacts as ar
 from cedensity.core import CEStream, SetOracle, ceil_div, ceil_sqrt
 from cedensity.errors import PreconditionViolated
 
@@ -77,6 +78,17 @@ def test_lookahead_precondition_violation():
     with pytest.raises(PreconditionViolated) as exc:
         ap.lookahead_subset(evens_stream(), "3/4", n0=1)
     assert exc.value.at == 2
+
+
+@pytest.mark.parametrize("q", [Fraction(2**48 + 1, 2**50),
+                               Fraction(2**61 + 1, 2**63)])
+def test_lookahead_precondition_exact_past_int64(q, tmp_path):
+    # den·n passes 2^63 inside the window; the evens still clear q·n
+    art = ap.lookahead_subset(evens_stream(20000), q)
+    assert ar.verify_artifact(art)["ok"]
+    ar.write_certified_csv(art, tmp_path / "c.csv")
+    rows = (tmp_path / "c.csv").read_text().splitlines()[1:]
+    assert len(rows) == 20000 and all(r.endswith(",1") for r in rows)
 
 
 def test_witnessed_subset_rejects_false_promise():

@@ -152,3 +152,28 @@ def test_construct_trace_emitted_for_ratio_interval(tmp_path):
                for r in lines if isinstance(r.get("resolved"), dict))
     report = json.loads((out / "verify.json").read_text())
     assert report["ok"]
+
+
+@pytest.mark.parametrize("op", [
+    {"op": "blockwise-levels", "n_blocks": 0, "levels": {}},
+    {"op": "limsup-blockwise", "n_blocks": 0, "targets": ["1/2"]},
+])
+def test_zero_blocks_verify_ok(tmp_path, op):
+    cfg = {"universe": {"n_max": 10, "stage_max": 10}, "construction": op}
+    out = tmp_path / "o"
+    assert cli.main(["construct", "--config",
+                     write_cfg(tmp_path, "c.json", cfg),
+                     "--out", str(out)]) == 0
+    assert (out / "certified.csv").read_text() == (
+        "n,count,lower_num,lower_den,upper_num,upper_den,holds\n")
+    assert json.loads((out / "verify.json").read_text())["ok"] is True
+
+
+def test_missing_field_is_a_config_error(tmp_path, capsys):
+    cfg = construct_cfg({"op": "checkpoint-subset", "stream": "evs"})
+    assert cli.main(["construct", "--config",
+                     write_cfg(tmp_path, "c.json", cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "construction: 'q' not found" in err
