@@ -120,12 +120,15 @@ class Form(NamedTuple):
     window lengths n and the (num, den) array pairs bounding counts[n], or
     None where the form has no such bound.  ``checks`` are
     ``(label, fn(art, counts) -> [message])`` pairs; violated bound rows
-    carry ``bound_label``."""
+    carry ``bound_label``.  ``positions(art)`` lists ``(name, value, lo,
+    hi)`` for every stored number that bounds or checks use as a position
+    in the window; each must lie in [lo, hi] before either runs."""
 
     bounds: Callable | None = None
     strict_upper: bool = False
     bound_label: str = "bound"
     checks: tuple = ()
+    positions: Callable | None = None
 
 
 def _column(records, key) -> np.ndarray:
@@ -216,6 +219,36 @@ def _sparse_bounds(art):
     return n, None, _whole(np.searchsorted(powers, n, side="right"))
 
 
+def _checkpoint_positions(art):
+    return [("checkpoint s", cp["s"], 0, art.n_max) for cp in art.checkpoints]
+
+
+def _lookahead_positions(art):
+    return [("n0", art.guarantee["n0"], 0, art.n_max + 1)]
+
+
+def _block_positions(art):
+    # block n reads counts at (n+1)!, and 21! is past any window
+    last = max((k for k in range(1, 21) if factorial(k + 1) <= art.n_max),
+               default=0)
+    return [("block", n, 1, last) for n, _ in art.guarantee["levels"]]
+
+
+def _interval_positions(art):
+    out = []
+    for iv in art.checkpoints:
+        out += [("interval a", iv["a"], 0, art.n_max),
+                ("interval c", iv["c"], 0, art.n_max - 1)]
+        if iv["state"] == "finalized":
+            out.append(("witness", iv["witness"], 0, art.n_max - 1))
+    return out
+
+
+def _restraint_positions(art):
+    return [("final interval end", r["final_interval"][1], 0, art.n_max)
+            for r in art.checkpoints if r.get("final_interval") is not None]
+
+
 def _stored_counts(art, counts):
     return [f"checkpoint s={cp['s']}: stored count {cp['count']} "
             f"!= bitset count {int(counts[cp['s']])}"
@@ -278,20 +311,27 @@ def _recorded_verdict(art, counts):
 
 FORMS = {
     "checkpoint-ratio": Form(_checkpoint_bounds,
-                             checks=(("count", _stored_counts),)),
+                             checks=(("count", _stored_counts),),
+                             positions=_checkpoint_positions),
     "tracking-checkpoint-ratio": Form(_tracking_bounds,
-                                      checks=(("count", _stored_counts),)),
-    "lookahead-margin": Form(_lookahead_bounds),
+                                      checks=(("count", _stored_counts),),
+                                      positions=_checkpoint_positions),
+    "lookahead-margin": Form(_lookahead_bounds,
+                             positions=_lookahead_positions),
     "witness-margin": Form(_witness_bounds),
     "lookahead-margin-relative": Form(
         checks=(("holds", _recorded_verdict),)),
     "target-approach": Form(_approach_bounds, bound_label="approach",
                             checks=(("approach", _stored_counts),
-                                    ("between", _betweenness))),
+                                    ("between", _betweenness)),
+                            positions=_checkpoint_positions),
     "blockwise-levels": Form(_blockwise_bounds, bound_label="sandwich",
-                             checks=(("block_density", _block_density),)),
-    "ratio-interval-report": Form(checks=(("interval", _interval_records),)),
-    "restraint-report": Form(_restraint_bounds, strict_upper=True),
+                             checks=(("block_density", _block_density),),
+                             positions=_block_positions),
+    "ratio-interval-report": Form(checks=(("interval", _interval_records),),
+                                  positions=_interval_positions),
+    "restraint-report": Form(_restraint_bounds, strict_upper=True,
+                             positions=_restraint_positions),
     "log-sparse": Form(_sparse_bounds),
     "membership-only": Form(),
 }
@@ -318,13 +358,26 @@ def _format_rows(cols, holds) -> list:
     return list(map(",".join, zip(*fields)))
 
 
+def _window_failures(form: Form, art: SubsetArtifact) -> list:
+    """One message per stored position outside its range in the window."""
+    if form.positions is None:
+        return []
+    return [f"{name} {value} outside [{lo}, {hi}]"
+            for name, value, lo, hi in form.positions(art)
+            if not lo <= value <= hi]
+
+
 def labelled_failures(art: SubsetArtifact) -> list:
     """(label, message) for every failed record check and every violated
-    bound row of the artifact's guarantee form."""
+    bound row of the artifact's guarantee form; only the out-of-window
+    positions, if the records point outside the window."""
     name = art.guarantee.get("form", "")
     form = FORMS.get(name)
     if form is None:
         return [("form", f"unknown guarantee form {name!r}")]
+    window = _window_failures(form, art)
+    if window:
+        return [("window", msg) for msg in window]
     counts = art.counts()
     out = [(label, msg) for label, check in form.checks
            for msg in check(art, counts)]
@@ -360,11 +413,13 @@ def write_certified_csv(art: SubsetArtifact, path) -> None:
     margin-style guarantees one row per window n.  Upper bounds from the
     restraint form are strict; all others are non-strict.  Forms whose
     guarantee cannot be expressed as per-n count bounds (relative margins,
-    interval reports, bare membership) emit only the header.
+    interval reports, bare membership) emit only the header, and so do
+    artifacts whose records point outside the window.
     """
     form = FORMS.get(art.guarantee.get("form", ""))
     rows = []
-    if form is not None and form.bounds is not None:
+    if (form is not None and form.bounds is not None
+            and not _window_failures(form, art)):
         rows = _format_rows(*_bound_rows(form, art, art.counts()))
     with open(path, "w", newline="") as fh:
         fh.write(CSV_HEADER)

@@ -401,18 +401,14 @@ def sparse_hitting_build(roster, n_max: int, stage_max: int):
     report = []
     chosen = set()
     for e, stream in enumerate(roster):
-        found = None
-        for s in range(stream.stage_max + 1):
-            # elements with entry stage exactly s, above the threshold
-            cand = np.nonzero((stream.entry == s)
-                              & (np.arange(stream.n_max) > 2 ** e))[0]
-            if cand.size:
-                found = (int(cand[0]), s)
-                break
-        if found is None:
+        # first by stage, then by value: argmin returns the first least stage
+        lo = 2 ** e + 1
+        above = stream.entry[lo:]
+        i = int(np.argmin(above)) if above.size else None
+        if i is None or above[i] == NEVER:
             report.append({"e": e, "hit": None})
             continue
-        x, s = found
+        x, s = lo + i, int(above[i])
         if x < n_max and s <= stage_max:
             if x not in chosen:
                 entry[x] = min(int(entry[x]), s) if entry[x] != NEVER else s

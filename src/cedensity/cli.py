@@ -58,22 +58,26 @@ def _load_config(path) -> dict:
     return cfg
 
 
-def _build_set(spec: dict) -> SetOracle:
+def _build_set(spec: dict, path: str) -> SetOracle:
     kind = spec.get("kind")
     label = spec.get("label", kind)
+
+    def need(key):
+        return _need(spec, key, path)
+
     if kind == "empty":
         return SetOracle.empty(label)
     if kind == "naturals":
         return SetOracle.naturals(label)
     if kind == "explicit":
-        return SetOracle.explicit(spec["elements"], label)
+        return SetOracle.explicit(need("elements"), label)
     if kind == "residue-union":
-        return SetOracle.residue_union(spec["modulus"], spec["residues"],
+        return SetOracle.residue_union(need("modulus"), need("residues"),
                                        label)
     if kind == "dyadic-class":
-        return dyadic_class(spec["k"], label)
+        return dyadic_class(need("k"), label)
     if kind == "dyadic-union":
-        return dyadic_union(spec["indices"],
+        return dyadic_union(need("indices"),
                             include_zero=spec.get("include_zero", False),
                             label=label)
     raise ConfigError(f"unknown set kind {kind!r}")
@@ -81,14 +85,14 @@ def _build_set(spec: dict) -> SetOracle:
 
 def _sets(cfg) -> dict:
     out = {}
-    for spec in cfg.get("sets", []):
+    for i, spec in enumerate(cfg.get("sets", [])):
         if "label" not in spec:
             raise ConfigError("every set needs a label")
-        out[spec["label"]] = _build_set(spec)
+        out[spec["label"]] = _build_set(spec, f"sets[{i}]")
     return out
 
 
-def _stage_fn(schedule: dict):
+def _stage_fn(schedule: dict, path: str):
     kind = schedule.get("kind", "own-stage")
     if kind == "immediate":
         return lambda m: 0
@@ -101,7 +105,7 @@ def _stage_fn(schedule: dict):
         off = schedule.get("offset", 0)
         return lambda m: f * m + off
     if kind == "burst":
-        p = schedule["period"]
+        p = _need(schedule, "period", path)
         return lambda m: ((m // p) + 1) * p
     raise ConfigError(f"unknown schedule kind {kind!r}")
 
@@ -110,61 +114,70 @@ def _streams(cfg, sets) -> dict:
     n_max = cfg["universe"]["n_max"]
     stage_max = cfg["universe"]["stage_max"]
     out = {}
-    for spec in cfg.get("streams", []):
+    for i, spec in enumerate(cfg.get("streams", [])):
         label = spec.get("label")
         if label is None:
             raise ConfigError("every stream needs a label")
-        if spec.get("schedule", {}).get("kind") == "scripted":
+        schedule = spec.get("schedule", {})
+        path = f"streams[{i}].schedule"
+        if schedule.get("kind") == "scripted":
             out[label] = CEStream.from_schedule(
-                spec["schedule"]["pairs"], n_max=n_max, stage_max=stage_max,
-                label=label)
+                _need(schedule, "pairs", path), n_max=n_max,
+                stage_max=stage_max, label=label)
             continue
         base = sets.get(spec.get("set"))
         if base is None:
             raise ConfigError(f"stream {label}: unknown set {spec.get('set')!r}")
         out[label] = CEStream.from_oracle(
             base, n_max=n_max, stage_max=stage_max,
-            delay_fn=_stage_fn(spec.get("schedule", {})), label=label)
+            delay_fn=_stage_fn(schedule, path), label=label)
     return out
+
+
+def _decider(spec: dict, path: str) -> prioritysim.PartialDecider:
+    P = prioritysim.PartialDecider
+    label = spec.get("label")
+    kind = spec.get("kind")
+    delay = spec.get("delay", 0)
+
+    def need(key):
+        return _need(spec, key, path)
+
+    if kind == "constant":
+        return P.constant(need("value"), delay, label)
+    if kind == "parity":
+        return P.parity(delay, label)
+    if kind == "residue":
+        return P.residue(need("modulus"), need("residues"), delay, label)
+    if kind == "never":
+        return P.never(label)
+    if kind == "value-delay":
+        v = need("value")
+        f = spec.get("delay_factor", 1)
+        return P.delayed_rule(lambda n: v, lambda n: f * n, label)
+    raise ConfigError(f"unknown decider kind {kind!r}")
 
 
 def _deciders(cfg) -> dict:
-    P = prioritysim.PartialDecider
-    out = {}
-    for spec in cfg.get("deciders", []):
-        label = spec.get("label")
-        kind = spec.get("kind")
-        delay = spec.get("delay", 0)
-        if kind == "constant":
-            out[label] = P.constant(spec["value"], delay, label)
-        elif kind == "parity":
-            out[label] = P.parity(delay, label)
-        elif kind == "residue":
-            out[label] = P.residue(spec["modulus"], spec["residues"], delay,
-                                   label)
-        elif kind == "never":
-            out[label] = P.never(label)
-        elif kind == "value-delay":
-            v = spec["value"]
-            f = spec.get("delay_factor", 1)
-            out[label] = P.delayed_rule(lambda n, v=v: v,
-                                        lambda n, f=f: f * n, label)
-        else:
-            raise ConfigError(f"unknown decider kind {kind!r}")
-    return out
+    return {spec.get("label"): _decider(spec, f"deciders[{i}]")
+            for i, spec in enumerate(cfg.get("deciders", []))}
 
 
 def _jump(spec: dict) -> prioritysim.JumpApprox:
     kind = spec.get("kind")
+
+    def need(key):
+        return _need(spec, key, "construction.jump")
+
     if kind == "never":
         return prioritysim.JumpApprox(lambda i, s: 0, lambda i, s: None)
     if kind == "step":
-        on_at, use = spec["on_at"], spec["use"]
+        on_at, use = need("on_at"), need("use")
         return prioritysim.JumpApprox(
             lambda i, s: 1 if s >= on_at else 0,
             lambda i, s: use if s >= on_at else None)
     if kind == "blink":
-        p, use = spec["period"], spec["use"]
+        p, use = need("period"), need("use")
         return prioritysim.JumpApprox(
             lambda i, s: (s // p) % 2, lambda i, s: use)
     raise ConfigError(f"unknown jump kind {kind!r}")

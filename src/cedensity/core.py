@@ -10,7 +10,9 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import isqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -386,6 +388,20 @@ NEVER = np.iinfo(np.int64).max
 """Sentinel entry stage for elements never enumerated within the horizon."""
 
 
+class StageIndex(NamedTuple):
+    """A stream's elements grouped by entry stage.
+
+    ``order`` lists the enumerated elements by entry stage, then by value;
+    the elements entering at stage s are ``order[offsets[s]:offsets[s+1]]``
+    for s up to the last stage at which anything enters.  ``top[s]`` is
+    max{m : entry[m] <= s} over the same stages, 0 while A_s is empty.
+    """
+
+    order: np.ndarray
+    offsets: np.ndarray
+    top: list
+
+
 class CEStream:
     """A monotone stage-indexed enumeration s -> A_s of a set.
 
@@ -425,6 +441,29 @@ class CEStream:
     def count_at(self, n: int, s: int) -> int:
         """|A_s ∩ [0, n)|."""
         return int(np.count_nonzero(self.entry[:n] <= s))
+
+    @cached_property
+    def stage_index(self) -> StageIndex:
+        """The stage index, built on first use: one stable sort of entry."""
+        order = np.argsort(self.entry, kind="stable")
+        order = order[:np.count_nonzero(self.entry != NEVER)]
+        stages = self.entry[order]
+        last = int(stages[-1]) if order.size else -1
+        offsets = np.searchsorted(stages, np.arange(last + 2))
+        running = np.concatenate(([0], np.maximum.accumulate(order)))
+        return StageIndex(order, offsets, running[offsets[1:]].tolist())
+
+    def entering_at(self, s: int) -> np.ndarray:
+        """The elements entering at exactly stage s, ascending: A_s − A_{s−1}."""
+        order, offsets, _ = self.stage_index
+        if not 0 <= s < offsets.size - 1:
+            return order[:0]
+        return order[offsets[s]:offsets[s + 1]]
+
+    def max_member_at(self, s: int) -> int:
+        """max A_s, or 0 when A_s is empty."""
+        top = self.stage_index.top
+        return top[min(s, len(top) - 1)] if top and s >= 0 else 0
 
     def final_oracle(self) -> SetOracle:
         bits = self.final_members()

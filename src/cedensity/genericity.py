@@ -181,10 +181,7 @@ def strong_array_extract(T, X: SetOracle, count: int,
     ``.partial``.
     """
     xbits = X.membership_array(width)
-    order = []
-    for s in range(T.stage_max + 1):
-        for n in np.nonzero(T.entry == s)[0]:
-            order.append(int(n))
+    order = T.stage_index.order.tolist()
     out = []
     m = 0
     pos = 0

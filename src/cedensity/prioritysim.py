@@ -364,11 +364,6 @@ def restraint_witness_build(streams, n_max: int, stage_max: int):
     ever_appointed = set()
     restrained = set()
 
-    def stream_max(k, s):
-        st = streams[k]
-        live = np.nonzero(st.entry <= s)[0]
-        return int(live.max()) if live.size else 0
-
     for s in range(stage_max + 1):
         rec = {}
         enums = []
@@ -380,7 +375,7 @@ def restraint_witness_build(streams, n_max: int, stage_max: int):
         for k in range(min(E, s + 1)):
             if k in dormant:
                 continue
-            wmax = stream_max(k, s)
+            wmax = streams[k].max_member_at(s)
             iv = current.get(k)
             if iv is not None and wmax > iv["max"]:
                 # stream outgrew the interval: dump and re-appoint
@@ -465,14 +460,14 @@ def permitted_interval_build(C: CEStream, jump: JumpApprox, streams,
     g_rows = {p: [] for p in pairs}
     j_next = {p: 0 for p in pairs}
 
-    c_entrants = [np.nonzero(C.entry == s)[0] for s in range(stage_max + 1)]
-
     for s in range(stage_max + 1):
         rec = {}
         enums = []
         if 1 <= s < n_max and s not in restrained and s not in entry:
             entry[s] = s
             enums.append({"x": s, "permission": {"kind": "own-stage"}})
+        entered = C.entering_at(s)
+        y = int(entered[0]) if entered.size else None  # least C-entrant
         for p in pairs:
             e, i = p
             if pair_code(e, i) > s:
@@ -482,10 +477,7 @@ def permitted_interval_build(C: CEStream, jump: JumpApprox, streams,
             k = pair_code(e, i)
             iv = st["iv"]
             if iv is not None:
-                entered = c_entrants[s]
-                hits = entered[entered <= st["use"]]
-                if hits.size:
-                    y = int(hits[0])
+                if y is not None and y <= st["use"]:
                     for x in sorted(iv):
                         if x not in entry:
                             entry[x] = s
@@ -561,26 +553,25 @@ def split_interval_build(B: CEStream, deciders, n_max: int, stage_max: int):
     entry0, entry1 = {}, {}
     pending = {e: [] for e in range(E)}  # dicts: elems, min, realized
     j_next = {e: 0 for e in range(E)}
-    b_entrants = [np.nonzero(B.entry == s)[0] for s in range(stage_max + 1)]
     split_records = []
     for s in range(stage_max + 1):
         rec = {}
+        entered = B.entering_at(s)
+        y = int(entered[0]) if entered.size else None  # least B-entrant
         for e in range(min(E, s + 1)):
             for iv in pending[e]:
                 if not iv["realized"] and deciders[e].defined_on(iv["elems"], s):
                     iv["realized"] = True
                     rec.setdefault("realized", []).append(
                         {"e": e, "min": iv["min"]})
-            entered = b_entrants[s]
-            if entered.size:
+            if y is not None:
                 trig = None
                 for idx, iv in enumerate(pending[e]):
-                    if iv["realized"] and (entered <= iv["min"]).any():
+                    if iv["realized"] and y <= iv["min"]:
                         trig = idx  # oldest realized permitted interval
                         break
                 if trig is not None:
                     iv = pending[e][trig]
-                    y = int(entered[entered <= iv["min"]][0])
                     ones = [x for x in iv["elems"]
                             if deciders[e].eval(x, s) == 1]
                     zeros = [x for x in iv["elems"]

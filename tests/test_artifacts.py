@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from cedensity import approximators as ap
 from cedensity import artifacts as ar
-from cedensity import builders
+from cedensity import builders, cli
 from cedensity.core import CEStream, SetOracle
 from cedensity.errors import ArtifactError
 
@@ -141,3 +141,51 @@ def test_certified_csv_export(tmp_path):
     lines = path.read_text().splitlines()
     assert len(lines) == 51  # header + one row per window n
     assert all(line.endswith(",1") for line in lines[1:])
+
+
+def _redigest(payload):
+    payload.pop("integrity_sha256")
+    payload["integrity_sha256"] = hashlib.sha256(
+        ar._canonical(payload)).hexdigest()
+    return payload
+
+
+def test_check_reports_out_of_window_checkpoint(tmp_path, capsys):
+    path = tmp_path / "a.json"
+    ar.save_artifact(sample_artifact(n_max=100), path)
+    payload = json.loads(path.read_text())
+    payload["checkpoints"][-1]["s"] = 500
+    path.write_text(json.dumps(_redigest(payload)))
+    assert cli.main(["check", "--artifact", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert "checkpoint s 500 outside [0, 100]" in err
+    assert "Traceback" not in err
+
+
+def _interval(**kw):
+    return dict({"a": 2, "b": 3, "c": 3, "e": 1, "state": "waiting",
+                 "witness": None, "block_count": 0}, **kw)
+
+
+@pytest.mark.parametrize("form, bits, records, guarantee, message", [
+    ("target-approach", 64, [{"n": 0, "s": -1, "count": 0, "q_num": 1,
+                              "q_den": 2}], {},
+     "checkpoint s -1 outside [0, 64]"),
+    ("lookahead-margin", 16, [], {"q_num": 1, "q_den": 2, "n0": -3},
+     "n0 -3 outside [0, 17]"),
+    ("blockwise-levels", 10, [], {"levels": [[1, 1], [5, 2]]},
+     "block 5 outside [1, 2]"),
+    ("ratio-interval-report", 10, [_interval(c=10)], {},
+     "interval c 10 outside [0, 9]"),
+    ("ratio-interval-report", 10, [_interval(state="finalized", witness=12)],
+     {}, "witness 12 outside [0, 9]"),
+    ("restraint-report", 4, [{"k": 0, "final_interval": [2, 40]}], {},
+     "final interval end 40 outside [0, 4]"),
+])
+def test_out_of_window_records_fail_verification(tmp_path, form, bits,
+                                                 records, guarantee, message):
+    art = ap.SubsetArtifact("tampered", np.zeros(bits, dtype=bool), records,
+                            dict(guarantee, form=form))
+    assert ar.verify_artifact(art) == {"ok": False, "failures": [message]}
+    ar.write_certified_csv(art, tmp_path / "c.csv")
+    assert (tmp_path / "c.csv").read_text() == ar.CSV_HEADER

@@ -177,3 +177,52 @@ def test_missing_field_is_a_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert "construction: 'q' not found" in err
+
+
+def _permitted(jump):
+    return {"op": "permitted-interval", "permitter": "evs", "jump": jump,
+            "streams": ["evs"]}
+
+
+@pytest.mark.parametrize("section, entry, construction, message", [
+    ("sets", {"label": "ru", "kind": "residue-union", "residues": [0]},
+     None, "sets[1]: 'modulus' not found"),
+    ("sets", {"label": "ru", "kind": "residue-union", "modulus": 4},
+     None, "sets[1]: 'residues' not found"),
+    ("sets", {"label": "x", "kind": "explicit"},
+     None, "sets[1]: 'elements' not found"),
+    ("sets", {"label": "d", "kind": "dyadic-class"},
+     None, "sets[1]: 'k' not found"),
+    ("sets", {"label": "u", "kind": "dyadic-union"},
+     None, "sets[1]: 'indices' not found"),
+    ("deciders", {"label": "c", "kind": "constant"},
+     None, "deciders[0]: 'value' not found"),
+    ("deciders", {"label": "r", "kind": "residue", "residues": [0]},
+     None, "deciders[0]: 'modulus' not found"),
+    ("deciders", {"label": "r", "kind": "residue", "modulus": 3},
+     None, "deciders[0]: 'residues' not found"),
+    ("deciders", {"label": "v", "kind": "value-delay"},
+     None, "deciders[0]: 'value' not found"),
+    ("streams", {"label": "b", "set": "ev", "schedule": {"kind": "burst"}},
+     None, "streams[1].schedule: 'period' not found"),
+    ("streams", {"label": "p", "schedule": {"kind": "scripted"}},
+     None, "streams[1].schedule: 'pairs' not found"),
+    (None, None, _permitted({"kind": "step", "use": 5}),
+     "construction.jump: 'on_at' not found"),
+    (None, None, _permitted({"kind": "step", "on_at": 5}),
+     "construction.jump: 'use' not found"),
+    (None, None, _permitted({"kind": "blink", "use": 5}),
+     "construction.jump: 'period' not found"),
+])
+def test_missing_nested_field_is_a_config_error(tmp_path, capsys, section,
+                                                entry, construction, message):
+    cfg = construct_cfg(construction or {"op": "checkpoint-subset",
+                                         "stream": "evs", "q": "1/4"})
+    if section is not None:
+        cfg[section] = cfg.get(section, []) + [entry]
+    assert cli.main(["construct", "--config",
+                     write_cfg(tmp_path, "c.json", cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert message in err
