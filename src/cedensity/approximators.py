@@ -6,17 +6,28 @@ and the exact integer-form inequalities that data certifies.  Budget
 exhaustion yields a *partial* artifact with a diagnostic — a finite window
 failing to produce a witness says nothing about the underlying set, so it
 is never treated as a hard error at this layer.
+
+The checkpoint pair search and the look-ahead stage table read one order
+statistic: the k-th smallest entry stage among the enumerated elements of
+a prefix.  When the live entry stages are nondecreasing in the element
+(``CEStream.monotone_entries``; equivalently ``stage_index.order`` is
+strictly increasing), that is simply the k-th live entry, and both are
+computed with whole-array numpy operations.  That holds for every CLI
+schedule except ``scripted``.  Other streams fall back to a sorted window
+grown one element at a time; both paths give the same numbers.  The
+look-ahead bits and the margin check are vectorized for every stream.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 from sortedcontainers import SortedList
 
-from .core import (CEStream, NEVER, ceil_div, ceil_sqrt, exact_ints,
+from .core import (CEStream, NEVER, ceil_div, ceil_sqrt_array, exact_ints,
                    prefix_counts, profile_from_bits)
 from .errors import BudgetExceeded, PreconditionViolated
 
@@ -58,44 +69,84 @@ def _as_fraction(q) -> Fraction:
     return q
 
 
-def _first_pair_search(stream: CEStream, s_lo: int, threshold_k):
+_FIRST_CHUNK = 64
+
+
+def _first_pair_search(stream: CEStream, s_lo: int, need):
     """First (s, t) in dovetail order (s + t ascending, ties by smaller s)
-    with s > s_lo, t <= stage_max, and at least threshold_k(s) elements of
-    [s_lo, s) enumerated by stage t.
+    with s > s_lo, t <= stage_max, and at least need(s) elements of
+    [s_lo, s) enumerated by stage t; ``need`` maps an int64 array of s to
+    the int64 array of counts.
 
     For each s the least workable t is an order statistic of the entry
-    stages seen so far, so the scan keeps a sorted window and stops as soon
-    as no remaining s can beat the best cost (cost = s + t >= s).
+    stages of [s_lo, s).  Candidates are scanned in chunks that double in
+    length, and no chunk starts at or past the best cost so far, since
+    cost = s + t >= s; within a chunk the first least cost wins.
     """
-    entry = stream.entry
-    window = SortedList()
+    live = stream.monotone_entries
+    scan = (_sorted_pair_scan(stream, s_lo) if live is None
+            else _monotone_pair_scan(live, s_lo))
     best = None  # (cost, s, t, count_needed)
-    s = s_lo
-    while True:
-        s += 1
-        if s > stream.n_max:
-            break
-        if best is not None and s >= best[0]:
-            break
-        e = int(entry[s - 1])
-        if e != NEVER:
-            window.add(e)
-        k = threshold_k(s)
-        if k <= 0:
-            t = 0
-        elif len(window) >= k:
-            t = window[k - 1]
-        else:
-            continue
-        if t > stream.stage_max:
-            continue
-        cost = s + t
-        if best is None or cost < best[0]:
-            best = (cost, s, t, max(k, 0))
+    start, size = s_lo + 1, _FIRST_CHUNK
+    while start <= stream.n_max and (best is None or start < best[0]):
+        stop = min(start + size, stream.n_max + 1,
+                   NEVER if best is None else best[0])
+        s = np.arange(start, stop, dtype=np.int64)
+        k = need(s)
+        t, ok = scan(s, k)
+        cost = np.where(ok, s + t, NEVER)
+        i = int(np.argmin(cost))
+        if ok[i] and (best is None or cost[i] < best[0]):
+            best = (int(cost[i]), int(s[i]), int(t[i]), max(int(k[i]), 0))
+        start, size = stop, 2 * size
     if best is None:
         return None
     _, s, t, k = best
     return s, t, k
+
+
+def _monotone_pair_scan(live, s_lo: int):
+    """Chunk scan for a stream whose entry stages rise with the element:
+    the k-th smallest entry stage of [s_lo, s) is its k-th live entry."""
+    first = int(np.searchsorted(live.elements, s_lo))
+
+    def scan(s, k):
+        ok = k <= np.searchsorted(live.elements, s) - first
+        pick = ok & (k > 0)
+        t = np.zeros_like(s)
+        t[pick] = live.stages[first + k[pick] - 1]
+        return t, ok
+
+    return scan
+
+
+def _sorted_pair_scan(stream: CEStream, s_lo: int):
+    """Chunk scan for any stream: a sorted window of the entry stages of
+    [s_lo, s), grown by one element per candidate s."""
+    entry = stream.entry
+    window = SortedList()
+
+    def scan(s, k):
+        t = np.zeros_like(s)
+        ok = np.zeros(s.size, dtype=bool)
+        for i, (sv, kv) in enumerate(zip(s.tolist(), k.tolist())):
+            e = int(entry[sv - 1])
+            if e != NEVER:
+                window.add(e)
+            if kv <= 0:
+                ok[i] = True
+            elif len(window) >= kv:
+                t[i], ok[i] = window[kv - 1], True
+        return t, ok
+
+    return scan
+
+
+def _ceil_q(q: Fraction, n: np.ndarray, n_max: int) -> np.ndarray:
+    """ceil(q·n) as int64 for 0 <= n <= n_max, exact where q·n passes
+    int64 before the division."""
+    wide = exact_ints(n, max(q.numerator, q.denominator) * n_max)
+    return (-(-q.numerator * wide // q.denominator)).astype(np.int64)
 
 
 def checkpoint_subset(stream: CEStream, q) -> SubsetArtifact:
@@ -118,7 +169,7 @@ def checkpoint_subset(stream: CEStream, q) -> SubsetArtifact:
     running = 0
     while True:
         found = _first_pair_search(
-            stream, s_n, lambda s: ceil_div(q.numerator * s, q.denominator))
+            stream, s_n, lambda s: _ceil_q(q, s, stream.n_max))
         if found is None:
             diagnostics.append({
                 "error": "BudgetExceeded",
@@ -264,70 +315,77 @@ def _seq_to_fn(q_seq):
 
 # -- look-ahead family ---------------------------------------------------
 
-def _stage_table_kth(stream: CEStream, need_fn, n_lo: int):
-    """s(n) for n in [n_lo, n_max]: the need_fn(n)-th smallest entry stage
-    among [0, n).  Returns (s_table, None) or (None, bad_n) when some n has
-    fewer enumerated elements than needed (precondition failure point)."""
+def _stage_table_kth(stream: CEStream, needs: np.ndarray, n_lo: int):
+    """s(n) for n in [n_lo, n_max]: the needs[n − n_lo]-th smallest entry
+    stage among [0, n), or 0 where the need is <= 0; returned with
+    in_a(n) = |A_{s(n)} ∩ [0, n)|.  Raises PreconditionViolated at the
+    first n where [0, n) holds fewer enumerated elements than needed."""
+    live = stream.monotone_entries
+    if live is None:
+        return _sorted_stage_table(stream, needs, n_lo)
+    ns = np.arange(n_lo, stream.n_max + 1, dtype=np.int64)
+    below = np.searchsorted(live.elements, ns)  # live elements of [0, n)
+    short = np.flatnonzero(needs > below)
+    if short.size:
+        raise _too_few(int(ns[short[0]]))
+    pick = needs > 0
+    s_table = np.zeros(ns.size, dtype=np.int64)
+    s_table[pick] = live.stages[needs[pick] - 1]
+    # A_s is a prefix of the live elements, so in_a is capped by `below`
+    in_a = np.minimum(np.searchsorted(live.stages, s_table, side="right"),
+                      below)
+    return s_table, in_a
+
+
+def _sorted_stage_table(stream: CEStream, needs: np.ndarray, n_lo: int):
+    """``_stage_table_kth`` for any stream: one sorted window of the entry
+    stages of [0, n), grown by one element per n."""
     entry = stream.entry
     window = SortedList(int(e) for e in entry[:n_lo] if e != NEVER)
-    s_table = np.zeros(stream.n_max - n_lo + 1, dtype=np.int64)
-    for n in range(n_lo, stream.n_max + 1):
-        if n > n_lo:
+    s_table = np.zeros(needs.size, dtype=np.int64)
+    in_a = np.zeros(needs.size, dtype=np.int64)
+    for i, k in enumerate(needs.tolist()):
+        n = n_lo + i
+        if i:
             e = int(entry[n - 1])
             if e != NEVER:
                 window.add(e)
-        k = need_fn(n)
-        if k <= 0:
-            s_table[n - n_lo] = 0
-            continue
-        if len(window) < k:
-            return None, n
-        s_table[n - n_lo] = window[k - 1]
-    return s_table, None
+        if k > 0:
+            if len(window) < k:
+                raise _too_few(n)
+            s_table[i] = window[k - 1]
+        in_a[i] = window.bisect_right(int(s_table[i]))
+    return s_table, in_a
+
+
+def _too_few(n: int) -> PreconditionViolated:
+    return PreconditionViolated(
+        f"[0, {n}) holds fewer enumerated elements than needed", at=n)
 
 
 def _lookahead_bits(stream: CEStream, s_table: np.ndarray, n_lo: int):
-    """B = {k : k ∈ A_{t(k)}} with t(k) = max s(n) over n0 <= n <= min(k², n_max).
+    """B = {k : k ∈ A_{t(k)}} with t(k) = max s(n) over n0 <= n <= min(k², n_max),
+    and t(k) = 0 while k² < n0.
 
     Truncating the range at the window end only lowers t(k) for k past the
     window's square root, and every window-level inequality below depends
     only on s(n) for in-window n, which those k still dominate.
     """
     n_max = stream.n_max
-    bits = np.zeros(n_max, dtype=bool)
-    t_of_k = np.zeros(n_max, dtype=np.int64)
-    t = 0
-    reach = n_lo - 1  # largest n whose s(n) is folded into t so far
-    for k in range(n_max):
-        hi = min(k * k, n_max)
-        while reach < hi:
-            reach += 1
-            sv = int(s_table[reach - n_lo])
-            if sv > t:
-                t = sv
-        t_of_k[k] = t
-        e = stream.entry[k]
-        bits[k] = e != NEVER and e <= t
-    return bits, t_of_k
+    k = np.minimum(np.arange(n_max, dtype=np.int64), isqrt(n_max) + 1)
+    folded = np.maximum(np.minimum(k * k, n_max) - n_lo + 1, 0)
+    running = np.concatenate(([0], np.maximum.accumulate(s_table)))
+    t_of_k = running[folded]
+    return stream.entry <= t_of_k, t_of_k
 
 
-def _margin_guarantee_holds(bits, stream, s_table, n_lo):
-    """counts_B[n] >= |A_{s(n)} ∩ [0,n)| − ceil_sqrt(n) for all window n,
-    returned with the first violating n (None if none — expected)."""
-    counts_b = prefix_counts(bits)
-    window = SortedList()
-    entries = [int(e) for e in stream.entry[:n_lo] if e != NEVER]
-    window.update(entries)
-    for n in range(n_lo, stream.n_max + 1):
-        if n > n_lo:
-            e = int(stream.entry[n - 1])
-            if e != NEVER:
-                window.add(e)
-        s_n = int(s_table[n - n_lo])
-        in_a = window.bisect_right(s_n)
-        if counts_b[n] < in_a - ceil_sqrt(n):
-            return n
-    return None
+def _margin_guarantee_holds(bits, base: np.ndarray, n_lo: int):
+    """The first n in [n_lo, n_max] with counts_B[n] < base[n − n_lo] −
+    ceil_sqrt(n), or None if there is none (expected)."""
+    ns = np.arange(n_lo, bits.size + 1, dtype=np.int64)
+    bad = np.flatnonzero(prefix_counts(bits)[n_lo:]
+                         < base - ceil_sqrt_array(ns))
+    return int(ns[bad[0]]) if bad.size else None
 
 
 def lookahead_subset(stream: CEStream, q, n0: int = 1) -> SubsetArtifact:
@@ -345,28 +403,25 @@ def lookahead_subset(stream: CEStream, q, n0: int = 1) -> SubsetArtifact:
     q = _as_fraction(q)
     if not 0 < q < 1:
         raise ValueError(f"q must be in (0,1), got {q}")
-    if n0 < 1:
-        raise ValueError("n0 must be >= 1")
-    final_counts = prefix_counts(stream.final_members())
-    bound = max(q.numerator, q.denominator) * stream.n_max
+    if not 1 <= n0 <= stream.n_max + 1:
+        raise ValueError(f"n0 must be in [1, {stream.n_max + 1}], got {n0}")
     ns = np.arange(n0, stream.n_max + 1, dtype=np.int64)
-    bad = np.nonzero(exact_ints(final_counts[n0:], bound) * q.denominator
-                     < q.numerator * exact_ints(ns, bound))[0]
+    needs = _ceil_q(q, ns, stream.n_max)
+    final_counts = prefix_counts(stream.final_members())[n0:]
+    bad = np.flatnonzero(final_counts < needs)
     if bad.size:
         n_bad = int(ns[bad[0]])
         raise PreconditionViolated(
             f"density target {q} fails at n={n_bad}: "
-            f"count={int(final_counts[n_bad])}", at=n_bad)
+            f"count={int(final_counts[bad[0]])}", at=n_bad)
 
-    s_table, missing = _stage_table_kth(
-        stream, lambda n: ceil_div(q.numerator * n, q.denominator), n0)
-    assert missing is None  # precondition scan above rules this out
+    s_table, in_a = _stage_table_kth(stream, needs, n0)
     bits, t_of_k = _lookahead_bits(stream, s_table, n0)
-    viol = _margin_guarantee_holds(bits, stream, s_table, n0)
+    viol = _margin_guarantee_holds(bits, in_a, n0)
     guarantee = {
         "form": "lookahead-margin",
         "q_num": q.numerator, "q_den": q.denominator, "n0": n0,
-        "s_table": [int(v) for v in s_table],
+        "s_table": s_table.tolist(),
         "holds": viol is None, "first_violation": viol,
     }
     return SubsetArtifact("lookahead_subset", bits,
@@ -376,15 +431,6 @@ def lookahead_subset(stream: CEStream, q, n0: int = 1) -> SubsetArtifact:
 
 
 # -- witnessed density-1 extraction ---------------------------------------
-
-def _binding_level(w_vals, n):
-    """h(n): the largest z <= n with w(z) <= n, under w(0) = 0."""
-    h = 0
-    for z in range(1, min(n, len(w_vals) - 1) + 1):
-        if w_vals[z] <= n:
-            h = z
-    return h
-
 
 def _need_for_level(n: int, h: int) -> int:
     # ceil(n · (2^h − 1) / 2^h)
@@ -413,35 +459,28 @@ def witnessed_subset(stream: CEStream, w) -> SubsetArtifact:
             break
         w_vals.append(wz)
         z += 1
-    # h per n via a forward sweep (w nondecreasing => active levels nest)
-    h_of_n = np.zeros(n_max + 1, dtype=np.int64)
-    lvl = 0
-    for n in range(1, n_max + 1):
-        while lvl + 1 < len(w_vals) and lvl + 1 <= n and w_vals[lvl + 1] <= n:
-            lvl += 1
-        h_of_n[n] = min(lvl, n)
+    # h(n) = min(n, #{z >= 1 : w(z) <= n}), as w is nondecreasing
+    ns = np.arange(n_max + 1, dtype=np.int64)
+    h_of_n = np.minimum(np.searchsorted(np.array(w_vals[1:], dtype=np.int64),
+                                        ns, side="right"), ns)
+    # ceil(n·(2^h − 1)/2^h) = n − ⌊n/2^h⌋, and ⌊n/2^h⌋ = 0 for h >= 62
+    needs = (ns - (ns >> np.minimum(h_of_n, 62)))[1:]
 
     final_counts = prefix_counts(stream.final_members())
-    for n in range(1, n_max + 1):
-        if final_counts[n] < _need_for_level(n, int(h_of_n[n])):
-            raise PreconditionViolated(
-                f"witness promise fails at n={n} (level {int(h_of_n[n])})",
-                at=n)
+    bad = np.flatnonzero(final_counts[1:] < needs)
+    if bad.size:
+        n = int(bad[0]) + 1
+        raise PreconditionViolated(
+            f"witness promise fails at n={n} (level {int(h_of_n[n])})",
+            at=n)
 
-    s_table, missing = _stage_table_kth(
-        stream, lambda n: _need_for_level(n, int(h_of_n[n])), 1)
-    assert missing is None
+    s_table, _ = _stage_table_kth(stream, needs, 1)
     bits, _ = _lookahead_bits(stream, s_table, 1)
-    counts_b = prefix_counts(bits)
-    viol = None
-    for n in range(1, n_max + 1):
-        if counts_b[n] < _need_for_level(n, int(h_of_n[n])) - ceil_sqrt(n):
-            viol = n
-            break
+    viol = _margin_guarantee_holds(bits, needs, 1)
     guarantee = {
         "form": "witness-margin",
-        "h_of_n": [int(v) for v in h_of_n[1:]],
-        "s_table": [int(v) for v in s_table],
+        "h_of_n": h_of_n[1:].tolist(),
+        "s_table": s_table.tolist(),
         "holds": viol is None, "first_violation": viol,
     }
     return SubsetArtifact("witnessed_subset", bits, guarantee=guarantee,
@@ -471,10 +510,13 @@ def _guarded_stage_table(stream: CEStream, n_max, threshold_need):
 
     threshold_need(n, s) -> required count (the guards collapse to their
     maximum active level since the requirement grows with the level).
-    Raises BudgetExceeded(n) when no s <= stage_max works.
+    Returns s_table and in_a, the count |A_{s(n)} ∩ [0, n)| that met the
+    need, both indexed by n in [0, n_max].  Raises BudgetExceeded(n) when
+    no s <= stage_max works.
     """
     entry = stream.entry
     s_table = np.zeros(n_max + 1, dtype=np.int64)
+    in_a = np.zeros(n_max + 1, dtype=np.int64)
     sorted_prefix = SortedList()
     for n in range(1, n_max + 1):
         e = int(entry[n - 1])
@@ -485,12 +527,12 @@ def _guarded_stage_table(stream: CEStream, n_max, threshold_need):
             if s > stream.stage_max:
                 raise BudgetExceeded(
                     f"guarded stage search exhausted at n={n}", at=n)
-            need = threshold_need(n, s)
-            if sorted_prefix.bisect_right(s) >= need:
+            have = sorted_prefix.bisect_right(s)
+            if have >= threshold_need(n, s):
                 break
             s += 1
-        s_table[n] = s
-    return s_table
+        s_table[n], in_a[n] = s, have
+    return s_table, in_a
 
 
 def limit_witness_subset(stream: CEStream, g: LimitApprox) -> SubsetArtifact:
@@ -512,13 +554,12 @@ def limit_witness_subset(stream: CEStream, g: LimitApprox) -> SubsetArtifact:
                 break
         return _need_for_level(n, h)
 
-    s_table_full = _guarded_stage_table(stream, n_max, need)
-    s_table = s_table_full[1:]
+    s_table, in_a = (v[1:] for v in _guarded_stage_table(stream, n_max, need))
     bits, _ = _lookahead_bits(stream, s_table, 1)
-    viol = _margin_guarantee_holds(bits, stream, s_table, 1)
+    viol = _margin_guarantee_holds(bits, in_a, 1)
     guarantee = {
         "form": "lookahead-margin-relative",
-        "s_table": [int(v) for v in s_table],
+        "s_table": s_table.tolist(),
         "holds": viol is None, "first_violation": viol,
     }
     return SubsetArtifact("limit_witness_subset", bits, guarantee=guarantee,
@@ -548,13 +589,12 @@ def tracked_witness_subset(stream: CEStream, q_seq,
             return 0
         return ceil_div(thr.numerator * n, thr.denominator)
 
-    s_table_full = _guarded_stage_table(stream, n_max, need)
-    s_table = s_table_full[1:]
+    s_table, in_a = (v[1:] for v in _guarded_stage_table(stream, n_max, need))
     bits, _ = _lookahead_bits(stream, s_table, 1)
-    viol = _margin_guarantee_holds(bits, stream, s_table, 1)
+    viol = _margin_guarantee_holds(bits, in_a, 1)
     guarantee = {
         "form": "lookahead-margin-relative",
-        "s_table": [int(v) for v in s_table],
+        "s_table": s_table.tolist(),
         "holds": viol is None, "first_violation": viol,
     }
     return SubsetArtifact("tracked_witness_subset", bits, guarantee=guarantee,

@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .approximators import SubsetArtifact
-from .core import ceil_sqrt, exact_ints
+from .core import ceil_sqrt_array, exact_ints
 from .errors import ArtifactError
 
 FORMAT_VERSION = 1
@@ -122,13 +122,16 @@ class Form(NamedTuple):
     ``(label, fn(art, counts) -> [message])`` pairs; violated bound rows
     carry ``bound_label``.  ``positions(art)`` lists ``(name, value, lo,
     hi)`` for every stored number that bounds or checks use as a position
-    in the window; each must lie in [lo, hi] before either runs."""
+    in the window; each must lie in [lo, hi] before either runs.
+    ``exponents(art)`` lists ``(name, value)`` for every stored power of
+    two they shift by; each must be non-negative before either runs."""
 
     bounds: Callable | None = None
     strict_upper: bool = False
     bound_label: str = "bound"
     checks: tuple = ()
     positions: Callable | None = None
+    exponents: Callable | None = None
 
 
 def _column(records, key) -> np.ndarray:
@@ -142,12 +145,6 @@ def _reduced(num, den):
 
 def _whole(values):
     return values, np.ones(len(values), dtype=np.int64)
-
-
-def _ceil_sqrt(n: np.ndarray) -> np.ndarray:
-    roots = np.arange(ceil_sqrt(int(n.max())) + 1 if n.size else 1,
-                      dtype=np.int64)
-    return np.searchsorted(roots * roots, n)  # least c with c·c >= n
 
 
 def _checkpoint_bounds(art):
@@ -174,7 +171,7 @@ def _lookahead_bounds(art):
     q_num, q_den = g["q_num"], g["q_den"]
     n = np.arange(g["n0"], art.n_max + 1, dtype=np.int64)
     need = -(-q_num * exact_ints(n, max(q_num, q_den) * art.n_max) // q_den)
-    return n, _whole(need - _ceil_sqrt(n)), None
+    return n, _whole(need - ceil_sqrt_array(n)), None
 
 
 def _witness_bounds(art):
@@ -182,7 +179,7 @@ def _witness_bounds(art):
     # n < 2^62, so every h >= 62 gives ⌊n/2^h⌋ = 0
     n = np.arange(1, art.n_max + 1, dtype=np.int64)
     h = np.minimum(np.asarray(art.guarantee["h_of_n"], dtype=np.int64), 62)
-    return n, _whole(n - (n >> h) - _ceil_sqrt(n)), None
+    return n, _whole(n - (n >> h) - ceil_sqrt_array(n)), None
 
 
 def _approach_bounds(art):
@@ -247,6 +244,20 @@ def _interval_positions(art):
 def _restraint_positions(art):
     return [("final interval end", r["final_interval"][1], 0, art.n_max)
             for r in art.checkpoints if r.get("final_interval") is not None]
+
+
+def _slack_exponents(art):
+    return [("slack_pow", cp["slack_pow"]) for cp in art.checkpoints
+            if cp["s"] != 0]
+
+
+def _interval_exponents(art):
+    return [("interval e", iv["e"]) for iv in art.checkpoints]
+
+
+def _restraint_exponents(art):
+    return [("k", r["k"]) for r in art.checkpoints
+            if r.get("final_interval") is not None]
 
 
 def _stored_counts(art, counts):
@@ -315,7 +326,8 @@ FORMS = {
                              positions=_checkpoint_positions),
     "tracking-checkpoint-ratio": Form(_tracking_bounds,
                                       checks=(("count", _stored_counts),),
-                                      positions=_checkpoint_positions),
+                                      positions=_checkpoint_positions,
+                                      exponents=_slack_exponents),
     "lookahead-margin": Form(_lookahead_bounds,
                              positions=_lookahead_positions),
     "witness-margin": Form(_witness_bounds),
@@ -329,9 +341,11 @@ FORMS = {
                              checks=(("block_density", _block_density),),
                              positions=_block_positions),
     "ratio-interval-report": Form(checks=(("interval", _interval_records),),
-                                  positions=_interval_positions),
+                                  positions=_interval_positions,
+                                  exponents=_interval_exponents),
     "restraint-report": Form(_restraint_bounds, strict_upper=True,
-                             positions=_restraint_positions),
+                             positions=_restraint_positions,
+                             exponents=_restraint_exponents),
     "log-sparse": Form(_sparse_bounds),
     "membership-only": Form(),
 }
@@ -358,26 +372,32 @@ def _format_rows(cols, holds) -> list:
     return list(map(",".join, zip(*fields)))
 
 
-def _window_failures(form: Form, art: SubsetArtifact) -> list:
-    """One message per stored position outside its range in the window."""
-    if form.positions is None:
-        return []
-    return [f"{name} {value} outside [{lo}, {hi}]"
-            for name, value, lo, hi in form.positions(art)
-            if not lo <= value <= hi]
+def _range_failures(form: Form, art: SubsetArtifact) -> list:
+    """(label, message) for every stored position outside its range in the
+    window and every negative exponent."""
+    out = []
+    if form.positions is not None:
+        out += [("window", f"{name} {value} outside [{lo}, {hi}]")
+                for name, value, lo, hi in form.positions(art)
+                if not lo <= value <= hi]
+    if form.exponents is not None:
+        out += [("exponent", f"{name} {value} is negative")
+                for name, value in form.exponents(art) if value < 0]
+    return out
 
 
 def labelled_failures(art: SubsetArtifact) -> list:
     """(label, message) for every failed record check and every violated
-    bound row of the artifact's guarantee form; only the out-of-window
-    positions, if the records point outside the window."""
+    bound row of the artifact's guarantee form; only the out-of-range
+    records, if some point outside the window or hold a negative
+    exponent."""
     name = art.guarantee.get("form", "")
     form = FORMS.get(name)
     if form is None:
         return [("form", f"unknown guarantee form {name!r}")]
-    window = _window_failures(form, art)
-    if window:
-        return [("window", msg) for msg in window]
+    out_of_range = _range_failures(form, art)
+    if out_of_range:
+        return out_of_range
     counts = art.counts()
     out = [(label, msg) for label, check in form.checks
            for msg in check(art, counts)]
@@ -414,12 +434,13 @@ def write_certified_csv(art: SubsetArtifact, path) -> None:
     restraint form are strict; all others are non-strict.  Forms whose
     guarantee cannot be expressed as per-n count bounds (relative margins,
     interval reports, bare membership) emit only the header, and so do
-    artifacts whose records point outside the window.
+    artifacts whose records point outside the window or hold a negative
+    exponent.
     """
     form = FORMS.get(art.guarantee.get("form", ""))
     rows = []
     if (form is not None and form.bounds is not None
-            and not _window_failures(form, art)):
+            and not _range_failures(form, art)):
         rows = _format_rows(*_bound_rows(form, art, art.counts()))
     with open(path, "w", newline="") as fh:
         fh.write(CSV_HEADER)

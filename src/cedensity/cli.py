@@ -290,8 +290,13 @@ def _dispatch_construct(cfg, sets, streams, deciders):
         return approximators.tracking_checkpoint_subset(
             stream(), _targets(need("targets"))), None
     if op == "lookahead-subset":
+        n0 = spec.get("n0", 1)
+        if (not isinstance(n0, int) or isinstance(n0, bool)
+                or not 1 <= n0 <= n_max + 1):
+            raise ConfigError(f"construction.n0: must be an integer in "
+                              f"[1, {n_max + 1}], got {n0!r}")
         return approximators.lookahead_subset(
-            stream(), _frac(need("q")), spec.get("n0", 1)), None
+            stream(), _frac(need("q")), n0), None
     if op == "witnessed-subset":
         w = spec.get("witness", {})
         if w.get("kind") == "constant":

@@ -378,6 +378,13 @@ def ceil_sqrt(n: int) -> int:
     return c if c * c == n else c + 1
 
 
+def ceil_sqrt_array(n: np.ndarray) -> np.ndarray:
+    """``ceil_sqrt`` of every entry of a non-negative int64 array."""
+    roots = np.arange(ceil_sqrt(int(n.max())) + 1 if n.size else 1,
+                      dtype=np.int64)
+    return np.searchsorted(roots * roots, n)  # least c with c·c >= n
+
+
 def ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
@@ -400,6 +407,13 @@ class StageIndex(NamedTuple):
     order: np.ndarray
     offsets: np.ndarray
     top: list
+
+
+class LiveEntries(NamedTuple):
+    """The enumerated elements in ascending order, with their entry stages."""
+
+    elements: np.ndarray
+    stages: np.ndarray
 
 
 class CEStream:
@@ -452,6 +466,21 @@ class CEStream:
         offsets = np.searchsorted(stages, np.arange(last + 2))
         running = np.concatenate(([0], np.maximum.accumulate(order)))
         return StageIndex(order, offsets, running[offsets[1:]].tolist())
+
+    @cached_property
+    def monotone_entries(self) -> LiveEntries | None:
+        """The live elements and their entry stages when those stages are
+        nondecreasing in the element, else None; built on first use.
+
+        The condition is the one under which ``stage_index.order`` is
+        strictly increasing.  It then makes the k-th smallest entry stage
+        among the live elements of [0, n) the k-th live entry itself.
+        """
+        elements = np.flatnonzero(self.entry != NEVER)
+        stages = self.entry[elements]
+        if np.any(stages[1:] < stages[:-1]):
+            return None
+        return LiveEntries(elements, stages)
 
     def entering_at(self, s: int) -> np.ndarray:
         """The elements entering at exactly stage s, ascending: A_s − A_{s−1}."""

@@ -2,10 +2,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sortedcontainers import SortedList
 
 from cedensity import approximators as ap
 from cedensity import artifacts as ar
-from cedensity.core import CEStream, SetOracle, ceil_div, ceil_sqrt
+from cedensity.core import NEVER, CEStream, SetOracle, ceil_div, ceil_sqrt
 from cedensity.errors import PreconditionViolated
 
 
@@ -132,3 +135,217 @@ def test_seq_to_fn_extends_last_value():
     fn = ap._seq_to_fn([Fraction(1, 4), Fraction(1, 2)])
     assert fn(0) == Fraction(1, 4)
     assert fn(5) == Fraction(1, 2)
+
+
+def test_lookahead_n0_past_the_window_verifies():
+    stream = evens_stream(50)
+    art = ap.lookahead_subset(stream, "1/4", n0=51)
+    assert art.guarantee["s_table"] == [] and art.guarantee["holds"]
+    # t(k) = 0 throughout: B is what enters at stage 0
+    assert np.array_equal(art.bits, stream.entry <= 0)
+    assert ar.verify_artifact(art)["ok"]
+    with pytest.raises(ValueError):
+        ap.lookahead_subset(stream, "1/4", n0=52)
+
+
+# -- differential tests against the per-n SortedList loops ----------------
+#
+# The reference functions below are the scalar loops the vectorized code
+# replaced: one sorted window of entry stages, grown one element per n.
+
+def ref_stage_table(stream, need_fn, n_lo):
+    """(s_table, in_a), or (None, bad_n) at the first n with too few
+    enumerated elements."""
+    entry = stream.entry
+    window = SortedList(int(e) for e in entry[:n_lo] if e != NEVER)
+    s_table, in_a = [], []
+    for n in range(n_lo, stream.n_max + 1):
+        if n > n_lo:
+            e = int(entry[n - 1])
+            if e != NEVER:
+                window.add(e)
+        k = need_fn(n)
+        if k <= 0:
+            s = 0
+        elif len(window) < k:
+            return None, n
+        else:
+            s = window[k - 1]
+        s_table.append(s)
+        in_a.append(window.bisect_right(s))
+    return s_table, in_a
+
+
+def ref_lookahead_bits(stream, s_table, n_lo):
+    n_max = stream.n_max
+    bits = np.zeros(n_max, dtype=bool)
+    t_of_k = []
+    t = 0
+    reach = n_lo - 1
+    for k in range(n_max):
+        while reach < min(k * k, n_max):
+            reach += 1
+            t = max(t, int(s_table[reach - n_lo]))
+        t_of_k.append(t)
+        e = stream.entry[k]
+        bits[k] = e != NEVER and e <= t
+    return bits, t_of_k
+
+
+def ref_first_violation(bits, stream, s_table, n_lo):
+    counts_b = ap.prefix_counts(bits)
+    window = SortedList(int(e) for e in stream.entry[:n_lo] if e != NEVER)
+    for n in range(n_lo, stream.n_max + 1):
+        if n > n_lo:
+            e = int(stream.entry[n - 1])
+            if e != NEVER:
+                window.add(e)
+        if counts_b[n] < window.bisect_right(int(s_table[n - n_lo])) \
+                - ceil_sqrt(n):
+            return n
+    return None
+
+
+def ref_pair_search(stream, s_lo, threshold_k):
+    entry = stream.entry
+    window = SortedList()
+    best = None
+    s = s_lo
+    while True:
+        s += 1
+        if s > stream.n_max or (best is not None and s >= best[0]):
+            break
+        e = int(entry[s - 1])
+        if e != NEVER:
+            window.add(e)
+        k = threshold_k(s)
+        if k <= 0:
+            t = 0
+        elif len(window) >= k:
+            t = window[k - 1]
+        else:
+            continue
+        if t <= stream.stage_max and (best is None or s + t < best[0]):
+            best = (s + t, s, t, max(k, 0))
+    return None if best is None else best[1:]
+
+
+def ref_checkpoints(stream, q):
+    checkpoints = [{"s": 0, "t": 0, "count": 0}]
+    s_n = running = 0
+    while s_n < stream.n_max:
+        found = ref_pair_search(
+            stream, s_n, lambda s: ceil_div(q.numerator * s, q.denominator))
+        if found is None:
+            break
+        s_next, t_next, _ = found
+        running += int(np.count_nonzero(stream.entry[s_n:s_next] <= t_next))
+        checkpoints.append({"s": s_next, "t": t_next, "count": running})
+        s_n = s_next
+    return checkpoints
+
+
+@st.composite
+def monotone_streams(draw):
+    """Entry stages nondecreasing in the element, with ties, NEVER gaps
+    and an optional stage offset."""
+    n = draw(st.integers(1, 300))
+    steps = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    live = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    entry = np.cumsum(steps) + draw(st.integers(0, 20))
+    entry[~np.array(live)] = NEVER
+    top = int(entry[entry != NEVER].max()) if any(live) else 0
+    return CEStream(entry, stage_max=top + draw(st.integers(1, 10)))
+
+
+@st.composite
+def scripted_streams(draw):
+    """Scripted streams whose entry stages fall somewhere, if only by one."""
+    n = draw(st.integers(2, 200))
+    hi = draw(st.integers(1, 3 * n))
+    stages = draw(st.lists(st.integers(0, hi), min_size=n, max_size=n))
+    live = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    i = draw(st.integers(0, n - 2))
+    stages[i], stages[i + 1] = 1, 0
+    live[i] = live[i + 1] = True
+    return CEStream.from_schedule(
+        [(m, s) for m, (s, on) in enumerate(zip(stages, live)) if on],
+        n_max=n, stage_max=3 * n)
+
+
+streams = st.one_of(monotone_streams(), scripted_streams())
+QS = [Fraction(1, 100), Fraction(1, 3), Fraction(3, 4),
+      Fraction(2**41 + 1, 2**42)]
+
+
+def _check_monotone_flag(stream):
+    increasing = bool(np.all(np.diff(stream.stage_index.order) > 0))
+    assert (stream.monotone_entries is not None) == increasing
+
+
+@settings(max_examples=150, deadline=None)
+@given(streams, st.data())
+def test_stage_table_matches_sorted_window(stream, data):
+    _check_monotone_flag(stream)
+    n_lo = data.draw(st.integers(1, stream.n_max + 1))
+    q = data.draw(st.sampled_from(QS))
+    # a need above the live count below n (slack < 0) must be reported
+    slack = data.draw(st.integers(-1, 2))
+    below = np.cumsum(stream.entry != NEVER)[n_lo - 1:].tolist()
+    needs = [ceil_div(q.numerator * c, q.denominator) - slack
+             for c in below]
+    ref = ref_stage_table(stream, lambda n: needs[n - n_lo], n_lo)
+    if ref[0] is None:
+        with pytest.raises(PreconditionViolated) as exc:
+            ap._stage_table_kth(stream, np.array(needs, dtype=np.int64), n_lo)
+        assert exc.value.at == ref[1]
+        return
+    s_table, in_a = ap._stage_table_kth(
+        stream, np.array(needs, dtype=np.int64), n_lo)
+    assert (s_table.tolist(), in_a.tolist()) == ref
+    bits, t_of_k = ap._lookahead_bits(stream, s_table, n_lo)
+    ref_bits, ref_t = ref_lookahead_bits(stream, s_table, n_lo)
+    assert t_of_k.tolist() == ref_t
+    assert np.array_equal(bits, ref_bits)
+    # thinned and empty subsets make violations likely; the check must agree
+    noise = np.array(data.draw(st.lists(st.booleans(), min_size=bits.size,
+                                        max_size=bits.size)))
+    for b in (bits, bits & noise, np.zeros_like(bits)):
+        assert ap._margin_guarantee_holds(b, in_a, n_lo) == \
+            ref_first_violation(b, stream, s_table, n_lo)
+
+
+@settings(max_examples=100, deadline=None)
+@given(streams, st.sampled_from(QS), st.integers(1, 40))
+def test_lookahead_subset_matches_reference(stream, q, n0):
+    n0 = min(n0, stream.n_max + 1)
+    ref = ref_stage_table(
+        stream, lambda n: ceil_div(q.numerator * n, q.denominator), n0)
+    if ref[0] is None:
+        with pytest.raises(PreconditionViolated):
+            ap.lookahead_subset(stream, q, n0)
+        return
+    art = ap.lookahead_subset(stream, q, n0)
+    s_table = ref[0]
+    bits, t_of_k = ref_lookahead_bits(stream, s_table, n0)
+    g = art.guarantee
+    assert g["s_table"] == s_table
+    assert np.array_equal(art.bits, bits)
+    assert art.checkpoints == [{"t_of_k_tail": t_of_k[-1]}]
+    assert g["first_violation"] == ref_first_violation(bits, stream,
+                                                       s_table, n0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(streams, st.sampled_from(QS))
+def test_checkpoint_sequence_matches_reference(stream, q):
+    art = ap.checkpoint_subset(stream, q)
+    assert art.checkpoints == ref_checkpoints(stream, q)
+
+
+def test_scripted_stream_takes_the_sorted_path():
+    stream = CEStream.from_schedule([(0, 5), (1, 0), (3, 2)], n_max=6,
+                                    stage_max=9)
+    assert stream.monotone_entries is None
+    assert CEStream.from_schedule([(0, 0), (2, 0), (3, 4)], n_max=6,
+                                  stage_max=9).monotone_entries is not None

@@ -189,3 +189,33 @@ def test_out_of_window_records_fail_verification(tmp_path, form, bits,
     assert ar.verify_artifact(art) == {"ok": False, "failures": [message]}
     ar.write_certified_csv(art, tmp_path / "c.csv")
     assert (tmp_path / "c.csv").read_text() == ar.CSV_HEADER
+
+
+@pytest.mark.parametrize("form, bits, records, field, value, message", [
+    ("restraint-report", 4, [{"k": 0, "final_interval": [2, 4]}],
+     "k", -5, "k -5 is negative"),
+    ("ratio-interval-report", 10, [_interval()], "e", -3,
+     "interval e -3 is negative"),
+    ("tracking-checkpoint-ratio", 4,
+     [{"s": 0, "t": 0, "count": 0},
+      {"s": 2, "t": 2, "count": 0, "target_num": 1, "target_den": 4,
+       "slack_pow": 1, "observed_unslacked": False}],
+     "slack_pow", -1, "slack_pow -1 is negative"),
+])
+def test_check_reports_negative_exponent(tmp_path, capsys, form, bits,
+                                         records, field, value, message):
+    path = tmp_path / "a.json"
+    ar.save_artifact(ap.SubsetArtifact(
+        "tampered", np.zeros(bits, dtype=bool), records, {"form": form}),
+        path)
+    payload = json.loads(path.read_text())
+    payload["checkpoints"][-1][field] = value
+    path.write_text(json.dumps(_redigest(payload)))
+    assert cli.main(["check", "--artifact", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    art = ar.load_artifact(path)
+    assert ar.verify_artifact(art) == {"ok": False, "failures": [message]}
+    ar.write_certified_csv(art, tmp_path / "c.csv")
+    assert (tmp_path / "c.csv").read_text() == ar.CSV_HEADER

@@ -179,6 +179,19 @@ def test_missing_field_is_a_config_error(tmp_path, capsys):
     assert "construction: 'q' not found" in err
 
 
+@pytest.mark.parametrize("n0", [80, 0, "x"])
+def test_out_of_range_n0_is_a_config_error(tmp_path, capsys, n0):
+    cfg = construct_cfg({"op": "lookahead-subset", "stream": "evs",
+                         "q": "1/4", "n0": n0})
+    cfg["universe"]["n_max"] = 50
+    assert cli.main(["construct", "--config",
+                     write_cfg(tmp_path, "c.json", cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"construction.n0: must be an integer in [1, 51], got {n0!r}" in err
+
+
 def _permitted(jump):
     return {"op": "permitted-interval", "permitter": "evs", "jump": jump,
             "streams": ["evs"]}

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from cedensity import approximators as ap
 from cedensity import artifacts as ar
 from cedensity import builders, cli, prioritysim
-from cedensity.core import CEStream, SetOracle, ceil_sqrt
+from cedensity.core import CEStream, SetOracle, ceil_sqrt, ceil_sqrt_array
 
 EVENS = {"sets": [{"label": "ev", "kind": "residue-union", "modulus": 2,
                    "residues": [0]}],
@@ -304,5 +304,5 @@ def test_restraint_upper_bound_is_strict(tmp_path):
 
 @given(st.lists(st.integers(0, 2**40), max_size=50))
 def test_vectorized_ceil_sqrt_matches_scalar(ns):
-    assert ar._ceil_sqrt(np.array(ns, dtype=np.int64)).tolist() == [
+    assert ceil_sqrt_array(np.array(ns, dtype=np.int64)).tolist() == [
         ceil_sqrt(n) for n in ns]
