@@ -18,7 +18,6 @@ from .core import (
     rho,
     stage_profile,
     trailing_zeros,
-    window_bounds,
 )
 from . import errors
 
@@ -27,7 +26,7 @@ __all__ = [
     "ceil_div", "ceil_sqrt", "density_profile", "dyadic_class",
     "dyadic_union", "dyadic_union_from_binary", "prefix_count",
     "profile_from_bits", "residue_union_density", "rho", "stage_profile",
-    "trailing_zeros", "window_bounds", "errors",
+    "trailing_zeros", "errors",
 ]
 
 __version__ = "0.1.0"

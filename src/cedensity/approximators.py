@@ -64,11 +64,6 @@ class SubsetArtifact:
         return bool(np.all(final | ~self.bits))
 
 
-def _as_fraction(q) -> Fraction:
-    q = Fraction(q)
-    return q
-
-
 _FIRST_CHUNK = 64
 
 
@@ -158,7 +153,7 @@ def checkpoint_subset(stream: CEStream, q) -> SubsetArtifact:
     [s_n, s_{n+1}) of B copies A_{t_{n+1}}.  Certifies
     count_B(s_{n+1}) · den(q) >= num(q) · s_{n+1} at every checkpoint.
     """
-    q = _as_fraction(q)
+    q = Fraction(q)
     if not 0 < q < 1:
         raise ValueError(f"q must be in (0,1), got {q}")
     entry = stream.entry
@@ -400,7 +395,7 @@ def lookahead_subset(stream: CEStream, q, n0: int = 1) -> SubsetArtifact:
     counts_B[n] >= |A_{s(n)} ∩ [0,n)| − ceil_sqrt(n)) for all n in
     [n0, n_max].
     """
-    q = _as_fraction(q)
+    q = Fraction(q)
     if not 0 < q < 1:
         raise ValueError(f"q must be in (0,1), got {q}")
     if not 1 <= n0 <= stream.n_max + 1:

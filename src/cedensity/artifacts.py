@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from itertools import repeat
 from math import factorial
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .approximators import SubsetArtifact
-from .core import ceil_sqrt_array, exact_ints
+from .core import (ceil_sqrt_array, csv_lines, exact_ints, write_columns,
+                   write_json)
 from .errors import ArtifactError
 
 FORMAT_VERSION = 1
@@ -76,9 +76,7 @@ def save_artifact(art: SubsetArtifact, path) -> None:
     payload = artifact_payload(art)
     payload["integrity_sha256"] = hashlib.sha256(
         _canonical(payload)).hexdigest()
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def load_artifact(path) -> SubsetArtifact:
@@ -352,8 +350,8 @@ FORMS = {
 
 
 def _bound_rows(form: Form, art: SubsetArtifact, counts):
-    """Columns n, count, lower_num, lower_den, upper_num, upper_den (None
-    where absent) of the form's bounds, and whether each row holds."""
+    """The columns of ``CSV_HEADER`` (None where a bound is absent) for the
+    form's bounds, and whether each row holds."""
     n, lower, upper = form.bounds(art)
     c = counts[n]
     holds = np.ones(n.size, dtype=bool)
@@ -362,14 +360,8 @@ def _bound_rows(form: Form, art: SubsetArtifact, counts):
     if upper is not None:
         lhs = c * upper[1]
         holds &= lhs < upper[0] if form.strict_upper else lhs <= upper[0]
-    return [n, c, *(lower or (None, None)), *(upper or (None, None))], holds
-
-
-def _format_rows(cols, holds) -> list:
-    fields = [repeat("") if col is None else map(str, col.tolist())
-              for col in cols]
-    fields.append(map(str, holds.view(np.uint8).tolist()))
-    return list(map(",".join, zip(*fields)))
+    return [n, c, *(lower or (None, None)), *(upper or (None, None)),
+            holds.view(np.uint8)], holds
 
 
 def _range_failures(form: Form, art: SubsetArtifact) -> list:
@@ -405,9 +397,8 @@ def labelled_failures(art: SubsetArtifact) -> list:
         cols, holds = _bound_rows(form, art, counts)
         bad = ~holds
         out += [(form.bound_label, f"certified row fails: {row}")
-                for row in _format_rows(
-                    [None if col is None else col[bad] for col in cols],
-                    holds[bad])]
+                for row in csv_lines(
+                    [None if col is None else col[bad] for col in cols])]
     return out
 
 
@@ -438,10 +429,8 @@ def write_certified_csv(art: SubsetArtifact, path) -> None:
     exponent.
     """
     form = FORMS.get(art.guarantee.get("form", ""))
-    rows = []
+    cols = []
     if (form is not None and form.bounds is not None
             and not _range_failures(form, art)):
-        rows = _format_rows(*_bound_rows(form, art, art.counts()))
-    with open(path, "w", newline="") as fh:
-        fh.write(CSV_HEADER)
-        fh.writelines(row + "\n" for row in rows)
+        cols, _ = _bound_rows(form, art, art.counts())
+    write_columns(path, CSV_HEADER, cols)

@@ -17,8 +17,7 @@ import numpy as np
 from .approximators import SubsetArtifact, _seq_to_fn
 from .artifacts import passed_groups
 from .core import CEStream, NEVER, ceil_div, prefix_counts
-from .errors import (CapExceeded, ContractViolated, RatioUnrealizable,
-                     WindowExhausted)
+from .errors import CapExceeded, ContractViolated, RatioUnrealizable
 
 
 # -- oscillation-target builder -------------------------------------------

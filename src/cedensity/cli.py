@@ -17,12 +17,10 @@ import os
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from . import approximators, artifacts, builders, genericity, prioritysim
-from .approximators import LimitApprox, SubsetArtifact
+from .approximators import SubsetArtifact
 from .core import (CEStream, SetOracle, density_profile, dyadic_class,
-                   dyadic_union)
+                   dyadic_union, write_json)
 from .errors import (ArtifactError, BudgetExceeded, CedensityError,
                      ConfigError)
 from .metrics import symdiff_profile
@@ -31,8 +29,18 @@ from .metrics import symdiff_profile
 def _frac(v) -> Fraction:
     try:
         return Fraction(v)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad rational {v!r}") from exc
+
+
+def _int_in(value, path: str, lo: int, hi=None) -> int:
+    """value if it is an int (not a bool) in [lo, hi]; else a ConfigError
+    naming its JSON path."""
+    if (isinstance(value, int) and not isinstance(value, bool)
+            and lo <= value and (hi is None or value <= hi)):
+        return value
+    bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+    raise ConfigError(f"{path}: must be an integer {bound}, got {value!r}")
 
 
 def _need(table, key, path: str):
@@ -51,10 +59,8 @@ def _load_config(path) -> dict:
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     uni = cfg.get("universe", {})
-    if not (isinstance(uni.get("n_max"), int) and uni["n_max"] >= 1):
-        raise ConfigError("universe.n_max must be a positive integer")
-    if not (isinstance(uni.get("stage_max"), int) and uni["stage_max"] >= 1):
-        raise ConfigError("universe.stage_max must be a positive integer")
+    for key in ("n_max", "stage_max"):
+        _int_in(uni.get(key), f"universe.{key}", 1)
     return cfg
 
 
@@ -219,12 +225,6 @@ def _approx(spec: dict, sets, n_max: int) -> builders.Delta2Approx:
     raise ConfigError(f"unknown approximation kind {kind!r}")
 
 
-def _write_json(path, payload):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-
-
 # -- subcommands --------------------------------------------------------------
 
 def cmd_density(cfg, outdir):
@@ -238,7 +238,7 @@ def cmd_density(cfg, outdir):
         summary[label] = {"window": [1, n_max],
                           "min": [lo.numerator, lo.denominator],
                           "max": [hi.numerator, hi.denominator]}
-    _write_json(os.path.join(outdir, "density_summary.json"), summary)
+    write_json(os.path.join(outdir, "density_summary.json"), summary)
     return 0
 
 
@@ -249,12 +249,12 @@ def cmd_metrics(cfg, outdir):
         raise ConfigError("config has no 'metrics' section")
     a, b = (_need(sets, _need(spec, k, "metrics"), f"metrics.{k}")
             for k in ("a", "b"))
-    hi = spec.get("hi", cfg["universe"]["n_max"])
-    lo = spec.get("lo", 1)
+    lo = _int_in(spec.get("lo", 1), "metrics.lo", 1)
+    hi = _int_in(spec.get("hi", cfg["universe"]["n_max"]), "metrics.hi", lo)
     prof = symdiff_profile(a, b, hi)
     prof.write_csv(os.path.join(outdir, "metrics_profile.csv"))
     dmin, dmax = prof.sym.window_bounds(lo, hi)
-    _write_json(os.path.join(outdir, "metrics_summary.json"), {
+    write_json(os.path.join(outdir, "metrics_summary.json"), {
         "window": [lo, hi],
         "sym_min": [dmin.numerator, dmin.denominator],
         "sym_max": [dmax.numerator, dmax.denominator],
@@ -290,11 +290,7 @@ def _dispatch_construct(cfg, sets, streams, deciders):
         return approximators.tracking_checkpoint_subset(
             stream(), _targets(need("targets"))), None
     if op == "lookahead-subset":
-        n0 = spec.get("n0", 1)
-        if (not isinstance(n0, int) or isinstance(n0, bool)
-                or not 1 <= n0 <= n_max + 1):
-            raise ConfigError(f"construction.n0: must be an integer in "
-                              f"[1, {n_max + 1}], got {n0!r}")
+        n0 = _int_in(spec.get("n0", 1), "construction.n0", 1, n_max + 1)
         return approximators.lookahead_subset(
             stream(), _frac(need("q")), n0), None
     if op == "witnessed-subset":
@@ -409,7 +405,7 @@ def cmd_construct(cfg, outdir):
     artifacts.write_certified_csv(reloaded, os.path.join(outdir,
                                                          "certified.csv"))
     report = artifacts.verify_artifact(reloaded)
-    _write_json(os.path.join(outdir, "verify.json"), report)
+    write_json(os.path.join(outdir, "verify.json"), report)
     if not report["ok"]:
         print("verification failed:", report["failures"][:3],
               file=sys.stderr)
@@ -441,15 +437,15 @@ def cmd_generic(cfg, outdir):
     dec = _need(deciders, _need(spec, "decider", "generic"), "generic.decider")
     target = _need(sets, _need(spec, "set", "generic"), "generic.set")
     n_max = cfg["universe"]["n_max"]
-    report = genericity.at_density_report(
-        dec, target, _frac(spec.get("r", "0")), n_max,
-        lo=spec.get("lo", 1), stage_budget=cfg["universe"]["stage_max"])
+    r = _frac(spec.get("r", "0"))
+    lo = _int_in(spec.get("lo", 1), "generic.lo", 1, n_max)
     rep = genericity.evaluate_partial(dec, target, n_max,
                                       cfg["universe"]["stage_max"])
     rep.domain.write_csv(os.path.join(outdir, "generic_domain.csv"))
+    report = genericity.density_verdict(rep, r, lo)
     alpha = report.pop("alpha_estimate")
     report["alpha_estimate"] = [alpha.numerator, alpha.denominator]
-    _write_json(os.path.join(outdir, "generic_summary.json"), report)
+    write_json(os.path.join(outdir, "generic_summary.json"), report)
     return 0
 
 

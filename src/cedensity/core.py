@@ -7,10 +7,11 @@ over an explicit finite window [1, n_max] and never claim limit values.
 
 from __future__ import annotations
 
-import csv
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from math import isqrt
 from typing import NamedTuple
 
@@ -275,32 +276,24 @@ class DensityProfile:
         """
         if not 1 <= lo <= hi <= self.n_max:
             raise InvalidWindow(f"window [{lo}, {hi}] invalid for n_max={self.n_max}")
-        ns = np.arange(lo, hi + 1, dtype=np.float64)
-        ratios = self.counts[lo:hi + 1].astype(np.float64) / ns
-        lo_val = self._exact_extreme(ratios, lo, minimum=True)
-        hi_val = self._exact_extreme(ratios, lo, minimum=False)
-        return lo_val, hi_val
-
-    def _exact_extreme(self, ratios, offset, *, minimum):
-        # float prefilter, exact rational tie-break among near-extremal n
-        target = ratios.min() if minimum else ratios.max()
-        cand = np.nonzero(np.abs(ratios - target) <= 1e-9)[0]
-        best = None
-        for i in cand:
-            n = int(i) + offset
-            v = Fraction(int(self.counts[n]), n)
-            if best is None or (v < best if minimum else v > best):
-                best = v
-        return best
+        # c_j/n_j < c_i/n_i iff c_j·n_i < c_i·n_j; each product is <= hi²
+        c = exact_ints(self.counts[lo:hi + 1], hi * hi)
+        n = exact_ints(np.arange(lo, hi + 1), hi * hi)
+        ratios = c / n
+        out = []
+        for sign, i in ((1, ratios.argmin()), (-1, ratios.argmax())):
+            # the float extreme is a first guess; take any row that beats
+            # it exactly until none does
+            while (beats := np.flatnonzero(
+                    sign * (c * n[i] - c[i] * n) < 0)).size:
+                i = beats[0]
+            out.append(Fraction(int(c[i]), int(n[i])))
+        return out[0], out[1]
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["n", "count", "rho_num", "rho_den", "rho_float"])
-            for n in range(1, self.n_max + 1):
-                r = Fraction(int(self.counts[n]), n)
-                w.writerow([n, int(self.counts[n]), r.numerator, r.denominator,
-                            repr(float(r))])
+        write_columns(path, "n,count,rho_num,rho_den,rho_float\n",
+                      [np.arange(1, self.counts.size), self.counts[1:],
+                       *rho_columns(self.counts)])
 
 
 def prefix_count(oracle: SetOracle, n: int) -> int:
@@ -343,8 +336,49 @@ def profile_from_bits(bits, label="") -> DensityProfile:
     return DensityProfile(prefix_counts(bits), label=label)
 
 
-def window_bounds(profile: DensityProfile, lo: int, hi: int):
-    return profile.window_bounds(lo, hi)
+# -- output files ------------------------------------------------------
+
+_CHUNK_ROWS = 1 << 12  # rows formatted at a time; bounds write_columns' memory
+
+
+def rho_columns(counts):
+    """Reduced numerator, reduced denominator and float of counts[n] / n
+    for 1 <= n < counts.size, as numpy columns.
+
+    gcd(0, n) = n writes a zero count as 0/1, and int64 division is
+    correctly rounded below 2^53, so each float is float(Fraction(c, n)).
+    """
+    c = counts[1:]
+    n = np.arange(1, counts.size, dtype=np.int64)
+    g = np.gcd(c, n)
+    return c // g, n // g, c / n
+
+
+def csv_lines(cols) -> list:
+    """One comma-joined line per row of the equal-length numpy columns; a
+    None column is an empty field.  str() of a float is its repr."""
+    fields = [repeat("") if col is None else map(str, col.tolist())
+              for col in cols]
+    return list(map(",".join, zip(*fields)))
+
+
+def write_columns(path, header: str, cols) -> None:
+    """``header`` as given, then one LF-terminated CSV line per row of
+    ``cols`` (see ``csv_lines``), formatted in fixed chunks of rows."""
+    rows = next((len(col) for col in cols if col is not None), 0)
+    with open(path, "w", newline="") as fh:
+        fh.write(header)
+        for i in range(0, rows, _CHUNK_ROWS):
+            chunk = [None if col is None else col[i:i + _CHUNK_ROWS]
+                     for col in cols]
+            fh.writelines(line + "\n" for line in csv_lines(chunk))
+
+
+def write_json(path, payload) -> None:
+    """payload as JSON, keys sorted, one-space indents, LF-terminated."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=1)
+        fh.write("\n")
 
 
 def residue_union_density(m: int, residues) -> Fraction:
@@ -494,10 +528,6 @@ class CEStream:
         top = self.stage_index.top
         return top[min(s, len(top) - 1)] if top and s >= 0 else 0
 
-    def final_oracle(self) -> SetOracle:
-        bits = self.final_members()
-        return SetOracle.from_bits(bits, label=f"{self.label}@final")
-
     @staticmethod
     def from_schedule(pairs, *, n_max: int, stage_max: int, label=""):
         """Build from (element, stage) pairs; elements outside [0, n_max)
@@ -512,17 +542,6 @@ class CEStream:
             if entry[m] != NEVER and entry[m] != s:
                 raise ValueError(f"element {m} enumerated at two stages")
             entry[m] = s
-        return CEStream(entry, stage_max=stage_max, label=label)
-
-    @staticmethod
-    def from_stage_fn(stage_fn, *, n_max: int, stage_max: int, label=""):
-        """stage_fn(m) -> entry stage of m, or None for never."""
-        entry = np.full(n_max, NEVER, dtype=np.int64)
-        for m in range(n_max):
-            s = stage_fn(m)
-            if s is None or s > stage_max:
-                continue
-            entry[m] = int(s)
         return CEStream(entry, stage_max=stage_max, label=label)
 
     @staticmethod

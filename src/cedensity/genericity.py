@@ -3,7 +3,7 @@ canonical finite-set codec with its density constructions."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -66,17 +66,21 @@ def at_density_report(decider: PartialDecider, A: SetOracle, r, n_max: int,
     the window minimum of the domain density clears r.  The reported
     alpha-estimate is that minimum — an estimator over [lo, n_max], not a
     limit value."""
-    r = Fraction(r)
-    rep = evaluate_partial(decider, A, n_max, stage_budget)
+    return density_verdict(evaluate_partial(decider, A, n_max, stage_budget),
+                           r, lo)
+
+
+def density_verdict(rep: GenericityReport, r, lo: int = 1) -> dict:
+    """``at_density_report`` of an already evaluated report."""
     est = rep.domain_window_min(lo)
     return {
         "agrees": rep.agrees_on_domain,
         "errors": rep.errors[:32],
         "domain_min_num": est.numerator,
         "domain_min_den": est.denominator,
-        "verdict": rep.agrees_on_domain and est >= r,
+        "verdict": rep.agrees_on_domain and est >= Fraction(r),
         "alpha_estimate": est,
-        "window": [lo, n_max],
+        "window": [lo, rep.n_max],
     }
 
 

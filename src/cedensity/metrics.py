@@ -11,13 +11,13 @@ the limit; nothing here contradicts that, because no limit is claimed.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .core import DensityProfile, SetOracle, profile_from_bits
+from .core import (DensityProfile, SetOracle, profile_from_bits,
+                   rho_columns, write_columns)
 from .errors import InvalidWindow
 
 
@@ -41,17 +41,12 @@ class SymDiffProfile:
         return self.sym.count(n) == self.a.count(n) - self.b.count(n)
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["n", "rhoA_num", "rhoA_den", "rhoA_float",
-                        "rhoB_num", "rhoB_den", "rhoB_float",
-                        "rhoSym_num", "rhoSym_den", "rhoSym_float"])
-            for n in range(1, self.n_max + 1):
-                row = [n]
-                for prof in (self.a, self.b, self.sym):
-                    r = prof.rho(n)
-                    row += [r.numerator, r.denominator, repr(float(r))]
-                w.writerow(row)
+        write_columns(path, "n,rhoA_num,rhoA_den,rhoA_float,"
+                      "rhoB_num,rhoB_den,rhoB_float,"
+                      "rhoSym_num,rhoSym_den,rhoSym_float\n",
+                      [np.arange(1, self.n_max + 1),
+                       *(col for prof in (self.a, self.b, self.sym)
+                         for col in rho_columns(prof.counts))])
 
 
 def symdiff_profile(A: SetOracle, B: SetOracle, n_max: int) -> SymDiffProfile:

@@ -239,3 +239,39 @@ def test_missing_nested_field_is_a_config_error(tmp_path, capsys, section,
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert message in err
+
+
+def _window_cfg(command, section=None, **fields):
+    cfg = {"universe": {"n_max": 100, "stage_max": 100},
+           "sets": [{"label": "ev", "kind": "residue-union",
+                     "modulus": 2, "residues": [0]}],
+           "deciders": [{"label": "p", "kind": "parity"}],
+           "metrics": {"a": "ev", "b": "ev"},
+           "generic": {"decider": "p", "set": "ev"}}
+    cfg[section or command].update(fields)
+    return command, cfg
+
+
+@pytest.mark.parametrize("command, cfg, message", [
+    (*_window_cfg("metrics", lo="x"), "metrics.lo: must be an integer >= 1"),
+    (*_window_cfg("metrics", lo=0), "metrics.lo: must be an integer >= 1"),
+    (*_window_cfg("metrics", lo=True), "metrics.lo: must be an integer"),
+    (*_window_cfg("metrics", hi=0), "metrics.hi: must be an integer >= 1"),
+    (*_window_cfg("metrics", lo=10, hi=5),
+     "metrics.hi: must be an integer >= 10, got 5"),
+    (*_window_cfg("generic", r=[1]), "bad rational [1]"),
+    (*_window_cfg("generic", lo=200),
+     "generic.lo: must be an integer in [1, 100], got 200"),
+    (*_window_cfg("generic", lo=0), "generic.lo: must be an integer in"),
+    (*_window_cfg("density", "universe", n_max=True),
+     "universe.n_max: must be an integer >= 1, got True"),
+    (*_window_cfg("density", "universe", stage_max=True),
+     "universe.stage_max: must be an integer >= 1, got True"),
+])
+def test_bad_window_field_is_a_config_error(tmp_path, capsys, command, cfg,
+                                            message):
+    assert cli.main([command, "--config", write_cfg(tmp_path, "c.json", cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert message in err
