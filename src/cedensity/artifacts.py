@@ -39,19 +39,13 @@ def bits_to_rle(bits) -> list:
 
 
 def rle_to_bits(runs, n: int) -> np.ndarray:
-    out = np.zeros(n, dtype=bool)
-    pos = 0
-    val = False
-    for r in runs:
-        if r < 0 or pos + r > n:
-            raise ArtifactError("run-length data inconsistent with n_max")
-        if val:
-            out[pos:pos + r] = True
-        pos += r
-        val = not val
-    if pos != n:
+    """Inverse of ``bits_to_rle``: runs must be a list of non-negative ints
+    (not bools) summing to n, else the artifact is rejected."""
+    if not (isinstance(runs, list) and set(map(type, runs)) <= {int}
+            and min(runs, default=0) >= 0 and sum(runs) == n):
         raise ArtifactError("run-length data inconsistent with n_max")
-    return out
+    values = np.arange(len(runs)) % 2 == 1  # runs alternate, zeros first
+    return np.repeat(values, np.array(runs, dtype=np.int64))
 
 
 def _canonical(payload: dict) -> bytes:

@@ -17,10 +17,12 @@ import os
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from . import approximators, artifacts, builders, genericity, prioritysim
 from .approximators import SubsetArtifact
-from .core import (CEStream, SetOracle, density_profile, dyadic_class,
-                   dyadic_union, write_json)
+from .core import (NEVER, CEStream, SetOracle, density_profile,
+                   dyadic_class, dyadic_union, write_json, write_jsonl)
 from .errors import (ArtifactError, BudgetExceeded, CedensityError,
                      ConfigError)
 from .metrics import symdiff_profile
@@ -58,7 +60,11 @@ def _load_config(path) -> dict:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError("config: must be a JSON object")
     uni = cfg.get("universe", {})
+    if not isinstance(uni, dict):
+        raise ConfigError("universe: must be a JSON object")
     for key in ("n_max", "stage_max"):
         _int_in(uni.get(key), f"universe.{key}", 1)
     return cfg
@@ -98,8 +104,22 @@ def _sets(cfg) -> dict:
     return out
 
 
-def _stage_fn(schedule: dict, path: str):
+def _affine_stages(q, f: int, off: int, cut: int):
+    """f·q + off for each entry q >= 0 of an int64 array, NEVER where that
+    exceeds ``cut``.  f and q are capped at kept values before the product,
+    so int64 never wraps, even for an f or off past it."""
+    if off > cut:
+        return NEVER
+    last = (cut - off) // f if f else NEVER  # the largest q kept
+    return np.where(q <= last, min(f, cut) * np.minimum(q, last) + off,
+                    NEVER)
+
+
+def _stage_fn(schedule: dict, path: str, stage_max: int):
+    """The schedule's entry stages of the members m, in the array form that
+    ``CEStream.from_oracle`` calls; it drops every stage past stage_max."""
     kind = schedule.get("kind", "own-stage")
+    cut = min(stage_max, NEVER - 1)  # every stage kept fits int64
     if kind == "immediate":
         return lambda m: 0
     if kind == "own-stage":
@@ -107,12 +127,13 @@ def _stage_fn(schedule: dict, path: str):
     if kind == "successor":
         return lambda m: m + 1
     if kind == "delayed":
-        f = schedule.get("factor", 1)
-        off = schedule.get("offset", 0)
-        return lambda m: f * m + off
+        f = _int_in(schedule.get("factor", 1), f"{path}.factor", 0)
+        off = _int_in(schedule.get("offset", 0), f"{path}.offset", 0)
+        return lambda m: _affine_stages(m, f, off, cut)
     if kind == "burst":
-        p = _need(schedule, "period", path)
-        return lambda m: ((m // p) + 1) * p
+        p = _int_in(_need(schedule, "period", path), f"{path}.period", 1)
+        # ((m // p) + 1)·p; m // p is 0 for every m once p passes int64
+        return lambda m: _affine_stages(m // min(p, NEVER) + 1, p, 0, cut)
     raise ConfigError(f"unknown schedule kind {kind!r}")
 
 
@@ -126,17 +147,30 @@ def _streams(cfg, sets) -> dict:
             raise ConfigError("every stream needs a label")
         schedule = spec.get("schedule", {})
         path = f"streams[{i}].schedule"
+        if not isinstance(schedule, dict):
+            raise ConfigError(f"{path}: must be a JSON object")
         if schedule.get("kind") == "scripted":
-            out[label] = CEStream.from_schedule(
-                _need(schedule, "pairs", path), n_max=n_max,
-                stage_max=stage_max, label=label)
+            pairs = _need(schedule, "pairs", path)
+            if not isinstance(pairs, list):
+                raise ConfigError(f"{path}.pairs: must be a list")
+            for j, pair in enumerate(pairs):
+                if not (isinstance(pair, list) and len(pair) == 2):
+                    raise ConfigError(f"{path}.pairs[{j}]: must be an "
+                                      f"[element, stage] pair, got {pair!r}")
+                for v in pair:
+                    _int_in(v, f"{path}.pairs[{j}]", 0)
+            try:
+                out[label] = CEStream.from_schedule(
+                    pairs, n_max=n_max, stage_max=stage_max, label=label)
+            except ValueError as exc:  # an element given two stages
+                raise ConfigError(f"{path}.pairs: {exc}") from None
             continue
         base = sets.get(spec.get("set"))
         if base is None:
             raise ConfigError(f"stream {label}: unknown set {spec.get('set')!r}")
         out[label] = CEStream.from_oracle(
             base, n_max=n_max, stage_max=stage_max,
-            delay_fn=_stage_fn(schedule, path), label=label)
+            delay_fn=_stage_fn(schedule, path, stage_max), label=label)
     return out
 
 
@@ -200,9 +234,7 @@ class _ListTrace:
         self.rows = rows
 
     def write_jsonl(self, path):
-        with open(path, "w") as fh:
-            for r in self.rows:
-                fh.write(json.dumps(r, sort_keys=True) + "\n")
+        write_jsonl(path, self.rows)
 
 
 def _approx(spec: dict, sets, n_max: int) -> builders.Delta2Approx:
@@ -247,10 +279,14 @@ def cmd_metrics(cfg, outdir):
     spec = cfg.get("metrics")
     if not spec:
         raise ConfigError("config has no 'metrics' section")
+    if not isinstance(spec, dict):
+        raise ConfigError("metrics: must be a JSON object")
     a, b = (_need(sets, _need(spec, k, "metrics"), f"metrics.{k}")
             for k in ("a", "b"))
+    n_max = cfg["universe"]["n_max"]
     lo = _int_in(spec.get("lo", 1), "metrics.lo", 1)
-    hi = _int_in(spec.get("hi", cfg["universe"]["n_max"]), "metrics.hi", lo)
+    hi = _int_in(spec.get("hi", n_max), "metrics.hi", lo)
+    _int_in(hi, "metrics.hi", lo, n_max)  # no rows past the universe
     prof = symdiff_profile(a, b, hi)
     prof.write_csv(os.path.join(outdir, "metrics_profile.csv"))
     dmin, dmax = prof.sym.window_bounds(lo, hi)

@@ -381,6 +381,14 @@ def write_json(path, payload) -> None:
         fh.write("\n")
 
 
+def write_jsonl(path, records) -> None:
+    """One LF-terminated line per record, each the bytes of
+    ``json.dumps(record, sort_keys=True)``, through one reused encoder."""
+    encode = json.JSONEncoder(sort_keys=True).encode
+    with open(path, "w") as fh:
+        fh.writelines(encode(rec) + "\n" for rec in records)
+
+
 def residue_union_density(m: int, residues) -> Fraction:
     """Exact asymptotic density |residues| / m of a union of residue classes.
 
@@ -547,15 +555,22 @@ class CEStream:
     @staticmethod
     def from_oracle(oracle: SetOracle, *, n_max: int, stage_max: int,
                     delay_fn=None, label=None):
-        """Enumerate the oracle's members; element m enters at stage
-        delay_fn(m) (default m, the canonical 'appears at its own value'
-        schedule)."""
-        member = oracle.membership_array(n_max)
+        """Enumerate the oracle's members; member m enters at stage
+        delay_fn(m), or at m when delay_fn is None (the canonical 'appears
+        at its own value' schedule).  Members whose stage exceeds stage_max
+        are dropped (outside the horizon).
+
+        ``delay_fn`` is called once, on the int64 array of all members in
+        ascending order, and must act elementwise: it returns their integer
+        stages as an array of the same shape, or one scalar for every
+        member (``lambda m: 0``).
+        """
+        members = np.flatnonzero(oracle.membership_array(n_max))
+        stages = members if delay_fn is None else np.broadcast_to(
+            delay_fn(members), members.shape)
+        keep = stages <= stage_max
         entry = np.full(n_max, NEVER, dtype=np.int64)
-        for m in np.nonzero(member)[0]:
-            s = int(m) if delay_fn is None else int(delay_fn(int(m)))
-            if s <= stage_max:
-                entry[m] = s
+        entry[members[keep]] = stages[keep]
         return CEStream(entry, stage_max=stage_max,
                         label=label if label is not None else oracle.label)
 

@@ -9,14 +9,14 @@ classification — always qualified "on the window", never as a limit claim.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
 import numpy as np
 
-from .core import CEStream, NEVER, prefix_counts, trailing_zeros
+from .core import (CEStream, NEVER, prefix_counts, trailing_zeros,
+                   write_jsonl)
 from .errors import ContractViolated, RatioUnrealizable, WindowExhausted
 
 
@@ -120,12 +120,8 @@ class ConstructionTrace:
                 yield rec["stage"], en
 
     def write_jsonl(self, path):
-        with open(path, "w") as fh:
-            for rec in self.stages:
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
-            fh.write(json.dumps({"outcomes": self.outcomes,
-                                 "construction": self.construction},
-                                sort_keys=True) + "\n")
+        write_jsonl(path, [*self.stages, {"outcomes": self.outcomes,
+                                          "construction": self.construction}])
 
 
 def region_elements(k: int, lo: int, count: int) -> list[int]:
@@ -459,6 +455,7 @@ def permitted_interval_build(C: CEStream, jump: JumpApprox, streams,
                  "use": None} for p in pairs}
     g_rows = {p: [] for p in pairs}
     j_next = {p: 0 for p in pairs}
+    codes = {p: pair_code(*p) for p in pairs}
 
     for s in range(stage_max + 1):
         rec = {}
@@ -470,11 +467,11 @@ def permitted_interval_build(C: CEStream, jump: JumpApprox, streams,
         y = int(entered[0]) if entered.size else None  # least C-entrant
         for p in pairs:
             e, i = p
-            if pair_code(e, i) > s:
+            k = codes[p]
+            if k > s:
                 g_rows[p].append(state[p]["g"])
                 continue
             st = state[p]
-            k = pair_code(e, i)
             iv = st["iv"]
             if iv is not None:
                 if y is not None and y <= st["use"]:
@@ -491,11 +488,9 @@ def permitted_interval_build(C: CEStream, jump: JumpApprox, streams,
                     rec.setdefault("cancelled", []).append(
                         {"pair": list(p), "y": y})
                     iv = None
-                elif st["g"] == 0:
-                    if all(streams[e].member_at(x, s) for x in iv
-                           if x < streams[e].n_max):
-                        st["g"] = 1
-                        rec.setdefault("covered", []).append(list(p))
+                elif st["g"] == 0 and s >= st["cover"]:
+                    st["g"] = 1
+                    rec.setdefault("covered", []).append(list(p))
             if iv is None and jump.guess(i, s) == 1:
                 u = jump.use(i, s)
                 if u is None:
@@ -504,6 +499,12 @@ def permitted_interval_build(C: CEStream, jump: JumpApprox, streams,
                 elems = _large_interval(k, j_next[p], max(int(u), s),
                                         max(int(u), s), n_max)
                 if elems is not None:
+                    # stream e covers the interval from the last entry stage
+                    # of its elements inside the stream's window: never if
+                    # one is NEVER, at once if none is inside
+                    inside = [x for x in elems if x < streams[e].n_max]
+                    st["cover"] = int(streams[e].entry[inside].max(
+                        initial=0))
                     st["iv"] = set(elems)
                     st["use"] = int(u)
                     st["appointed"] += 1

@@ -219,3 +219,17 @@ def test_check_reports_negative_exponent(tmp_path, capsys, form, bits,
     assert ar.verify_artifact(art) == {"ok": False, "failures": [message]}
     ar.write_certified_csv(art, tmp_path / "c.csv")
     assert (tmp_path / "c.csv").read_text() == ar.CSV_HEADER
+
+
+@pytest.mark.parametrize("runs", [["a", 3], [1.5, 2], [[1]], [10**30],
+                                  [True], [-1, 101], "ab", None])
+def test_check_rejects_bad_run_lengths(tmp_path, capsys, runs):
+    path = tmp_path / "a.json"
+    ar.save_artifact(sample_artifact(n_max=100), path)
+    payload = json.loads(path.read_text())
+    payload["bits_rle"] = runs
+    path.write_text(json.dumps(_redigest(payload)))
+    assert cli.main(["check", "--artifact", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert "run-length data inconsistent with n_max" in err
+    assert "Traceback" not in err

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import os
 import random
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cedensity import cli
 from cedensity.errors import BudgetExceeded
@@ -275,3 +281,147 @@ def test_bad_window_field_is_a_config_error(tmp_path, capsys, command, cfg,
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert message in err
+
+
+def _run(tmp_path, command, cfg):
+    return cli.main([command, "--config", write_cfg(tmp_path, "c.json", cfg),
+                     "--out", str(tmp_path / "o")])
+
+
+def _with_schedule(schedule):
+    cfg = construct_cfg({"op": "checkpoint-subset", "stream": "evs",
+                         "q": "1/4"})
+    cfg["streams"].append({"label": "x", "set": "ev", "schedule": schedule})
+    return cfg
+
+
+@pytest.mark.parametrize("schedule, message", [
+    ({"kind": "delayed", "offset": -5},
+     "streams[1].schedule.offset: must be an integer >= 0, got -5"),
+    ({"kind": "delayed", "factor": -1},
+     "streams[1].schedule.factor: must be an integer >= 0, got -1"),
+    ({"kind": "delayed", "factor": "2"},
+     "streams[1].schedule.factor: must be an integer >= 0, got '2'"),
+    ({"kind": "delayed", "factor": 1.5},
+     "streams[1].schedule.factor: must be an integer >= 0, got 1.5"),
+    ({"kind": "delayed", "offset": True},
+     "streams[1].schedule.offset: must be an integer >= 0, got True"),
+    ({"kind": "burst", "period": 0},
+     "streams[1].schedule.period: must be an integer >= 1, got 0"),
+    ({"kind": "burst", "period": -3},
+     "streams[1].schedule.period: must be an integer >= 1, got -3"),
+    ({"kind": "burst", "period": 1.5},
+     "streams[1].schedule.period: must be an integer >= 1, got 1.5"),
+    ({"kind": "scripted", "pairs": [["a", 1]]},
+     "streams[1].schedule.pairs[0]: must be an integer >= 0, got 'a'"),
+    ({"kind": "scripted", "pairs": [[3, -1]]},
+     "streams[1].schedule.pairs[0]: must be an integer >= 0, got -1"),
+    ({"kind": "scripted", "pairs": [[1]]},
+     "streams[1].schedule.pairs[0]: must be an [element, stage] pair"),
+    ({"kind": "scripted", "pairs": 5},
+     "streams[1].schedule.pairs: must be a list"),
+    ({"kind": "scripted", "pairs": [[1, 2], [1, 3]]},
+     "streams[1].schedule.pairs: element 1 enumerated at two stages"),
+    ("burst", "streams[1].schedule: must be a JSON object"),
+])
+def test_bad_schedule_field_is_a_config_error(tmp_path, capsys, schedule,
+                                              message):
+    assert _run(tmp_path, "construct", _with_schedule(schedule)) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert message in err
+
+
+@pytest.mark.parametrize("schedule", [
+    {"kind": "delayed", "factor": 10**30},
+    {"kind": "delayed", "offset": 10**30},
+    {"kind": "burst", "period": 10**30},
+])
+def test_schedule_past_int64_keeps_the_stage_max_cut(tmp_path, schedule):
+    assert _run(tmp_path, "construct", _with_schedule(schedule)) == 0
+
+
+@pytest.mark.parametrize("cfg, message", [
+    ([], "config: must be a JSON object"),
+    ({"universe": 5}, "universe: must be a JSON object"),
+    (dict(_window_cfg("metrics")[1], metrics=[1]),
+     "metrics: must be a JSON object"),
+    (dict(_window_cfg("metrics", hi=400)[1]),
+     "metrics.hi: must be an integer in [1, 100], got 400"),
+])
+def test_bad_config_shape_is_a_config_error(tmp_path, capsys, cfg, message):
+    assert _run(tmp_path, "metrics", cfg) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert message in err
+
+
+# -- fuzz: mutated configs end in a documented exit code ----------------------
+
+_junk = st.one_of(st.none(), st.booleans(), st.floats(), st.text(max_size=3),
+                  st.lists(st.integers(-2, 4), max_size=3),
+                  st.dictionaries(st.text(max_size=2), st.integers(0, 3),
+                                  max_size=2))
+# window sizes stay small: a valid n_max or stage_max sets the work done
+_sizes = st.one_of(st.integers(-3, 300), _junk)
+_fields = st.one_of(st.integers(-3, 40), st.integers(-2**70, 2**70), _junk)
+_kinds = st.one_of(st.sampled_from(["immediate", "own-stage", "successor",
+                                    "delayed", "burst", "scripted"]), _junk)
+_pairs = st.one_of(st.lists(st.lists(_fields, max_size=3), max_size=4),
+                   _fields)
+_mutations = st.one_of(
+    st.tuples(st.just("universe"), st.sampled_from(["n_max", "stage_max"]),
+              _sizes),
+    st.tuples(st.just("universe"), st.none(), _fields),
+    st.tuples(st.just("schedule"), st.just("kind"), _kinds),
+    st.tuples(st.just("schedule"), st.sampled_from(["factor", "offset",
+                                                    "period"]), _fields),
+    st.tuples(st.just("schedule"), st.just("pairs"), _pairs),
+    st.tuples(st.just("schedule"), st.none(), _fields),
+    st.tuples(st.just("metrics"), st.sampled_from(["a", "b", "lo", "hi"]),
+              st.one_of(st.sampled_from(["all", "ev"]), _fields)),
+    st.tuples(st.just("metrics"), st.none(), _fields))
+
+
+def _fuzz_base():
+    return {"universe": {"n_max": 120, "stage_max": 240},
+            "sets": [{"label": "ev", "kind": "residue-union",
+                      "modulus": 2, "residues": [0]},
+                     {"label": "all", "kind": "naturals"}],
+            "streams": [
+                {"label": "d", "set": "all",
+                 "schedule": {"kind": "delayed", "factor": 2, "offset": 3}},
+                {"label": "b", "set": "ev",
+                 "schedule": {"kind": "burst", "period": 7}},
+                {"label": "p",
+                 "schedule": {"kind": "scripted", "pairs": [[1, 2], [4, 5]]}}],
+            "metrics": {"a": "all", "b": "ev", "lo": 1, "hi": 100},
+            "construction": {"op": "checkpoint-subset", "stream": "d",
+                             "q": "1/4"}}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["construct", "metrics", "density"]),
+       st.integers(0, 2),
+       st.lists(_mutations, min_size=1, max_size=3))
+def test_mutated_config_exits_with_a_documented_code(command, which,
+                                                     mutations):
+    cfg = _fuzz_base()
+    for section, key, value in mutations:
+        if section == "schedule":
+            owner, name = cfg["streams"][which], "schedule"
+        else:
+            owner, name = cfg, section
+        if key is None or not isinstance(owner.get(name), dict):
+            owner[name] = value
+        else:
+            owner[name][key] = value
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as d, contextlib.redirect_stderr(err):
+        path = os.path.join(d, "c.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        code = cli.main([command, "--config", path,
+                         "--out", os.path.join(d, "o")])
+    assert code in {0, 1, 2, 3, 4}
+    assert "Traceback" not in err.getvalue()
