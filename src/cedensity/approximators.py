@@ -16,6 +16,9 @@ computed with whole-array numpy operations.  That holds for every CLI
 schedule except ``scripted``.  Other streams fall back to a sorted window
 grown one element at a time; both paths give the same numbers.  The
 look-ahead bits and the margin check are vectorized for every stream.
+
+One skeleton per family takes each producer's own search, needs and
+records: ``_checkpoint_loop``, ``_lookahead_artifact``, ``_guarded_search``.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 from sortedcontainers import SortedList
 
 from .core import (CEStream, NEVER, ceil_div, ceil_sqrt_array, exact_ints,
-                   prefix_counts, profile_from_bits)
+                   prefix_counts)
 from .errors import BudgetExceeded, PreconditionViolated
 
 
@@ -55,9 +58,6 @@ class SubsetArtifact:
     def counts(self) -> np.ndarray:
         return prefix_counts(self.bits)
 
-    def profile(self):
-        return profile_from_bits(self.bits, label=self.kind)
-
     def is_subset_of(self, stream: CEStream) -> bool:
         """Scan check: every selected element was eventually enumerated."""
         final = stream.final_members()[: self.n_max]
@@ -81,7 +81,7 @@ def _first_pair_search(stream: CEStream, s_lo: int, need):
     live = stream.monotone_entries
     scan = (_sorted_pair_scan(stream, s_lo) if live is None
             else _monotone_pair_scan(live, s_lo))
-    best = None  # (cost, s, t, count_needed)
+    best = None  # (cost, s, t)
     start, size = s_lo + 1, _FIRST_CHUNK
     while start <= stream.n_max and (best is None or start < best[0]):
         stop = min(start + size, stream.n_max + 1,
@@ -92,12 +92,9 @@ def _first_pair_search(stream: CEStream, s_lo: int, need):
         cost = np.where(ok, s + t, NEVER)
         i = int(np.argmin(cost))
         if ok[i] and (best is None or cost[i] < best[0]):
-            best = (int(cost[i]), int(s[i]), int(t[i]), max(int(k[i]), 0))
+            best = (int(cost[i]), int(s[i]), int(t[i]))
         start, size = stop, 2 * size
-    if best is None:
-        return None
-    _, s, t, k = best
-    return s, t, k
+    return None if best is None else best[1:]
 
 
 def _monotone_pair_scan(live, s_lo: int):
@@ -144,6 +141,37 @@ def _ceil_q(q: Fraction, n: np.ndarray, n_max: int) -> np.ndarray:
     return (-(-q.numerator * wide // q.denominator)).astype(np.int64)
 
 
+def _checkpoint_loop(stream: CEStream, search, record):
+    """The checkpoint sequence shared by the checkpoint extractions.
+
+    From (s_0, t_0) = (0, 0), ``search(s_n, n)`` gives the next pair
+    (s, t), or None when the window/stage budget runs out; the block
+    [s_n, s) of B copies A_t, and ``record(s, t, count, n)`` gives the
+    producer's own fields for the checkpoint, count being count_B(s).
+    Stops once s reaches n_max.  Returns (bits, checkpoints, diagnostics).
+    """
+    bits = np.zeros(stream.n_max, dtype=bool)
+    checkpoints = [{"s": 0, "t": 0, "count": 0}]
+    s_n = running = 0
+    while s_n < stream.n_max:
+        n = len(checkpoints) - 1
+        found = search(s_n, n)
+        if found is None:
+            return bits, checkpoints, [{
+                "error": "BudgetExceeded",
+                "detail": "no next checkpoint pair within the window/stage budget",
+                "after_checkpoint": n,
+            }]
+        s, t = found
+        block = stream.entry[s_n:s] <= t
+        bits[s_n:s] = block
+        running += int(np.count_nonzero(block))
+        checkpoints.append({"s": s, "t": t, "count": running,
+                            **record(s, t, running, n)})
+        s_n = s
+    return bits, checkpoints, []
+
+
 def checkpoint_subset(stream: CEStream, q) -> SubsetArtifact:
     """Extract a computable B ⊆ A with certified prefix density >= q.
 
@@ -156,36 +184,14 @@ def checkpoint_subset(stream: CEStream, q) -> SubsetArtifact:
     q = Fraction(q)
     if not 0 < q < 1:
         raise ValueError(f"q must be in (0,1), got {q}")
-    entry = stream.entry
-    bits = np.zeros(stream.n_max, dtype=bool)
-    checkpoints = [{"s": 0, "t": 0, "count": 0}]
-    diagnostics = []
-    s_n = 0
-    running = 0
-    while True:
-        found = _first_pair_search(
-            stream, s_n, lambda s: _ceil_q(q, s, stream.n_max))
-        if found is None:
-            diagnostics.append({
-                "error": "BudgetExceeded",
-                "detail": "no next checkpoint pair within the window/stage budget",
-                "after_checkpoint": len(checkpoints) - 1,
-            })
-            break
-        s_next, t_next, _k = found
-        block = entry[s_n:s_next] <= t_next
-        bits[s_n:s_next] = block
-        running += int(np.count_nonzero(block))
-        checkpoints.append({"s": s_next, "t": t_next, "count": running})
-        s_n = s_next
-        if s_n >= stream.n_max:
-            break
-    guarantee = {
-        "form": "checkpoint-ratio",
-        "q_num": q.numerator,
-        "q_den": q.denominator,
-        # count · den >= num · s at every checkpoint with s >= 1
-    }
+    bits, checkpoints, diagnostics = _checkpoint_loop(
+        stream,
+        lambda s_n, n: _first_pair_search(
+            stream, s_n, lambda s: _ceil_q(q, s, stream.n_max)),
+        lambda s, t, count, n: {})
+    # count · den >= num · s at every checkpoint with s >= 1
+    guarantee = {"form": "checkpoint-ratio",
+                 "q_num": q.numerator, "q_den": q.denominator}
     return SubsetArtifact("checkpoint_subset", bits, checkpoints, guarantee,
                           diagnostics, meta={"stream": stream.label})
 
@@ -203,41 +209,20 @@ def tracking_checkpoint_subset(stream: CEStream, q_seq) -> SubsetArtifact:
     held is recorded per checkpoint as an observation.
     """
     qs = _seq_to_fn(q_seq)
-    entry = stream.entry
-    bits = np.zeros(stream.n_max, dtype=bool)
-    checkpoints = [{"s": 0, "t": 0, "count": 0}]
-    diagnostics = []
-    s_n = 0
-    running = 0
-    n = 0
-    while True:
-        found = _tracking_pair_search(stream, s_n, n, qs)
-        if found is None:
-            diagnostics.append({
-                "error": "BudgetExceeded",
-                "detail": "no next checkpoint pair within the window/stage budget",
-                "after_checkpoint": n,
-            })
-            break
-        s_next, t_next = found
-        block = entry[s_n:s_next] <= t_next
-        bits[s_n:s_next] = block
-        running += int(np.count_nonzero(block))
-        target = Fraction(qs(t_next))
-        strict_ok = (running * target.denominator
-                     >= target.numerator * s_next)
-        checkpoints.append({
-            "s": s_next, "t": t_next, "count": running,
-            "target_num": target.numerator, "target_den": target.denominator,
-            "slack_pow": n, "observed_unslacked": bool(strict_ok),
-        })
-        s_n = s_next
-        n += 1
-        if s_n >= stream.n_max:
-            break
-    guarantee = {"form": "tracking-checkpoint-ratio"}
+
+    def record(s, t, count, n):
+        target = Fraction(qs(t))
+        return {"target_num": target.numerator,
+                "target_den": target.denominator, "slack_pow": n,
+                "observed_unslacked": (count * target.denominator
+                                       >= target.numerator * s)}
+
+    bits, checkpoints, diagnostics = _checkpoint_loop(
+        stream, lambda s_n, n: _tracking_pair_search(stream, s_n, n, qs),
+        record)
     return SubsetArtifact("tracking_checkpoint_subset", bits, checkpoints,
-                          guarantee, diagnostics, meta={"stream": stream.label})
+                          {"form": "tracking-checkpoint-ratio"}, diagnostics,
+                          meta={"stream": stream.label})
 
 
 def _tracking_pair_search(stream: CEStream, s_lo: int, n: int, qs):
@@ -383,6 +368,21 @@ def _margin_guarantee_holds(bits, base: np.ndarray, n_lo: int):
     return int(ns[bad[0]]) if bad.size else None
 
 
+def _lookahead_artifact(kind: str, stream: CEStream, s_table: np.ndarray,
+                        base: np.ndarray, n_lo: int, guarantee: dict,
+                        **meta):
+    """The look-ahead tail shared by the look-ahead extractions: B from the
+    stage table s(n), n in [n_lo, n_max], then the margin check
+    counts_B[n] >= base[n − n_lo] − ceil_sqrt(n), whose verdict joins
+    ``guarantee`` with the table.  Returns the artifact and t(k)."""
+    bits, t_of_k = _lookahead_bits(stream, s_table, n_lo)
+    viol = _margin_guarantee_holds(bits, base, n_lo)
+    guarantee.update(s_table=s_table.tolist(), holds=viol is None,
+                     first_violation=viol)
+    return SubsetArtifact(kind, bits, guarantee=guarantee,
+                          meta={"stream": stream.label, **meta}), t_of_k
+
+
 def lookahead_subset(stream: CEStream, q, n0: int = 1) -> SubsetArtifact:
     """Extract B ⊆ A certified within a 1/√n margin of the target q.
 
@@ -411,27 +411,15 @@ def lookahead_subset(stream: CEStream, q, n0: int = 1) -> SubsetArtifact:
             f"count={int(final_counts[bad[0]])}", at=n_bad)
 
     s_table, in_a = _stage_table_kth(stream, needs, n0)
-    bits, t_of_k = _lookahead_bits(stream, s_table, n0)
-    viol = _margin_guarantee_holds(bits, in_a, n0)
-    guarantee = {
-        "form": "lookahead-margin",
-        "q_num": q.numerator, "q_den": q.denominator, "n0": n0,
-        "s_table": s_table.tolist(),
-        "holds": viol is None, "first_violation": viol,
-    }
-    return SubsetArtifact("lookahead_subset", bits,
-                          checkpoints=[{"t_of_k_tail": int(t_of_k[-1])}],
-                          guarantee=guarantee,
-                          meta={"stream": stream.label})
+    art, t_of_k = _lookahead_artifact(
+        "lookahead_subset", stream, s_table, in_a, n0,
+        {"form": "lookahead-margin", "q_num": q.numerator,
+         "q_den": q.denominator, "n0": n0})
+    art.checkpoints = [{"t_of_k_tail": int(t_of_k[-1])}]
+    return art
 
 
 # -- witnessed density-1 extraction ---------------------------------------
-
-def _need_for_level(n: int, h: int) -> int:
-    # ceil(n · (2^h − 1) / 2^h)
-    p = 1 << h
-    return ceil_div(n * (p - 1), p)
-
 
 def witnessed_subset(stream: CEStream, w) -> SubsetArtifact:
     """Extraction driven by a density-1 witness function w.
@@ -470,16 +458,9 @@ def witnessed_subset(stream: CEStream, w) -> SubsetArtifact:
             at=n)
 
     s_table, _ = _stage_table_kth(stream, needs, 1)
-    bits, _ = _lookahead_bits(stream, s_table, 1)
-    viol = _margin_guarantee_holds(bits, needs, 1)
-    guarantee = {
-        "form": "witness-margin",
-        "h_of_n": h_of_n[1:].tolist(),
-        "s_table": s_table.tolist(),
-        "holds": viol is None, "first_violation": viol,
-    }
-    return SubsetArtifact("witnessed_subset", bits, guarantee=guarantee,
-                          meta={"stream": stream.label})
+    return _lookahead_artifact(
+        "witnessed_subset", stream, s_table, needs, 1,
+        {"form": "witness-margin", "h_of_n": h_of_n[1:].tolist()})[0]
 
 
 class LimitApprox:
@@ -499,34 +480,38 @@ class LimitApprox:
         return self._memo[key]
 
 
-def _guarded_stage_table(stream: CEStream, n_max, threshold_need):
-    """s(n) = least s >= n such that, for the strongest guard level active
-    at (n, s), the required count is already enumerated below n.
+def _guarded_search(stream: CEStream, g: LimitApprox, level_need):
+    """s(n) for n in [1, n_max]: the least s >= n at which [0, n) holds
+    level_need(n, h) elements of A_s, where the binding level h is the
+    largest k <= n with g(k, s) <= n (the guards collapse to it, since the
+    requirement grows with the level); no level binding, any s works.
 
-    threshold_need(n, s) -> required count (the guards collapse to their
-    maximum active level since the requirement grows with the level).
-    Returns s_table and in_a, the count |A_{s(n)} ∩ [0, n)| that met the
-    need, both indexed by n in [0, n_max].  Raises BudgetExceeded(n) when
-    no s <= stage_max works.
+    Returns s_table and in_a = |A_{s(n)} ∩ [0, n)|, both indexed by n − 1.
+    Raises BudgetExceeded(at=n) when no s <= stage_max works.
     """
     entry = stream.entry
-    s_table = np.zeros(n_max + 1, dtype=np.int64)
-    in_a = np.zeros(n_max + 1, dtype=np.int64)
-    sorted_prefix = SortedList()
-    for n in range(1, n_max + 1):
+    s_table = np.zeros(stream.n_max, dtype=np.int64)
+    in_a = np.zeros(stream.n_max, dtype=np.int64)
+    window = SortedList()
+    for n in range(1, stream.n_max + 1):
         e = int(entry[n - 1])
         if e != NEVER:
-            sorted_prefix.add(e)
+            window.add(e)
         s = n
         while True:
             if s > stream.stage_max:
                 raise BudgetExceeded(
                     f"guarded stage search exhausted at n={n}", at=n)
-            have = sorted_prefix.bisect_right(s)
-            if have >= threshold_need(n, s):
+            have = window.bisect_right(s)
+            h = 0
+            for k in range(n, 0, -1):
+                if int(g.eval(k, s)) <= n:
+                    h = k
+                    break
+            if h == 0 or have >= level_need(n, h):
                 break
             s += 1
-        s_table[n], in_a[n] = s, have
+        s_table[n - 1], in_a[n - 1] = s, have
     return s_table, in_a
 
 
@@ -535,30 +520,15 @@ def limit_witness_subset(stream: CEStream, g: LimitApprox) -> SubsetArtifact:
 
     g(k, s) approximates a witness function; the stage search for s(n) is
     guarded: a level k <= n binds at stage s only if g(k, s) <= n, and then
-    [0, n) must already hold ceil(n·(1 − 2^{−k})) elements at stage s.
-    Because nothing here is verified against the true limit, the guarantee
-    is relative: counts_B[n] >= |A_{s(n)} ∩ [0,n)| − ceil_sqrt(n).
+    [0, n) must already hold ceil(n·(1 − 2^{−k})) = n − ⌊n/2^k⌋ elements
+    at stage s.  Because nothing here is verified against the true limit,
+    the guarantee is relative: counts_B[n] >= |A_{s(n)} ∩ [0,n)| −
+    ceil_sqrt(n).
     """
-    n_max = stream.n_max
-
-    def need(n, s):
-        h = 0
-        for k in range(n, 0, -1):
-            if int(g.eval(k, s)) <= n:
-                h = k
-                break
-        return _need_for_level(n, h)
-
-    s_table, in_a = (v[1:] for v in _guarded_stage_table(stream, n_max, need))
-    bits, _ = _lookahead_bits(stream, s_table, 1)
-    viol = _margin_guarantee_holds(bits, in_a, 1)
-    guarantee = {
-        "form": "lookahead-margin-relative",
-        "s_table": s_table.tolist(),
-        "holds": viol is None, "first_violation": viol,
-    }
-    return SubsetArtifact("limit_witness_subset", bits, guarantee=guarantee,
-                          meta={"stream": stream.label, "g": g.label})
+    s_table, in_a = _guarded_search(stream, g, lambda n, h: n - (n >> h))
+    return _lookahead_artifact(
+        "limit_witness_subset", stream, s_table, in_a, 1,
+        {"form": "lookahead-margin-relative"}, g=g.label)[0]
 
 
 def tracked_witness_subset(stream: CEStream, q_seq,
@@ -569,28 +539,12 @@ def tracked_witness_subset(stream: CEStream, q_seq,
     same relative margin as limit_witness_subset.
     """
     qs = _seq_to_fn(q_seq)
-    n_max = stream.n_max
 
-    def need(n, s):
-        k_bind = None
-        for k in range(n, 0, -1):
-            if int(g.eval(k, s)) <= n:
-                k_bind = k
-                break
-        if k_bind is None:
-            return 0
-        thr = Fraction(qs(n)) - Fraction(1, 1 << k_bind)
-        if thr <= 0:
-            return 0
-        return ceil_div(thr.numerator * n, thr.denominator)
+    def level_need(n, h):
+        thr = Fraction(qs(n)) - Fraction(1, 1 << h)
+        return ceil_div(thr.numerator * n, thr.denominator) if thr > 0 else 0
 
-    s_table, in_a = (v[1:] for v in _guarded_stage_table(stream, n_max, need))
-    bits, _ = _lookahead_bits(stream, s_table, 1)
-    viol = _margin_guarantee_holds(bits, in_a, 1)
-    guarantee = {
-        "form": "lookahead-margin-relative",
-        "s_table": s_table.tolist(),
-        "holds": viol is None, "first_violation": viol,
-    }
-    return SubsetArtifact("tracked_witness_subset", bits, guarantee=guarantee,
-                          meta={"stream": stream.label, "g": g.label})
+    s_table, in_a = _guarded_search(stream, g, level_need)
+    return _lookahead_artifact(
+        "tracked_witness_subset", stream, s_table, in_a, 1,
+        {"form": "lookahead-margin-relative"}, g=g.label)[0]

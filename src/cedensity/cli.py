@@ -66,7 +66,12 @@ def _load_config(path) -> dict:
     if not isinstance(uni, dict):
         raise ConfigError("universe: must be a JSON object")
     for key in ("n_max", "stage_max"):
-        _int_in(uni.get(key), f"universe.{key}", 1)
+        # every element and stage below NEVER fits int64
+        _int_in(_int_in(uni.get(key), f"universe.{key}", 1),
+                f"universe.{key}", 1, NEVER - 1)
+    if uni["n_max"] > NEVER // 16:  # numpy caps int64 arrays near 2^60
+        raise BudgetExceeded(f"universe.n_max: a window of {uni['n_max']} "
+                             "elements is too large to allocate")
     return cfg
 
 
@@ -93,6 +98,20 @@ def _build_set(spec: dict, path: str) -> SetOracle:
                             include_zero=spec.get("include_zero", False),
                             label=label)
     raise ConfigError(f"unknown set kind {kind!r}")
+
+
+def _int_pairs(value, path: str, shape: str, first_hi=None) -> list:
+    """value if it is a list of integer pairs [a, b] with 0 <= a <=
+    first_hi and b >= 0; else a ConfigError naming the JSON path."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{path}: must be a list")
+    for j, pair in enumerate(value):
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise ConfigError(f"{path}[{j}]: must be an {shape} pair, "
+                              f"got {pair!r}")
+        _int_in(pair[0], f"{path}[{j}]", 0, first_hi)
+        _int_in(pair[1], f"{path}[{j}]", 0)
+    return value
 
 
 def _sets(cfg) -> dict:
@@ -150,15 +169,8 @@ def _streams(cfg, sets) -> dict:
         if not isinstance(schedule, dict):
             raise ConfigError(f"{path}: must be a JSON object")
         if schedule.get("kind") == "scripted":
-            pairs = _need(schedule, "pairs", path)
-            if not isinstance(pairs, list):
-                raise ConfigError(f"{path}.pairs: must be a list")
-            for j, pair in enumerate(pairs):
-                if not (isinstance(pair, list) and len(pair) == 2):
-                    raise ConfigError(f"{path}.pairs[{j}]: must be an "
-                                      f"[element, stage] pair, got {pair!r}")
-                for v in pair:
-                    _int_in(v, f"{path}.pairs[{j}]", 0)
+            pairs = _int_pairs(_need(schedule, "pairs", path),
+                               f"{path}.pairs", "[element, stage]")
             try:
                 out[label] = CEStream.from_schedule(
                     pairs, n_max=n_max, stage_max=stage_max, label=label)
@@ -203,21 +215,24 @@ def _deciders(cfg) -> dict:
             for i, spec in enumerate(cfg.get("deciders", []))}
 
 
-def _jump(spec: dict) -> prioritysim.JumpApprox:
+def _jump(spec) -> prioritysim.JumpApprox:
+    path = "construction.jump"
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{path}: must be a JSON object")
     kind = spec.get("kind")
 
-    def need(key):
-        return _need(spec, key, "construction.jump")
+    def need(key, lo):
+        return _int_in(_need(spec, key, path), f"{path}.{key}", lo)
 
     if kind == "never":
         return prioritysim.JumpApprox(lambda i, s: 0, lambda i, s: None)
     if kind == "step":
-        on_at, use = need("on_at"), need("use")
+        on_at, use = need("on_at", 0), need("use", 0)
         return prioritysim.JumpApprox(
             lambda i, s: 1 if s >= on_at else 0,
             lambda i, s: use if s >= on_at else None)
     if kind == "blink":
-        p, use = need("period"), need("use")
+        p, use = need("period", 1), need("use", 0)
         return prioritysim.JumpApprox(
             lambda i, s: (s // p) % 2, lambda i, s: use)
     raise ConfigError(f"unknown jump kind {kind!r}")
@@ -403,11 +418,17 @@ def _dispatch_construct(cfg, sets, streams, deciders):
         art.checkpoints = report
         return art, None
     if op == "permitted-interval":
+        permitter, jump = stream("permitter"), _jump(spec.get("jump", {}))
+        members = stream_list()
+        pairs = None
+        if "pairs" in spec:
+            pairs = [tuple(p) for p in _int_pairs(
+                spec["pairs"], "construction.pairs", "[e, i]",
+                len(members) - 1)]
+            if len(set(pairs)) < len(pairs):  # one strategy per pair
+                raise ConfigError("construction.pairs: a pair is listed twice")
         st, g_rows, trace = prioritysim.permitted_interval_build(
-            stream("permitter"), _jump(spec.get("jump", {})), stream_list(),
-            n_max, stage_max,
-            pairs=[tuple(p) for p in spec["pairs"]] if "pairs" in spec
-            else None)
+            permitter, jump, members, n_max, stage_max, pairs=pairs)
         art = _stream_artifact(st, "permitted_interval",
                                {"form": "membership-only"})
         art.meta["g_rows"] = {str(p): rows for p, rows in g_rows.items()}
@@ -509,7 +530,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except BudgetExceeded as exc:
+    except (BudgetExceeded, MemoryError) as exc:  # a window past memory
         print(f"budget error: {exc}", file=sys.stderr)
         return 3
     except ArtifactError as exc:

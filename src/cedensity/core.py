@@ -17,9 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BudgetExceeded, InvalidResidue, InvalidWindow
-
-DEFAULT_STEP_BUDGET = 10**6
+from .errors import InvalidResidue, InvalidWindow
 
 
 @dataclass(frozen=True)
@@ -41,31 +39,23 @@ class SetOracle:
 
     ``fn`` decides membership of a single natural.  ``batch`` optionally
     produces the whole membership array over [0, n) in one vectorized call;
-    when absent, the scalar predicate is mapped.  ``steps_fn`` models the
-    abstract cost of a rule query: if it reports more than ``step_budget``
-    steps for some n, the query raises BudgetExceeded instead of silently
-    answering non-member.
+    when absent, the scalar predicate is mapped.
     """
 
-    def __init__(self, fn, *, kind="rule", label="", batch=None,
-                 steps_fn=None, step_budget=DEFAULT_STEP_BUDGET):
+    def __init__(self, fn, *, kind="rule", label="", batch=None):
         self._fn = fn
         self._batch = batch
-        self._steps_fn = steps_fn
         self.kind = kind
         self.label = label
-        self.step_budget = step_budget
 
     def contains(self, n: int) -> bool:
-        if self._steps_fn is not None and self._steps_fn(n) > self.step_budget:
-            raise BudgetExceeded(f"step budget exhausted deciding membership of {n}", at=n)
         return bool(self._fn(n))
 
     __contains__ = contains
 
     def membership_array(self, n: int) -> np.ndarray:
         """Membership of [0, n) as a boolean array."""
-        if self._batch is not None and self._steps_fn is None:
+        if self._batch is not None:
             out = np.asarray(self._batch(n), dtype=bool)
             if out.shape != (n,):
                 raise ValueError("batch membership returned wrong shape")
@@ -300,7 +290,7 @@ def prefix_count(oracle: SetOracle, n: int) -> int:
     """|S ∩ [0, n)| by direct evaluation."""
     if n < 1:
         raise InvalidWindow(f"n must be >= 1, got {n}")
-    if oracle._batch is not None and oracle._steps_fn is None:
+    if oracle._batch is not None:
         return int(np.count_nonzero(oracle.membership_array(n)))
     return sum(1 for i in range(n) if oracle.contains(i))
 
@@ -462,8 +452,9 @@ class CEStream:
     """A monotone stage-indexed enumeration s -> A_s of a set.
 
     Concretely a map from each element of [0, n_max) to the stage at which
-    it enters the set (``NEVER`` if it does not).  A_s = {m : entry[m] <= s}.
-    Stage indices run over [0, stage_max].
+    it enters the set (``NEVER`` if it does not).  A_s = {m : entry[m] <= s},
+    where an s past the last stage below ``NEVER`` counts as that stage, so
+    A_s never holds a ``NEVER`` entry.  Stage indices run over [0, stage_max].
     """
 
     def __init__(self, entry_stage: np.ndarray, *, stage_max: int, label=""):
@@ -485,18 +476,18 @@ class CEStream:
 
     def member_at(self, m: int, s: int) -> bool:
         """Whether m is in A_s."""
-        return bool(self.entry[m] <= s)
+        return bool(self.entry[m] <= min(s, NEVER - 1))
 
     def snapshot(self, s: int) -> np.ndarray:
         """Membership array of A_s over [0, n_max)."""
-        return self.entry <= s
+        return self.entry <= min(s, NEVER - 1)
 
     def final_members(self) -> np.ndarray:
         return self.snapshot(self.stage_max)
 
     def count_at(self, n: int, s: int) -> int:
         """|A_s ∩ [0, n)|."""
-        return int(np.count_nonzero(self.entry[:n] <= s))
+        return int(np.count_nonzero(self.entry[:n] <= min(s, NEVER - 1)))
 
     @cached_property
     def stage_index(self) -> StageIndex:

@@ -9,7 +9,6 @@ classification — always qualified "on the window", never as a limit claim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
@@ -79,12 +78,6 @@ class PartialDecider:
         return PartialDecider(
             lambda n, s: value_fn(n) if s >= delay_fn(n) else None,
             label=label)
-
-
-@dataclass
-class Roster:
-    deciders: list = field(default_factory=list)
-    streams: list = field(default_factory=list)
 
 
 class JumpApprox:
@@ -324,19 +317,20 @@ def _large_interval(k: int, j0: int, min_elem_above: int, max_above: int,
     (so the segment is untouched by prior enumeration), and the count t
     starts at j0 + 2 — enough for both (t−1)/max > 2^-(k+2) and for the
     segment to hold at least half the class elements below its max — then
-    grows until the max exceeds ``max_above``.  Returns the element list,
-    or None if the segment would leave the window."""
-    while (1 << k) * (2 * j0 + 1) <= min_elem_above:
-        j0 += 1
+    grows until the max exceeds ``max_above``.  Returns the element list
+    and the class index just past it, or None if the segment would leave
+    the window."""
+    # 2^k·(2j + 1) > m exactly when j >= ceil(⌊m/2^k⌋ / 2)
+    if (1 << k) * (2 * j0 + 1) <= min_elem_above:
+        j0 = ((min_elem_above >> k) + 1) >> 1
     t = j0 + 2
-    while True:
+    top = (1 << k) * (2 * (j0 + t - 1) + 1)
+    if top <= max_above:
+        t = (((max_above >> k) + 1) >> 1) - j0 + 1
         top = (1 << k) * (2 * (j0 + t - 1) + 1)
-        if top > max_above:
-            break
-        t += 1
     if top >= n_max:
         return None
-    return region_elements(k, j0, t)
+    return region_elements(k, j0, t), j0 + t
 
 
 def restraint_witness_build(streams, n_max: int, stage_max: int):
@@ -385,8 +379,8 @@ def restraint_witness_build(streams, n_max: int, stage_max: int):
                 current[k] = None
                 iv = None
             if iv is None:
-                elems = _large_interval(k, j_next[k], s, max(wmax, s), n_max)
-                if elems is None:
+                found = _large_interval(k, j_next[k], s, max(wmax, s), n_max)
+                if found is None:
                     if k not in ever_appointed:
                         raise WindowExhausted(
                             f"no interval for requirement {k} fits below "
@@ -395,9 +389,9 @@ def restraint_witness_build(streams, n_max: int, stage_max: int):
                     rec.setdefault("dormant", []).append(k)
                     continue
                 ever_appointed.add(k)
+                elems, j_next[k] = found
                 current[k] = {"elems": set(elems), "max": elems[-1],
                               "all": elems}
-                j_next[k] = (elems[-1] // (1 << k) - 1) // 2 + 1
                 restrained.update(elems)
                 rec.setdefault("appointed", []).append(
                     {"k": k, "min": elems[0],
@@ -496,9 +490,10 @@ def permitted_interval_build(C: CEStream, jump: JumpApprox, streams,
                 if u is None:
                     raise ContractViolated(
                         f"use undefined while guess positive for i={i}, s={s}")
-                elems = _large_interval(k, j_next[p], max(int(u), s),
+                found = _large_interval(k, j_next[p], max(int(u), s),
                                         max(int(u), s), n_max)
-                if elems is not None:
+                if found is not None:
+                    elems, j_next[p] = found
                     # stream e covers the interval from the last entry stage
                     # of its elements inside the stream's window: never if
                     # one is NEVER, at once if none is inside
@@ -508,7 +503,6 @@ def permitted_interval_build(C: CEStream, jump: JumpApprox, streams,
                     st["iv"] = set(elems)
                     st["use"] = int(u)
                     st["appointed"] += 1
-                    j_next[p] = (elems[-1] // (1 << k) - 1) // 2 + 1
                     restrained.update(elems)
                     rec.setdefault("appointed", []).append(
                         {"pair": list(p), "min": elems[0],
@@ -596,11 +590,11 @@ def split_interval_build(B: CEStream, deciders, n_max: int, stage_max: int):
                     pending[e] = pending[e][trig + 1:]
             # keep at most one unrealized interval outstanding
             if not pending[e] or pending[e][-1]["realized"]:
-                elems = _large_interval(e, j_next[e], 0, s, n_max)
-                if elems is not None:
+                found = _large_interval(e, j_next[e], 0, s, n_max)
+                if found is not None:
+                    elems, j_next[e] = found
                     pending[e].append({"elems": elems, "min": elems[0],
                                        "realized": False})
-                    j_next[e] = (elems[-1] // (1 << e) - 1) // 2 + 1
                     rec.setdefault("appointed", []).append(
                         {"e": e, "min": elems[0], "max": elems[-1]})
         if rec:

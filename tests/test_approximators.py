@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,7 @@ from sortedcontainers import SortedList
 from cedensity import approximators as ap
 from cedensity import artifacts as ar
 from cedensity.core import NEVER, CEStream, SetOracle, ceil_div, ceil_sqrt
-from cedensity.errors import PreconditionViolated
+from cedensity.errors import BudgetExceeded, PreconditionViolated
 
 
 def evens_stream(n_max=2000):
@@ -349,3 +350,347 @@ def test_scripted_stream_takes_the_sorted_path():
     assert stream.monotone_entries is None
     assert CEStream.from_schedule([(0, 0), (2, 0), (3, 4)], n_max=6,
                                   stage_max=9).monotone_entries is not None
+
+
+# -- each producer against the code its family skeleton replaced ----------
+#
+# The producers below are the extraction routines as they were written out
+# before the checkpoint loop, the look-ahead tail and the guarded stage
+# search each came to exist once.  They call the same helpers, so every
+# artifact must be identical, down to the JSON bytes.
+
+def old_checkpoint_subset(stream, q):
+    q = Fraction(q)
+    entry = stream.entry
+    bits = np.zeros(stream.n_max, dtype=bool)
+    checkpoints = [{"s": 0, "t": 0, "count": 0}]
+    diagnostics = []
+    s_n = 0
+    running = 0
+    while True:
+        found = ap._first_pair_search(
+            stream, s_n, lambda s: ap._ceil_q(q, s, stream.n_max))
+        if found is None:
+            diagnostics.append({
+                "error": "BudgetExceeded",
+                "detail": "no next checkpoint pair within the window/stage budget",
+                "after_checkpoint": len(checkpoints) - 1,
+            })
+            break
+        s_next, t_next = found
+        block = entry[s_n:s_next] <= t_next
+        bits[s_n:s_next] = block
+        running += int(np.count_nonzero(block))
+        checkpoints.append({"s": s_next, "t": t_next, "count": running})
+        s_n = s_next
+        if s_n >= stream.n_max:
+            break
+    guarantee = {"form": "checkpoint-ratio", "q_num": q.numerator,
+                 "q_den": q.denominator}
+    return ap.SubsetArtifact("checkpoint_subset", bits, checkpoints,
+                             guarantee, diagnostics,
+                             meta={"stream": stream.label})
+
+
+def old_tracking_checkpoint_subset(stream, q_seq):
+    qs = ap._seq_to_fn(q_seq)
+    entry = stream.entry
+    bits = np.zeros(stream.n_max, dtype=bool)
+    checkpoints = [{"s": 0, "t": 0, "count": 0}]
+    diagnostics = []
+    s_n = 0
+    running = 0
+    n = 0
+    while True:
+        found = ap._tracking_pair_search(stream, s_n, n, qs)
+        if found is None:
+            diagnostics.append({
+                "error": "BudgetExceeded",
+                "detail": "no next checkpoint pair within the window/stage budget",
+                "after_checkpoint": n,
+            })
+            break
+        s_next, t_next = found
+        block = entry[s_n:s_next] <= t_next
+        bits[s_n:s_next] = block
+        running += int(np.count_nonzero(block))
+        target = Fraction(qs(t_next))
+        strict_ok = (running * target.denominator
+                     >= target.numerator * s_next)
+        checkpoints.append({
+            "s": s_next, "t": t_next, "count": running,
+            "target_num": target.numerator, "target_den": target.denominator,
+            "slack_pow": n, "observed_unslacked": bool(strict_ok),
+        })
+        s_n = s_next
+        n += 1
+        if s_n >= stream.n_max:
+            break
+    guarantee = {"form": "tracking-checkpoint-ratio"}
+    return ap.SubsetArtifact("tracking_checkpoint_subset", bits, checkpoints,
+                             guarantee, diagnostics,
+                             meta={"stream": stream.label})
+
+
+def old_lookahead_subset(stream, q, n0=1):
+    q = Fraction(q)
+    ns = np.arange(n0, stream.n_max + 1, dtype=np.int64)
+    needs = ap._ceil_q(q, ns, stream.n_max)
+    final_counts = ap.prefix_counts(stream.final_members())[n0:]
+    bad = np.flatnonzero(final_counts < needs)
+    if bad.size:
+        n_bad = int(ns[bad[0]])
+        raise PreconditionViolated(
+            f"density target {q} fails at n={n_bad}: "
+            f"count={int(final_counts[bad[0]])}", at=n_bad)
+    s_table, in_a = ap._stage_table_kth(stream, needs, n0)
+    bits, t_of_k = ap._lookahead_bits(stream, s_table, n0)
+    viol = ap._margin_guarantee_holds(bits, in_a, n0)
+    guarantee = {
+        "form": "lookahead-margin",
+        "q_num": q.numerator, "q_den": q.denominator, "n0": n0,
+        "s_table": s_table.tolist(),
+        "holds": viol is None, "first_violation": viol,
+    }
+    return ap.SubsetArtifact("lookahead_subset", bits,
+                             checkpoints=[{"t_of_k_tail": int(t_of_k[-1])}],
+                             guarantee=guarantee,
+                             meta={"stream": stream.label})
+
+
+def old_witnessed_subset(stream, w):
+    n_max = stream.n_max
+    w_vals = [0]
+    z = 1
+    while True:
+        wz = int(w(z))
+        if wz < w_vals[-1]:
+            raise PreconditionViolated(f"witness not nondecreasing at k={z}")
+        if wz > n_max or z > n_max:
+            break
+        w_vals.append(wz)
+        z += 1
+    ns = np.arange(n_max + 1, dtype=np.int64)
+    h_of_n = np.minimum(np.searchsorted(np.array(w_vals[1:], dtype=np.int64),
+                                        ns, side="right"), ns)
+    needs = (ns - (ns >> np.minimum(h_of_n, 62)))[1:]
+    final_counts = ap.prefix_counts(stream.final_members())
+    bad = np.flatnonzero(final_counts[1:] < needs)
+    if bad.size:
+        n = int(bad[0]) + 1
+        raise PreconditionViolated(
+            f"witness promise fails at n={n} (level {int(h_of_n[n])})",
+            at=n)
+    s_table, _ = ap._stage_table_kth(stream, needs, 1)
+    bits, _ = ap._lookahead_bits(stream, s_table, 1)
+    viol = ap._margin_guarantee_holds(bits, needs, 1)
+    guarantee = {
+        "form": "witness-margin",
+        "h_of_n": h_of_n[1:].tolist(),
+        "s_table": s_table.tolist(),
+        "holds": viol is None, "first_violation": viol,
+    }
+    return ap.SubsetArtifact("witnessed_subset", bits, guarantee=guarantee,
+                             meta={"stream": stream.label})
+
+
+def _need_for_level(n, h):
+    # ceil(n · (2^h − 1) / 2^h)
+    p = 1 << h
+    return ceil_div(n * (p - 1), p)
+
+
+def old_guarded_stage_table(stream, n_max, threshold_need):
+    entry = stream.entry
+    s_table = np.zeros(n_max + 1, dtype=np.int64)
+    in_a = np.zeros(n_max + 1, dtype=np.int64)
+    sorted_prefix = SortedList()
+    for n in range(1, n_max + 1):
+        e = int(entry[n - 1])
+        if e != NEVER:
+            sorted_prefix.add(e)
+        s = n
+        while True:
+            if s > stream.stage_max:
+                raise BudgetExceeded(
+                    f"guarded stage search exhausted at n={n}", at=n)
+            have = sorted_prefix.bisect_right(s)
+            if have >= threshold_need(n, s):
+                break
+            s += 1
+        s_table[n], in_a[n] = s, have
+    return s_table, in_a
+
+
+def old_limit_witness_subset(stream, g):
+    n_max = stream.n_max
+
+    def need(n, s):
+        h = 0
+        for k in range(n, 0, -1):
+            if int(g.eval(k, s)) <= n:
+                h = k
+                break
+        return _need_for_level(n, h)
+
+    s_table, in_a = (v[1:] for v in old_guarded_stage_table(stream, n_max,
+                                                            need))
+    bits, _ = ap._lookahead_bits(stream, s_table, 1)
+    viol = ap._margin_guarantee_holds(bits, in_a, 1)
+    guarantee = {
+        "form": "lookahead-margin-relative",
+        "s_table": s_table.tolist(),
+        "holds": viol is None, "first_violation": viol,
+    }
+    return ap.SubsetArtifact("limit_witness_subset", bits,
+                             guarantee=guarantee,
+                             meta={"stream": stream.label, "g": g.label})
+
+
+def old_tracked_witness_subset(stream, q_seq, g):
+    qs = ap._seq_to_fn(q_seq)
+    n_max = stream.n_max
+
+    def need(n, s):
+        k_bind = None
+        for k in range(n, 0, -1):
+            if int(g.eval(k, s)) <= n:
+                k_bind = k
+                break
+        if k_bind is None:
+            return 0
+        thr = Fraction(qs(n)) - Fraction(1, 1 << k_bind)
+        if thr <= 0:
+            return 0
+        return ceil_div(thr.numerator * n, thr.denominator)
+
+    s_table, in_a = (v[1:] for v in old_guarded_stage_table(stream, n_max,
+                                                            need))
+    bits, _ = ap._lookahead_bits(stream, s_table, 1)
+    viol = ap._margin_guarantee_holds(bits, in_a, 1)
+    guarantee = {
+        "form": "lookahead-margin-relative",
+        "s_table": s_table.tolist(),
+        "holds": viol is None, "first_violation": viol,
+    }
+    return ap.SubsetArtifact("tracked_witness_subset", bits,
+                             guarantee=guarantee,
+                             meta={"stream": stream.label, "g": g.label})
+
+
+def outcome(call):
+    """The artifact's JSON bytes, or the error's type, message and point."""
+    try:
+        art = call()
+    except (PreconditionViolated, BudgetExceeded) as exc:
+        return type(exc), str(exc), exc.at
+    return json.dumps(ar.artifact_payload(art), sort_keys=True)
+
+
+def logged(fn):
+    """fn, and the log its calls append their arguments to."""
+    log = []
+
+    def call(*args):
+        log.append(args)
+        return fn(*args)
+
+    return call, log
+
+
+@st.composite
+def short_streams(draw):
+    """Streams of at most 30 elements, monotone or not, whose stage_max may
+    drop late entries, so that the stage budget can run out."""
+    n = draw(st.integers(1, 30))
+    stages = draw(st.lists(st.integers(0, 2 * n), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        stages.sort()
+    live = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return CEStream.from_schedule(
+        [(m, s) for m, (s, on) in enumerate(zip(stages, live)) if on],
+        n_max=n, stage_max=draw(st.integers(1, 2 * n + 5)))
+
+
+# g(k, s): instant, level-wise, exponential and late-settling guesses
+G_KINDS = {
+    "zero": lambda c: lambda k, s: 0,
+    "level": lambda c: lambda k, s: k + c,
+    "exponential": lambda c: lambda k, s: 2 ** (k + c),
+    "late": lambda c: lambda k, s: 10**6 if s < c * k else k,
+}
+
+
+def targets(kind):
+    """A target sequence given as a list or as a callable, and the log of
+    the callable's calls."""
+    if kind == "list":
+        return [Fraction(1, 4), Fraction(2, 3), Fraction(1, 2)], []
+    return logged(lambda i: Fraction(1, 2) + Fraction(1, i + 4))
+
+
+@settings(max_examples=120, deadline=None)
+@given(streams, st.sampled_from(QS), st.integers(1, 40), st.integers(0, 4))
+def test_unguarded_producers_match_their_old_code(stream, q, n0, shift):
+    n0 = min(n0, stream.n_max + 1)
+    w = (lambda k: 2 ** (k + shift)) if shift else (lambda k: k * k)
+    for new, old in (
+            (lambda: ap.checkpoint_subset(stream, q),
+             lambda: old_checkpoint_subset(stream, q)),
+            (lambda: ap.tracking_checkpoint_subset(stream, [q, "1/4"]),
+             lambda: old_tracking_checkpoint_subset(stream, [q, "1/4"])),
+            (lambda: ap.lookahead_subset(stream, q, n0),
+             lambda: old_lookahead_subset(stream, q, n0)),
+            (lambda: ap.witnessed_subset(stream, w),
+             lambda: old_witnessed_subset(stream, w))):
+        assert outcome(new) == outcome(old)
+
+
+@settings(max_examples=100, deadline=None)
+@given(short_streams(), st.sampled_from(QS), st.sampled_from(["list", "fn"]))
+def test_checkpoint_producers_match_on_short_budgets(stream, q, kind):
+    assert outcome(lambda: ap.checkpoint_subset(stream, q)) == \
+        outcome(lambda: old_checkpoint_subset(stream, q))
+    runs = []
+    for producer in (ap.tracking_checkpoint_subset,
+                     old_tracking_checkpoint_subset):
+        q_seq, q_log = targets(kind)
+        runs.append((outcome(lambda: producer(stream, q_seq)), q_log))
+    assert runs[0] == runs[1]
+
+
+@settings(max_examples=120, deadline=None)
+@given(short_streams(), st.sampled_from(sorted(G_KINDS)), st.integers(0, 3),
+       st.sampled_from(["list", "fn"]))
+def test_guarded_producers_match_their_old_code(stream, g_kind, c, kind):
+    runs = []
+    for producer in (ap.limit_witness_subset, old_limit_witness_subset):
+        g_fn, g_log = logged(G_KINDS[g_kind](c))
+        g = ap.LimitApprox(g_fn, "g")
+        runs.append((outcome(lambda: producer(stream, g)), g_log))
+    assert runs[0] == runs[1]
+    runs = []
+    for producer in (ap.tracked_witness_subset, old_tracked_witness_subset):
+        g_fn, g_log = logged(G_KINDS[g_kind](c))
+        g = ap.LimitApprox(g_fn, "g")
+        q_seq, q_log = targets(kind)
+        runs.append((outcome(lambda: producer(stream, q_seq, g)), g_log,
+                     q_log))
+    assert runs[0] == runs[1]
+
+
+def test_exhausted_budgets_match_their_old_code():
+    # element 3 never enters: no checkpoint pair at q = 3/4 passes s = 3,
+    # and with every guard binding at once s(4) needs all of [0, 4)
+    stream = CEStream.from_schedule([(m, m) for m in (0, 1, 2, 4, 5)],
+                                    n_max=6, stage_max=12)
+    new = ap.checkpoint_subset(stream, "3/4")
+    assert new.diagnostics[0]["after_checkpoint"] == len(new.checkpoints) - 1
+    assert outcome(lambda: new) == \
+        outcome(lambda: old_checkpoint_subset(stream, "3/4"))
+    assert outcome(lambda: ap.tracking_checkpoint_subset(stream, ["3/4"])) \
+        == outcome(lambda: old_tracking_checkpoint_subset(stream, ["3/4"]))
+    for producer in (ap.limit_witness_subset, old_limit_witness_subset):
+        assert outcome(lambda: producer(
+            stream, ap.LimitApprox(lambda k, s: 0))) == (
+                BudgetExceeded, "guarded stage search exhausted at n=4", 4)

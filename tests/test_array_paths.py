@@ -16,7 +16,7 @@ from cedensity.core import NEVER, CEStream, SetOracle, write_jsonl
 from cedensity.errors import ArtifactError, ContractViolated
 from cedensity.prioritysim import (ConstructionTrace, JumpApprox,
                                    _large_interval, pair_code,
-                                   permitted_interval_build)
+                                   permitted_interval_build, region_elements)
 
 # -- stream build ---------------------------------------------------------------
 
@@ -181,8 +181,9 @@ def permitted_interval_rescan(C, jump, streams, n_max, stage_max, pairs):
                 u = jump.use(i, s)
                 if u is None:
                     raise ContractViolated("use undefined")
-                elems = _large_interval(k, j_next[p], max(int(u), s),
-                                        max(int(u), s), n_max)
+                elems, _ = _large_interval(
+                    k, j_next[p], max(int(u), s), max(int(u), s),
+                    n_max) or (None, None)
                 if elems is not None:
                     st_["iv"] = set(elems)
                     st_["use"] = int(u)
@@ -299,3 +300,31 @@ def test_rle_to_bits_rejects_non_integer_runs(runs, bad, at, n):
     with pytest.raises(ArtifactError,
                        match="run-length data inconsistent with n_max"):
         artifacts.rle_to_bits(runs, n)
+
+
+# -- large-interval placement -------------------------------------------------
+
+
+def large_interval_loop(k, j0, min_elem_above, max_above, n_max):
+    """_large_interval as the two index searches it was, one step at a
+    time, with the next index read back off the segment's max."""
+    while (1 << k) * (2 * j0 + 1) <= min_elem_above:
+        j0 += 1
+    t = j0 + 2
+    while True:
+        top = (1 << k) * (2 * (j0 + t - 1) + 1)
+        if top > max_above:
+            break
+        t += 1
+    if top >= n_max:
+        return None
+    elems = region_elements(k, j0, t)
+    return elems, (elems[-1] // (1 << k) - 1) // 2 + 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 8), st.integers(0, 60), st.integers(0, 3000),
+       st.integers(0, 3000), st.integers(1, 4000))
+def test_large_interval_matches_the_index_loops(k, j0, lo, hi, n_max):
+    assert _large_interval(k, j0, lo, hi, n_max) == \
+        large_interval_loop(k, j0, lo, hi, n_max)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cedensity import cli
+from cedensity.core import NEVER
 from cedensity.errors import BudgetExceeded
 
 
@@ -356,6 +357,103 @@ def test_bad_config_shape_is_a_config_error(tmp_path, capsys, cfg, message):
     assert message in err
 
 
+@pytest.mark.parametrize("n_max, stage_max, message", [
+    (20, NEVER, "universe.stage_max: must be an integer in "
+                f"[1, {NEVER - 1}], got {NEVER}"),
+    (NEVER, 40, f"universe.n_max: must be an integer in [1, {NEVER - 1}]"),
+    (10**30, 40, "universe.n_max: must be an integer in"),
+])
+def test_universe_past_int64_is_a_config_error(tmp_path, capsys, n_max,
+                                               stage_max, message):
+    cfg = construct_cfg({"op": "blockwise-union", "streams": ["evs"]})
+    cfg["universe"] = {"n_max": n_max, "stage_max": stage_max}
+    assert _run(tmp_path, "construct", cfg) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert message in err
+
+
+def test_blockwise_union_at_the_last_stage_keeps_its_members(tmp_path):
+    runs = []
+    for stage_max in (40, NEVER - 1):
+        cfg = construct_cfg({"op": "blockwise-union",
+                             "streams": ["evs"] * 3})
+        cfg["universe"] = {"n_max": 20, "stage_max": stage_max}
+        assert _run(tmp_path, "construct", cfg) == 0
+        art = json.loads((tmp_path / "o" / "artifact.json").read_text())
+        runs.append(art["bits_rle"])
+    # the evens of [2, 20): index 0 owns [1, 2), which holds no even
+    assert runs[0] == runs[1] == [2] + [1, 1] * 9
+
+
+@pytest.mark.parametrize("command", ["density", "construct"])
+def test_window_too_large_to_allocate_is_a_budget_error(tmp_path, capsys,
+                                                        command):
+    cfg = construct_cfg({"op": "checkpoint-subset", "stream": "evs",
+                         "q": "1/4"})
+    cfg["universe"]["n_max"] = 2**62
+    assert _run(tmp_path, command, cfg) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "budget error: universe.n_max: a window of" in err
+
+
+def test_memory_error_is_a_budget_error(tmp_path, capsys, monkeypatch):
+    def boom(oracle, n_max):
+        raise MemoryError("Unable to allocate 1 EiB")
+
+    monkeypatch.setattr(cli, "density_profile", boom)
+    assert _run(tmp_path, "density", density_cfg()) == 3
+    assert "budget error: Unable to allocate 1 EiB" in capsys.readouterr().err
+
+
+def _permitted_cfg(**construction):
+    cfg = construct_cfg(dict(_permitted({"kind": "step", "on_at": 3,
+                                         "use": 5}), **construction))
+    cfg["universe"] = {"n_max": 200, "stage_max": 400}
+    return cfg
+
+
+@pytest.mark.parametrize("construction, message", [
+    ({"pairs": [[1, 0]]},
+     "construction.pairs[0]: must be an integer in [0, 0], got 1"),
+    ({"pairs": [[-1, 0]]},
+     "construction.pairs[0]: must be an integer in [0, 0], got -1"),
+    ({"pairs": [["a", 0]]},
+     "construction.pairs[0]: must be an integer in [0, 0], got 'a'"),
+    ({"pairs": [[0]]}, "construction.pairs[0]: must be an [e, i] pair"),
+    ({"pairs": 5}, "construction.pairs: must be a list"),
+    ({"pairs": [[0, 0], [0, -1]]},
+     "construction.pairs[1]: must be an integer >= 0, got -1"),
+    ({"pairs": [[0, 0], [0, 0]]},
+     "construction.pairs: a pair is listed twice"),
+    ({"jump": {"kind": "step", "on_at": 3, "use": "x"}},
+     "construction.jump.use: must be an integer >= 0, got 'x'"),
+    ({"jump": {"kind": "step", "on_at": 3, "use": -4}},
+     "construction.jump.use: must be an integer >= 0, got -4"),
+    ({"jump": {"kind": "step", "on_at": "a", "use": 5}},
+     "construction.jump.on_at: must be an integer >= 0, got 'a'"),
+    ({"jump": {"kind": "blink", "period": 0, "use": 5}},
+     "construction.jump.period: must be an integer >= 1, got 0"),
+    ({"jump": 7}, "construction.jump: must be a JSON object"),
+])
+def test_bad_permitted_interval_field_is_a_config_error(
+        tmp_path, capsys, construction, message):
+    assert _run(tmp_path, "construct", _permitted_cfg(**construction)) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert message in err
+
+
+def test_use_past_the_window_appoints_no_interval(tmp_path):
+    cfg = _permitted_cfg(jump={"kind": "step", "on_at": 3, "use": 2**70},
+                         pairs=[[0, 0]])
+    assert _run(tmp_path, "construct", cfg) == 0
+    lines = (tmp_path / "o" / "trace.jsonl").read_text().splitlines()
+    assert json.loads(lines[-1])["outcomes"] == {
+        "(0, 0)": {"appointed": 0, "cancels": 0, "case": "no-interval"}}
+
+
 # -- fuzz: mutated configs end in a documented exit code ----------------------
 
 _junk = st.one_of(st.none(), st.booleans(), st.floats(), st.text(max_size=3),
@@ -372,6 +470,11 @@ _pairs = st.one_of(st.lists(st.lists(_fields, max_size=3), max_size=4),
 _mutations = st.one_of(
     st.tuples(st.just("universe"), st.sampled_from(["n_max", "stage_max"]),
               _sizes),
+    # no stage loop runs on this base, so a stage_max at int64 is cheap
+    st.tuples(st.just("universe"), st.just("stage_max"),
+              st.sampled_from([NEVER - 1, NEVER, 10**30])),
+    st.tuples(st.just("universe"), st.just("n_max"),
+              st.sampled_from([NEVER, 10**30])),
     st.tuples(st.just("universe"), st.none(), _fields),
     st.tuples(st.just("schedule"), st.just("kind"), _kinds),
     st.tuples(st.just("schedule"), st.sampled_from(["factor", "offset",
@@ -422,6 +525,54 @@ def test_mutated_config_exits_with_a_documented_code(command, which,
         with open(path, "w") as fh:
             json.dump(cfg, fh)
         code = cli.main([command, "--config", path,
+                         "--out", os.path.join(d, "o")])
+    assert code in {0, 1, 2, 3, 4}
+    assert "Traceback" not in err.getvalue()
+
+
+def _permitted_fuzz_base():
+    return {"universe": {"n_max": 120, "stage_max": 240},
+            "sets": [{"label": "ev", "kind": "residue-union",
+                      "modulus": 2, "residues": [0]},
+                     {"label": "all", "kind": "naturals"}],
+            "streams": [
+                {"label": "c", "set": "ev",
+                 "schedule": {"kind": "delayed", "factor": 3, "offset": 5}},
+                {"label": "a", "set": "all",
+                 "schedule": {"kind": "own-stage"}}],
+            "construction": {"op": "permitted-interval", "permitter": "c",
+                             "streams": ["a", "c"],
+                             "jump": {"kind": "step", "on_at": 4, "use": 9},
+                             "pairs": [[0, 0], [1, 0], [0, 1]]}}
+
+
+_jump_fields = st.one_of(st.sampled_from(["never", "step", "blink"]),
+                         _fields)
+_permitted_mutations = st.one_of(
+    st.tuples(st.sampled_from(["kind", "on_at", "use", "period"]),
+              _jump_fields),
+    st.tuples(st.just(None), _fields),
+    st.tuples(st.just("pairs"), _pairs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_permitted_mutations, min_size=1, max_size=3))
+def test_mutated_permitted_interval_exits_with_a_documented_code(mutations):
+    cfg = _permitted_fuzz_base()
+    spec = cfg["construction"]
+    for key, value in mutations:
+        if key == "pairs":
+            spec["pairs"] = value
+        elif key is None or not isinstance(spec["jump"], dict):
+            spec["jump"] = value
+        else:
+            spec["jump"][key] = value
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as d, contextlib.redirect_stderr(err):
+        path = os.path.join(d, "c.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        code = cli.main(["construct", "--config", path,
                          "--out", os.path.join(d, "o")])
     assert code in {0, 1, 2, 3, 4}
     assert "Traceback" not in err.getvalue()

@@ -177,3 +177,13 @@ def test_stage_profile():
     s = CEStream.from_oracle(SetOracle.naturals(), n_max=10, stage_max=10)
     prof = core.stage_profile(s, 4)
     assert prof.count(10) == 5  # {0..4} entered by stage 4
+
+
+@pytest.mark.parametrize("s", [NEVER, 10**30])
+def test_never_entries_stay_out_of_every_snapshot(s):
+    evens = SetOracle.residue_union(2, [0])
+    stream = CEStream.from_oracle(evens, n_max=10, stage_max=s)
+    assert stream.final_members().tolist() == [m % 2 == 0 for m in range(10)]
+    assert stream.snapshot(s).tolist() == stream.snapshot(20).tolist()
+    assert stream.member_at(2, s) and not stream.member_at(1, s)
+    assert stream.count_at(10, s) == 5
