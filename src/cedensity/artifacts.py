@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .approximators import SubsetArtifact
-from .core import (ceil_sqrt_array, csv_lines, exact_ints, write_columns,
+from .core import (ceil_sqrt_array, csv_bytes, exact_ints, write_columns,
                    write_json)
 from .errors import ArtifactError
 
@@ -390,9 +390,9 @@ def labelled_failures(art: SubsetArtifact) -> list:
     if form.bounds is not None:
         cols, holds = _bound_rows(form, art, counts)
         bad = ~holds
+        rows = csv_bytes([None if col is None else col[bad] for col in cols])
         out += [(form.bound_label, f"certified row fails: {row}")
-                for row in csv_lines(
-                    [None if col is None else col[bad] for col in cols])]
+                for row in rows.decode().split("\n")[:-1]]
     return out
 
 

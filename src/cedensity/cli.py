@@ -28,11 +28,19 @@ from .errors import (ArtifactError, BudgetExceeded, CedensityError,
 from .metrics import symdiff_profile
 
 
-def _frac(v) -> Fraction:
+def _frac(v, path: str) -> Fraction:
     try:
         return Fraction(v)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"bad rational {v!r}") from exc
+        raise ConfigError(f"{path}: bad rational {v!r}") from exc
+
+
+def _unit(v, path: str) -> Fraction:
+    """v as a rational strictly between 0 and 1; else a ConfigError."""
+    q = _frac(v, path)
+    if not 0 < q < 1:
+        raise ConfigError(f"{path}: must be a rational in (0, 1), got {v!r}")
+    return q
 
 
 def _int_in(value, path: str, lo: int, hi=None) -> int:
@@ -43,6 +51,35 @@ def _int_in(value, path: str, lo: int, hi=None) -> int:
         return value
     bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
     raise ConfigError(f"{path}: must be an integer {bound}, got {value!r}")
+
+
+def _object(value, path: str) -> dict:
+    """value if it is a JSON object; else a ConfigError naming its path."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}: must be a JSON object")
+    return value
+
+
+def _list(value, path: str, nonempty: bool = False) -> list:
+    """value if it is a list (with an entry, if ``nonempty``); else a
+    ConfigError naming its path."""
+    if not isinstance(value, list) or (nonempty and not value):
+        kind = "a nonempty list" if nonempty else "a list"
+        raise ConfigError(f"{path}: must be {kind}, got {value!r}")
+    return value
+
+
+def _ints(value, path: str, lo: int, hi=None) -> list:
+    """value if it is a list of ints in [lo, hi]; else a ConfigError."""
+    return [_int_in(v, f"{path}[{j}]", lo, hi)
+            for j, v in enumerate(_list(value, path))]
+
+
+def _label(spec: dict, path: str) -> str:
+    label = _need(spec, "label", path)
+    if not isinstance(label, str):
+        raise ConfigError(f"{path}.label: must be a string, got {label!r}")
+    return label
 
 
 def _need(table, key, path: str):
@@ -60,11 +97,7 @@ def _load_config(path) -> dict:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config: must be a JSON object")
-    uni = cfg.get("universe", {})
-    if not isinstance(uni, dict):
-        raise ConfigError("universe: must be a JSON object")
+    uni = _object(_object(cfg, "config").get("universe", {}), "universe")
     for key in ("n_max", "stage_max"):
         # every element and stage below NEVER fits int64
         _int_in(_int_in(uni.get(key), f"universe.{key}", 1),
@@ -75,27 +108,33 @@ def _load_config(path) -> dict:
     return cfg
 
 
-def _build_set(spec: dict, path: str) -> SetOracle:
+def _build_set(spec: dict, label: str, path: str) -> SetOracle:
     kind = spec.get("kind")
-    label = spec.get("label", kind)
 
     def need(key):
         return _need(spec, key, path)
+
+    def ints(key, lo, hi=None):
+        return _ints(need(key), f"{path}.{key}", lo, hi)
 
     if kind == "empty":
         return SetOracle.empty(label)
     if kind == "naturals":
         return SetOracle.naturals(label)
     if kind == "explicit":
-        return SetOracle.explicit(need("elements"), label)
+        return SetOracle.explicit(ints("elements", 0, NEVER), label)
     if kind == "residue-union":
-        return SetOracle.residue_union(need("modulus"), need("residues"),
-                                       label)
+        m = _int_in(need("modulus"), f"{path}.modulus", 1, NEVER)
+        return SetOracle.residue_union(m, ints("residues", 0, m - 1), label)
     if kind == "dyadic-class":
-        return dyadic_class(need("k"), label)
+        # 2^k < 2^63: past that no window holds a member of the class
+        return dyadic_class(_int_in(need("k"), f"{path}.k", 0, 62), label)
     if kind == "dyadic-union":
-        return dyadic_union(need("indices"),
-                            include_zero=spec.get("include_zero", False),
+        include_zero = spec.get("include_zero", False)
+        if not isinstance(include_zero, bool):
+            raise ConfigError(f"{path}.include_zero: must be true or false, "
+                              f"got {include_zero!r}")
+        return dyadic_union(ints("indices", 0), include_zero=include_zero,
                             label=label)
     raise ConfigError(f"unknown set kind {kind!r}")
 
@@ -116,10 +155,13 @@ def _int_pairs(value, path: str, shape: str, first_hi=None) -> list:
 
 def _sets(cfg) -> dict:
     out = {}
-    for i, spec in enumerate(cfg.get("sets", [])):
-        if "label" not in spec:
-            raise ConfigError("every set needs a label")
-        out[spec["label"]] = _build_set(spec, f"sets[{i}]")
+    for i, spec in enumerate(_list(cfg.get("sets", []), "sets")):
+        path = f"sets[{i}]"
+        label = _label(_object(spec, path), path)
+        if "/" in label or "\0" in label:  # density_<label>.csv is a file
+            raise ConfigError(f"{path}.label: must not hold '/' or NUL, "
+                              f"got {label!r}")
+        out[label] = _build_set(spec, label, path)
     return out
 
 
@@ -160,14 +202,10 @@ def _streams(cfg, sets) -> dict:
     n_max = cfg["universe"]["n_max"]
     stage_max = cfg["universe"]["stage_max"]
     out = {}
-    for i, spec in enumerate(cfg.get("streams", [])):
-        label = spec.get("label")
-        if label is None:
-            raise ConfigError("every stream needs a label")
-        schedule = spec.get("schedule", {})
+    for i, spec in enumerate(_list(cfg.get("streams", []), "streams")):
+        label = _label(_object(spec, f"streams[{i}]"), f"streams[{i}]")
         path = f"streams[{i}].schedule"
-        if not isinstance(schedule, dict):
-            raise ConfigError(f"{path}: must be a JSON object")
+        schedule = _object(spec.get("schedule", {}), path)
         if schedule.get("kind") == "scripted":
             pairs = _int_pairs(_need(schedule, "pairs", path),
                                f"{path}.pairs", "[element, stage]")
@@ -177,49 +215,52 @@ def _streams(cfg, sets) -> dict:
             except ValueError as exc:  # an element given two stages
                 raise ConfigError(f"{path}.pairs: {exc}") from None
             continue
-        base = sets.get(spec.get("set"))
-        if base is None:
-            raise ConfigError(f"stream {label}: unknown set {spec.get('set')!r}")
+        base = _need(sets, _need(spec, "set", f"streams[{i}]"),
+                     f"streams[{i}].set")
         out[label] = CEStream.from_oracle(
             base, n_max=n_max, stage_max=stage_max,
             delay_fn=_stage_fn(schedule, path, stage_max), label=label)
     return out
 
 
-def _decider(spec: dict, path: str) -> prioritysim.PartialDecider:
+def _decider(spec: dict, label: str, path: str
+             ) -> prioritysim.PartialDecider:
     P = prioritysim.PartialDecider
-    label = spec.get("label")
     kind = spec.get("kind")
-    delay = spec.get("delay", 0)
 
-    def need(key):
-        return _need(spec, key, path)
+    def int_field(key, lo, hi=None):
+        return _int_in(_need(spec, key, path), f"{path}.{key}", lo, hi)
 
+    delay = _int_in(spec.get("delay", 0), f"{path}.delay", 0)
     if kind == "constant":
-        return P.constant(need("value"), delay, label)
+        return P.constant(int_field("value", 0, 1), delay, label)
     if kind == "parity":
         return P.parity(delay, label)
     if kind == "residue":
-        return P.residue(need("modulus"), need("residues"), delay, label)
+        m = int_field("modulus", 1)
+        return P.residue(m, _ints(_need(spec, "residues", path),
+                                  f"{path}.residues", 0, m - 1), delay, label)
     if kind == "never":
         return P.never(label)
     if kind == "value-delay":
-        v = need("value")
-        f = spec.get("delay_factor", 1)
+        v = int_field("value", 0, 1)
+        f = _int_in(spec.get("delay_factor", 1), f"{path}.delay_factor", 0)
         return P.delayed_rule(lambda n: v, lambda n: f * n, label)
     raise ConfigError(f"unknown decider kind {kind!r}")
 
 
 def _deciders(cfg) -> dict:
-    return {spec.get("label"): _decider(spec, f"deciders[{i}]")
-            for i, spec in enumerate(cfg.get("deciders", []))}
+    out = {}
+    for i, spec in enumerate(_list(cfg.get("deciders", []), "deciders")):
+        path = f"deciders[{i}]"
+        label = _label(_object(spec, path), path)
+        out[label] = _decider(spec, label, path)
+    return out
 
 
 def _jump(spec) -> prioritysim.JumpApprox:
     path = "construction.jump"
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{path}: must be a JSON object")
-    kind = spec.get("kind")
+    kind = _object(spec, path).get("kind")
 
     def need(key, lo):
         return _int_in(_need(spec, key, path), f"{path}.{key}", lo)
@@ -238,8 +279,11 @@ def _jump(spec) -> prioritysim.JumpApprox:
     raise ConfigError(f"unknown jump kind {kind!r}")
 
 
-def _targets(values):
-    return [_frac(v) for v in values]
+def _targets(values, path: str) -> list:
+    """A nonempty list of rationals (a sequence read past its end repeats
+    its last entry)."""
+    return [_frac(v, f"{path}[{j}]")
+            for j, v in enumerate(_list(values, path, nonempty=True))]
 
 
 class _ListTrace:
@@ -252,10 +296,11 @@ class _ListTrace:
         write_jsonl(path, self.rows)
 
 
-def _approx(spec: dict, sets, n_max: int) -> builders.Delta2Approx:
-    kind = spec.get("kind")
-    window = spec.get("window", n_max)
+def _approx(spec, sets, n_max: int) -> builders.Delta2Approx:
     path = "construction.approx"
+    kind = _object(spec, path).get("kind")
+    window = _int_in(spec.get("window", n_max), f"{path}.window", 1,
+                     NEVER // 16)
 
     def members(key):
         label = _need(spec, key, path)
@@ -266,7 +311,7 @@ def _approx(spec: dict, sets, n_max: int) -> builders.Delta2Approx:
                                               label=spec["set"])
     if kind == "flip":
         before, after = members("before"), members("after")
-        at = _need(spec, "at", path)
+        at = _int_in(_need(spec, "at", path), f"{path}.at", 0)
         return builders.Delta2Approx(
             lambda s: after if s >= at else before, window, label="flip")
     raise ConfigError(f"unknown approximation kind {kind!r}")
@@ -289,13 +334,16 @@ def cmd_density(cfg, outdir):
     return 0
 
 
+def _section(cfg, name: str) -> dict:
+    spec = cfg.get(name)
+    if not spec:
+        raise ConfigError(f"config has no {name!r} section")
+    return _object(spec, name)
+
+
 def cmd_metrics(cfg, outdir):
     sets = _sets(cfg)
-    spec = cfg.get("metrics")
-    if not spec:
-        raise ConfigError("config has no 'metrics' section")
-    if not isinstance(spec, dict):
-        raise ConfigError("metrics: must be a JSON object")
+    spec = _section(cfg, "metrics")
     a, b = (_need(sets, _need(spec, k, "metrics"), f"metrics.{k}")
             for k in ("a", "b"))
     n_max = cfg["universe"]["n_max"]
@@ -316,9 +364,7 @@ def cmd_metrics(cfg, outdir):
 
 def _dispatch_construct(cfg, sets, streams, deciders):
     """Returns (artifact, trace_or_None)."""
-    spec = cfg.get("construction")
-    if not spec:
-        raise ConfigError("config has no 'construction' section")
+    spec = _section(cfg, "construction")
     op = spec.get("op")
     n_max = cfg["universe"]["n_max"]
     stage_max = cfg["universe"]["stage_max"]
@@ -330,55 +376,80 @@ def _dispatch_construct(cfg, sets, streams, deciders):
         return _need(streams, need(key), f"construction.{key}")
 
     def stream_list(key="streams"):
-        return [_need(streams, x, f"construction.{key}") for x in need(key)]
+        path = f"construction.{key}"
+        return [_need(streams, x, path) for x in _list(need(key), path)]
 
     def decider_list(key="deciders"):
-        return [_need(deciders, x, f"construction.{key}") for x in need(key)]
+        path = f"construction.{key}"
+        return [_need(deciders, x, path) for x in _list(need(key), path)]
+
+    def targets():
+        return _targets(need("targets"), "construction.targets")
+
+    def count(key, hi=None):
+        return _int_in(need(key), f"construction.{key}", 0, hi)
 
     if op == "checkpoint-subset":
-        return approximators.checkpoint_subset(stream(), _frac(need("q"))), None
+        return approximators.checkpoint_subset(
+            stream(), _unit(need("q"), "construction.q")), None
     if op == "tracking-checkpoint-subset":
         return approximators.tracking_checkpoint_subset(
-            stream(), _targets(need("targets"))), None
+            stream(), targets()), None
     if op == "lookahead-subset":
         n0 = _int_in(spec.get("n0", 1), "construction.n0", 1, n_max + 1)
         return approximators.lookahead_subset(
-            stream(), _frac(need("q")), n0), None
+            stream(), _unit(need("q"), "construction.q"), n0), None
     if op == "witnessed-subset":
-        w = spec.get("witness", {})
+        path = "construction.witness"
+        w = _object(spec.get("witness", {}), path)
+
+        def w_int(key, default):
+            return _int_in(w.get(key, default), f"{path}.{key}", 0)
+
         if w.get("kind") == "constant":
-            wfn = lambda k: w.get("value", 0)
+            value = w_int("value", 0)
+            wfn = lambda k: value
         elif w.get("kind") == "exponential":
-            base, shift = w.get("base", 2), w.get("shift", 1)
-            wfn = lambda k: base ** (k + shift)
+            base, shift = w_int("base", 2), w_int("shift", 1)
+            # a power past 2^63 ends the witness as any larger one would
+            wfn = lambda k: base ** min(k + shift, 64)
         else:
             raise ConfigError(f"unknown witness kind {w.get('kind')!r}")
         return approximators.witnessed_subset(stream(), wfn), None
     if op == "target-oscillation":
-        return builders.infsup_build(_targets(need("targets")),
-                                     need("n_checkpoints"), n_max), None
+        _int_in(n_max, "universe.n_max", 2)  # [0, 1) is the first block
+        return builders.infsup_build(targets(), count("n_checkpoints"),
+                                     n_max), None
     if op == "density-transfer":
         B = _approx(need("approx"), sets, n_max)
         st, t, rows, report = builders.density_transfer_build(
-            B, need("n_checkpoints"), stage_max, n_max)
+            B, count("n_checkpoints", B.window - 1), stage_max, n_max)
         art = _stream_artifact(st, "density_transfer",
                                {"form": "membership-only"})
         art.meta["t"] = {str(k): v for k, v in sorted(t.items())}
-        art.meta["report"] = report
         if "diagnostics" in report:
             art.diagnostics = report.pop("diagnostics")
+        # keys as strings, as they reload: int keys past 9 sort in another
+        # order, and the reloaded artifact would fail its digest
+        art.meta["report"] = {name: {str(n): v for n, v in by_n.items()}
+                              for name, by_n in report.items()}
         return art, _ListTrace(rows)
     if op == "blockwise-levels":
-        vals = {int(k): _frac(v) for k, v in need("levels").items()}
+        path = "construction.levels"
+        given = _object(need("levels"), path)
+        if not all(k.isdecimal() for k in given):
+            raise ConfigError(f"{path}: every key must be a block number")
+        vals = {int(k): _frac(v, f"{path}.{k}") for k, v in given.items()}
         g = builders.StableMonotoneG(
             lambda n, s: vals.get(n, Fraction(0)), label="const-levels")
         st, levels = builders.blockwise_limit_build(
-            g, need("n_blocks"), stage_max)
+            g, count("n_blocks", builders.FACTORIAL_BLOCK_CAP), stage_max)
         return _stream_artifact(st, "blockwise_levels",
                                 builders.levels_guarantee(levels)), None
     if op == "limsup-blockwise":
         st, levels, _g = builders.limsup_density_build(
-            _targets(need("targets")), need("n_blocks"), stage_max)
+            targets(), count("n_blocks", builders.FACTORIAL_BLOCK_CAP),
+            stage_max)
         return _stream_artifact(st, "limsup_blockwise",
                                 builders.levels_guarantee(levels)), None
     if op == "blockwise-union":
@@ -488,13 +559,11 @@ def cmd_check(artifact_path):
 def cmd_generic(cfg, outdir):
     sets = _sets(cfg)
     deciders = _deciders(cfg)
-    spec = cfg.get("generic")
-    if not spec:
-        raise ConfigError("config has no 'generic' section")
+    spec = _section(cfg, "generic")
     dec = _need(deciders, _need(spec, "decider", "generic"), "generic.decider")
     target = _need(sets, _need(spec, "set", "generic"), "generic.set")
     n_max = cfg["universe"]["n_max"]
-    r = _frac(spec.get("r", "0"))
+    r = _frac(spec.get("r", "0"), "generic.r")
     lo = _int_in(spec.get("lo", 1), "generic.lo", 1, n_max)
     rep = genericity.evaluate_partial(dec, target, n_max,
                                       cfg["universe"]["stage_max"])

@@ -8,10 +8,10 @@ over an explicit finite window [1, n_max] and never claim limit values.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
 from math import isqrt
 from typing import NamedTuple
 
@@ -108,11 +108,14 @@ class SetOracle:
             if not 0 <= r < m:
                 raise InvalidResidue(f"residue {r} outside [0, {m})")
         rset = frozenset(rs)
-        mask = np.zeros(m, dtype=bool)
-        mask[rs] = True
 
         def batch(n):
-            return mask[np.arange(n, dtype=np.int64) % m]
+            # residues past the window never occur in it, so the mask
+            # stops at min(m, n) whatever the modulus
+            mask = np.zeros(min(m, n), dtype=bool)
+            mask[rs[:bisect_left(rs, n)]] = True
+            idx = np.arange(n, dtype=np.int64)
+            return mask[idx % m if m < n else idx]
 
         return SetOracle(lambda n: (n % m) in rset, kind="residue-union",
                          label=label or f"residues{rs}mod{m}", batch=batch)
@@ -344,24 +347,81 @@ def rho_columns(counts):
     return c // g, n // g, c / n
 
 
-def csv_lines(cols) -> list:
-    """One comma-joined line per row of the equal-length numpy columns; a
-    None column is an empty field.  str() of a float is its repr."""
-    fields = [repeat("") if col is None else map(str, col.tolist())
-              for col in cols]
-    return list(map(",".join, zip(*fields)))
+_POW10 = np.array([10**k for k in range(1, 20)], dtype=np.uint64)
+
+
+def _digit_field(col) -> np.ndarray:
+    """The decimal digits of an integer column, right-aligned in a uint8
+    matrix with one row per value; a leading '-' for negatives, 0 bytes as
+    padding.  Magnitudes are taken in uint64, where -(-2^63) is 2^63."""
+    col = col.astype(np.int64, copy=False)
+    neg = col < 0
+    mag = col.view(np.uint64).copy()
+    np.negative(mag, out=mag, where=neg)
+    digits = np.searchsorted(_POW10, mag, side="right") + 1
+    width = int(digits.max()) + bool(neg.any())
+    out = np.empty((col.size, width), dtype=np.uint8)
+    for j in range(width - 1, -1, -1):
+        rest = mag // 10
+        out[:, j] = mag - rest * 10 + ord("0")
+        mag = rest
+    lead = width - digits  # padding bytes before the first digit
+    out[np.arange(width) < lead[:, None]] = 0
+    rows = np.flatnonzero(neg)
+    out[rows, lead[rows] - 1] = ord("-")
+    return out
+
+
+def _text_field(texts) -> np.ndarray:
+    """ASCII strings left-aligned in a uint8 matrix, 0 bytes as padding."""
+    packed = np.array(texts, dtype=bytes)
+    return packed.view(np.uint8).reshape(len(texts), packed.itemsize)
+
+
+def _field(col) -> np.ndarray:
+    if col.dtype.kind in "iu" and np.can_cast(col.dtype, np.int64):
+        return _digit_field(col)
+    if col.dtype == np.float64:
+        # one repr per distinct bit pattern (-0.0 and 0.0 stay apart)
+        bits, where = np.unique(col.view(np.int64), return_inverse=True)
+        return _text_field(list(map(repr, bits.view(np.float64).tolist())))[
+            where]
+    return _text_field(list(map(str, col.tolist())))
+
+
+def csv_bytes(cols) -> bytes:
+    """The LF-terminated CSV rows of the equal-length numpy columns: an
+    integer column (int64 or narrower) in decimal digits, a float64 column
+    as the repr of each value, any other column (Python ints past int64)
+    as the str of each value, a None column as an empty field.
+
+    Each column becomes a 0-padded byte matrix with one row per CSV row;
+    no field holds a 0 byte, so the nonzero bytes of the matrices laid side
+    by side with the commas and LFs are the rows, in order.
+    """
+    rows = next((len(col) for col in cols if col is not None), 0)
+    if not rows:
+        return b""
+    comma = np.full((rows, 1), ord(","), dtype=np.uint8)
+    parts = []
+    for col in cols:
+        if col is not None:
+            parts.append(_field(col))
+        parts.append(comma)
+    parts[-1] = np.full((rows, 1), ord("\n"), dtype=np.uint8)
+    table = np.concatenate(parts, axis=1)
+    return table[table != 0].tobytes()
 
 
 def write_columns(path, header: str, cols) -> None:
-    """``header`` as given, then one LF-terminated CSV line per row of
-    ``cols`` (see ``csv_lines``), formatted in fixed chunks of rows."""
+    """``header`` as given, then the CSV rows of ``cols`` (see
+    ``csv_bytes``), rendered and written in fixed chunks of rows."""
     rows = next((len(col) for col in cols if col is not None), 0)
-    with open(path, "w", newline="") as fh:
-        fh.write(header)
+    with open(path, "wb") as fh:
+        fh.write(header.encode())
         for i in range(0, rows, _CHUNK_ROWS):
-            chunk = [None if col is None else col[i:i + _CHUNK_ROWS]
-                     for col in cols]
-            fh.writelines(line + "\n" for line in csv_lines(chunk))
+            fh.write(csv_bytes([None if col is None
+                                else col[i:i + _CHUNK_ROWS] for col in cols]))
 
 
 def write_json(path, payload) -> None:

@@ -3,6 +3,8 @@ import io
 import json
 import os
 import random
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -576,3 +578,209 @@ def test_mutated_permitted_interval_exits_with_a_documented_code(mutations):
                          "--out", os.path.join(d, "o")])
     assert code in {0, 1, 2, 3, 4}
     assert "Traceback" not in err.getvalue()
+
+
+def _main_exit(command, cfg):
+    """cli.main's exit code on ``cfg``, and whether it printed a traceback."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as d, contextlib.redirect_stderr(err):
+        path = os.path.join(d, "c.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        code = cli.main([command, "--config", path,
+                         "--out", os.path.join(d, "o")])
+    return code, "Traceback" in err.getvalue()
+
+
+def _entries_fuzz_base():
+    return {"universe": {"n_max": 120, "stage_max": 240},
+            "sets": [{"label": "ev", "kind": "residue-union",
+                      "modulus": 2, "residues": [0]},
+                     {"label": "x", "kind": "explicit",
+                      "elements": [0, 5, 99]},
+                     {"label": "d", "kind": "dyadic-class", "k": 1},
+                     {"label": "u", "kind": "dyadic-union",
+                      "indices": [0, 2], "include_zero": True}],
+            "streams": [{"label": "evs", "set": "ev"},
+                        {"label": "xs", "set": "x"}],
+            "deciders": [{"label": "one", "kind": "constant", "value": 1,
+                          "delay": 2},
+                         {"label": "r", "kind": "residue", "modulus": 3,
+                          "residues": [1], "delay": 1},
+                         {"label": "v", "kind": "value-delay", "value": 0,
+                          "delay_factor": 1},
+                         {"label": "p", "kind": "parity"}],
+            "construction": {"op": "ratio-interval",
+                             "deciders": ["one", "r", "v", "p"]},
+            "generic": {"decider": "r", "set": "ev", "r": "1/2"}}
+
+
+_set_keys = st.sampled_from(["label", "kind", "modulus", "residues",
+                             "elements", "k", "indices", "include_zero"])
+_decider_keys = st.sampled_from(["label", "kind", "value", "delay",
+                                 "modulus", "residues", "delay_factor"])
+_labels = st.sampled_from(["ev", "x", "d", "u", "one", "r", "v", "p",
+                           "a/b", ""])
+_entry_values = st.one_of(_fields, _labels,
+                          st.sampled_from(["empty", "naturals", "explicit",
+                                           "residue-union", "dyadic-class",
+                                           "dyadic-union", "constant",
+                                           "parity", "residue", "never",
+                                           "value-delay"]))
+_entry_mutations = st.one_of(
+    st.tuples(st.just("sets"), st.integers(0, 3), _set_keys, _entry_values),
+    st.tuples(st.just("deciders"), st.integers(0, 3), _decider_keys,
+              _entry_values),
+    st.tuples(st.sampled_from(["sets", "deciders"]), st.integers(0, 3),
+              st.none(), _fields),
+    st.tuples(st.sampled_from(["sets", "deciders", "streams"]), st.none(),
+              st.none(), _fields))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["construct", "density", "generic"]),
+       st.lists(_entry_mutations, min_size=1, max_size=3))
+def test_mutated_entries_exit_with_a_documented_code(command, mutations):
+    cfg = _entries_fuzz_base()
+    for section, index, key, value in mutations:
+        entries = cfg[section]
+        if index is None or not isinstance(entries, list):
+            cfg[section] = value
+        elif key is None or not isinstance(entries[index], dict):
+            entries[index] = value
+        else:
+            entries[index][key] = value
+    code, traceback = _main_exit(command, cfg)
+    assert code in {0, 1, 2, 3, 4}
+    assert not traceback
+
+
+_CONSTRUCTIONS = {
+    "streams": {"op": "blockwise-union", "streams": ["evs", "alls"]},
+    "deciders": {"op": "ratio-interval", "deciders": ["one"]},
+    "targets": {"op": "tracking-checkpoint-subset", "stream": "evs",
+                "targets": ["1/4", "1/3"]},
+    "witness": {"op": "witnessed-subset", "stream": "alls",
+                "witness": {"kind": "exponential", "base": 2, "shift": 1}},
+    "levels": {"op": "blockwise-levels", "n_blocks": 3,
+               "levels": {"1": "1/2", "2": "1/3", "3": "2/3"}},
+    "n_checkpoints": {"op": "target-oscillation", "n_checkpoints": 6,
+                      "targets": ["1/3", "2/3"]},
+}
+_construction_values = st.one_of(
+    _fields, st.lists(st.one_of(_labels, _fields), max_size=3),
+    st.sampled_from([[], {}, ["evs", "nope"], {"kind": "constant",
+                                               "value": 5},
+                     {"kind": "exponential", "base": 0, "shift": 2**70},
+                     {"1": "x"}, {"a": "1/2"}, {"2": 5}, {"3": "-1/2"}]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(_CONSTRUCTIONS)), _construction_values,
+       st.booleans())
+def test_mutated_construction_exits_with_a_documented_code(field, value,
+                                                           transfer):
+    cfg = {"universe": {"n_max": 120, "stage_max": 240},
+           "sets": [{"label": "ev", "kind": "residue-union",
+                     "modulus": 2, "residues": [0]},
+                    {"label": "all", "kind": "naturals"}],
+           "streams": [{"label": "evs", "set": "ev"},
+                       {"label": "alls", "set": "all"}],
+           "deciders": [{"label": "one", "kind": "constant", "value": 1}],
+           "construction": dict(_CONSTRUCTIONS[field], **{field: value})}
+    if field == "n_checkpoints" and transfer:
+        cfg["construction"] = {"op": "density-transfer", field: value,
+                               "approx": {"kind": "constant", "set": "ev",
+                                          "window": 40}}
+    code, traceback = _main_exit("construct", cfg)
+    assert code in {0, 1, 2, 3, 4}
+    assert not traceback
+
+
+@pytest.mark.parametrize("cfg, message", [
+    ({"streams": 5}, "streams: must be a list, got 5"),
+    ({"deciders": 5}, "deciders: must be a list, got 5"),
+    ({"construction": {"op": "tracking-checkpoint-subset", "stream": "evs",
+                       "targets": []}},
+     "construction.targets: must be a nonempty list, got []"),
+    ({"deciders": [{"label": "r", "kind": "residue", "modulus": 0,
+                    "residues": [0]}]},
+     "deciders[0].modulus: must be an integer >= 1, got 0"),
+    ({"construction": {"op": "witnessed-subset", "stream": "evs",
+                       "witness": 5}},
+     "construction.witness: must be a JSON object"),
+    ({"construction": {"op": "blockwise-levels", "n_blocks": 2,
+                       "levels": 5}},
+     "construction.levels: must be a JSON object"),
+    ({"construction": {"op": "target-oscillation", "targets": ["1/3"],
+                       "n_checkpoints": "x"}},
+     "construction.n_checkpoints: must be an integer >= 0, got 'x'"),
+    ({"construction": {"op": "target-oscillation", "targets": ["1/3"],
+                       "n_checkpoints": -3}},
+     "construction.n_checkpoints: must be an integer >= 0, got -3"),
+    ({"sets": [{"label": "ev", "kind": "residue-union", "modulus": "a",
+                "residues": [0]}]},
+     "sets[0].modulus: must be an integer in [1, "),
+    ({"sets": [{"label": "ev", "kind": "dyadic-class", "k": -1}]},
+     "sets[0].k: must be an integer in [0, 62], got -1"),
+    ({"construction": {"op": "checkpoint-subset", "stream": "evs",
+                       "q": "0"}},
+     "construction.q: must be a rational in (0, 1), got '0'"),
+    ({"sets": [{"label": "a/b", "kind": "naturals"}]},
+     "sets[0].label: must not hold '/' or NUL"),
+])
+def test_bad_entry_or_construction_field_is_a_config_error(
+        tmp_path, capsys, cfg, message):
+    base = construct_cfg({"op": "checkpoint-subset", "stream": "evs",
+                          "q": "1/4"})
+    assert _run(tmp_path, "construct", dict(base, **cfg)) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert message in err
+
+
+def test_dyadic_class_past_any_window_is_empty(tmp_path):
+    cfg = {"universe": {"n_max": 100, "stage_max": 100},
+           "sets": [{"label": "far", "kind": "dyadic-class", "k": 62},
+                    {"label": "big", "kind": "residue-union",
+                     "modulus": NEVER, "residues": [3, NEVER - 1]}]}
+    assert _run(tmp_path, "density", cfg) == 0
+    far = (tmp_path / "o" / "density_far.csv").read_text().splitlines()
+    big = (tmp_path / "o" / "density_big.csv").read_text().splitlines()
+    assert far[-1] == "100,0,0,1,0.0"
+    assert big[-1] == "100,1,1,100,0.01"
+
+
+def test_density_transfer_past_nine_checkpoints_reloads(tmp_path):
+    cfg = {"universe": {"n_max": 120, "stage_max": 240},
+           "sets": [{"label": "ev", "kind": "residue-union", "modulus": 2,
+                     "residues": [0]}],
+           "construction": {"op": "density-transfer", "n_checkpoints": 12,
+                            "approx": {"kind": "constant", "set": "ev",
+                                       "window": 40}}}
+    assert _run(tmp_path, "construct", cfg) == 0
+    assert cli.main(["check", "--artifact",
+                     str(tmp_path / "o" / "artifact.json")]) == 0
+
+
+def _python_m(tmp_path, *args):
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, "-m", "cedensity", *args],
+                          capture_output=True, text=True, env=env,
+                          cwd=tmp_path, timeout=120)
+
+
+def test_python_m_runs_the_cli(tmp_path):
+    shown = _python_m(tmp_path, "--help")
+    assert shown.returncode == 0
+    assert "usage: cedensity" in shown.stdout
+    bad = _python_m(tmp_path, "density", "--config",
+                    write_cfg(tmp_path, "c.json", {"universe": 5}),
+                    "--out", str(tmp_path / "o"))
+    assert bad.returncode == 2
+    assert "config error: universe: must be a JSON object" in bad.stderr
+    assert "Traceback" not in bad.stderr
