@@ -644,7 +644,8 @@ def test_mutated_entries_exit_with_a_documented_code(command, mutations):
     cfg = _entries_fuzz_base()
     for section, index, key, value in mutations:
         entries = cfg[section]
-        if index is None or not isinstance(entries, list):
+        if (index is None or not isinstance(entries, list)
+                or index >= len(entries)):
             cfg[section] = value
         elif key is None or not isinstance(entries[index], dict):
             entries[index] = value
