@@ -17,8 +17,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .approximators import SubsetArtifact
-from .core import (ceil_sqrt_array, csv_bytes, exact_ints, write_columns,
-                   write_json)
+from .core import (ceil_sqrt_array, compact_json, csv_bytes, exact_ints,
+                   json_indent1, write_columns)
 from .errors import ArtifactError
 
 FORMAT_VERSION = 1
@@ -48,9 +48,7 @@ def rle_to_bits(runs, n: int) -> np.ndarray:
     return np.repeat(values, np.array(runs, dtype=np.int64))
 
 
-def _canonical(payload: dict) -> bytes:
-    return json.dumps(payload, sort_keys=True,
-                      separators=(",", ":")).encode()
+_canonical = compact_json  # the bytes the integrity digest is taken of
 
 
 def artifact_payload(art: SubsetArtifact) -> dict:
@@ -67,10 +65,19 @@ def artifact_payload(art: SubsetArtifact) -> dict:
 
 
 def save_artifact(art: SubsetArtifact, path) -> None:
+    """Write ``write_json`` of the payload with its digest added, encoding
+    the payload once: the keys sorting before and after the digest's key
+    are two compact halves, which joined are the canonical bytes."""
     payload = artifact_payload(art)
-    payload["integrity_sha256"] = hashlib.sha256(
-        _canonical(payload)).hexdigest()
-    write_json(path, payload)
+    head = _canonical({k: v for k, v in payload.items()
+                       if k < "integrity_sha256"})
+    tail = _canonical({k: v for k, v in payload.items()
+                       if k > "integrity_sha256"})
+    digest = hashlib.sha256(head[:-1] + b"," + tail[1:]).hexdigest()
+    with open(path, "wb") as fh:
+        fh.write(json_indent1(b'%s,"integrity_sha256":"%s",%s' % (
+            head[:-1], digest.encode(), tail[1:])))
+        fh.write(b"\n")
 
 
 def load_artifact(path) -> SubsetArtifact:

@@ -371,6 +371,9 @@ def limsup_density_build(q_seq, n_blocks: int, stage_max: int):
     Returns (stream, levels, g_final) with g_final[n] the pre-rounding
     settled value.
     """
+    if n_blocks > FACTORIAL_BLOCK_CAP:
+        raise CapExceeded(
+            f"n_blocks={n_blocks} exceeds cap {FACTORIAL_BLOCK_CAP}")
     qs = _seq_to_fn(q_seq)
     g_vals = {n: [Fraction(0)] for n in range(1, n_blocks + 1)}
     for s in range(stage_max):

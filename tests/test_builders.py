@@ -158,6 +158,15 @@ def test_blockwise_block_cap():
         blockwise_limit_build(g, builders.FACTORIAL_BLOCK_CAP + 1, 10)
 
 
+def test_limsup_block_cap_checked_before_any_stage():
+    def q_seq(s):
+        raise AssertionError("q_seq called before the block cap check")
+
+    with pytest.raises(CapExceeded,
+                       match=f"exceeds cap {builders.FACTORIAL_BLOCK_CAP}"):
+        limsup_density_build(q_seq, 10**5, 5)
+
+
 def test_blockwise_monotone_contract_enforced():
     vals = {1: Fraction(1, 2), 2: Fraction(1, 4)}
 

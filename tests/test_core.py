@@ -34,6 +34,14 @@ def test_explicit_and_complement():
     assert prefix_count(u, 10) == 4
 
 
+def test_explicit_rejects_negative_elements():
+    # -1 used to wrap around to the last index of membership_array
+    with pytest.raises(InvalidWindow):
+        SetOracle.explicit([-1, 2])
+    s = SetOracle.explicit([0, 2])
+    assert s.membership_array(5).tolist() == [s.contains(i) for i in range(5)]
+
+
 def test_trailing_zeros():
     assert trailing_zeros(1) == 0
     assert trailing_zeros(8) == 3

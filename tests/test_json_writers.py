@@ -1,0 +1,125 @@
+"""The JSON writers against the standard library's own layouts.
+
+``json_indent1`` re-indents the C encoder's compact bytes, ``write_jsonl``
+calls one reused C encoder, and ``save_artifact`` encodes its payload once
+in two halves around the digest key.  The writers they replaced are kept
+here as references: ``json.dump(indent=1)`` for files and
+``json.dumps(sort_keys=True)`` for JSONL lines.
+"""
+
+import hashlib
+import json
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cedensity import approximators as ap
+from cedensity import artifacts as ar
+from cedensity.core import compact_json, json_indent1, write_json, write_jsonl
+
+
+def ref_write_json(path, payload):
+    with open(path, "w") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=1)
+        fh.write("\n")
+
+
+def ref_write_jsonl(path, records):
+    with open(path, "w") as fh:
+        for rec in records:
+            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+
+
+def ref_save_artifact(art, path):
+    payload = ar.artifact_payload(art)
+    payload["integrity_sha256"] = hashlib.sha256(json.dumps(
+        payload, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+    ref_write_json(path, payload)
+
+
+# strings full of the bytes the re-indenter looks at or must leave alone
+tricky_text = st.text(
+    st.sampled_from('"\\,:[]{} \n\tabé☃\U0001f600\x00\x1f')
+    | st.characters(), max_size=12)
+scalars = (st.none() | st.booleans()
+           | st.integers(min_value=-2**100, max_value=2**100)
+           | st.floats(allow_nan=True, allow_infinity=True)
+           | st.sampled_from([-0.0, 0.0, math.inf, -math.inf, math.nan])
+           | tricky_text)
+json_trees = st.recursive(
+    scalars | st.just([]) | st.just({}),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(st.integers(min_value=-2**70, max_value=2**70)
+               | st.booleans(), max_size=6)
+    | st.dictionaries(tricky_text, inner, max_size=5),
+    max_leaves=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_trees)
+def test_json_indent1_and_write_json_match_json_dump(tmp_path_factory,
+                                                     tree):
+    assert json_indent1(compact_json(tree)) == json.dumps(
+        tree, sort_keys=True, indent=1).encode()
+    d = tmp_path_factory.mktemp("json")
+    write_json(d / "got.json", tree)
+    ref_write_json(d / "want.json", tree)
+    assert (d / "got.json").read_bytes() == (d / "want.json").read_bytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.dictionaries(tricky_text, json_trees, max_size=3)
+                | json_trees, max_size=4))
+def test_write_jsonl_matches_json_dumps(tmp_path_factory, records):
+    d = tmp_path_factory.mktemp("jsonl")
+    write_jsonl(d / "got.jsonl", records)
+    ref_write_jsonl(d / "want.jsonl", records)
+    assert (d / "got.jsonl").read_bytes() == (d / "want.jsonl").read_bytes()
+
+
+def test_json_indent1_fixed_cases():
+    for tree in ({}, [], {"a": []}, [{}], [[[]]], {"": {"": ""}}, 0, "x",
+                 '"', "\\", {"k": '\\"],:{'}, [1, [2, [3, {}]], {"z": 2}]):
+        assert json_indent1(compact_json(tree)) == json.dumps(
+            tree, sort_keys=True, indent=1).encode()
+
+
+# artifacts whose nested dicts hold the top-level keys, the digest key
+# and strings that look like it
+artifact_keys = st.sampled_from(["kind", "meta", "n_max", "integrity_sha256",
+                                 "bits_rle", "guarantee", "zz", ""])
+nested = st.dictionaries(artifact_keys | tricky_text,
+                         json_trees | st.just("integrity_sha256"),
+                         max_size=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bits=st.lists(st.booleans(), min_size=1, max_size=80),
+       kind=st.sampled_from(["integrity_sha256", "checkpoint_subset", ""])
+       | tricky_text,
+       checkpoints=st.lists(nested, max_size=4),
+       guarantee=nested, diagnostics=st.lists(json_trees, max_size=3),
+       meta=nested)
+def test_save_artifact_matches_old_writer(tmp_path_factory, bits, kind,
+                                          checkpoints, guarantee,
+                                          diagnostics, meta):
+    art = ap.SubsetArtifact(kind, np.array(bits, dtype=bool),
+                            checkpoints=checkpoints, guarantee=guarantee,
+                            diagnostics=diagnostics, meta=meta)
+    d = tmp_path_factory.mktemp("art")
+    ar.save_artifact(art, d / "got.json")
+    ref_save_artifact(art, d / "want.json")
+    assert (d / "got.json").read_bytes() == (d / "want.json").read_bytes()
+
+
+def test_saved_digest_is_the_canonical_one(tmp_path):
+    art = ap.SubsetArtifact("k", np.array([1, 0, 1], dtype=bool),
+                            guarantee={"integrity_sha256": "x", "kind": 1},
+                            meta={"integrity_sha256": {"kind": []}})
+    ar.save_artifact(art, tmp_path / "a.json")
+    payload = json.loads((tmp_path / "a.json").read_text())
+    digest = payload.pop("integrity_sha256")
+    assert digest == hashlib.sha256(ar._canonical(payload)).hexdigest()
+    assert ar.load_artifact(tmp_path / "a.json").meta == art.meta
