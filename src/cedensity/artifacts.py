@@ -80,12 +80,22 @@ def save_artifact(art: SubsetArtifact, path) -> None:
         fh.write(b"\n")
 
 
+# the payload's fields and their JSON types; rle_to_bits checks bits_rle
+_FIELD_TYPES = {"format_version": (int, "an integer"),
+                "kind": (str, "a string"), "n_max": (int, "an integer"),
+                "checkpoints": (list, "an array"),
+                "guarantee": (dict, "an object"),
+                "diagnostics": (list, "an array"), "meta": (dict, "an object")}
+
+
 def load_artifact(path) -> SubsetArtifact:
     try:
         with open(path) as fh:
             payload = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ArtifactError(f"unreadable artifact: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ArtifactError("artifact is not a JSON object")
     digest = payload.pop("integrity_sha256", None)
     if digest is None:
         raise ArtifactError("artifact missing integrity digest")
@@ -94,7 +104,10 @@ def load_artifact(path) -> SubsetArtifact:
     if payload.get("format_version") != FORMAT_VERSION:
         raise ArtifactError(
             f"unsupported format version {payload.get('format_version')}")
-    bits = rle_to_bits(payload["bits_rle"], payload["n_max"])
+    for key, (t, name) in _FIELD_TYPES.items():
+        if type(payload.get(key)) is not t:
+            raise ArtifactError(f"artifact field {key!r} must be {name}")
+    bits = rle_to_bits(payload.get("bits_rle"), payload["n_max"])
     return SubsetArtifact(payload["kind"], bits,
                           checkpoints=payload["checkpoints"],
                           guarantee=payload["guarantee"],
@@ -176,8 +189,12 @@ def _lookahead_bounds(art):
 def _witness_bounds(art):
     # count >= ceil(n·(2^h − 1)/2^h) − ceil_sqrt(n) = n − ⌊n/2^h⌋ − ceil_sqrt(n);
     # n < 2^62, so every h >= 62 gives ⌊n/2^h⌋ = 0
+    h = art.guarantee["h_of_n"]
+    if not (isinstance(h, list) and len(h) == art.n_max
+            and set(map(type, h)) <= {int}):
+        raise ValueError("h_of_n must hold n_max integers")
     n = np.arange(1, art.n_max + 1, dtype=np.int64)
-    h = np.minimum(np.asarray(art.guarantee["h_of_n"], dtype=np.int64), 62)
+    h = np.minimum(np.asarray(h, dtype=np.int64), 62)
     return n, _whole(n - (n >> h) - ceil_sqrt_array(n)), None
 
 
@@ -367,40 +384,59 @@ def _bound_rows(form: Form, art: SubsetArtifact, counts):
 
 def _range_failures(form: Form, art: SubsetArtifact) -> list:
     """(label, message) for every stored position outside its range in the
-    window and every negative exponent."""
-    out = []
-    if form.positions is not None:
-        out += [("window", f"{name} {value} outside [{lo}, {hi}]")
-                for name, value, lo, hi in form.positions(art)
-                if not lo <= value <= hi]
-    if form.exponents is not None:
-        out += [("exponent", f"{name} {value} is negative")
-                for name, value in form.exponents(art) if value < 0]
-    return out
+    window and every negative exponent; raises TypeError if one is not an
+    integer."""
+    positions = form.positions(art) if form.positions is not None else []
+    exponents = form.exponents(art) if form.exponents is not None else []
+    for name, value, *_ in positions + exponents:
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise TypeError(f"{name} {value!r} is not an integer")
+    return ([("window", f"{name} {value} outside [{lo}, {hi}]")
+             for name, value, lo, hi in positions if not lo <= value <= hi]
+            + [("exponent", f"{name} {value} is negative")
+               for name, value in exponents if value < 0])
+
+
+# a form raises one of these on reading a record that lacks a field, or
+# holds one of the wrong type or shape
+_MALFORMED = (LookupError, TypeError, ValueError, AttributeError,
+              ArithmeticError)
+
+
+def _evaluate(art: SubsetArtifact):
+    """(failures, cols): the (label, message) failures of
+    ``labelled_failures``, and the columns of the form's bound rows; no
+    columns if it has none, or if a record is malformed or out of range."""
+    name = art.guarantee.get("form", "")
+    form = FORMS.get(name) if isinstance(name, str) else None
+    if form is None:
+        return [("form", f"unknown guarantee form {name!r}")], []
+    counts = art.counts()
+    try:
+        out_of_range = _range_failures(form, art)
+        if out_of_range:
+            return out_of_range, []
+        out = [(label, msg) for label, check in form.checks
+               for msg in check(art, counts)]
+        if form.bounds is None:
+            return out, []
+        cols, holds = _bound_rows(form, art, counts)
+    except _MALFORMED as exc:
+        return [("form", f"malformed {name} record: {exc!r}")], []
+    bad = ~holds
+    rows = csv_bytes([None if col is None else col[bad] for col in cols])
+    out += [(form.bound_label, f"certified row fails: {row}")
+            for row in rows.decode().split("\n")[:-1]]
+    return out, cols
 
 
 def labelled_failures(art: SubsetArtifact) -> list:
     """(label, message) for every failed record check and every violated
     bound row of the artifact's guarantee form; only the out-of-range
     records, if some point outside the window or hold a negative
-    exponent."""
-    name = art.guarantee.get("form", "")
-    form = FORMS.get(name)
-    if form is None:
-        return [("form", f"unknown guarantee form {name!r}")]
-    out_of_range = _range_failures(form, art)
-    if out_of_range:
-        return out_of_range
-    counts = art.counts()
-    out = [(label, msg) for label, check in form.checks
-           for msg in check(art, counts)]
-    if form.bounds is not None:
-        cols, holds = _bound_rows(form, art, counts)
-        bad = ~holds
-        rows = csv_bytes([None if col is None else col[bad] for col in cols])
-        out += [(form.bound_label, f"certified row fails: {row}")
-                for row in rows.decode().split("\n")[:-1]]
-    return out
+    exponent; one ``form`` failure, if a record the form reads is
+    malformed."""
+    return _evaluate(art)[0]
 
 
 def passed_groups(art: SubsetArtifact, labels) -> dict:
@@ -426,12 +462,7 @@ def write_certified_csv(art: SubsetArtifact, path) -> None:
     restraint form are strict; all others are non-strict.  Forms whose
     guarantee cannot be expressed as per-n count bounds (relative margins,
     interval reports, bare membership) emit only the header, and so do
-    artifacts whose records point outside the window or hold a negative
-    exponent.
+    artifacts whose records are malformed, point outside the window or
+    hold a negative exponent.
     """
-    form = FORMS.get(art.guarantee.get("form", ""))
-    cols = []
-    if (form is not None and form.bounds is not None
-            and not _range_failures(form, art)):
-        cols, _ = _bound_rows(form, art, art.counts())
-    write_columns(path, CSV_HEADER, cols)
+    write_columns(path, CSV_HEADER, _evaluate(art)[1])

@@ -28,140 +28,158 @@ from .errors import (ArtifactError, BudgetExceeded, CedensityError,
 from .metrics import symdiff_profile
 
 
-def _frac(v, path: str) -> Fraction:
-    try:
-        return Fraction(v)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"{path}: bad rational {v!r}") from exc
+class _Field:
+    """A config value and its JSON path, which every ConfigError raised
+    while reading the value names.  The root's path is empty, so its
+    children read ``universe.n_max``, ``sets[0]``, ``construction.q``."""
+
+    def __init__(self, value, path: str = ""):
+        self.value, self.path = value, path
+
+    def error(self, message) -> ConfigError:
+        return ConfigError(f"{self.path}: {message}")
+
+    def _find(self, table, key):
+        # a missing field, or a label that names nothing
+        try:
+            return table[key]
+        except (KeyError, TypeError):
+            raise self.error(f"{key!r} not found") from None
+
+    def _child(self, key: str, value) -> _Field:
+        return _Field(value, f"{self.path}.{key}" if self.path else key)
+
+    def __getitem__(self, key: str) -> _Field:
+        """The required field ``key``."""
+        return self._child(key, self._find(self.value, key))
+
+    def get(self, key: str, default=None) -> _Field:
+        return self._child(key, self.value.get(key, default))
+
+    def obj(self) -> _Field:
+        if not isinstance(self.value, dict):
+            raise ConfigError(
+                f"{self.path or 'config'}: must be a JSON object")
+        return self
+
+    def list(self, nonempty: bool = False) -> list:
+        """The entries of a list (nonempty, if asked), entry j at path[j]."""
+        if not isinstance(self.value, list) or (nonempty and not self.value):
+            kind = "a nonempty list" if nonempty else "a list"
+            raise self.error(f"must be {kind}, got {self.value!r}")
+        return [_Field(v, f"{self.path}[{j}]")
+                for j, v in enumerate(self.value)]
+
+    def int(self, lo: int, hi=None) -> int:
+        """The value if it is an int (not a bool) in [lo, hi]."""
+        v = self.value
+        if (isinstance(v, int) and not isinstance(v, bool)
+                and lo <= v and (hi is None or v <= hi)):
+            return v
+        bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise self.error(f"must be an integer {bound}, got {v!r}")
+
+    def ints(self, lo: int, hi=None) -> list:
+        return [f.int(lo, hi) for f in self.list()]
+
+    def frac(self) -> Fraction:
+        try:
+            return Fraction(self.value)
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise self.error(f"bad rational {self.value!r}") from exc
+
+    def unit(self) -> Fraction:
+        """The value as a rational strictly between 0 and 1."""
+        q = self.frac()
+        if not 0 < q < 1:
+            raise self.error(f"must be a rational in (0, 1), "
+                             f"got {self.value!r}")
+        return q
+
+    def label(self) -> str:
+        if not isinstance(self.value, str):
+            raise self.error(f"must be a string, got {self.value!r}")
+        return self.value
+
+    def ref(self, table):
+        """The entry of ``table`` that this label names."""
+        return self._find(table, self.value)
+
+    def refs(self, table) -> list:
+        """The entries of ``table`` that the listed labels name; a label
+        that names nothing is reported at the list's path."""
+        return [self._find(table, f.value) for f in self.list()]
+
+    def pairs(self, shape: str, first_hi=None) -> list:
+        """The value if it is a list of integer pairs [a, b] with 0 <= a <=
+        first_hi and b >= 0."""
+        if not isinstance(self.value, list):
+            raise self.error("must be a list")
+        for pair in self.list():
+            if not (isinstance(pair.value, list) and len(pair.value) == 2):
+                raise pair.error(f"must be an {shape} pair, "
+                                 f"got {pair.value!r}")
+            _Field(pair.value[0], pair.path).int(0, first_hi)
+            _Field(pair.value[1], pair.path).int(0)
+        return self.value
 
 
-def _unit(v, path: str) -> Fraction:
-    """v as a rational strictly between 0 and 1; else a ConfigError."""
-    q = _frac(v, path)
-    if not 0 < q < 1:
-        raise ConfigError(f"{path}: must be a rational in (0, 1), got {v!r}")
-    return q
-
-
-def _int_in(value, path: str, lo: int, hi=None) -> int:
-    """value if it is an int (not a bool) in [lo, hi]; else a ConfigError
-    naming its JSON path."""
-    if (isinstance(value, int) and not isinstance(value, bool)
-            and lo <= value and (hi is None or value <= hi)):
-        return value
-    bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
-    raise ConfigError(f"{path}: must be an integer {bound}, got {value!r}")
-
-
-def _object(value, path: str) -> dict:
-    """value if it is a JSON object; else a ConfigError naming its path."""
-    if not isinstance(value, dict):
-        raise ConfigError(f"{path}: must be a JSON object")
-    return value
-
-
-def _list(value, path: str, nonempty: bool = False) -> list:
-    """value if it is a list (with an entry, if ``nonempty``); else a
-    ConfigError naming its path."""
-    if not isinstance(value, list) or (nonempty and not value):
-        kind = "a nonempty list" if nonempty else "a list"
-        raise ConfigError(f"{path}: must be {kind}, got {value!r}")
-    return value
-
-
-def _ints(value, path: str, lo: int, hi=None) -> list:
-    """value if it is a list of ints in [lo, hi]; else a ConfigError."""
-    return [_int_in(v, f"{path}[{j}]", lo, hi)
-            for j, v in enumerate(_list(value, path))]
-
-
-def _label(spec: dict, path: str) -> str:
-    label = _need(spec, "label", path)
-    if not isinstance(label, str):
-        raise ConfigError(f"{path}.label: must be a string, got {label!r}")
-    return label
-
-
-def _need(table, key, path: str):
-    """table[key]; a missing field, or a label that names nothing, is a
-    ConfigError naming the JSON path that holds it."""
-    try:
-        return table[key]
-    except (KeyError, TypeError):
-        raise ConfigError(f"{path}: {key!r} not found") from None
-
-
-def _load_config(path) -> dict:
+def _load_config(path) -> _Field:
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            cfg = _Field(json.load(fh)).obj()
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    uni = _object(_object(cfg, "config").get("universe", {}), "universe")
+    uni = cfg.get("universe", {}).obj()
     for key in ("n_max", "stage_max"):
         # every element and stage below NEVER fits int64
-        _int_in(_int_in(uni.get(key), f"universe.{key}", 1),
-                f"universe.{key}", 1, NEVER - 1)
-    if uni["n_max"] > NEVER // 16:  # numpy caps int64 arrays near 2^60
-        raise BudgetExceeded(f"universe.n_max: a window of {uni['n_max']} "
+        uni.get(key).int(1)
+        uni.get(key).int(1, NEVER - 1)
+    n_max = uni.value["n_max"]
+    if n_max > NEVER // 16:  # numpy caps int64 arrays near 2^60
+        raise BudgetExceeded(f"universe.n_max: a window of {n_max} "
                              "elements is too large to allocate")
     return cfg
 
 
-def _build_set(spec: dict, label: str, path: str) -> SetOracle:
-    kind = spec.get("kind")
+def _universe(cfg: _Field) -> tuple:
+    uni = cfg.value["universe"]
+    return uni["n_max"], uni["stage_max"]
 
-    def need(key):
-        return _need(spec, key, path)
 
-    def ints(key, lo, hi=None):
-        return _ints(need(key), f"{path}.{key}", lo, hi)
-
+def _build_set(spec: _Field, label: str) -> SetOracle:
+    kind = spec.get("kind").value
     if kind == "empty":
         return SetOracle.empty(label)
     if kind == "naturals":
         return SetOracle.naturals(label)
     if kind == "explicit":
-        return SetOracle.explicit(ints("elements", 0, NEVER), label)
+        return SetOracle.explicit(spec["elements"].ints(0, NEVER), label)
     if kind == "residue-union":
-        m = _int_in(need("modulus"), f"{path}.modulus", 1, NEVER)
-        return SetOracle.residue_union(m, ints("residues", 0, m - 1), label)
+        m = spec["modulus"].int(1, NEVER)
+        return SetOracle.residue_union(m, spec["residues"].ints(0, m - 1),
+                                       label)
     if kind == "dyadic-class":
         # 2^k < 2^63: past that no window holds a member of the class
-        return dyadic_class(_int_in(need("k"), f"{path}.k", 0, 62), label)
+        return dyadic_class(spec["k"].int(0, 62), label)
     if kind == "dyadic-union":
         include_zero = spec.get("include_zero", False)
-        if not isinstance(include_zero, bool):
-            raise ConfigError(f"{path}.include_zero: must be true or false, "
-                              f"got {include_zero!r}")
-        return dyadic_union(ints("indices", 0), include_zero=include_zero,
-                            label=label)
-    raise ConfigError(f"unknown set kind {kind!r}")
+        if not isinstance(include_zero.value, bool):
+            raise include_zero.error(f"must be true or false, "
+                                     f"got {include_zero.value!r}")
+        return dyadic_union(spec["indices"].ints(0),
+                            include_zero=include_zero.value, label=label)
+    raise spec.get("kind").error(f"unknown set kind {kind!r}")
 
 
-def _int_pairs(value, path: str, shape: str, first_hi=None) -> list:
-    """value if it is a list of integer pairs [a, b] with 0 <= a <=
-    first_hi and b >= 0; else a ConfigError naming the JSON path."""
-    if not isinstance(value, list):
-        raise ConfigError(f"{path}: must be a list")
-    for j, pair in enumerate(value):
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise ConfigError(f"{path}[{j}]: must be an {shape} pair, "
-                              f"got {pair!r}")
-        _int_in(pair[0], f"{path}[{j}]", 0, first_hi)
-        _int_in(pair[1], f"{path}[{j}]", 0)
-    return value
-
-
-def _sets(cfg) -> dict:
+def _sets(cfg: _Field) -> dict:
     out = {}
-    for i, spec in enumerate(_list(cfg.get("sets", []), "sets")):
-        path = f"sets[{i}]"
-        label = _label(_object(spec, path), path)
+    for spec in cfg.get("sets", []).list():
+        name = spec.obj()["label"]
+        label = name.label()
         if "/" in label or "\0" in label:  # density_<label>.csv is a file
-            raise ConfigError(f"{path}.label: must not hold '/' or NUL, "
-                              f"got {label!r}")
-        out[label] = _build_set(spec, label, path)
+            raise name.error(f"must not hold '/' or NUL, got {label!r}")
+        out[label] = _build_set(spec, label)
     return out
 
 
@@ -179,7 +197,8 @@ def _affine_stages(q, f: int, off: int, cut: int):
 def _stage_fn(schedule: dict, path: str, stage_max: int):
     """The schedule's entry stages of the members m, in the array form that
     ``CEStream.from_oracle`` calls; it drops every stage past stage_max."""
-    kind = schedule.get("kind", "own-stage")
+    spec = _Field(schedule, path)
+    kind = spec.get("kind", "own-stage").value
     cut = min(stage_max, NEVER - 1)  # every stage kept fits int64
     if kind == "immediate":
         return lambda m: 0
@@ -188,102 +207,81 @@ def _stage_fn(schedule: dict, path: str, stage_max: int):
     if kind == "successor":
         return lambda m: m + 1
     if kind == "delayed":
-        f = _int_in(schedule.get("factor", 1), f"{path}.factor", 0)
-        off = _int_in(schedule.get("offset", 0), f"{path}.offset", 0)
+        f = spec.get("factor", 1).int(0)
+        off = spec.get("offset", 0).int(0)
         return lambda m: _affine_stages(m, f, off, cut)
     if kind == "burst":
-        p = _int_in(_need(schedule, "period", path), f"{path}.period", 1)
+        p = spec["period"].int(1)
         # ((m // p) + 1)·p; m // p is 0 for every m once p passes int64
         return lambda m: _affine_stages(m // min(p, NEVER) + 1, p, 0, cut)
-    raise ConfigError(f"unknown schedule kind {kind!r}")
+    raise spec.get("kind").error(f"unknown schedule kind {kind!r}")
 
 
-def _streams(cfg, sets) -> dict:
-    n_max = cfg["universe"]["n_max"]
-    stage_max = cfg["universe"]["stage_max"]
+def _streams(cfg: _Field, sets) -> dict:
+    n_max, stage_max = _universe(cfg)
     out = {}
-    for i, spec in enumerate(_list(cfg.get("streams", []), "streams")):
-        label = _label(_object(spec, f"streams[{i}]"), f"streams[{i}]")
-        path = f"streams[{i}].schedule"
-        schedule = _object(spec.get("schedule", {}), path)
-        if schedule.get("kind") == "scripted":
-            pairs = _int_pairs(_need(schedule, "pairs", path),
-                               f"{path}.pairs", "[element, stage]")
+    for spec in cfg.get("streams", []).list():
+        label = spec.obj()["label"].label()
+        schedule = spec.get("schedule", {}).obj()
+        if schedule.value.get("kind") == "scripted":
+            pairs = schedule["pairs"]
             try:
                 out[label] = CEStream.from_schedule(
-                    pairs, n_max=n_max, stage_max=stage_max, label=label)
+                    pairs.pairs("[element, stage]"), n_max=n_max,
+                    stage_max=stage_max, label=label)
             except ValueError as exc:  # an element given two stages
-                raise ConfigError(f"{path}.pairs: {exc}") from None
+                raise pairs.error(exc) from None
             continue
-        base = _need(sets, _need(spec, "set", f"streams[{i}]"),
-                     f"streams[{i}].set")
+        base = spec["set"].ref(sets)
         out[label] = CEStream.from_oracle(
             base, n_max=n_max, stage_max=stage_max,
-            delay_fn=_stage_fn(schedule, path, stage_max), label=label)
+            delay_fn=_stage_fn(schedule.value, schedule.path, stage_max),
+            label=label)
     return out
 
 
-def _decider(spec: dict, label: str, path: str
-             ) -> prioritysim.PartialDecider:
+def _decider(spec: _Field, label: str) -> prioritysim.PartialDecider:
     P = prioritysim.PartialDecider
-    kind = spec.get("kind")
-
-    def int_field(key, lo, hi=None):
-        return _int_in(_need(spec, key, path), f"{path}.{key}", lo, hi)
-
-    delay = _int_in(spec.get("delay", 0), f"{path}.delay", 0)
+    kind = spec.get("kind").value
+    delay = spec.get("delay", 0).int(0)
     if kind == "constant":
-        return P.constant(int_field("value", 0, 1), delay, label)
+        return P.constant(spec["value"].int(0, 1), delay, label)
     if kind == "parity":
         return P.parity(delay, label)
     if kind == "residue":
-        m = int_field("modulus", 1)
-        return P.residue(m, _ints(_need(spec, "residues", path),
-                                  f"{path}.residues", 0, m - 1), delay, label)
+        m = spec["modulus"].int(1)
+        return P.residue(m, spec["residues"].ints(0, m - 1), delay, label)
     if kind == "never":
         return P.never(label)
     if kind == "value-delay":
-        v = int_field("value", 0, 1)
-        f = _int_in(spec.get("delay_factor", 1), f"{path}.delay_factor", 0)
+        v = spec["value"].int(0, 1)
+        f = spec.get("delay_factor", 1).int(0)
         return P.delayed_rule(lambda n: v, lambda n: f * n, label)
-    raise ConfigError(f"unknown decider kind {kind!r}")
+    raise spec.get("kind").error(f"unknown decider kind {kind!r}")
 
 
-def _deciders(cfg) -> dict:
+def _deciders(cfg: _Field) -> dict:
     out = {}
-    for i, spec in enumerate(_list(cfg.get("deciders", []), "deciders")):
-        path = f"deciders[{i}]"
-        label = _label(_object(spec, path), path)
-        out[label] = _decider(spec, label, path)
+    for spec in cfg.get("deciders", []).list():
+        label = spec.obj()["label"].label()
+        out[label] = _decider(spec, label)
     return out
 
 
-def _jump(spec) -> prioritysim.JumpApprox:
-    path = "construction.jump"
-    kind = _object(spec, path).get("kind")
-
-    def need(key, lo):
-        return _int_in(_need(spec, key, path), f"{path}.{key}", lo)
-
+def _jump(spec: _Field) -> prioritysim.JumpApprox:
+    kind = spec.obj().get("kind").value
     if kind == "never":
         return prioritysim.JumpApprox(lambda i, s: 0, lambda i, s: None)
     if kind == "step":
-        on_at, use = need("on_at", 0), need("use", 0)
+        on_at, use = spec["on_at"].int(0), spec["use"].int(0)
         return prioritysim.JumpApprox(
             lambda i, s: 1 if s >= on_at else 0,
             lambda i, s: use if s >= on_at else None)
     if kind == "blink":
-        p, use = need("period", 1), need("use", 0)
+        p, use = spec["period"].int(1), spec["use"].int(0)
         return prioritysim.JumpApprox(
             lambda i, s: (s // p) % 2, lambda i, s: use)
-    raise ConfigError(f"unknown jump kind {kind!r}")
-
-
-def _targets(values, path: str) -> list:
-    """A nonempty list of rationals (a sequence read past its end repeats
-    its last entry)."""
-    return [_frac(v, f"{path}[{j}]")
-            for j, v in enumerate(_list(values, path, nonempty=True))]
+    raise spec.get("kind").error(f"unknown jump kind {kind!r}")
 
 
 class _ListTrace:
@@ -296,31 +294,26 @@ class _ListTrace:
         write_jsonl(path, self.rows)
 
 
-def _approx(spec, sets, n_max: int) -> builders.Delta2Approx:
-    path = "construction.approx"
-    kind = _object(spec, path).get("kind")
-    window = _int_in(spec.get("window", n_max), f"{path}.window", 1,
-                     NEVER // 16)
-
-    def members(key):
-        label = _need(spec, key, path)
-        return _need(sets, label, f"{path}.{key}").membership_array(window)
-
+def _approx(spec: _Field, sets, n_max: int) -> builders.Delta2Approx:
+    kind = spec.obj().get("kind").value
+    window = spec.get("window", n_max).int(1, NEVER // 16)
     if kind == "constant":
-        return builders.Delta2Approx.constant(members("set"),
-                                              label=spec["set"])
+        return builders.Delta2Approx.constant(
+            spec["set"].ref(sets).membership_array(window),
+            label=spec.value["set"])
     if kind == "flip":
-        before, after = members("before"), members("after")
-        at = _int_in(_need(spec, "at", path), f"{path}.at", 0)
+        before, after = (spec[key].ref(sets).membership_array(window)
+                         for key in ("before", "after"))
+        at = spec["at"].int(0)
         return builders.Delta2Approx(
             lambda s: after if s >= at else before, window, label="flip")
-    raise ConfigError(f"unknown approximation kind {kind!r}")
+    raise spec.get("kind").error(f"unknown approximation kind {kind!r}")
 
 
 # -- subcommands --------------------------------------------------------------
 
 def cmd_density(cfg, outdir):
-    n_max = cfg["universe"]["n_max"]
+    n_max, _ = _universe(cfg)
     sets = _sets(cfg)
     summary = {}
     for label, oracle in sorted(sets.items()):
@@ -334,22 +327,21 @@ def cmd_density(cfg, outdir):
     return 0
 
 
-def _section(cfg, name: str) -> dict:
+def _section(cfg: _Field, name: str) -> _Field:
     spec = cfg.get(name)
-    if not spec:
+    if not spec.value:
         raise ConfigError(f"config has no {name!r} section")
-    return _object(spec, name)
+    return spec.obj()
 
 
 def cmd_metrics(cfg, outdir):
     sets = _sets(cfg)
     spec = _section(cfg, "metrics")
-    a, b = (_need(sets, _need(spec, k, "metrics"), f"metrics.{k}")
-            for k in ("a", "b"))
-    n_max = cfg["universe"]["n_max"]
-    lo = _int_in(spec.get("lo", 1), "metrics.lo", 1)
-    hi = _int_in(spec.get("hi", n_max), "metrics.hi", lo)
-    _int_in(hi, "metrics.hi", lo, n_max)  # no rows past the universe
+    a, b = (spec[key].ref(sets) for key in ("a", "b"))
+    n_max, _ = _universe(cfg)
+    lo = spec.get("lo", 1).int(1)
+    spec.get("hi", n_max).int(lo)
+    hi = spec.get("hi", n_max).int(lo, n_max)  # no rows past the universe
     prof = symdiff_profile(a, b, hi)
     prof.write_csv(os.path.join(outdir, "metrics_profile.csv"))
     dmin, dmax = prof.sym.window_bounds(lo, hi)
@@ -365,65 +357,42 @@ def cmd_metrics(cfg, outdir):
 def _dispatch_construct(cfg, sets, streams, deciders):
     """Returns (artifact, trace_or_None)."""
     spec = _section(cfg, "construction")
-    op = spec.get("op")
-    n_max = cfg["universe"]["n_max"]
-    stage_max = cfg["universe"]["stage_max"]
-
-    def need(key):
-        return _need(spec, key, "construction")
-
-    def stream(key="stream"):
-        return _need(streams, need(key), f"construction.{key}")
-
-    def stream_list(key="streams"):
-        path = f"construction.{key}"
-        return [_need(streams, x, path) for x in _list(need(key), path)]
-
-    def decider_list(key="deciders"):
-        path = f"construction.{key}"
-        return [_need(deciders, x, path) for x in _list(need(key), path)]
-
-    def targets():
-        return _targets(need("targets"), "construction.targets")
-
-    def count(key, hi=None):
-        return _int_in(need(key), f"construction.{key}", 0, hi)
-
+    op = spec.get("op").value
+    n_max, stage_max = _universe(cfg)
     if op == "checkpoint-subset":
         return approximators.checkpoint_subset(
-            stream(), _unit(need("q"), "construction.q")), None
+            spec["stream"].ref(streams), spec["q"].unit()), None
     if op == "tracking-checkpoint-subset":
         return approximators.tracking_checkpoint_subset(
-            stream(), targets()), None
+            spec["stream"].ref(streams),
+            [t.frac() for t in spec["targets"].list(nonempty=True)]), None
     if op == "lookahead-subset":
-        n0 = _int_in(spec.get("n0", 1), "construction.n0", 1, n_max + 1)
+        n0 = spec.get("n0", 1).int(1, n_max + 1)
         return approximators.lookahead_subset(
-            stream(), _unit(need("q"), "construction.q"), n0), None
+            spec["stream"].ref(streams), spec["q"].unit(), n0), None
     if op == "witnessed-subset":
-        path = "construction.witness"
-        w = _object(spec.get("witness", {}), path)
-
-        def w_int(key, default):
-            return _int_in(w.get(key, default), f"{path}.{key}", 0)
-
-        if w.get("kind") == "constant":
-            value = w_int("value", 0)
+        w = spec["witness"].obj()
+        kind = w.get("kind").value
+        if kind == "constant":
+            value = w.get("value", 0).int(0)
             wfn = lambda k: value
-        elif w.get("kind") == "exponential":
-            base, shift = w_int("base", 2), w_int("shift", 1)
+        elif kind == "exponential":
+            base, shift = w.get("base", 2).int(0), w.get("shift", 1).int(0)
             # a power past 2^63 ends the witness as any larger one would
             wfn = lambda k: base ** min(k + shift, 64)
         else:
-            raise ConfigError(f"unknown witness kind {w.get('kind')!r}")
-        return approximators.witnessed_subset(stream(), wfn), None
+            raise w.get("kind").error(f"unknown witness kind {kind!r}")
+        return approximators.witnessed_subset(spec["stream"].ref(streams),
+                                              wfn), None
     if op == "target-oscillation":
-        _int_in(n_max, "universe.n_max", 2)  # [0, 1) is the first block
-        return builders.infsup_build(targets(), count("n_checkpoints"),
-                                     n_max), None
+        cfg["universe"]["n_max"].int(2)  # [0, 1) is the first block
+        return builders.infsup_build(
+            [t.frac() for t in spec["targets"].list(nonempty=True)],
+            spec["n_checkpoints"].int(0), n_max), None
     if op == "density-transfer":
-        B = _approx(need("approx"), sets, n_max)
+        B = _approx(spec["approx"], sets, n_max)
         st, t, rows, report = builders.density_transfer_build(
-            B, count("n_checkpoints", B.window - 1), stage_max, n_max)
+            B, spec["n_checkpoints"].int(0, B.window - 1), stage_max, n_max)
         art = _stream_artifact(st, "density_transfer",
                                {"form": "membership-only"})
         art.meta["t"] = {str(k): v for k, v in sorted(t.items())}
@@ -435,38 +404,38 @@ def _dispatch_construct(cfg, sets, streams, deciders):
                               for name, by_n in report.items()}
         return art, _ListTrace(rows)
     if op == "blockwise-levels":
-        path = "construction.levels"
-        given = _object(need("levels"), path)
-        if not all(k.isdecimal() for k in given):
-            raise ConfigError(f"{path}: every key must be a block number")
-        vals = {int(k): _frac(v, f"{path}.{k}") for k, v in given.items()}
+        given = spec["levels"].obj()
+        if not all(k.isdecimal() for k in given.value):
+            raise given.error("every key must be a block number")
+        vals = {int(k): given[k].frac() for k in given.value}
         g = builders.StableMonotoneG(
             lambda n, s: vals.get(n, Fraction(0)), label="const-levels")
         st, levels = builders.blockwise_limit_build(
-            g, count("n_blocks", builders.FACTORIAL_BLOCK_CAP), stage_max)
+            g, spec["n_blocks"].int(0, builders.FACTORIAL_BLOCK_CAP),
+            stage_max)
         return _stream_artifact(st, "blockwise_levels",
                                 builders.levels_guarantee(levels)), None
     if op == "limsup-blockwise":
         st, levels, _g = builders.limsup_density_build(
-            targets(), count("n_blocks", builders.FACTORIAL_BLOCK_CAP),
-            stage_max)
+            [t.frac() for t in spec["targets"].list(nonempty=True)],
+            spec["n_blocks"].int(0, builders.FACTORIAL_BLOCK_CAP), stage_max)
         return _stream_artifact(st, "limsup_blockwise",
                                 builders.levels_guarantee(levels)), None
     if op == "blockwise-union":
-        st = prioritysim.blockwise_union_build(stream_list(), n_max,
-                                               stage_max)
+        st = prioritysim.blockwise_union_build(
+            spec["streams"].refs(streams), n_max, stage_max)
         return _stream_artifact(st, "blockwise_union",
                                 {"form": "membership-only"}), None
     if op == "prefix-gated":
-        st, report = prioritysim.prefix_gated_build(stream_list(), n_max,
-                                                    stage_max)
+        st, report = prioritysim.prefix_gated_build(
+            spec["streams"].refs(streams), n_max, stage_max)
         art = _stream_artifact(st, "prefix_gated",
                                {"form": "membership-only"})
         art.meta["report"] = {str(k): v for k, v in report.items()}
         return art, None
     if op == "ratio-interval":
         st, intervals, trace = prioritysim.ratio_interval_build(
-            decider_list(), n_max, stage_max)
+            spec["deciders"].refs(deciders), n_max, stage_max)
         recs = [iv for e in sorted(trace.outcomes)
                 for iv in [dict(v, e=e) for v in
                            trace.outcomes[e]["intervals"]]]
@@ -475,29 +444,29 @@ def _dispatch_construct(cfg, sets, streams, deciders):
         art.checkpoints = recs
         return art, trace
     if op == "restraint-witness":
-        st, trace = prioritysim.restraint_witness_build(stream_list(), n_max,
-                                                        stage_max)
+        st, trace = prioritysim.restraint_witness_build(
+            spec["streams"].refs(streams), n_max, stage_max)
         art = _stream_artifact(st, "restraint_witness",
                                {"form": "restraint-report"})
         art.checkpoints = [dict(v, k=k) for k, v in
                            sorted(trace.outcomes.items())]
         return art, trace
     if op == "sparse-hitting":
-        st, report = builders.sparse_hitting_build(stream_list(), n_max,
-                                                   stage_max)
+        st, report = builders.sparse_hitting_build(
+            spec["streams"].refs(streams), n_max, stage_max)
         art = _stream_artifact(st, "sparse_hitting", {"form": "log-sparse"})
         art.checkpoints = report
         return art, None
     if op == "permitted-interval":
-        permitter, jump = stream("permitter"), _jump(spec.get("jump", {}))
-        members = stream_list()
+        permitter = spec["permitter"].ref(streams)
+        jump = _jump(spec["jump"])
+        members = spec["streams"].refs(streams)
         pairs = None
-        if "pairs" in spec:
-            pairs = [tuple(p) for p in _int_pairs(
-                spec["pairs"], "construction.pairs", "[e, i]",
-                len(members) - 1)]
+        if "pairs" in spec.value:
+            pairs = [tuple(p) for p in spec["pairs"].pairs(
+                "[e, i]", len(members) - 1)]
             if len(set(pairs)) < len(pairs):  # one strategy per pair
-                raise ConfigError("construction.pairs: a pair is listed twice")
+                raise spec["pairs"].error("a pair is listed twice")
         st, g_rows, trace = prioritysim.permitted_interval_build(
             permitter, jump, members, n_max, stage_max, pairs=pairs)
         art = _stream_artifact(st, "permitted_interval",
@@ -506,12 +475,13 @@ def _dispatch_construct(cfg, sets, streams, deciders):
         return art, trace
     if op == "split-interval":
         a0, a1, trace = prioritysim.split_interval_build(
-            stream("permitter"), decider_list(), n_max, stage_max)
+            spec["permitter"].ref(streams), spec["deciders"].refs(deciders),
+            n_max, stage_max)
         art = _stream_artifact(a0, "split_interval_a0",
                                {"form": "membership-only"})
         art.meta["a1_rle"] = artifacts.bits_to_rle(a1.final_members())
         return art, trace
-    raise ConfigError(f"unknown construction op {op!r}")
+    raise spec.get("op").error(f"unknown construction op {op!r}")
 
 
 def _stream_artifact(st: CEStream, kind: str, guarantee: dict):
@@ -560,13 +530,12 @@ def cmd_generic(cfg, outdir):
     sets = _sets(cfg)
     deciders = _deciders(cfg)
     spec = _section(cfg, "generic")
-    dec = _need(deciders, _need(spec, "decider", "generic"), "generic.decider")
-    target = _need(sets, _need(spec, "set", "generic"), "generic.set")
-    n_max = cfg["universe"]["n_max"]
-    r = _frac(spec.get("r", "0"), "generic.r")
-    lo = _int_in(spec.get("lo", 1), "generic.lo", 1, n_max)
-    rep = genericity.evaluate_partial(dec, target, n_max,
-                                      cfg["universe"]["stage_max"])
+    dec = spec["decider"].ref(deciders)
+    target = spec["set"].ref(sets)
+    n_max, stage_max = _universe(cfg)
+    r = spec.get("r", "0").frac()
+    lo = spec.get("lo", 1).int(1, n_max)
+    rep = genericity.evaluate_partial(dec, target, n_max, stage_max)
     rep.domain.write_csv(os.path.join(outdir, "generic_domain.csv"))
     report = genericity.density_verdict(rep, r, lo)
     alpha = report.pop("alpha_estimate")

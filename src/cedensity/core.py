@@ -43,10 +43,9 @@ class SetOracle:
     when absent, the scalar predicate is mapped.
     """
 
-    def __init__(self, fn, *, kind="rule", label="", batch=None):
+    def __init__(self, fn, *, label="", batch=None):
         self._fn = fn
         self._batch = batch
-        self.kind = kind
         self.label = label
 
     def contains(self, n: int) -> bool:
@@ -67,12 +66,12 @@ class SetOracle:
 
     @staticmethod
     def empty(label="empty"):
-        return SetOracle(lambda n: False, kind="rule", label=label,
+        return SetOracle(lambda n: False, label=label,
                          batch=lambda n: np.zeros(n, dtype=bool))
 
     @staticmethod
     def naturals(label="omega"):
-        return SetOracle(lambda n: True, kind="rule", label=label,
+        return SetOracle(lambda n: True, label=label,
                          batch=lambda n: np.ones(n, dtype=bool))
 
     @staticmethod
@@ -88,8 +87,7 @@ class SetOracle:
             out[arr[arr < n]] = True
             return out
 
-        return SetOracle(lambda n: n in elems, kind="explicit-bitset",
-                         label=label, batch=batch)
+        return SetOracle(lambda n: n in elems, label=label, batch=batch)
 
     @staticmethod
     def from_bits(bits, label="bitset"):
@@ -100,8 +98,7 @@ class SetOracle:
                 raise InvalidWindow(f"bitset covers [0, {bits.size}), asked for {n}")
             return bits[:n]
 
-        return SetOracle(lambda n: bool(bits[n]), kind="explicit-bitset",
-                         label=label, batch=batch)
+        return SetOracle(lambda n: bool(bits[n]), label=label, batch=batch)
 
     @staticmethod
     def residue_union(m: int, residues, label=None):
@@ -121,24 +118,21 @@ class SetOracle:
             idx = np.arange(n, dtype=np.int64)
             return mask[idx % m if m < n else idx]
 
-        return SetOracle(lambda n: (n % m) in rset, kind="residue-union",
+        return SetOracle(lambda n: (n % m) in rset,
                          label=label or f"residues{rs}mod{m}", batch=batch)
 
     @staticmethod
     def complement(inner, label=None):
-        batch = None
-        if inner._batch is not None:
-            batch = lambda n: ~inner.membership_array(n)
-        return SetOracle(lambda n: not inner.contains(n), kind=inner.kind,
-                         label=label or f"co({inner.label})", batch=batch)
+        return SetOracle(lambda n: not inner.contains(n),
+                         label=label or f"co({inner.label})",
+                         batch=lambda n: ~inner.membership_array(n))
 
     @staticmethod
     def union(a, b, label=None):
-        batch = None
-        if a._batch is not None and b._batch is not None:
-            batch = lambda n: a.membership_array(n) | b.membership_array(n)
-        return SetOracle(lambda n: a.contains(n) or b.contains(n), kind="rule",
-                         label=label or f"({a.label})|({b.label})", batch=batch)
+        return SetOracle(lambda n: a.contains(n) or b.contains(n),
+                         label=label or f"({a.label})|({b.label})",
+                         batch=lambda n: (a.membership_array(n)
+                                          | b.membership_array(n)))
 
 
 # -- dyadic valuation classes ------------------------------------------
@@ -199,7 +193,7 @@ def dyadic_union(spec, *, include_zero=False, label="dyadic-union") -> SetOracle
 
     if fin is not None:
         label = f"{label}{sorted(fin)}"
-    return SetOracle(fn, kind="rk-union", label=label, batch=batch)
+    return SetOracle(fn, label=label, batch=batch)
 
 
 def dyadic_union_from_binary(bits, *, label="dyadic-binary") -> SetOracle:
@@ -297,9 +291,7 @@ def prefix_count(oracle: SetOracle, n: int) -> int:
     """|S ∩ [0, n)| by direct evaluation."""
     if n < 1:
         raise InvalidWindow(f"n must be >= 1, got {n}")
-    if oracle._batch is not None:
-        return int(np.count_nonzero(oracle.membership_array(n)))
-    return sum(1 for i in range(n) if oracle.contains(i))
+    return int(np.count_nonzero(oracle.membership_array(n)))
 
 
 def rho(oracle: SetOracle, n: int) -> Fraction:

@@ -141,7 +141,7 @@ def hitset_oracle(X: SetOracle, width: int = INDEX_WIDTH_CAP):
             out |= (idx >> int(i)) & 1 == 1
         return out
 
-    C = SetOracle(member, kind="rule", label=f"hits({X.label})", batch=batch)
+    C = SetOracle(member, label=f"hits({X.label})", batch=batch)
     psi = PartialDecider(lambda n, s: 1 if member(n) else None,
                          label=f"psi({X.label})")
     return C, psi

@@ -1,10 +1,6 @@
-"""The array and encoder paths of stream building, trace writing, interval
-cover stages and artifact loading, each against the loop it replaced; the
-loops are kept here as references."""
-
-import json
-import os
-import tempfile
+"""The array paths of stream building, interval cover stages and artifact
+loading, each against the loop it replaced; the loops are kept here as
+references (the JSONL encoder is checked in ``test_json_writers.py``)."""
 
 import numpy as np
 import pytest
@@ -12,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cedensity import artifacts, cli
-from cedensity.core import NEVER, CEStream, SetOracle, write_jsonl
+from cedensity.core import NEVER, CEStream, SetOracle
 from cedensity.errors import ArtifactError, ContractViolated
 from cedensity.prioritysim import (ConstructionTrace, JumpApprox,
                                    _large_interval, pair_code,
@@ -104,28 +100,6 @@ def test_library_delay_fn_matches_member_loop(bits, stage_max, factor, off):
         got = CEStream.from_oracle(oracle, n_max=len(bits),
                                    stage_max=stage_max, delay_fn=delay)
         assert got.entry.tolist() == want.entry.tolist()
-
-
-# -- JSONL writer ----------------------------------------------------------------
-
-json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.text(),
-    lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
-    max_leaves=20)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.dictionaries(st.text(max_size=6), json_values,
-                                max_size=5), max_size=12))
-def test_write_jsonl_matches_json_dumps(records):
-    with tempfile.TemporaryDirectory() as d:
-        path = os.path.join(d, "t.jsonl")
-        write_jsonl(path, records)
-        with open(path, "rb") as fh:
-            got = fh.read()
-    want = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
-    assert got == want.encode()
 
 
 # -- permitted-interval cover stages ---------------------------------------------

@@ -233,3 +233,69 @@ def test_check_rejects_bad_run_lengths(tmp_path, capsys, runs):
     err = capsys.readouterr().err
     assert "run-length data inconsistent with n_max" in err
     assert "Traceback" not in err
+
+
+def _sample_payload(**changes):
+    payload = ar.artifact_payload(sample_artifact(n_max=100))
+    for key, value in changes.items():
+        if value is None:
+            del payload[key]
+        else:
+            payload[key] = value
+    return payload
+
+
+def _form_payload(form, bits, **guarantee):
+    return ar.artifact_payload(ap.SubsetArtifact(
+        "tampered", np.zeros(bits, dtype=bool), [],
+        dict(guarantee, form=form)))
+
+
+def _without_count():
+    payload = _sample_payload()
+    del payload["checkpoints"][-1]["count"]
+    return payload
+
+
+@pytest.mark.parametrize("payload, message", [
+    (_sample_payload(kind=None), "artifact field 'kind' must be a string"),
+    (_sample_payload(bits_rle=None),
+     "run-length data inconsistent with n_max"),
+    (_sample_payload(checkpoints=None),
+     "artifact field 'checkpoints' must be an array"),
+    (_sample_payload(guarantee=None),
+     "artifact field 'guarantee' must be an object"),
+    (_sample_payload(n_max=None), "artifact field 'n_max' must be an integer"),
+    (_sample_payload(guarantee=[]),
+     "artifact field 'guarantee' must be an object"),
+    ([1], "artifact is not a JSON object"),
+    (_without_count(), "malformed checkpoint-ratio record: KeyError('count')"),
+    (_form_payload("lookahead-margin", 16, q_num=1, q_den=2),
+     "malformed lookahead-margin record: KeyError('n0')"),
+    (_form_payload("blockwise-levels", 10, levels=[[1]]),
+     "malformed blockwise-levels record: ValueError("),
+    (_form_payload("lookahead-margin", 16, q_num=1, q_den=2, n0=1.5),
+     "malformed lookahead-margin record: "
+     "TypeError('n0 1.5 is not an integer')"),
+    (_form_payload(["lookahead-margin"], 3),
+     "unknown guarantee form ['lookahead-margin']"),
+    (_form_payload("witness-margin", 3, h_of_n=[5]),
+     "malformed witness-margin record: "
+     "ValueError('h_of_n must hold n_max integers')"),
+])
+def test_check_rejects_malformed_artifact(tmp_path, capsys, payload, message):
+    path = tmp_path / "a.json"
+    if isinstance(payload, dict):
+        payload = redigest(payload)
+    path.write_text(json.dumps(payload))
+    assert cli.main(["check", "--artifact", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    if "form" in message:  # the record fails its form, not the load
+        art = ar.load_artifact(path)
+        (failure,) = ar.verify_artifact(art)["failures"]
+        assert failure.startswith(message)
+        assert ar.labelled_failures(art)[0][0] == "form"
+        ar.write_certified_csv(art, tmp_path / "c.csv")
+        assert (tmp_path / "c.csv").read_text() == ar.CSV_HEADER

@@ -785,3 +785,177 @@ def test_python_m_runs_the_cli(tmp_path):
     assert bad.returncode == 2
     assert "config error: universe: must be a JSON object" in bad.stderr
     assert "Traceback" not in bad.stderr
+
+
+# -- the exact message of each config error -----------------------------------
+
+_EV = {"label": "ev", "kind": "residue-union", "modulus": 2, "residues": [0]}
+
+
+def _pin_cfg(sections):
+    cfg = {"universe": {"n_max": 100, "stage_max": 200},
+           "sets": [_EV],
+           "streams": [{"label": "evs", "set": "ev"}],
+           "deciders": [{"label": "p", "kind": "parity"}],
+           "construction": {"op": "checkpoint-subset", "stream": "evs",
+                            "q": "1/4"},
+           "metrics": {"a": "ev", "b": "ev"},
+           "generic": {"decider": "p", "set": "ev"}}
+    cfg.update(sections)
+    return cfg
+
+
+def _op(op, **fields):
+    return {"construction": dict(fields, op=op)}
+
+
+def _set(**entry):
+    return {"sets": [_EV, entry]}
+
+
+_STEP = {"kind": "step", "on_at": 3, "use": 5}
+_TRANSFER = {"kind": "constant", "set": "ev"}
+
+
+@pytest.mark.parametrize("command, sections, message", [
+    # label references
+    ("construct", _op("checkpoint-subset", stream="nope", q="1/4"),
+     "construction.stream: 'nope' not found"),
+    ("construct", _op("permitted-interval", permitter="nope", jump=_STEP,
+                      streams=["evs"]),
+     "construction.permitter: 'nope' not found"),
+    ("construct", _op("blockwise-union", streams=["evs", "nope"]),
+     "construction.streams: 'nope' not found"),
+    ("construct", _op("ratio-interval", deciders=["p", "nope"]),
+     "construction.deciders: 'nope' not found"),
+    ("construct", _op("density-transfer", n_checkpoints=2,
+                      approx={"kind": "constant", "set": "nope"}),
+     "construction.approx.set: 'nope' not found"),
+    ("construct", _op("density-transfer", n_checkpoints=2,
+                      approx={"kind": "flip", "before": "ev", "after": "no",
+                              "at": 3}),
+     "construction.approx.after: 'no' not found"),
+    ("construct", {"streams": [{"label": "evs", "set": "nope"}]},
+     "streams[0].set: 'nope' not found"),
+    ("metrics", {"metrics": {"a": "nope", "b": "ev"}},
+     "metrics.a: 'nope' not found"),
+    ("generic", {"generic": {"decider": "nope", "set": "ev"}},
+     "generic.decider: 'nope' not found"),
+    ("generic", {"generic": {"decider": "p", "set": "nope"}},
+     "generic.set: 'nope' not found"),
+    # missing fields and sections
+    ("density", _set(kind="naturals"), "sets[1]: 'label' not found"),
+    ("density", _set(label=5, kind="naturals"),
+     "sets[1].label: must be a string, got 5"),
+    ("construct", {"streams": [{"set": "ev"}]},
+     "streams[0]: 'label' not found"),
+    ("construct", {"streams": [{"label": "evs"}]},
+     "streams[0]: 'set' not found"),
+    ("construct", _op("density-transfer", n_checkpoints=2,
+                      approx={"kind": "flip", "before": "ev", "after": "ev"}),
+     "construction.approx: 'at' not found"),
+    ("construct", _op("density-transfer", n_checkpoints=2),
+     "construction: 'approx' not found"),
+    ("metrics", {"metrics": {"a": "ev"}}, "metrics: 'b' not found"),
+    ("density", {"universe": {"stage_max": 5}},
+     "universe.n_max: must be an integer >= 1, got None"),
+    ("density", {"universe": {"n_max": 5}},
+     "universe.stage_max: must be an integer >= 1, got None"),
+    ("construct", {"construction": {}},
+     "config has no 'construction' section"),
+    ("metrics", {"metrics": None}, "config has no 'metrics' section"),
+    ("generic", {"generic": 0}, "config has no 'generic' section"),
+    ("density", {"sets": {}}, "sets: must be a list, got {}"),
+    ("density", {"sets": [5]}, "sets[0]: must be a JSON object"),
+    ("construct", {"streams": ["x"]}, "streams[0]: must be a JSON object"),
+    ("construct", {"deciders": [[]]}, "deciders[0]: must be a JSON object"),
+    ("construct", _op("density-transfer", n_checkpoints=2, approx=[1]),
+     "construction.approx: must be a JSON object"),
+    # bad list entries
+    ("density", _set(label="x", kind="explicit", elements=[0, -1]),
+     f"sets[1].elements[1]: must be an integer in [0, {NEVER}], got -1"),
+    ("density", _set(label="x", kind="explicit", elements=5),
+     "sets[1].elements: must be a list, got 5"),
+    ("density", _set(label="u", kind="dyadic-union", indices=[1, "a"]),
+     "sets[1].indices[1]: must be an integer >= 0, got 'a'"),
+    ("density", _set(label="u", kind="dyadic-union", indices=[1],
+                     include_zero=1),
+     "sets[1].include_zero: must be true or false, got 1"),
+    ("density", _set(label="r", kind="residue-union", modulus=4,
+                     residues=[1, 4]),
+     "sets[1].residues[1]: must be an integer in [0, 3], got 4"),
+    ("construct", {"deciders": [{"label": "r", "kind": "residue",
+                                 "modulus": 3, "residues": [True]}]},
+     "deciders[0].residues[0]: must be an integer in [0, 2], got True"),
+    ("construct", _op("tracking-checkpoint-subset", stream="evs",
+                      targets=["1/2", "x"]),
+     "construction.targets[1]: bad rational 'x'"),
+    ("construct", _op("target-oscillation", n_checkpoints=2, targets=5),
+     "construction.targets: must be a nonempty list, got 5"),
+    ("construct", _op("blockwise-union", streams="evs"),
+     "construction.streams: must be a list, got 'evs'"),
+    # bad values
+    ("construct", _op("blockwise-levels", n_blocks=2, levels={"a": "1/2"}),
+     "construction.levels: every key must be a block number"),
+    ("construct", _op("blockwise-levels", n_blocks=2, levels={"1": "1/0"}),
+     "construction.levels.1: bad rational '1/0'"),
+    ("construct", _op("blockwise-levels", n_blocks=10, levels={}),
+     "construction.n_blocks: must be an integer in [0, 9], got 10"),
+    ("construct", _op("witnessed-subset", stream="evs",
+                      witness={"kind": "exponential", "base": -1}),
+     "construction.witness.base: must be an integer >= 0, got -1"),
+    ("construct", _op("witnessed-subset", stream="evs",
+                      witness={"kind": "constant", "value": "1"}),
+     "construction.witness.value: must be an integer >= 0, got '1'"),
+    ("construct", _op("density-transfer", n_checkpoints=2,
+                      approx=dict(_TRANSFER, window=0)),
+     f"construction.approx.window: must be an integer in [1, {NEVER // 16}],"
+     " got 0"),
+    ("construct", _op("density-transfer", n_checkpoints=40,
+                      approx=dict(_TRANSFER, window=40)),
+     "construction.n_checkpoints: must be an integer in [0, 39], got 40"),
+    ("construct", {"deciders": [{"label": "c", "kind": "constant",
+                                 "value": 2}]},
+     "deciders[0].value: must be an integer in [0, 1], got 2"),
+    ("construct", {"deciders": [{"label": "p", "kind": "parity",
+                                 "delay": -1}]},
+     "deciders[0].delay: must be an integer >= 0, got -1"),
+    ("construct", {"deciders": [{"label": "v", "kind": "value-delay",
+                                 "value": 1, "delay_factor": "2"}]},
+     "deciders[0].delay_factor: must be an integer >= 0, got '2'"),
+    ("construct", _op("checkpoint-subset", stream="evs", q=[]),
+     "construction.q: bad rational []"),
+    ("construct", _op("target-oscillation", n_checkpoints=2, targets=["1/2"])
+     | {"universe": {"n_max": 1, "stage_max": 5}},
+     "universe.n_max: must be an integer >= 2, got 1"),
+    ("generic", {"generic": {"decider": "p", "set": "ev", "r": "x"}},
+     "generic.r: bad rational 'x'"),
+    ("metrics", {"metrics": {"a": "ev", "b": "ev", "hi": "9"}},
+     "metrics.hi: must be an integer >= 1, got '9'"),
+    # unknown kinds, and the required jump and witness
+    ("density", _set(label="z", kind="zz"),
+     "sets[1].kind: unknown set kind 'zz'"),
+    ("density", _set(label="z"), "sets[1].kind: unknown set kind None"),
+    ("construct", {"streams": [{"label": "evs", "set": "ev",
+                                "schedule": {"kind": "zz"}}]},
+     "streams[0].schedule.kind: unknown schedule kind 'zz'"),
+    ("construct", {"deciders": [{"label": "d", "kind": "zz"}]},
+     "deciders[0].kind: unknown decider kind 'zz'"),
+    ("construct", _op("permitted-interval", permitter="evs", streams=["evs"],
+                      jump={"kind": "zz"}),
+     "construction.jump.kind: unknown jump kind 'zz'"),
+    ("construct", _op("permitted-interval", permitter="evs", streams=["evs"]),
+     "construction: 'jump' not found"),
+    ("construct", _op("density-transfer", n_checkpoints=2,
+                      approx={"kind": "zz"}),
+     "construction.approx.kind: unknown approximation kind 'zz'"),
+    ("construct", _op("witnessed-subset", stream="evs", witness={}),
+     "construction.witness.kind: unknown witness kind None"),
+    ("construct", _op("witnessed-subset", stream="evs"),
+     "construction: 'witness' not found"),
+    ("construct", _op("zz"), "construction.op: unknown construction op 'zz'"),
+])
+def test_config_error_message_is_pinned(tmp_path, capsys, command, sections,
+                                        message):
+    assert _run(tmp_path, command, _pin_cfg(sections)) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
