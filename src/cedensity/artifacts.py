@@ -159,9 +159,22 @@ def _whole(values):
     return values, np.ones(len(values), dtype=np.int64)
 
 
+def _rational(rec, key="q", unit=True):
+    """The stored rational rec[key_num]/rec[key_den]; ValueError unless both
+    are integers, not bools, the denominator is >= 1 and, for a ``unit``
+    ratio, the rational lies in (0, 1)."""
+    num, den = rec[f"{key}_num"], rec[f"{key}_den"]
+    if not (all(isinstance(v, int) and not isinstance(v, bool)
+                for v in (num, den)) and den >= 1
+            and (not unit or 0 < num < den)):
+        within = "in (0, 1)" if unit else "with a denominator >= 1"
+        raise ValueError(f"{key} {num!r}/{den!r} is not a ratio {within}")
+    return num, den
+
+
 def _checkpoint_bounds(art):
     # count · den >= num · s at every checkpoint with s >= 1
-    q_num, q_den = art.guarantee["q_num"], art.guarantee["q_den"]
+    q_num, q_den = _rational(art.guarantee)
     n = np.array([cp["s"] for cp in art.checkpoints if cp["s"] > 0],
                  dtype=np.int64)
     s = exact_ints(n, max(q_num, q_den) * art.n_max)
@@ -171,6 +184,8 @@ def _checkpoint_bounds(art):
 def _tracking_bounds(art):
     # count >= max(q_t − 2^-slack_pow, 0) · s
     cps = [cp for cp in art.checkpoints if cp["s"] != 0]
+    for cp in cps:
+        _rational(cp, "target", unit=False)
     s, num, den = (_column(cps, k) for k in ("s", "target_num", "target_den"))
     scale = np.array([1 << cp["slack_pow"] for cp in cps], dtype=object)
     slacked = np.maximum(num * scale - den, 0)
@@ -180,7 +195,7 @@ def _tracking_bounds(art):
 def _lookahead_bounds(art):
     # count >= ceil(q·n) − ceil_sqrt(n) for n in [n0, n_max]
     g = art.guarantee
-    q_num, q_den = g["q_num"], g["q_den"]
+    q_num, q_den = _rational(g)
     n = np.arange(g["n0"], art.n_max + 1, dtype=np.int64)
     need = -(-q_num * exact_ints(n, max(q_num, q_den) * art.n_max) // q_den)
     return n, _whole(need - ceil_sqrt_array(n)), None
@@ -201,6 +216,8 @@ def _witness_bounds(art):
 def _approach_bounds(art):
     # |count − q·s| <= s/(n+1) at checkpoint n, over the denominator q_den·(n+1)
     cps = art.checkpoints
+    for cp in cps:
+        _rational(cp)
     s, q_num, q_den = (_column(cps, k) for k in ("s", "q_num", "q_den"))
     m = _column(cps, "n") + 1
     return (s.astype(np.int64), _reduced(s * (q_num * m - q_den), q_den * m),

@@ -38,16 +38,10 @@ def evaluate_partial(decider: PartialDecider, A: SetOracle, n_max: int,
     """Resolve the decider at the stage budget on every n < n_max; answers
     still undefined then are conservatively treated as outside the domain
     (never guessed).  Defined answers are compared against A exactly."""
-    dom = np.zeros(n_max, dtype=bool)
-    errors = []
     truth = A.membership_array(n_max)
-    for n in range(n_max):
-        v = decider.eval(n, stage_budget)
-        if v is None:
-            continue
-        dom[n] = True
-        if bool(v) != bool(truth[n]):
-            errors.append(n)
+    values = decider.values(n_max, stage_budget)
+    dom = values >= 0
+    errors = np.flatnonzero(dom & ((values == 1) != truth)).tolist()
     return GenericityReport(profile_from_bits(dom, label="domain"),
                             errors, n_max, stage_budget)
 

@@ -49,6 +49,12 @@ class PartialDecider:
     def defined_on(self, xs, s: int) -> bool:
         return all(self.eval(int(x), s) is not None for x in xs)
 
+    def values(self, n_max: int, s: int) -> np.ndarray:
+        """eval(n, s) for every n < n_max, in order, as an int8 array with
+        −1 where undefined."""
+        vals = [self.eval(n, s) for n in range(n_max)]
+        return np.array([-1 if v is None else v for v in vals], dtype=np.int8)
+
     # fixed vocabulary of rule kinds (no arbitrary code from configs)
     @staticmethod
     def constant(value: int, delay: int = 0, label=None):
@@ -169,20 +175,84 @@ def prefix_gated_build(streams, n_max: int, stage_max: int):
     entry = np.full(n_max, NEVER, dtype=np.int64)
     report = {}
     for e, st in enumerate(streams):
-        elems = [x for x in region_elements(e, 0, n_max)
-                 if x < min(n_max, st.n_max)]
-        gate = 0  # max entry stage among the prefix of the class
-        witness = None
-        for x in elems:
-            es = int(st.entry[x])
-            if es == NEVER or es > stage_max:
-                witness = x
-                break
-            gate = max(gate, es)
-            entry[x] = gate
-        report[e] = ({"case": "covered"} if witness is None
-                     else {"case": "witness", "witness": witness})
+        top = min(n_max, st.n_max)
+        # the class elements below the window; none once 2^e reaches it
+        xs = (np.arange(1 << e, top, 2 << e) if (1 << e) < top
+              else np.zeros(0, dtype=np.int64))
+        stages = st.entry[xs]
+        missing = np.flatnonzero((stages == NEVER) | (stages > stage_max))
+        cut = int(missing[0]) if missing.size else xs.size
+        # each entry waits for the last class element at or below it
+        entry[xs[:cut]] = np.maximum.accumulate(stages[:cut])
+        report[e] = ({"case": "covered"} if cut == xs.size
+                     else {"case": "witness", "witness": int(xs[cut])})
     return CEStream(entry, stage_max=stage_max, label="prefix-gated"), report
+
+
+# -- the stage driver --------------------------------------------------------
+
+class _StageDriver:
+    """The stage loop of the interval constructions.
+
+    ``run`` calls the builder's ``step(s, y)`` at each stage s <= stage_max,
+    with y the least element entering the permitting stream at s (None if
+    none does or there is none), and writes ``rec``, the step's record of
+    the stage, to the trace when it holds something.  The driver holds the
+    entry stages of each output stream, the elements of every appointed
+    interval, and each dyadic class's next interval.  Given an ``own`` tag,
+    every 1 <= s < n_max enters output 0 at stage s first, unless it lies
+    in an appointed interval: restrained, it enters only when released.
+    """
+
+    def __init__(self, construction: str, n_max: int, stage_max: int,
+                 outputs: int = 1):
+        self.trace = ConstructionTrace(construction)
+        self.n_max, self.stage_max = n_max, stage_max
+        self.entry = np.full((outputs, n_max), NEVER, dtype=np.int64)
+        self.restrained = np.zeros(n_max, dtype=bool)
+        self.j_next = {}  # class k -> index past its last interval
+        self.rec = {}
+
+    def note(self, key: str, value):
+        self.rec.setdefault(key, []).append(value)
+
+    def enter(self, xs, s: int, tag=None, out: int = 0):
+        """Enter the ints xs, none of them in output ``out`` yet, at stage
+        s; given a tag, the record's "enumerated" list gets {"x": x, **tag}
+        for each."""
+        self.entry[out, xs] = s
+        if tag is not None:
+            self.rec.setdefault("enumerated", []).extend(
+                {"x": x, **tag} for x in xs)
+
+    def appoint(self, k: int, min_elem_above: int, max_above: int):
+        """The next interval of class k (``_large_interval``), restrained,
+        or None if it would leave the window."""
+        found = _large_interval(k, self.j_next.get(k, 0), min_elem_above,
+                                max_above, self.n_max)
+        if found is not None:
+            elems, self.j_next[k] = found
+            self.restrained[elems] = True
+            return elems
+
+    def run(self, step, own=None, permitter: CEStream | None = None):
+        entry, restrained = self.entry[0], self.restrained
+        for s in range(self.stage_max + 1):
+            if own is not None and 1 <= s < self.n_max and not restrained[s]:
+                entry[s] = s
+                self.rec["enumerated"] = [{"x": s, **own}]
+            y = None
+            if permitter is not None:
+                entered = permitter.entering_at(s)
+                y = int(entered[0]) if entered.size else None
+            step(s, y)
+            if self.rec:
+                self.trace.record(s, **self.rec)
+                self.rec = {}
+
+    def streams(self, *labels) -> list:
+        return [CEStream(row, stage_max=self.stage_max, label=label)
+                for row, label in zip(self.entry, labels)]
 
 
 # -- exact-ratio interval strategy ------------------------------------------
@@ -215,97 +285,77 @@ def ratio_interval_build(deciders, n_max: int, stage_max: int):
     ratio b/c is built for).
     """
     E = len(deciders)
-    trace = ConstructionTrace("ratio_interval")
+    drive = _StageDriver("ratio_interval", n_max, stage_max)
     intervals = []  # dicts: e, a, b, c, state, witness, stage fields
-    waiting = {e: None for e in range(E)}
-    retired = set()
-    frontier = 0
-    entry = {}
-    exhausted = False
-    for s in range(stage_max + 1):
-        if E == 0:
-            break
+    last = [None] * E  # each requirement's latest interval
+    frontier = 0  # None once no interval fits below n_max
+
+    def step(s, _y):
+        nonlocal frontier
         e = s % E
-        rec = {"acted": e}
-        iv = waiting[e]
-        if iv is not None:
-            gap = range(iv["b"] + 1, iv["c"] + 1)
+        drive.rec["acted"] = e
+        iv = last[e]
+        if iv is not None and iv["state"] == "waiting":
             if deciders[e].defined_on(range(iv["a"], iv["c"] + 1), s):
+                gap = range(iv["b"] + 1, iv["c"] + 1)
                 ones = [x for x in gap if deciders[e].eval(x, s) == 1]
-                if ones:
-                    iv["state"] = "finalized"
-                    iv["witness"] = ones[0]
-                    new = [x for x in gap if x != ones[0]]
-                    retired.add(e)
-                else:
-                    iv["state"] = "completed"
-                    new = list(gap)
-                for x in new:
-                    entry.setdefault(x, s)
+                iv["state"] = "finalized" if ones else "completed"
+                iv["witness"] = ones[0] if ones else None
+                drive.enter([x for x in gap if x != iv["witness"]], s,
+                            {"e": e})
                 iv["resolved_stage"] = s
-                waiting[e] = None
-                rec["resolved"] = {"e": e, "a": iv["a"], "c": iv["c"],
-                                   "state": iv["state"],
-                                   "witness": iv.get("witness")}
-                rec["enumerated"] = [{"x": x, "e": e} for x in new]
-        elif e not in retired and not exhausted:
+                drive.rec["resolved"] = {key: iv[key] for key in
+                                         ("e", "a", "c", "state", "witness")}
+        elif frontier is not None and (iv is None
+                                       or iv["state"] != "finalized"):
             a = frontier
             b, c = _ratio_interval(a, e)
             if c >= n_max:
-                if not any(v["e"] == e for v in intervals):
+                if iv is None:
                     raise RatioUnrealizable(
                         f"no interval with the exact ratio fits below "
                         f"n_max={n_max} for requirement {e}", requirement=e)
-                exhausted = True
-                rec["exhausted"] = True
+                frontier = None
+                drive.rec["exhausted"] = True
             else:
-                iv = {"e": e, "a": a, "b": b, "c": c, "state": "waiting",
-                      "witness": None, "appointed_stage": s}
+                last[e] = iv = {"e": e, "a": a, "b": b, "c": c,
+                                "state": "waiting", "witness": None,
+                                "appointed_stage": s}
                 intervals.append(iv)
-                waiting[e] = iv
                 frontier = c + 1
-                inner = list(range(a, b + 1))
-                for x in inner:
-                    entry.setdefault(x, s)
-                rec["appointed"] = {"e": e, "a": a, "b": b, "c": c}
-                rec["enumerated"] = [{"x": x, "e": e} for x in inner]
-        trace.record(s, **rec)
-    stream = CEStream.from_schedule(entry.items(), n_max=n_max,
-                                    stage_max=stage_max, label="ratio-interval")
-    trace.outcomes = _ratio_outcomes(deciders, intervals, stream, stage_max)
-    return stream, intervals, trace
+                drive.enter(range(a, b + 1), s, {"e": e})
+                drive.rec["appointed"] = {"e": e, "a": a, "b": b, "c": c}
+
+    if deciders:  # no requirement acts at any stage otherwise
+        drive.run(step)
+    (stream,) = drive.streams("ratio-interval")
+    drive.trace.outcomes = _ratio_outcomes(deciders, intervals, stream,
+                                           stage_max)
+    return stream, intervals, drive.trace
 
 
 def _ratio_outcomes(deciders, intervals, stream, stage_max):
-    members = stream.final_members()
-    out = {}
-    for e, d in enumerate(deciders):
-        ones = np.array([x for x in range(stream.n_max)
-                         if d.eval(x, stage_max) == 1], dtype=np.int64)
-        per_interval = []
-        for iv in intervals:
-            if iv["e"] != e:
-                continue
-            a, b, c = iv["a"], iv["b"], iv["c"]
-            gap_hit = bool(((ones > b) & (ones <= c)).any())
-            r_b = int((ones <= b).sum())
-            r_c = int((ones <= c).sum())
-            identity = None
-            if not gap_hit and b >= 1:
-                lhs = Fraction(r_b, b) - Fraction(r_c, c)
-                rhs = Fraction(r_b, b) * Fraction(1, 1 << (e + 1))
-                identity = bool(lhs == rhs)
-            blk = int(members[a:c + 1].sum())
-            per_interval.append({
-                "a": a, "b": b, "c": c, "state": iv["state"],
-                "witness": iv["witness"], "gap_avoided": not gap_hit,
-                "identity_exact": identity,
-                "block_count": blk, "block_size": c - a + 1,
-            })
-        out[e] = {"intervals": per_interval,
-                  "finalized": any(iv["state"] == "finalized"
-                                   for iv in per_interval)}
-    return out
+    counts = prefix_counts(stream.final_members())
+    ones = [prefix_counts(d.values(stream.n_max, stage_max) == 1)
+            for d in deciders]  # |S ∩ [0, m)| at m, per decider's 1-set S
+    per_e = [[] for _ in deciders]
+    for iv in intervals:
+        e, a, b, c = iv["e"], iv["a"], iv["b"], iv["c"]
+        r_b, r_c = int(ones[e][b + 1]), int(ones[e][c + 1])
+        identity = None
+        if r_c == r_b and b >= 1:  # the 1-set avoids the gap
+            identity = (Fraction(r_b, b) - Fraction(r_c, c)
+                        == Fraction(r_b, b) * Fraction(1, 1 << (e + 1)))
+        per_e[e].append({
+            "a": a, "b": b, "c": c, "state": iv["state"],
+            "witness": iv["witness"], "gap_avoided": r_c == r_b,
+            "identity_exact": identity,
+            "block_count": int(counts[c + 1] - counts[a]),
+            "block_size": c - a + 1,
+        })
+    return {e: {"intervals": ivs,
+                "finalized": any(iv["state"] == "finalized" for iv in ivs)}
+            for e, ivs in enumerate(per_e)}
 
 
 # -- restrained large-interval strategy --------------------------------------
@@ -346,79 +396,54 @@ def restraint_witness_build(streams, n_max: int, stage_max: int):
     < 1 − 2^-(k+2) exactly.
     """
     E = len(streams)
-    trace = ConstructionTrace("restraint_witness")
-    entry = {}
-    current = {}   # k -> {"elems": set, "max": m, "all": list}
-    j_next = {k: 0 for k in range(E)}
+    drive = _StageDriver("restraint_witness", n_max, stage_max)
+    current = {}  # k -> its restrained interval, ascending
     dormant = set()
-    ever_appointed = set()
-    restrained = set()
 
-    for s in range(stage_max + 1):
-        rec = {}
-        enums = []
-        # positive side: every positive number joins at its own stage
-        # unless some requirement currently restrains it
-        if 1 <= s < n_max and s not in restrained and s not in entry:
-            entry[s] = s
-            enums.append({"x": s, "via": "own-stage"})
+    def step(s, _y):
         for k in range(min(E, s + 1)):
             if k in dormant:
                 continue
             wmax = streams[k].max_member_at(s)
             iv = current.get(k)
-            if iv is not None and wmax > iv["max"]:
+            if iv is not None and wmax > iv[-1]:
                 # stream outgrew the interval: dump and re-appoint
-                for x in sorted(iv["elems"]):
-                    if x not in entry:
-                        entry[x] = s
-                        enums.append({"x": x, "via": "dump", "k": k})
-                restrained.difference_update(iv["elems"])
-                rec.setdefault("dumped", []).append(
-                    {"k": k, "max": iv["max"]})
-                current[k] = None
-                iv = None
+                drive.enter(iv, s, {"via": "dump", "k": k})
+                drive.note("dumped", {"k": k, "max": iv[-1]})
+                current[k] = iv = None
             if iv is None:
-                found = _large_interval(k, j_next[k], s, max(wmax, s), n_max)
-                if found is None:
-                    if k not in ever_appointed:
+                iv = drive.appoint(k, s, max(wmax, s))
+                if iv is None:
+                    if k not in current:
                         raise WindowExhausted(
                             f"no interval for requirement {k} fits below "
                             f"n_max={n_max}", requirement=k)
                     dormant.add(k)
-                    rec.setdefault("dormant", []).append(k)
+                    drive.note("dormant", k)
                     continue
-                ever_appointed.add(k)
-                elems, j_next[k] = found
-                current[k] = {"elems": set(elems), "max": elems[-1],
-                              "all": elems}
-                restrained.update(elems)
-                rec.setdefault("appointed", []).append(
-                    {"k": k, "min": elems[0],
-                     "max": elems[-1], "size": len(elems)})
-        if enums:
-            rec["enumerated"] = enums
-        if rec:
-            trace.record(s, **rec)
-    stream = CEStream.from_schedule(entry.items(), n_max=n_max,
-                                    stage_max=stage_max,
-                                    label="restraint-witness")
+                current[k] = iv
+                drive.note("appointed", {"k": k, "min": iv[0], "max": iv[-1],
+                                         "size": len(iv)})
+
+    # positive side: every positive number joins at its own stage unless
+    # it lies in an interval some requirement appointed
+    drive.run(step, own={"via": "own-stage"})
+    (stream,) = drive.streams("restraint-witness")
     counts = prefix_counts(stream.final_members())
-    outcomes = {}
+    out = drive.trace.outcomes
     for k in range(E):
         iv = current.get(k)
         if iv is None:
-            outcomes[k] = {"final_interval": None}
+            out[k] = {"final_interval": None}
             continue
-        m = iv["max"]
+        m = iv[-1]
         rho_a = Fraction(int(counts[m]), m)
         bound = 1 - Fraction(1, 1 << (k + 2))
-        outcomes[k] = {"final_interval": [min(iv["all"]), m],
-                       "rho_m_num": rho_a.numerator,
-                       "rho_m_den": rho_a.denominator,
-                       "strictly_below_bound": bool(rho_a < bound)}
-    trace.outcomes = outcomes
-    return stream, trace
+        out[k] = {"final_interval": [iv[0], m],
+                  "rho_m_num": rho_a.numerator,
+                  "rho_m_den": rho_a.denominator,
+                  "strictly_below_bound": bool(rho_a < bound)}
+    return stream, drive.trace
 
 
 # -- permitted large-interval strategy ---------------------------------------
@@ -442,80 +467,57 @@ def permitted_interval_build(C: CEStream, jump: JumpApprox, streams,
     if pairs is None:
         pairs = [(e, i) for e in range(len(streams))
                  for i in range(len(streams))]
-    trace = ConstructionTrace("permitted_interval")
-    entry = {}
-    restrained = set()
+    drive = _StageDriver("permitted_interval", n_max, stage_max)
     state = {p: {"iv": None, "g": 0, "cancels": 0, "appointed": 0,
                  "use": None} for p in pairs}
     g_rows = {p: [] for p in pairs}
-    j_next = {p: 0 for p in pairs}
     codes = {p: pair_code(*p) for p in pairs}
 
-    for s in range(stage_max + 1):
-        rec = {}
-        enums = []
-        if 1 <= s < n_max and s not in restrained and s not in entry:
-            entry[s] = s
-            enums.append({"x": s, "permission": {"kind": "own-stage"}})
-        entered = C.entering_at(s)
-        y = int(entered[0]) if entered.size else None  # least C-entrant
+    def step(s, y):
         for p in pairs:
             e, i = p
             k = codes[p]
-            if k > s:
-                g_rows[p].append(state[p]["g"])
-                continue
             st = state[p]
+            if k > s:
+                g_rows[p].append(st["g"])
+                continue
             iv = st["iv"]
             if iv is not None:
                 if y is not None and y <= st["use"]:
-                    for x in sorted(iv):
-                        if x not in entry:
-                            entry[x] = s
-                            enums.append({"x": x, "permission":
-                                          {"kind": "change", "y": y},
-                                          "pair": list(p)})
-                    restrained.difference_update(iv)
+                    drive.enter(iv, s, {"permission": {"kind": "change",
+                                                        "y": y},
+                                        "pair": list(p)})
                     st["iv"] = None
                     st["g"] = 0
                     st["cancels"] += 1
-                    rec.setdefault("cancelled", []).append(
-                        {"pair": list(p), "y": y})
+                    drive.note("cancelled", {"pair": list(p), "y": y})
                     iv = None
                 elif st["g"] == 0 and s >= st["cover"]:
                     st["g"] = 1
-                    rec.setdefault("covered", []).append(list(p))
+                    drive.note("covered", list(p))
             if iv is None and jump.guess(i, s) == 1:
                 u = jump.use(i, s)
                 if u is None:
                     raise ContractViolated(
                         f"use undefined while guess positive for i={i}, s={s}")
-                found = _large_interval(k, j_next[p], max(int(u), s),
-                                        max(int(u), s), n_max)
-                if found is not None:
-                    elems, j_next[p] = found
+                elems = drive.appoint(k, max(int(u), s), max(int(u), s))
+                if elems is not None:
                     # stream e covers the interval from the last entry stage
                     # of its elements inside the stream's window: never if
                     # one is NEVER, at once if none is inside
                     inside = [x for x in elems if x < streams[e].n_max]
                     st["cover"] = int(streams[e].entry[inside].max(
                         initial=0))
-                    st["iv"] = set(elems)
+                    st["iv"] = elems
                     st["use"] = int(u)
                     st["appointed"] += 1
-                    restrained.update(elems)
-                    rec.setdefault("appointed", []).append(
-                        {"pair": list(p), "min": elems[0],
-                         "max": elems[-1], "use": int(u)})
-            g_rows[p].append(state[p]["g"])
-        if enums:
-            rec["enumerated"] = enums
-        if rec:
-            trace.record(s, **rec)
-    stream = CEStream.from_schedule(entry.items(), n_max=n_max,
-                                    stage_max=stage_max,
-                                    label="permitted-interval")
-    outcomes = {}
+                    drive.note("appointed", {"pair": list(p), "min": elems[0],
+                                             "max": elems[-1], "use": int(u)})
+            g_rows[p].append(st["g"])
+
+    drive.run(step, own={"permission": {"kind": "own-stage"}}, permitter=C)
+    (stream,) = drive.streams("permitted-interval")
+    out = drive.trace.outcomes
     for p in pairs:
         st = state[p]
         if st["appointed"] == 0:
@@ -524,10 +526,9 @@ def permitted_interval_build(C: CEStream, jump: JumpApprox, streams,
             case = "permanent-covered" if st["g"] == 1 else "permanent-uncovered"
         else:
             case = "cancelled"
-        outcomes[str(p)] = {"case": case, "cancels": st["cancels"],
-                            "appointed": st["appointed"]}
-    trace.outcomes = outcomes
-    return stream, g_rows, trace
+        out[str(p)] = {"case": case, "cancels": st["cancels"],
+                       "appointed": st["appointed"]}
+    return stream, g_rows, drive.trace
 
 
 # -- realized-interval splitting ----------------------------------------------
@@ -544,67 +545,50 @@ def split_interval_build(B: CEStream, deciders, n_max: int, stage_max: int):
     symmetric difference of the decider's 1-set and A1.
     """
     E = len(deciders)
-    trace = ConstructionTrace("split_interval")
-    entry0, entry1 = {}, {}
-    pending = {e: [] for e in range(E)}  # dicts: elems, min, realized
-    j_next = {e: 0 for e in range(E)}
+    drive = _StageDriver("split_interval", n_max, stage_max, outputs=2)
+    pending = [[] for _ in range(E)]  # dicts: elems, min, realized
     split_records = []
-    for s in range(stage_max + 1):
-        rec = {}
-        entered = B.entering_at(s)
-        y = int(entered[0]) if entered.size else None  # least B-entrant
+
+    def step(s, y):
         for e in range(min(E, s + 1)):
+            d = deciders[e]
             for iv in pending[e]:
-                if not iv["realized"] and deciders[e].defined_on(iv["elems"], s):
+                if not iv["realized"] and d.defined_on(iv["elems"], s):
                     iv["realized"] = True
-                    rec.setdefault("realized", []).append(
-                        {"e": e, "min": iv["min"]})
+                    drive.note("realized", {"e": e, "min": iv["min"]})
+            trig = None
             if y is not None:
-                trig = None
-                for idx, iv in enumerate(pending[e]):
+                for j, iv in enumerate(pending[e]):
                     if iv["realized"] and y <= iv["min"]:
-                        trig = idx  # oldest realized permitted interval
+                        trig = j  # oldest realized permitted interval
                         break
-                if trig is not None:
-                    iv = pending[e][trig]
-                    ones = [x for x in iv["elems"]
-                            if deciders[e].eval(x, s) == 1]
-                    zeros = [x for x in iv["elems"]
-                             if deciders[e].eval(x, s) != 1]
-                    for x in ones:
-                        entry0.setdefault(x, s)
-                    for x in zeros:
-                        entry1.setdefault(x, s)
-                    flushed = pending[e][:trig]
-                    for old in flushed:
-                        for x in old["elems"]:
-                            entry1.setdefault(x, s)
-                    split_records.append(
-                        {"e": e, "min": iv["min"], "y": y,
-                         "elems": list(iv["elems"]),
-                         "to_a0": ones, "stage": s})
-                    rec.setdefault("split", []).append(
-                        {"e": e, "min": iv["min"], "y": y,
-                         "a0": len(ones), "a1": len(zeros),
-                         "flushed": len(flushed)})
-                    pending[e] = pending[e][trig + 1:]
+            if trig is not None:
+                iv = pending[e][trig]
+                ones = [x for x in iv["elems"] if d.eval(x, s) == 1]
+                zeros = [x for x in iv["elems"] if d.eval(x, s) != 1]
+                flushed = pending[e][:trig]
+                drive.enter(ones, s, out=0)
+                drive.enter(zeros + [x for old in flushed
+                                     for x in old["elems"]], s, out=1)
+                head = {"e": e, "min": iv["min"], "y": y}
+                split_records.append(dict(head, elems=list(iv["elems"]),
+                                          to_a0=ones, stage=s))
+                drive.note("split", dict(head, a0=len(ones), a1=len(zeros),
+                                         flushed=len(flushed)))
+                pending[e] = pending[e][trig + 1:]
             # keep at most one unrealized interval outstanding
             if not pending[e] or pending[e][-1]["realized"]:
-                found = _large_interval(e, j_next[e], 0, s, n_max)
-                if found is not None:
-                    elems, j_next[e] = found
+                elems = drive.appoint(e, 0, s)
+                if elems is not None:
                     pending[e].append({"elems": elems, "min": elems[0],
                                        "realized": False})
-                    rec.setdefault("appointed", []).append(
-                        {"e": e, "min": elems[0], "max": elems[-1]})
-        if rec:
-            trace.record(s, **rec)
-    A0 = CEStream.from_schedule(entry0.items(), n_max=n_max,
-                                stage_max=stage_max, label="split-A0")
-    A1 = CEStream.from_schedule(entry1.items(), n_max=n_max,
-                                stage_max=stage_max, label="split-A1")
-    trace.outcomes = {"splits": split_records}
-    return A0, A1, trace
+                    drive.note("appointed", {"e": e, "min": elems[0],
+                                             "max": elems[-1]})
+
+    drive.run(step, permitter=B)
+    A0, A1 = drive.streams("split-A0", "split-A1")
+    drive.trace.outcomes = {"splits": split_records}
+    return A0, A1, drive.trace
 
 
 # -- trace audits -------------------------------------------------------------

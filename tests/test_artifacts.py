@@ -251,10 +251,36 @@ def _form_payload(form, bits, **guarantee):
         dict(guarantee, form=form)))
 
 
+def _tracking_payload(**target):
+    """A tracking artifact whose one target, 3/2 (beyond 1, as a config may
+    ask), is changed by ``target``."""
+    cps = [{"s": 0, "t": 0, "count": 0},
+           dict({"s": 2, "t": 2, "count": 0, "target_num": 3,
+                 "target_den": 2, "slack_pow": 1,
+                 "observed_unslacked": False}, **target)]
+    return ar.artifact_payload(ap.SubsetArtifact(
+        "tampered", np.zeros(4, dtype=bool), cps,
+        {"form": "tracking-checkpoint-ratio"}))
+
+
+def _approach_payload(**q):
+    cps = [dict({"n": 0, "s": 1, "count": 1, "q_num": 1, "q_den": 2}, **q)]
+    return ar.artifact_payload(ap.SubsetArtifact(
+        "tampered", np.ones(1, dtype=bool), cps, {"form": "target-approach"}))
+
+
 def _without_count():
     payload = _sample_payload()
     del payload["checkpoints"][-1]["count"]
     return payload
+
+
+def test_tracking_target_past_one_verifies():
+    # a config may track targets outside (0, 1); only their form is checked
+    payload = _tracking_payload(count=2)
+    art = ap.SubsetArtifact("t", np.ones(4, dtype=bool),
+                            payload["checkpoints"], payload["guarantee"])
+    assert ar.verify_artifact(art) == {"ok": True, "failures": []}
 
 
 @pytest.mark.parametrize("payload, message", [
@@ -282,6 +308,32 @@ def _without_count():
     (_form_payload("witness-margin", 3, h_of_n=[5]),
      "malformed witness-margin record: "
      "ValueError('h_of_n must hold n_max integers')"),
+    (_form_payload("lookahead-margin", 16, q_num=1, q_den=0, n0=1),
+     "malformed lookahead-margin record: "
+     "ValueError('q 1/0 is not a ratio in (0, 1)')"),
+    (_form_payload("lookahead-margin", 16, q_num=True, q_den=2, n0=1),
+     "malformed lookahead-margin record: "
+     "ValueError('q True/2 is not a ratio in (0, 1)')"),
+    (_sample_payload(guarantee={"form": "checkpoint-ratio", "q_num": -3,
+                                "q_den": -1}),
+     "malformed checkpoint-ratio record: "
+     "ValueError('q -3/-1 is not a ratio in (0, 1)')"),
+    (_sample_payload(guarantee={"form": "checkpoint-ratio", "q_num": 1,
+                                "q_den": 1}),
+     "malformed checkpoint-ratio record: "
+     "ValueError('q 1/1 is not a ratio in (0, 1)')"),
+    (_tracking_payload(target_den=0),
+     "malformed tracking-checkpoint-ratio record: "
+     "ValueError('target 3/0 is not a ratio with a denominator >= 1')"),
+    (_tracking_payload(target_num=2.5),
+     "malformed tracking-checkpoint-ratio record: "
+     "ValueError('target 2.5/2 is not a ratio with a denominator >= 1')"),
+    (_approach_payload(q_num=0),
+     "malformed target-approach record: "
+     "ValueError('q 0/2 is not a ratio in (0, 1)')"),
+    (_approach_payload(q_den=False),
+     "malformed target-approach record: "
+     "ValueError('q 1/False is not a ratio in (0, 1)')"),
 ])
 def test_check_rejects_malformed_artifact(tmp_path, capsys, payload, message):
     path = tmp_path / "a.json"

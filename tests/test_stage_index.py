@@ -29,7 +29,8 @@ STREAMS = [{"label": "s_ev", "set": "ev", "schedule": {"kind": "own-stage"}},
 DECIDERS = [{"label": "one", "kind": "constant", "value": 1, "delay": 3},
             {"label": "par", "kind": "parity", "delay": 2},
             {"label": "r3", "kind": "residue", "modulus": 3,
-             "residues": [2], "delay": 5}]
+             "residues": [2], "delay": 5},
+            {"label": "zero", "kind": "constant", "value": 0, "delay": 7}]
 
 
 def _cfg(construction, n=2000):
@@ -47,6 +48,10 @@ STAGE_LOOPS = {
         "streams": ["s_ev", "s_none"]}),
     "split-interval": _cfg({"op": "split-interval", "permitter": "s_rm",
                             "deciders": ["one", "par", "r3"]}),
+    "ratio-interval": _cfg({"op": "ratio-interval",
+                            "deciders": ["one", "par", "r3", "zero"]}),
+    "prefix-gated": _cfg({"op": "prefix-gated",
+                          "streams": ["s_all", "s_ev", "s_rm", "s_none"]}),
     "sparse-hitting": _cfg({"op": "sparse-hitting",
                             "streams": ["s_ev", "s_none", "s_rm", "s_all",
                                         "s_none", "s_all"]}),
@@ -62,6 +67,25 @@ GOLDEN = {
             "3b03dba15efdbd85bc87d0bc3d13d90b7f9abd99af2ec175e8e541f7eca3d2e2",
         "trace.jsonl":
             "213169b6d1001589bd210d9bede9aba4e9399bce489201b5e5dec50c62dd4092",
+        "verify.json":
+            "8d8d84c4fd77f28c24147ff4e5ed939d1954b33b616740447fb7c47470f1fd21",
+    },
+    # recorded before the four prioritysim builders ran on one stage driver
+    "prefix-gated": {
+        "artifact.json":
+            "6c8f87980595a3b4ba007fb682c39e01b321ff506b02b71c2b13e502570b5575",
+        "certified.csv":
+            "3b03dba15efdbd85bc87d0bc3d13d90b7f9abd99af2ec175e8e541f7eca3d2e2",
+        "verify.json":
+            "8d8d84c4fd77f28c24147ff4e5ed939d1954b33b616740447fb7c47470f1fd21",
+    },
+    "ratio-interval": {
+        "artifact.json":
+            "929d8e60f233f1f9357a36ea82bd6dec9523d05a35d3100bb94940e58f7dbfeb",
+        "certified.csv":
+            "3b03dba15efdbd85bc87d0bc3d13d90b7f9abd99af2ec175e8e541f7eca3d2e2",
+        "trace.jsonl":
+            "12076a999e117a99843b331a9cc4ff52eeac0043829ffd50dfc5769897fd709b",
         "verify.json":
             "8d8d84c4fd77f28c24147ff4e5ed939d1954b33b616740447fb7c47470f1fd21",
     },
