@@ -256,7 +256,7 @@ def _decider(spec: _Field, label: str) -> prioritysim.PartialDecider:
     if kind == "value-delay":
         v = spec["value"].int(0, 1)
         f = spec.get("delay_factor", 1).int(0)
-        return P.delayed_rule(lambda n: v, lambda n: f * n, label)
+        return P.linear_delay(v, f, label)
     raise spec.get("kind").error(f"unknown decider kind {kind!r}")
 
 
@@ -269,18 +269,14 @@ def _deciders(cfg: _Field) -> dict:
 
 
 def _jump(spec: _Field) -> prioritysim.JumpApprox:
+    J = prioritysim.JumpApprox
     kind = spec.obj().get("kind").value
     if kind == "never":
-        return prioritysim.JumpApprox(lambda i, s: 0, lambda i, s: None)
+        return J.never()
     if kind == "step":
-        on_at, use = spec["on_at"].int(0), spec["use"].int(0)
-        return prioritysim.JumpApprox(
-            lambda i, s: 1 if s >= on_at else 0,
-            lambda i, s: use if s >= on_at else None)
+        return J.step(spec["on_at"].int(0), spec["use"].int(0))
     if kind == "blink":
-        p, use = spec["period"].int(1), spec["use"].int(0)
-        return prioritysim.JumpApprox(
-            lambda i, s: (s // p) % 2, lambda i, s: use)
+        return J.blink(spec["period"].int(1), spec["use"].int(0))
     raise spec.get("kind").error(f"unknown jump kind {kind!r}")
 
 

@@ -385,28 +385,35 @@ def _field(col) -> np.ndarray:
     return _text_field(list(map(str, col.tolist())))
 
 
-def csv_bytes(cols) -> bytes:
-    """The LF-terminated CSV rows of the equal-length numpy columns: an
-    integer column (int64 or narrower) in decimal digits, a float64 column
-    as the repr of each value, any other column (Python ints past int64)
-    as the str of each value, a None column as an empty field.
+def row_bytes(fragments, cols) -> bytes:
+    """Per row i, the bytes fragments[0], cols[0][i], fragments[1], ...,
+    cols[-1][i], fragments[-1]: an integer column (int64 or narrower) in
+    decimal digits, a float64 column as the repr of each value, any other
+    column (Python ints past int64) as the str of each value, and a None
+    column as nothing.
 
-    Each column becomes a 0-padded byte matrix with one row per CSV row;
-    no field holds a 0 byte, so the nonzero bytes of the matrices laid side
-    by side with the commas and LFs are the rows, in order.
+    Each column becomes a 0-padded byte matrix with one row per output
+    row; no field or fragment holds a 0 byte, so the nonzero bytes of the
+    matrices laid side by side with the fragments are the rows, in order.
     """
     rows = next((len(col) for col in cols if col is not None), 0)
     if not rows:
         return b""
-    comma = np.full((rows, 1), ord(","), dtype=np.uint8)
     parts = []
-    for col in cols:
+    for frag, col in zip(fragments, [*cols, None]):
+        if frag:
+            parts.append(np.broadcast_to(np.frombuffer(frag, np.uint8),
+                                         (rows, len(frag))))
         if col is not None:
             parts.append(_field(col))
-        parts.append(comma)
-    parts[-1] = np.full((rows, 1), ord("\n"), dtype=np.uint8)
     table = np.concatenate(parts, axis=1)
     return table[table != 0].tobytes()
+
+
+def csv_bytes(cols) -> bytes:
+    """The LF-terminated CSV rows of the equal-length numpy columns, each
+    field as ``row_bytes`` renders it (a None column is an empty field)."""
+    return row_bytes([b"", *[b","] * (len(cols) - 1), b"\n"], cols)
 
 
 def write_columns(path, header: str, cols) -> None:
@@ -481,15 +488,21 @@ def write_json(path, payload) -> None:
         fh.write(b"\n")
 
 
-def write_jsonl(path, records) -> None:
+def jsonl_bytes(records) -> bytes:
     """One LF-terminated line per record, each the bytes of
     ``json.dumps(record, sort_keys=True)``, through one C encoder built
     once (``JSONEncoder.encode`` builds a new one per call)."""
     encode = json.encoder.c_make_encoder(
         None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
         None, ": ", ", ", True, False, True)
-    with open(path, "w") as fh:
-        fh.writelines("".join(encode(rec, 0)) + "\n" for rec in records)
+    return "".join(["".join(encode(rec, 0)) + "\n"
+                    for rec in records]).encode()
+
+
+def write_jsonl(path, records) -> None:
+    """``jsonl_bytes(records)`` as a file."""
+    with open(path, "wb") as fh:
+        fh.write(jsonl_bytes(records))
 
 
 def residue_union_density(m: int, residues) -> Fraction:

@@ -9,13 +9,17 @@ classification — always qualified "on the window", never as a limit claim.
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import groupby
 from math import factorial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import (CEStream, NEVER, prefix_counts, trailing_zeros,
-                   write_jsonl)
+from .core import (_CHUNK_ROWS, CEStream, NEVER, jsonl_bytes, prefix_counts,
+                   row_bytes, trailing_zeros)
 from .errors import ContractViolated, RatioUnrealizable, WindowExhausted
 
 
@@ -25,12 +29,22 @@ class PartialDecider:
     """A stage-budgeted partial 0/1 function: eval(n, s) is 0, 1, or None
     (undefined at stage s).  Once defined the value may never change, and
     definedness may never be revoked; both are checked across the queries
-    actually made."""
+    actually made.
 
-    def __init__(self, fn, label=""):
+    The vocabulary kinds below also declare an array form: ``value`` maps
+    an int64 array of n to their int8 values, and the decider is defined
+    at (n, s) exactly when s >= delay + factor·n (nowhere when delay is
+    None).  Such a decider keeps its contract by construction, so
+    ``at``, ``defined_on`` and ``defined_from`` answer from the form with
+    numpy.  A decider built from a bare callable has no such form: it is
+    asked through ``eval``, with its contract checks, and polled at every
+    stage."""
+
+    def __init__(self, fn, label="", *, value=None, delay=0, factor=0):
         self._fn = fn
         self.label = label
         self._seen = {}  # n -> (first defined stage, value)
+        self._value, self._delay, self._factor = value, delay, factor
 
     def eval(self, n: int, s: int):
         v = self._fn(n, s)
@@ -46,37 +60,83 @@ class PartialDecider:
             self._seen[n] = (s, v)
         return v
 
+    def defined_from(self, top: int):
+        """The least stage from which the decider is defined at every
+        n <= top (past any stage when never), or None for a decider with
+        no array form."""
+        if self._value is None:
+            return None
+        if self._delay is None:
+            return NEVER
+        return self._delay + self._factor * top
+
     def defined_on(self, xs, s: int) -> bool:
-        return all(self.eval(int(x), s) is not None for x in xs)
+        if self._value is None:
+            return all(self.eval(int(x), s) is not None for x in xs)
+        return len(xs) == 0 or (self._delay is not None and s >= self._delay
+                                + self._factor * int(max(xs)))
+
+    def at(self, xs, s: int) -> np.ndarray:
+        """eval(x, s) for each int x of xs, in order, as an int8 array with
+        −1 where undefined."""
+        xs = np.asarray(xs, dtype=np.int64)
+        if self._value is None:
+            vals = [self.eval(x, s) for x in xs.tolist()]
+            return np.array([-1 if v is None else v for v in vals],
+                            dtype=np.int8).reshape(xs.shape)
+        out = self._value(xs).astype(np.int8)
+        if self._delay is None or s < self._delay:
+            out[:] = -1
+        elif self._factor:
+            out[xs > (s - self._delay) // self._factor] = -1
+        return out
 
     def values(self, n_max: int, s: int) -> np.ndarray:
         """eval(n, s) for every n < n_max, in order, as an int8 array with
         −1 where undefined."""
-        vals = [self.eval(n, s) for n in range(n_max)]
-        return np.array([-1 if v is None else v for v in vals], dtype=np.int8)
+        return self.at(np.arange(n_max), s)
 
     # fixed vocabulary of rule kinds (no arbitrary code from configs)
     @staticmethod
     def constant(value: int, delay: int = 0, label=None):
         return PartialDecider(lambda n, s: value if s >= delay else None,
-                              label=label or f"const{value}@+{delay}")
+                              label=label or f"const{value}@+{delay}",
+                              value=lambda n: np.full(n.shape, value),
+                              delay=delay)
 
     @staticmethod
     def parity(delay: int = 0, label=None):
         return PartialDecider(
             lambda n, s: (1 if n % 2 == 0 else 0) if s >= delay else None,
-            label=label or "parity")
+            label=label or "parity", value=lambda n: n % 2 == 0,
+            delay=delay)
 
     @staticmethod
     def residue(m: int, residues, delay: int = 0, label=None):
         rs = frozenset(residues)
+
+        def value(n):
+            # a modulus past every n leaves each n its own residue
+            mask = np.zeros(int(min(m, n.max(initial=0) + 1)), dtype=bool)
+            mask[[r for r in rs if 0 <= r < mask.size]] = True
+            return mask[n % m if mask.size == m else n]
+
         return PartialDecider(
             lambda n, s: (1 if n % m in rs else 0) if s >= delay else None,
-            label=label or f"residue{sorted(rs)}mod{m}")
+            label=label or f"residue{sorted(rs)}mod{m}", value=value,
+            delay=delay)
 
     @staticmethod
     def never(label="never"):
-        return PartialDecider(lambda n, s: None, label=label)
+        return PartialDecider(lambda n, s: None, label=label,
+                              value=lambda n: np.zeros(n.shape), delay=None)
+
+    @staticmethod
+    def linear_delay(value: int, factor: int, label="value-delay"):
+        """The value at every n, defined once s >= factor·n."""
+        return PartialDecider(
+            lambda n, s: value if s >= factor * n else None, label=label,
+            value=lambda n: np.full(n.shape, value), factor=factor)
 
     @staticmethod
     def delayed_rule(value_fn, delay_fn, label="delayed-rule"):
@@ -88,12 +148,22 @@ class PartialDecider:
 
 class JumpApprox:
     """Stage guesses at membership of indices in a jump-style set: guess(i,s)
-    in {0,1}; use(i, s) must be a natural whenever guess(i, s) = 1."""
+    in {0,1}; use(i, s) must be a natural whenever guess(i, s) = 1.
 
-    def __init__(self, guess_fn, use_fn, label=""):
+    The vocabulary kinds below also declare ``on_from(t)``, the least stage
+    >= t at which a guess can be 1, and keep one use wherever the guess is
+    1.  A jump built from bare callables declares neither and is polled at
+    every stage."""
+
+    def __init__(self, guess_fn, use_fn, label="", on_from=None):
         self._guess = guess_fn
         self._use = use_fn
         self.label = label
+        self._on_from = on_from
+
+    @property
+    def polled(self) -> bool:
+        return self._on_from is None
 
     def guess(self, i: int, s: int) -> int:
         return int(self._guess(i, s))
@@ -101,17 +171,90 @@ class JumpApprox:
     def use(self, i: int, s: int):
         return self._use(i, s)
 
+    def on_from(self, t: int) -> int:
+        """The least stage >= t at which a guess can be 1 (NEVER if none);
+        t itself for a polled jump."""
+        return t if self._on_from is None else self._on_from(t)
+
+    @staticmethod
+    def never(label="never"):
+        return JumpApprox(lambda i, s: 0, lambda i, s: None, label,
+                          on_from=lambda t: NEVER)
+
+    @staticmethod
+    def step(on_at: int, use: int, label="step"):
+        """Guess 1 with the given use from stage on_at on."""
+        return JumpApprox(lambda i, s: 1 if s >= on_at else 0,
+                          lambda i, s: use if s >= on_at else None, label,
+                          on_from=lambda t: max(t, on_at))
+
+    @staticmethod
+    def blink(period: int, use: int, label="blink"):
+        """Guess 1 in every other block of ``period`` stages, the first
+        block 0; the use is fixed."""
+        return JumpApprox(
+            lambda i, s: (s // period) % 2, lambda i, s: use, label,
+            on_from=lambda t: t if (t // period) % 2 else
+            (t // period + 1) * period)
+
+
+class _Run(NamedTuple):
+    """Quiet stages in bulk: the record ``template(*row)`` for each row of
+    the int64 hole columns, in order."""
+
+    template: Callable
+    holes: tuple
+
+    def records(self) -> list:
+        return [self.template(*row)
+                for row in zip(*(h.tolist() for h in self.holes))]
+
+    def jsonl(self) -> bytes:
+        """``jsonl_bytes(self.records())``: the template's line split at
+        its holes into fixed fragments, with the hole digits laid between
+        them by ``row_bytes``."""
+        marks = [_HOLE + j for j in range(len(self.holes))]
+        line = jsonl_bytes([self.template(*marks)]).decode()
+        # a capturing split alternates fragments and the marks between them
+        parts = re.split(f"({'|'.join(map(str, marks))})", line)
+        frags = [f.encode() for f in parts[::2]]
+        cols = [self.holes[int(m) - _HOLE] for m in parts[1::2]]
+        return b"".join(
+            row_bytes(frags, [c[i:i + _CHUNK_ROWS] for c in cols])
+            for i in range(0, len(cols[0]), _CHUNK_ROWS))
+
+
+_HOLE = -(1 << 62)  # hole j of a template is marked by the int _HOLE + j
+
 
 class ConstructionTrace:
-    """Per-stage records plus final outcome classifications."""
+    """Per-stage records plus final outcome classifications.  The records
+    of quiet stages are held in runs (``run``); ``stages`` and
+    ``enumerations`` expand them."""
 
     def __init__(self, construction: str):
         self.construction = construction
-        self.stages = []
         self.outcomes = {}
+        self._parts = []  # stage records and _Runs, in stage order
 
     def record(self, stage: int, **fields):
-        self.stages.append({"stage": stage, **fields})
+        self._parts.append({"stage": stage, **fields})
+
+    def run(self, template, *holes):
+        """Append the records template(*row) of the rows of the equal-length
+        int64 hole arrays."""
+        if len(holes[0]):
+            self._parts.append(_Run(template, holes))
+
+    @property
+    def stages(self) -> list:
+        out = []
+        for part in self._parts:
+            if isinstance(part, _Run):
+                out.extend(part.records())
+            else:
+                out.append(part)
+        return out
 
     def enumerations(self):
         for rec in self.stages:
@@ -119,8 +262,15 @@ class ConstructionTrace:
                 yield rec["stage"], en
 
     def write_jsonl(self, path):
-        write_jsonl(path, [*self.stages, {"outcomes": self.outcomes,
-                                          "construction": self.construction}])
+        with open(path, "wb") as fh:
+            for is_run, parts in groupby(self._parts,
+                                         lambda p: isinstance(p, _Run)):
+                if is_run:
+                    fh.writelines(run.jsonl() for run in parts)
+                else:
+                    fh.write(jsonl_bytes(parts))
+            fh.write(jsonl_bytes([{"outcomes": self.outcomes,
+                                   "construction": self.construction}]))
 
 
 def region_elements(k: int, lo: int, count: int) -> list[int]:
@@ -194,11 +344,16 @@ def prefix_gated_build(streams, n_max: int, stage_max: int):
 class _StageDriver:
     """The stage loop of the interval constructions.
 
-    ``run`` calls the builder's ``step(s, y)`` at each stage s <= stage_max,
-    with y the least element entering the permitting stream at s (None if
-    none does or there is none), and writes ``rec``, the step's record of
-    the stage, to the trace when it holds something.  The driver holds the
-    entry stages of each output stream, the elements of every appointed
+    ``run`` calls the builder's ``step(s, y)`` at stage 0 and then at each
+    stage that the previous call returned, the next event: the least later
+    stage at which the builder may act.  y is the least element entering
+    the permitting stream at s (None if none does or there is none).  The
+    stages between two events are quiet, and are filled in bulk: the
+    own-stage entries by the driver, the rest by the builder's
+    ``quiet(lo, hi)`` for the stages lo..hi-1.  The step's record of an
+    event stage, ``rec``, goes to the trace when it holds something; the
+    records of quiet stages go to it as runs.  The driver holds the entry
+    stages of each output stream, the elements of every appointed
     interval, and each dyadic class's next interval.  Given an ``own`` tag,
     every 1 <= s < n_max enters output 0 at stage s first, unless it lies
     in an appointed interval: restrained, it enters only when released.
@@ -211,6 +366,7 @@ class _StageDriver:
         self.entry = np.full((outputs, n_max), NEVER, dtype=np.int64)
         self.restrained = np.zeros(n_max, dtype=bool)
         self.j_next = {}  # class k -> index past its last interval
+        self.no_room = {}  # class k -> (j_next, thresholds) that found none
         self.rec = {}
 
     def note(self, key: str, value):
@@ -227,17 +383,48 @@ class _StageDriver:
 
     def appoint(self, k: int, min_elem_above: int, max_above: int):
         """The next interval of class k (``_large_interval``), restrained,
-        or None if it would leave the window."""
-        found = _large_interval(k, self.j_next.get(k, 0), min_elem_above,
-                                max_above, self.n_max)
-        if found is not None:
-            elems, self.j_next[k] = found
-            self.restrained[elems] = True
-            return elems
+        or None if it would leave the window.  None is monotone in both
+        thresholds, so it is remembered per class and j_next and answered
+        again without a search for thresholds at least as large."""
+        j = self.j_next.get(k, 0)
+        miss = self.no_room.get(k)
+        if (miss is not None and miss[0] == j and min_elem_above >= miss[1]
+                and max_above >= miss[2]):
+            return None
+        found = _large_interval(k, j, min_elem_above, max_above, self.n_max)
+        if found is None:
+            self.no_room[k] = (j, min_elem_above, max_above)
+            return None
+        elems, self.j_next[k] = found
+        self.restrained[elems] = True
+        return elems
 
-    def run(self, step, own=None, permitter: CEStream | None = None):
+    def next_entrant(self, s: int, most: int) -> int:
+        """The least stage t > s whose least permitting entrant is <= most,
+        NEVER if none is (as for most = -1).  The answer holds for every s
+        before it, so it is kept per ``most``."""
+        t = self._next.get(most)
+        if t is None or t <= s:
+            stages, least = self._entrants
+            i, width, t = int(np.searchsorted(stages, s, "right")), 64, NEVER
+            while i < least.size:  # windows grow, so a far hit costs a few
+                hit = np.flatnonzero(least[i:i + width] <= most)
+                if hit.size:
+                    t = int(stages[i + hit[0]])
+                    break
+                i, width = i + width, 4 * width
+            self._next[most] = t
+        return t
+
+    def run(self, step, own=None, permitter: CEStream | None = None,
+            quiet=None):
         entry, restrained = self.entry[0], self.restrained
-        for s in range(self.stage_max + 1):
+        if permitter is not None:
+            order, offsets, _ = permitter.stage_index
+            stages = np.flatnonzero(np.diff(offsets))
+            self._entrants, self._next = (stages, order[offsets[stages]]), {}
+        s = 0
+        while s <= self.stage_max:
             if own is not None and 1 <= s < self.n_max and not restrained[s]:
                 entry[s] = s
                 self.rec["enumerated"] = [{"x": s, **own}]
@@ -245,10 +432,19 @@ class _StageDriver:
             if permitter is not None:
                 entered = permitter.entering_at(s)
                 y = int(entered[0]) if entered.size else None
-            step(s, y)
+            nxt = min(step(s, y), self.stage_max + 1)
             if self.rec:
                 self.trace.record(s, **self.rec)
                 self.rec = {}
+            if nxt > s + 1 and own is not None:
+                xs = np.arange(s + 1, min(nxt, self.n_max))
+                xs = xs[~restrained[xs]]
+                entry[xs] = xs
+                self.trace.run(lambda x: {"stage": x, "enumerated": [
+                    {"x": x, **own}]}, xs)
+            if nxt > s + 1 and quiet is not None:
+                quiet(s + 1, nxt)
+            s = nxt
 
     def streams(self, *labels) -> list:
         return [CEStream(row, stage_max=self.stage_max, label=label)
@@ -266,6 +462,10 @@ def _ratio_interval(a: int, e: int) -> tuple[int, int]:
     b = k * ((1 << (e + 1)) - 1)
     c = k * (1 << (e + 1))
     return b, c
+
+
+def _acted(acted: int, stage: int) -> dict:
+    return {"acted": acted, "stage": stage}
 
 
 def ratio_interval_build(deciders, n_max: int, stage_max: int):
@@ -297,12 +497,12 @@ def ratio_interval_build(deciders, n_max: int, stage_max: int):
         iv = last[e]
         if iv is not None and iv["state"] == "waiting":
             if deciders[e].defined_on(range(iv["a"], iv["c"] + 1), s):
-                gap = range(iv["b"] + 1, iv["c"] + 1)
-                ones = [x for x in gap if deciders[e].eval(x, s) == 1]
-                iv["state"] = "finalized" if ones else "completed"
-                iv["witness"] = ones[0] if ones else None
-                drive.enter([x for x in gap if x != iv["witness"]], s,
-                            {"e": e})
+                gap = np.arange(iv["b"] + 1, iv["c"] + 1)
+                ones = gap[deciders[e].at(gap, s) == 1]
+                iv["state"] = "finalized" if ones.size else "completed"
+                iv["witness"] = int(ones[0]) if ones.size else None
+                drive.enter([x for x in gap.tolist() if x != iv["witness"]],
+                            s, {"e": e})
                 iv["resolved_stage"] = s
                 drive.rec["resolved"] = {key: iv[key] for key in
                                          ("e", "a", "c", "state", "witness")}
@@ -325,9 +525,28 @@ def ratio_interval_build(deciders, n_max: int, stage_max: int):
                 frontier = c + 1
                 drive.enter(range(a, b + 1), s, {"e": e})
                 drive.rec["appointed"] = {"e": e, "a": a, "b": b, "c": c}
+        # requirement e acts at the stages t ≡ e (mod E): a waiting one
+        # once its decider can be defined on the interval, any other
+        # unfinalized one while the frontier lasts
+        nxt = NEVER
+        for e, iv in enumerate(last):
+            if iv is not None and iv["state"] == "waiting":
+                t = deciders[e].defined_from(iv["c"])
+                t = s + 1 if t is None else max(t, s + 1)
+            elif frontier is not None and (iv is None
+                                           or iv["state"] != "finalized"):
+                t = s + 1
+            else:
+                continue
+            nxt = min(nxt, t + (e - t) % E)
+        return nxt
+
+    def quiet(lo, hi):
+        stages = np.arange(lo, hi)
+        drive.trace.run(_acted, stages % E, stages)
 
     if deciders:  # no requirement acts at any stage otherwise
-        drive.run(step)
+        drive.run(step, quiet=quiet)
     (stream,) = drive.streams("ratio-interval")
     drive.trace.outcomes = _ratio_outcomes(deciders, intervals, stream,
                                            stage_max)
@@ -424,6 +643,15 @@ def restraint_witness_build(streams, n_max: int, stage_max: int):
                 current[k] = iv
                 drive.note("appointed", {"k": k, "min": iv[0], "max": iv[-1],
                                          "size": len(iv)})
+        # the next requirement starts at its own index; a live one acts
+        # when its stream's maximum first passes its interval's
+        nxt = s + 1 if s + 1 < E else NEVER
+        for k, iv in current.items():
+            if k not in dormant:
+                top = streams[k].stage_index.top
+                t = bisect_right(top, iv[-1])
+                nxt = min(nxt, t if t < len(top) else NEVER)
+        return nxt
 
     # positive side: every positive number joins at its own stage unless
     # it lies in an interval some requirement appointed
@@ -469,7 +697,7 @@ def permitted_interval_build(C: CEStream, jump: JumpApprox, streams,
                  for i in range(len(streams))]
     drive = _StageDriver("permitted_interval", n_max, stage_max)
     state = {p: {"iv": None, "g": 0, "cancels": 0, "appointed": 0,
-                 "use": None} for p in pairs}
+                 "use": None, "stuck": False} for p in pairs}
     g_rows = {p: [] for p in pairs}
     codes = {p: pair_code(*p) for p in pairs}
 
@@ -501,6 +729,9 @@ def permitted_interval_build(C: CEStream, jump: JumpApprox, streams,
                     raise ContractViolated(
                         f"use undefined while guess positive for i={i}, s={s}")
                 elems = drive.appoint(k, max(int(u), s), max(int(u), s))
+                # a declared jump keeps its use, so the thresholds only grow
+                # and a class with no room now has none later
+                st["stuck"] = elems is None and not jump.polled
                 if elems is not None:
                     # stream e covers the interval from the last entry stage
                     # of its elements inside the stream's window: never if
@@ -514,8 +745,25 @@ def permitted_interval_build(C: CEStream, jump: JumpApprox, streams,
                     drive.note("appointed", {"pair": list(p), "min": elems[0],
                                              "max": elems[-1], "use": int(u)})
             g_rows[p].append(st["g"])
+        # a pair acts on a C-entrant at most its use, at its cover stage,
+        # or, with no interval, once the jump guess can be positive
+        nxt, uses = NEVER, [-1]
+        for p in pairs:
+            st = state[p]
+            if st["iv"] is not None:
+                uses.append(st["use"])
+                if st["g"] == 0:
+                    nxt = min(nxt, max(st["cover"], s + 1))
+            elif not st["stuck"]:
+                nxt = min(nxt, jump.on_from(max(codes[p], s + 1)))
+        return min(nxt, drive.next_entrant(s, max(uses)))
 
-    drive.run(step, own={"permission": {"kind": "own-stage"}}, permitter=C)
+    def quiet(lo, hi):
+        for p in pairs:
+            g_rows[p].extend([state[p]["g"]] * (hi - lo))
+
+    drive.run(step, own={"permission": {"kind": "own-stage"}}, permitter=C,
+              quiet=quiet)
     (stream,) = drive.streams("permitted-interval")
     out = drive.trace.outcomes
     for p in pairs:
@@ -564,8 +812,10 @@ def split_interval_build(B: CEStream, deciders, n_max: int, stage_max: int):
                         break
             if trig is not None:
                 iv = pending[e][trig]
-                ones = [x for x in iv["elems"] if d.eval(x, s) == 1]
-                zeros = [x for x in iv["elems"] if d.eval(x, s) != 1]
+                elems = np.array(iv["elems"])
+                vals = d.at(elems, s)
+                ones = elems[vals == 1].tolist()
+                zeros = elems[vals != 1].tolist()
                 flushed = pending[e][:trig]
                 drive.enter(ones, s, out=0)
                 drive.enter(zeros + [x for old in flushed
@@ -584,6 +834,20 @@ def split_interval_build(B: CEStream, deciders, n_max: int, stage_max: int):
                                        "realized": False})
                     drive.note("appointed", {"e": e, "min": elems[0],
                                              "max": elems[-1]})
+        # the next requirement starts at its own index; a live one acts
+        # once its decider can be defined on its unrealized interval, or
+        # on a B-entrant at most the min of a realized one.  One with no
+        # unrealized interval found no room, and the thresholds (0, s) of
+        # a retry only grow.
+        nxt, mins = (s + 1 if s + 1 < E else NEVER), [-1]
+        for e in range(min(E, s + 1)):
+            for iv in pending[e]:
+                if iv["realized"]:
+                    mins.append(iv["min"])
+                else:
+                    t = deciders[e].defined_from(iv["elems"][-1])
+                    nxt = min(nxt, s + 1 if t is None else max(t, s + 1))
+        return min(nxt, drive.next_entrant(s, max(mins)))
 
     drive.run(step, permitter=B)
     A0, A1 = drive.streams("split-A0", "split-A1")

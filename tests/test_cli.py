@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -454,6 +455,32 @@ def test_use_past_the_window_appoints_no_interval(tmp_path):
     lines = (tmp_path / "o" / "trace.jsonl").read_text().splitlines()
     assert json.loads(lines[-1])["outcomes"] == {
         "(0, 0)": {"appointed": 0, "cancels": 0, "case": "no-interval"}}
+
+
+@pytest.mark.parametrize("construction", [
+    {"op": "restraint-witness", "streams": ["evs", "none"]},
+    {"op": "split-interval", "permitter": "evs",
+     "deciders": ["one", "par", "slow"]}])
+def test_huge_stage_max_finishes_when_only_events_are_recorded(
+        tmp_path, construction):
+    # restraint-witness and split-interval record only their events, so
+    # the stages past the window's last event cost nothing
+    cfg = {"universe": {"n_max": 100, "stage_max": 10**9},
+           "sets": [{"label": "ev", "kind": "residue-union", "modulus": 2,
+                     "residues": [0]}, {"label": "no", "kind": "empty"}],
+           "streams": [{"label": "evs", "set": "ev"},
+                       {"label": "none", "set": "no"}],
+           "deciders": [{"label": "one", "kind": "constant", "value": 1,
+                         "delay": 3},
+                        {"label": "par", "kind": "parity", "delay": 2},
+                        {"label": "slow", "kind": "value-delay", "value": 1,
+                         "delay_factor": 10**6}],
+           "construction": construction}
+    start = time.perf_counter()
+    assert _run(tmp_path, "construct", cfg) == 0
+    assert time.perf_counter() - start < 2
+    lines = (tmp_path / "o" / "trace.jsonl").read_text().splitlines()
+    assert len(lines) < 200 and "outcomes" in json.loads(lines[-1])
 
 
 # -- fuzz: mutated configs end in a documented exit code ----------------------

@@ -9,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cedensity import prioritysim as ps
-from cedensity.core import NEVER, CEStream, SetOracle, prefix_counts
+from cedensity.core import (NEVER, CEStream, SetOracle, prefix_counts,
+                            write_jsonl)
 from cedensity.errors import (ContractViolated, RatioUnrealizable,
                               WindowExhausted)
 from cedensity.prioritysim import (ConstructionTrace, JumpApprox,
                                    PartialDecider, _large_interval,
-                                   _ratio_interval, pair_code,
+                                   _ratio_interval, audit_permissions,
+                                   audit_regions, pair_code,
                                    region_elements)
 
 # -- the builders as they were ------------------------------------------------
@@ -392,11 +394,12 @@ def drawn_streams(draw):
 @st.composite
 def periodic_streams(draw):
     """A residue class entering at f·m + offset, as the CLI schedules do,
-    over windows long enough for intervals to be dumped and split."""
+    over windows long enough for intervals to be dumped and split; with a
+    large offset every entry comes late, past the window."""
     n, modulus = draw(st.integers(1, 300)), draw(st.integers(1, 6))
-    r, f, off = (draw(st.integers(0, modulus - 1)), draw(st.integers(0, 2)),
-                 draw(st.integers(0, 40)))
-    stage_max = draw(st.integers(0, 300))
+    r, f = draw(st.integers(0, modulus - 1)), draw(st.integers(0, 4))
+    off = draw(st.integers(0, 40) | st.integers(300, 1200))
+    stage_max = draw(st.integers(0, 1200))
     m = np.arange(n)
     entry = np.where((m % modulus == r) & (f * m + off <= stage_max),
                      f * m + off, NEVER)
@@ -407,19 +410,32 @@ def streams():
     return drawn_streams() | periodic_streams()
 
 
-DECIDERS = st.one_of(
+def stage_maxes(n_max):
+    """Construction stage bounds up to 4·n_max."""
+    return st.integers(0, 40) | st.integers(0, 4 * n_max)
+
+
+DECLARED = st.one_of(
     st.tuples(st.just("constant"), st.integers(0, 1), st.integers(0, 12)),
     st.tuples(st.just("parity"), st.integers(0, 12)),
     st.tuples(st.just("residue"), st.integers(1, 4), st.integers(0, 3),
               st.integers(0, 12)),
     st.tuples(st.just("never")),
+    st.tuples(st.just("value-delay"), st.integers(0, 1), st.integers(0, 3)))
+
+DECIDERS = st.one_of(
+    DECLARED,
+    st.tuples(st.just("callable"), DECLARED),
     st.tuples(st.just("late"), st.integers(0, 1), st.integers(0, 3)),
     st.tuples(st.just("flap"), st.integers(0, 40)))
 
 
 def decider(spec):
-    """A fresh decider, so that both builders see the same contract state;
-    'flap' is defined only at one stage and so breaks its contract."""
+    """A fresh decider, so that both builders see the same contract state.
+    The vocabulary kinds declare their array form; 'callable' asks one of
+    them only through a bare callable, so it is polled, as are 'late' and
+    'flap' ('flap' is defined only at one stage and so breaks its
+    contract)."""
     kind, *args = spec
     if kind == "constant":
         return PartialDecider.constant(*args)
@@ -430,6 +446,10 @@ def decider(spec):
         return PartialDecider.residue(m, [r % m], delay)
     if kind == "never":
         return PartialDecider.never()
+    if kind == "value-delay":
+        return PartialDecider.linear_delay(*args)
+    if kind == "callable":
+        return PartialDecider(decider(args[0]).eval)
     if kind == "late":
         v, f = args
         return PartialDecider.delayed_rule(lambda n: v, lambda n: f * n)
@@ -437,16 +457,22 @@ def decider(spec):
     return PartialDecider(lambda n, s: 1 if s == t else None)
 
 
-JUMPS = st.one_of(
+JUMPS = st.tuples(st.one_of(
     st.tuples(st.just("never"), st.just(0), st.just(0)),
     st.tuples(st.just("step"), st.integers(0, 30), st.integers(0, 80)),
     st.tuples(st.just("blink"), st.integers(1, 10), st.integers(0, 80)),
-    st.tuples(st.just("no-use"), st.integers(0, 30), st.just(0)))
+    st.tuples(st.just("no-use"), st.integers(0, 30), st.just(0))),
+    st.booleans())
 
 
 def jump(spec):
-    """A jump approximation; 'no-use' goes positive without a use."""
-    kind, a, use = spec
+    """A jump approximation, of a declared kind or, when not declared, of
+    bare callables (polled); 'no-use' goes positive without a use."""
+    (kind, a, use), declared = spec
+    if declared and kind in ("step", "blink"):
+        return getattr(JumpApprox, kind)(a, use)
+    if declared and kind == "never":
+        return JumpApprox.never()
     if kind == "never":
         return JumpApprox(lambda i, s: 0, lambda i, s: None)
     if kind == "step":
@@ -488,20 +514,20 @@ def assert_same(tmp, old, new, args):
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.lists(DECIDERS, max_size=4), st.integers(1, 160),
-       st.integers(0, 160))
-def test_ratio_interval_matches_old_code(tmp_path_factory, specs, n_max,
-                                         stage_max):
+@given(st.data(), st.lists(DECIDERS, max_size=4), st.integers(1, 160))
+def test_ratio_interval_matches_old_code(tmp_path_factory, data, specs,
+                                         n_max):
+    stage_max = data.draw(stage_maxes(n_max))
     assert_same(tmp_path_factory.getbasetemp(), old_ratio_interval_build,
                 ps.ratio_interval_build,
                 lambda: ([decider(s) for s in specs], n_max, stage_max))
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.lists(streams(), max_size=4), st.integers(1, 300),
-       st.integers(0, 160))
-def test_restraint_witness_matches_old_code(tmp_path_factory, roster, n_max,
-                                            stage_max):
+@given(st.data(), st.lists(streams(), max_size=4), st.integers(1, 300))
+def test_restraint_witness_matches_old_code(tmp_path_factory, data, roster,
+                                            n_max):
+    stage_max = data.draw(stage_maxes(n_max))
     assert_same(tmp_path_factory.getbasetemp(), old_restraint_witness_build,
                 ps.restraint_witness_build,
                 lambda: (roster, n_max, stage_max))
@@ -510,10 +536,10 @@ def test_restraint_witness_matches_old_code(tmp_path_factory, roster, n_max,
 @settings(max_examples=100, deadline=None)
 @given(st.data(), streams(), JUMPS, st.lists(streams(), min_size=1,
                                               max_size=3),
-       st.integers(1, 300), st.integers(0, 160))
+       st.integers(1, 300))
 def test_permitted_interval_matches_old_code(tmp_path_factory, data, C,
-                                             jump_spec, roster, n_max,
-                                             stage_max):
+                                             jump_spec, roster, n_max):
+    stage_max = data.draw(stage_maxes(n_max))
     pairs = data.draw(st.none() | st.lists(
         st.tuples(st.integers(0, len(roster) - 1), st.integers(0, 3)),
         unique=True, max_size=5))
@@ -524,10 +550,11 @@ def test_permitted_interval_matches_old_code(tmp_path_factory, data, C,
 
 
 @settings(max_examples=100, deadline=None)
-@given(streams(), st.lists(DECIDERS, max_size=3), st.integers(1, 300),
-       st.integers(0, 160))
-def test_split_interval_matches_old_code(tmp_path_factory, B, specs, n_max,
-                                         stage_max):
+@given(st.data(), streams(), st.lists(DECIDERS, max_size=3),
+       st.integers(1, 300))
+def test_split_interval_matches_old_code(tmp_path_factory, data, B, specs,
+                                         n_max):
+    stage_max = data.draw(stage_maxes(n_max))
     assert_same(tmp_path_factory.getbasetemp(), old_split_interval_build,
                 ps.split_interval_build,
                 lambda: (B, [decider(s) for s in specs], n_max, stage_max))
@@ -548,3 +575,154 @@ def test_prefix_gated_past_int64_classes(tmp_path):
                                    stage_max=300)] * 70
     assert_same(tmp_path, old_prefix_gated_build, ps.prefix_gated_build,
                 lambda: (roster, 300, 300))
+
+
+# -- trace runs ---------------------------------------------------------------
+
+def _acted(acted, stage):
+    return {"acted": acted, "stage": stage}
+
+
+def _own(x):
+    return {"stage": x, "enumerated": [{"x": x,
+                                        "permission": {"kind": "own-stage"}}]}
+
+
+def _dump(x, stage, k):
+    return {"stage": stage, "enumerated": [{"x": x, "via": "dump", "k": k}]}
+
+
+TEMPLATES = {_acted: 2, _own: 1, _dump: 3}  # template -> number of holes
+
+HOLES = st.integers(0, 3) | st.integers(0, 2**63 - 2)
+
+EVENT = st.fixed_dictionaries({
+    "stage": st.integers(0, 50),
+    "enumerated": st.lists(st.fixed_dictionaries(
+        {"x": st.integers(1, 50),
+         "permission": st.fixed_dictionaries(
+             {"kind": st.just("change"), "y": st.integers(0, 50)})}),
+        max_size=3),
+    "dormant": st.lists(st.integers(0, 5), max_size=2)})
+
+
+@st.composite
+def trace_parts(draw, holes=HOLES):
+    """Stage records and runs (one row or more) in any order."""
+    parts = []
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.booleans()):
+            parts.append(draw(EVENT))
+            continue
+        template = draw(st.sampled_from(sorted(TEMPLATES, key=str)))
+        rows = draw(st.integers(1, 12))
+        parts.append((template, tuple(
+            np.array(draw(st.lists(holes, min_size=rows, max_size=rows)),
+                     dtype=np.int64) for _ in range(TEMPLATES[template]))))
+    return parts
+
+
+def traced(parts, expand=False):
+    """A trace of the parts, with each run as a run or as its records."""
+    trace = ConstructionTrace("demo")
+    for part in parts:
+        if isinstance(part, dict):
+            trace.record(**part)
+        elif expand:
+            for row in zip(*(h.tolist() for h in part[1])):
+                trace.record(**part[0](*row))
+        else:
+            trace.run(part[0], *part[1])
+    trace.outcomes = {"0": {"case": "demo"}}
+    return trace
+
+
+@settings(max_examples=40, deadline=None)
+@given(trace_parts())
+def test_trace_runs_render_as_their_records(tmp_path_factory, parts):
+    tmp = tmp_path_factory.getbasetemp()
+    trace = traced(parts)
+    trace.write_jsonl(tmp / "runs.jsonl")
+    write_jsonl(tmp / "records.jsonl", [*trace.stages, {
+        "outcomes": trace.outcomes, "construction": "demo"}])
+    assert (tmp / "runs.jsonl").read_bytes() == (
+        tmp / "records.jsonl").read_bytes()
+    assert trace.stages == traced(parts, expand=True).stages
+
+
+@settings(max_examples=40, deadline=None)
+@given(trace_parts(st.integers(1, 40)))
+def test_audits_read_runs_as_records(parts):
+    runs, records = traced(parts), traced(parts, expand=True)
+    assert list(runs.enumerations()) == list(records.enumerations())
+    assert audit_permissions(runs) == audit_permissions(records)
+    region = lambda k: k % 3  # noqa: E731
+    assert audit_regions(runs, region) == audit_regions(records, region)
+
+
+# -- array forms of the vocabulary -------------------------------------------
+
+@settings(max_examples=100, deadline=None)
+@given(DECLARED | st.tuples(st.just("residue-wide"), st.integers(0, 2**70)),
+       st.integers(0, 60), st.integers(0, 20) | st.integers(0, 2**64))
+def test_declared_deciders_answer_as_eval(spec, n_max, s):
+    if spec[0] == "residue-wide":  # a modulus past every n of the window
+        made = lambda: PartialDecider.residue(2**70, [spec[1], 5])  # noqa
+    else:
+        made = lambda: decider(spec)  # noqa: E731
+    want = [made().eval(n, s) for n in range(n_max)]
+    d = made()
+    assert d.values(n_max, s).tolist() == [-1 if v is None else v
+                                           for v in want]
+    xs = np.arange(n_max)[::-1]
+    assert d.at(xs, s).tolist() == d.values(n_max, s).tolist()[::-1]
+    assert d.defined_on(range(n_max), s) == (None not in want)
+    top = n_max
+    t = d.defined_from(top)
+    if t < NEVER:  # the least stage defined at every n <= top
+        assert all(made().eval(n, t) is not None for n in range(top + 1))
+        assert t == 0 or any(made().eval(n, t - 1) is None
+                             for n in range(top + 1))
+    else:
+        assert all(v is None for v in want)
+    assert PartialDecider(made().eval).defined_from(top) is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["step", "blink", "never"]), st.integers(0, 30),
+       st.integers(1, 12), st.integers(0, 80))
+def test_declared_jumps_name_their_next_positive_stage(kind, on_at, period,
+                                                       t):
+    j = {"step": JumpApprox.step(on_at, 7), "blink": JumpApprox.blink(
+        period, 7), "never": JumpApprox.never()}[kind]
+    on = [s for s in range(t, t + 2 * period + on_at + 1)
+          if j.guess(0, s) == 1]
+    assert j.on_from(t) == (on[0] if on else NEVER)
+    assert all(j.use(0, s) == 7 for s in on)
+    assert JumpApprox(j.guess, j.use).on_from(t) == t
+
+
+# -- appointments that find no room -------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 40), st.integers(0, 400),
+       st.integers(0, 400), st.integers(0, 400), st.integers(0, 400),
+       st.integers(1, 500))
+def test_large_interval_none_is_monotone(k, j0, a, b, da, db, n_max):
+    if _large_interval(k, j0, a, b, n_max) is None:
+        assert _large_interval(k, j0, a + da, b + db, n_max) is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 300),
+                          st.integers(0, 300)), max_size=30),
+       st.integers(1, 300))
+def test_appoint_answers_as_large_interval(calls, n_max):
+    drive = ps._StageDriver("demo", n_max, 10)
+    j_next = {}
+    for k, a, b in calls:
+        found = _large_interval(k, j_next.get(k, 0), a, b, n_max)
+        got = drive.appoint(k, a, b)
+        assert got == (found and found[0])
+        if found is not None:
+            j_next[k] = found[1]
