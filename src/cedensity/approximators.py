@@ -8,14 +8,14 @@ failing to produce a witness says nothing about the underlying set, so it
 is never treated as a hard error at this layer.
 
 The checkpoint pair search and the look-ahead stage table read one order
-statistic: the k-th smallest entry stage among the enumerated elements of
-a prefix.  When the live entry stages are nondecreasing in the element
-(``CEStream.monotone_entries``; equivalently ``stage_index.order`` is
-strictly increasing), that is simply the k-th live entry, and both are
-computed with whole-array numpy operations.  That holds for every CLI
-schedule except ``scripted``.  Other streams fall back to a sorted window
-grown one element at a time; both paths give the same numbers.  The
-look-ahead bits and the margin check are vectorized for every stream.
+statistic, through ``_kth_scan``: the k-th smallest entry stage among the
+enumerated elements of a prefix.  When the live entry stages are
+nondecreasing in the element (``CEStream.stage_index.monotone``), that is
+simply the k-th live entry, computed with whole-array numpy operations.
+That holds for every CLI schedule except ``scripted``.  Other streams use
+a sorted window grown one element at a time; both paths give the same
+numbers.  The look-ahead bits and the margin check are vectorized for
+every stream.
 
 One skeleton per family takes each producer's own search, needs and
 records: ``_checkpoint_loop``, ``_lookahead_artifact``, ``_guarded_search``.
@@ -74,62 +74,65 @@ def _first_pair_search(stream: CEStream, s_lo: int, need):
     the int64 array of counts.
 
     For each s the least workable t is an order statistic of the entry
-    stages of [s_lo, s).  Candidates are scanned in chunks that double in
-    length, and no chunk starts at or past the best cost so far, since
-    cost = s + t >= s; within a chunk the first least cost wins.
+    stages of [s_lo, s) (``_kth_scan``).  Candidates are scanned in chunks
+    that double in length, and no chunk starts at or past the best cost so
+    far, since cost = s + t >= s; within a chunk the first least cost wins.
     """
-    live = stream.monotone_entries
-    scan = (_sorted_pair_scan(stream, s_lo) if live is None
-            else _monotone_pair_scan(live, s_lo))
+    scan = _kth_scan(stream, s_lo)
     best = None  # (cost, s, t)
     start, size = s_lo + 1, _FIRST_CHUNK
     while start <= stream.n_max and (best is None or start < best[0]):
         stop = min(start + size, stream.n_max + 1,
                    NEVER if best is None else best[0])
         s = np.arange(start, stop, dtype=np.int64)
-        k = need(s)
-        t, ok = scan(s, k)
-        cost = np.where(ok, s + t, NEVER)
+        t, _ = scan(s, need(s))
+        cost = s + np.minimum(t, NEVER - s)  # s + t, capped at NEVER
         i = int(np.argmin(cost))
-        if ok[i] and (best is None or cost[i] < best[0]):
+        if t[i] != NEVER and (best is None or cost[i] < best[0]):
             best = (int(cost[i]), int(s[i]), int(t[i]))
         start, size = stop, 2 * size
     return None if best is None else best[1:]
 
 
-def _monotone_pair_scan(live, s_lo: int):
-    """Chunk scan for a stream whose entry stages rise with the element:
-    the k-th smallest entry stage of [s_lo, s) is its k-th live entry."""
-    first = int(np.searchsorted(live.elements, s_lo))
+def _kth_scan(stream: CEStream, s_lo: int):
+    """The order statistic read by the pair search and the stage table.
+
+    ``scan(s, k)`` takes int64 arrays of window ends s (ascending, and
+    past the ends of any earlier call) and of ranks k.  For each it gives
+    t, the k-th smallest entry stage among the enumerated elements of
+    [s_lo, s) (0 where k <= 0, NEVER where there are fewer than k), and
+    how many of those entries are at or below t.  When the entry stages
+    rise with the element, t is the k-th live entry of [s_lo, s), read
+    with numpy; otherwise one sorted window of entry stages grows to each
+    s in turn.
+    """
+    order, stages, _, monotone = stream.stage_index
+    if monotone:
+        first = int(np.searchsorted(order, s_lo))
+        order, stages = order[first:], stages[first:]  # live entries >= s_lo
+
+        def scan(s, k):
+            live = np.searchsorted(order, s)
+            t = np.where(k > live, NEVER, 0)
+            pick = (k > 0) & (k <= live)
+            t[pick] = stages[k[pick] - 1]
+            # entries at or below t are a prefix of the live ones
+            return t, np.minimum(np.searchsorted(stages, t, "right"), live)
+
+        return scan
+
+    entry, window, end = stream.entry, SortedList(), s_lo
 
     def scan(s, k):
-        ok = k <= np.searchsorted(live.elements, s) - first
-        pick = ok & (k > 0)
-        t = np.zeros_like(s)
-        t[pick] = live.stages[first + k[pick] - 1]
-        return t, ok
-
-    return scan
-
-
-def _sorted_pair_scan(stream: CEStream, s_lo: int):
-    """Chunk scan for any stream: a sorted window of the entry stages of
-    [s_lo, s), grown by one element per candidate s."""
-    entry = stream.entry
-    window = SortedList()
-
-    def scan(s, k):
-        t = np.zeros_like(s)
-        ok = np.zeros(s.size, dtype=bool)
+        nonlocal end
+        t, have = np.zeros_like(s), np.zeros_like(s)
         for i, (sv, kv) in enumerate(zip(s.tolist(), k.tolist())):
-            e = int(entry[sv - 1])
-            if e != NEVER:
-                window.add(e)
-            if kv <= 0:
-                ok[i] = True
-            elif len(window) >= kv:
-                t[i], ok[i] = window[kv - 1], True
-        return t, ok
+            grown, end = entry[end:sv], sv
+            window.update(grown[grown != NEVER].tolist())
+            ti = (NEVER if kv > len(window) else
+                  window[kv - 1] if kv > 0 else 0)
+            t[i], have[i] = ti, window.bisect_right(ti)
+        return t, have
 
     return scan
 
@@ -300,41 +303,11 @@ def _stage_table_kth(stream: CEStream, needs: np.ndarray, n_lo: int):
     stage among [0, n), or 0 where the need is <= 0; returned with
     in_a(n) = |A_{s(n)} ∩ [0, n)|.  Raises PreconditionViolated at the
     first n where [0, n) holds fewer enumerated elements than needed."""
-    live = stream.monotone_entries
-    if live is None:
-        return _sorted_stage_table(stream, needs, n_lo)
     ns = np.arange(n_lo, stream.n_max + 1, dtype=np.int64)
-    below = np.searchsorted(live.elements, ns)  # live elements of [0, n)
-    short = np.flatnonzero(needs > below)
+    s_table, in_a = _kth_scan(stream, 0)(ns, needs)
+    short = np.flatnonzero(s_table == NEVER)
     if short.size:
         raise _too_few(int(ns[short[0]]))
-    pick = needs > 0
-    s_table = np.zeros(ns.size, dtype=np.int64)
-    s_table[pick] = live.stages[needs[pick] - 1]
-    # A_s is a prefix of the live elements, so in_a is capped by `below`
-    in_a = np.minimum(np.searchsorted(live.stages, s_table, side="right"),
-                      below)
-    return s_table, in_a
-
-
-def _sorted_stage_table(stream: CEStream, needs: np.ndarray, n_lo: int):
-    """``_stage_table_kth`` for any stream: one sorted window of the entry
-    stages of [0, n), grown by one element per n."""
-    entry = stream.entry
-    window = SortedList(int(e) for e in entry[:n_lo] if e != NEVER)
-    s_table = np.zeros(needs.size, dtype=np.int64)
-    in_a = np.zeros(needs.size, dtype=np.int64)
-    for i, k in enumerate(needs.tolist()):
-        n = n_lo + i
-        if i:
-            e = int(entry[n - 1])
-            if e != NEVER:
-                window.add(e)
-        if k > 0:
-            if len(window) < k:
-                raise _too_few(n)
-            s_table[i] = window[k - 1]
-        in_a[i] = window.bisect_right(int(s_table[i]))
     return s_table, in_a
 
 

@@ -401,7 +401,6 @@ def sparse_hitting_build(roster, n_max: int, stage_max: int):
     """
     entry = np.full(n_max, NEVER, dtype=np.int64)
     report = []
-    chosen = set()
     for e, stream in enumerate(roster):
         # first by stage, then by value: argmin returns the first least stage
         lo = 2 ** e + 1
@@ -412,9 +411,8 @@ def sparse_hitting_build(roster, n_max: int, stage_max: int):
             continue
         x, s = lo + i, int(above[i])
         if x < n_max and s <= stage_max:
-            if x not in chosen:
-                entry[x] = min(int(entry[x]), s) if entry[x] != NEVER else s
-                chosen.add(x)
+            if entry[x] == NEVER:
+                entry[x] = s
             report.append({"e": e, "hit": x, "stage": s})
         else:
             report.append({"e": e, "hit": None,

@@ -98,7 +98,11 @@ class SetOracle:
                 raise InvalidWindow(f"bitset covers [0, {bits.size}), asked for {n}")
             return bits[:n]
 
-        return SetOracle(lambda n: bool(bits[n]), label=label, batch=batch)
+        def fn(n):
+            _check_index(n, bits.size)
+            return bool(bits[n])
+
+        return SetOracle(fn, label=label, batch=batch)
 
     @staticmethod
     def residue_union(m: int, residues, label=None):
@@ -133,6 +137,13 @@ class SetOracle:
                          label=label or f"({a.label})|({b.label})",
                          batch=lambda n: (a.membership_array(n)
                                           | b.membership_array(n)))
+
+
+def _check_index(n: int, size: int) -> None:
+    """Raise InvalidWindow unless 0 <= n < size (numpy would wrap a
+    negative index to the end of the array)."""
+    if not 0 <= n < size:
+        raise InvalidWindow(f"{n} outside the window [0, {size})")
 
 
 # -- dyadic valuation classes ------------------------------------------
@@ -554,24 +565,20 @@ NEVER = np.iinfo(np.int64).max
 
 
 class StageIndex(NamedTuple):
-    """A stream's elements grouped by entry stage.
+    """A stream's enumerated elements in stage order, one entry each.
 
-    ``order`` lists the enumerated elements by entry stage, then by value;
-    the elements entering at stage s are ``order[offsets[s]:offsets[s+1]]``
-    for s up to the last stage at which anything enters.  ``top[s]`` is
-    max{m : entry[m] <= s} over the same stages, 0 while A_s is empty.
+    ``order`` lists them by entry stage, then by value, and ``stages``
+    holds their entry stages, so the elements entering at stage s are one
+    slice of ``order`` found by ``searchsorted``.  ``top[i]`` is
+    max(order[:i + 1]): max A_s is top[i − 1] for the i entries with
+    stage <= s.  ``monotone`` says the entry stages are nondecreasing in
+    the element; then ``order`` is ascending and ``top`` is ``order``.
     """
 
     order: np.ndarray
-    offsets: np.ndarray
-    top: list
-
-
-class LiveEntries(NamedTuple):
-    """The enumerated elements in ascending order, with their entry stages."""
-
-    elements: np.ndarray
     stages: np.ndarray
+    top: np.ndarray
+    monotone: bool
 
 
 class CEStream:
@@ -601,7 +608,8 @@ class CEStream:
         return self.entry.size
 
     def member_at(self, m: int, s: int) -> bool:
-        """Whether m is in A_s."""
+        """Whether m is in A_s; m must lie in [0, n_max)."""
+        _check_index(m, self.entry.size)
         return bool(self.entry[m] <= min(s, NEVER - 1))
 
     def snapshot(self, s: int) -> np.ndarray:
@@ -617,41 +625,35 @@ class CEStream:
 
     @cached_property
     def stage_index(self) -> StageIndex:
-        """The stage index, built on first use: one stable sort of entry."""
-        order = np.argsort(self.entry, kind="stable")
-        order = order[:np.count_nonzero(self.entry != NEVER)]
-        stages = self.entry[order]
-        last = int(stages[-1]) if order.size else -1
-        offsets = np.searchsorted(stages, np.arange(last + 2))
-        running = np.concatenate(([0], np.maximum.accumulate(order)))
-        return StageIndex(order, offsets, running[offsets[1:]].tolist())
-
-    @cached_property
-    def monotone_entries(self) -> LiveEntries | None:
-        """The live elements and their entry stages when those stages are
-        nondecreasing in the element, else None; built on first use.
-
-        The condition is the one under which ``stage_index.order`` is
-        strictly increasing.  It then makes the k-th smallest entry stage
-        among the live elements of [0, n) the k-th live entry itself.
-        """
-        elements = np.flatnonzero(self.entry != NEVER)
-        stages = self.entry[elements]
-        if np.any(stages[1:] < stages[:-1]):
-            return None
-        return LiveEntries(elements, stages)
+        """The stage index, built on first use: the live elements as they
+        stand when their entry stages rise with them, else one stable sort
+        of those stages."""
+        live = np.flatnonzero(self.entry != NEVER)
+        stages = self.entry[live]
+        if not np.any(stages[1:] < stages[:-1]):
+            return StageIndex(live, stages, live, True)
+        by_stage = np.argsort(stages, kind="stable")
+        order = live[by_stage]
+        return StageIndex(order, stages[by_stage],
+                          np.maximum.accumulate(order), False)
 
     def entering_at(self, s: int) -> np.ndarray:
         """The elements entering at exactly stage s, ascending: A_s − A_{s−1}."""
-        order, offsets, _ = self.stage_index
-        if not 0 <= s < offsets.size - 1:
-            return order[:0]
-        return order[offsets[s]:offsets[s + 1]]
+        order, stages, _, _ = self.stage_index
+        return order[np.searchsorted(stages, s):
+                     np.searchsorted(stages, s, "right")]
 
     def max_member_at(self, s: int) -> int:
         """max A_s, or 0 when A_s is empty."""
-        top = self.stage_index.top
-        return top[min(s, len(top) - 1)] if top and s >= 0 else 0
+        _, stages, top, _ = self.stage_index
+        i = int(np.searchsorted(stages, s, "right"))
+        return int(top[i - 1]) if i else 0
+
+    def first_stage_above(self, m: int) -> int:
+        """The least stage s with max A_s > m, or NEVER if there is none."""
+        _, stages, top, _ = self.stage_index
+        i = int(np.searchsorted(top, m, "right"))
+        return int(stages[i]) if i < top.size else NEVER
 
     @staticmethod
     def from_schedule(pairs, *, n_max: int, stage_max: int, label=""):

@@ -10,7 +10,6 @@ classification — always qualified "on the window", never as a limit claim.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from fractions import Fraction
 from itertools import groupby
 from math import factorial
@@ -401,14 +400,15 @@ class _StageDriver:
 
     def next_entrant(self, s: int, most: int) -> int:
         """The least stage t > s whose least permitting entrant is <= most,
-        NEVER if none is (as for most = -1).  The answer holds for every s
-        before it, so it is kept per ``most``."""
+        NEVER if none is (as for most = -1): the stage of the first entrant
+        past s, in stage order, that is <= most.  The answer holds for
+        every s before it, so it is kept per ``most``."""
         t = self._next.get(most)
         if t is None or t <= s:
-            stages, least = self._entrants
+            order, stages, _, _ = self.permitter.stage_index
             i, width, t = int(np.searchsorted(stages, s, "right")), 64, NEVER
-            while i < least.size:  # windows grow, so a far hit costs a few
-                hit = np.flatnonzero(least[i:i + width] <= most)
+            while i < order.size:  # windows grow, so a far hit costs a few
+                hit = np.flatnonzero(order[i:i + width] <= most)
                 if hit.size:
                     t = int(stages[i + hit[0]])
                     break
@@ -419,10 +419,7 @@ class _StageDriver:
     def run(self, step, own=None, permitter: CEStream | None = None,
             quiet=None):
         entry, restrained = self.entry[0], self.restrained
-        if permitter is not None:
-            order, offsets, _ = permitter.stage_index
-            stages = np.flatnonzero(np.diff(offsets))
-            self._entrants, self._next = (stages, order[offsets[stages]]), {}
+        self.permitter, self._next = permitter, {}
         s = 0
         while s <= self.stage_max:
             if own is not None and 1 <= s < self.n_max and not restrained[s]:
@@ -648,9 +645,7 @@ def restraint_witness_build(streams, n_max: int, stage_max: int):
         nxt = s + 1 if s + 1 < E else NEVER
         for k, iv in current.items():
             if k not in dormant:
-                top = streams[k].stage_index.top
-                t = bisect_right(top, iv[-1])
-                nxt = min(nxt, t if t < len(top) else NEVER)
+                nxt = min(nxt, streams[k].first_stage_above(iv[-1]))
         return nxt
 
     # positive side: every positive number joins at its own stage unless

@@ -281,7 +281,7 @@ QS = [Fraction(1, 100), Fraction(1, 3), Fraction(3, 4),
 
 def _check_monotone_flag(stream):
     increasing = bool(np.all(np.diff(stream.stage_index.order) > 0))
-    assert (stream.monotone_entries is not None) == increasing
+    assert stream.stage_index.monotone == increasing
 
 
 @settings(max_examples=150, deadline=None)
@@ -347,9 +347,9 @@ def test_checkpoint_sequence_matches_reference(stream, q):
 def test_scripted_stream_takes_the_sorted_path():
     stream = CEStream.from_schedule([(0, 5), (1, 0), (3, 2)], n_max=6,
                                     stage_max=9)
-    assert stream.monotone_entries is None
+    assert not stream.stage_index.monotone
     assert CEStream.from_schedule([(0, 0), (2, 0), (3, 4)], n_max=6,
-                                  stage_max=9).monotone_entries is not None
+                                  stage_max=9).stage_index.monotone
 
 
 # -- each producer against the code its family skeleton replaced ----------

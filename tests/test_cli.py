@@ -460,16 +460,27 @@ def test_use_past_the_window_appoints_no_interval(tmp_path):
 @pytest.mark.parametrize("construction", [
     {"op": "restraint-witness", "streams": ["evs", "none"]},
     {"op": "split-interval", "permitter": "evs",
-     "deciders": ["one", "par", "slow"]}])
+     "deciders": ["one", "par", "slow"]},
+    {"op": "restraint-witness", "streams": ["late", "none"]},
+    {"op": "split-interval", "permitter": "late", "deciders": ["one", "par"]},
+    # a pair stores one g value per stage, so with none the late permitter
+    # is the only input that could cost time or memory per stage
+    {"op": "permitted-interval", "permitter": "late",
+     "jump": {"kind": "step", "on_at": 3, "use": 9}, "streams": ["late"],
+     "pairs": []}])
 def test_huge_stage_max_finishes_when_only_events_are_recorded(
         tmp_path, construction):
     # restraint-witness and split-interval record only their events, so
-    # the stages past the window's last event cost nothing
+    # the stages past the window's last event cost nothing; the evens
+    # enter "late" at stages 10^7·m, up to 9.8·10^8, which a stage index
+    # with one entry per stage could not hold in memory
     cfg = {"universe": {"n_max": 100, "stage_max": 10**9},
            "sets": [{"label": "ev", "kind": "residue-union", "modulus": 2,
                      "residues": [0]}, {"label": "no", "kind": "empty"}],
            "streams": [{"label": "evs", "set": "ev"},
-                       {"label": "none", "set": "no"}],
+                       {"label": "none", "set": "no"},
+                       {"label": "late", "set": "ev",
+                        "schedule": {"kind": "delayed", "factor": 10**7}}],
            "deciders": [{"label": "one", "kind": "constant", "value": 1,
                          "delay": 3},
                         {"label": "par", "kind": "parity", "delay": 2},

@@ -187,6 +187,17 @@ def test_stage_profile():
     assert prof.count(10) == 5  # {0..4} entered by stage 4
 
 
+@pytest.mark.parametrize("m", [-1, -3, 3, 5])
+def test_index_outside_the_window_is_invalid(m):
+    # a negative index must not wrap to the end of the array
+    with pytest.raises(InvalidWindow):
+        SetOracle.from_bits([0, 0, 1]).contains(m)
+    with pytest.raises(InvalidWindow):
+        CEStream(np.array([3, 0, 2]), stage_max=5).member_at(m, 5)
+    assert SetOracle.from_bits([0, 0, 1]).contains(2)
+    assert CEStream(np.array([3, 0, 2]), stage_max=5).member_at(2, 5)
+
+
 @pytest.mark.parametrize("s", [NEVER, 10**30])
 def test_never_entries_stay_out_of_every_snapshot(s):
     evens = SetOracle.residue_union(2, [0])

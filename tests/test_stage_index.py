@@ -211,13 +211,25 @@ GOLDEN_STRONG_ARRAY = [
 # -- the stage index against the per-stage scans it replaced -----------------
 
 @st.composite
-def streams(draw, max_size=60):
-    """Streams with never-enumerated elements, repeated and empty stages."""
-    stage_max = draw(st.integers(1, 30))
-    entry = draw(st.lists(st.one_of(st.just(NEVER),
-                                    st.integers(0, stage_max)),
+def streams(draw, max_size=60, far=True):
+    """Streams with never-enumerated elements, repeated and empty stages;
+    with ``far``, also stages from 2^40 up to NEVER − 1."""
+    near = st.integers(0, 30)
+    stage = st.one_of(near, st.integers(2**40, NEVER - 1)) if far else near
+    entry = draw(st.lists(st.one_of(st.just(NEVER), stage),
                           min_size=1, max_size=max_size))
+    last = max((e for e in entry if e != NEVER), default=1)
+    stage_max = draw(st.integers(max(last, 1), NEVER - 1 if far else 30))
     return CEStream(np.array(entry, dtype=np.int64), stage_max=stage_max)
+
+
+def probes(stream):
+    """Each distinct entry stage and its two neighbours, and a few far
+    stages, all below NEVER."""
+    live = stream.entry[stream.entry != NEVER].tolist()
+    near = {v + d for v in live for d in (-1, 0, 1)}
+    return sorted(v for v in near | {-1, 0, 1, 2**40, stream.stage_max,
+                                     NEVER - 1} if v < NEVER)
 
 
 def stream_max_scan(stream, s):
@@ -229,19 +241,58 @@ def stream_max_scan(stream, s):
 @settings(max_examples=300, deadline=None)
 @given(streams())
 def test_entering_at_matches_scan(stream):
-    for s in range(stream.stage_max + 3):
+    for s in probes(stream):
         assert stream.entering_at(s).tolist() == np.nonzero(
             stream.entry == s)[0].tolist()
-    assert stream.stage_index.order.tolist() == [
-        m for s in range(stream.stage_max + 1)
-        for m in np.nonzero(stream.entry == s)[0].tolist()]
+    live = np.flatnonzero(stream.entry != NEVER).tolist()
+    index = stream.stage_index
+    assert index.order.tolist() == sorted(
+        live, key=lambda m: (int(stream.entry[m]), m))
+    assert index.stages.tolist() == stream.entry[index.order].tolist()
+    assert index.top.tolist() == np.maximum.accumulate(
+        index.order).tolist()
+    assert index.monotone == (sorted(live, key=stream.entry.__getitem__)
+                              == live)
 
 
 @settings(max_examples=300, deadline=None)
 @given(streams(), st.integers(0, 10**6))
 def test_max_member_at_matches_scan(stream, far):
-    for s in [*range(stream.stage_max + 3), far]:
+    for s in [*probes(stream), far]:
         assert stream.max_member_at(s) == stream_max_scan(stream, s)
+
+
+@settings(max_examples=300, deadline=None)
+@given(streams())
+def test_first_stage_above_matches_scan(stream):
+    for m in [*range(-1, stream.n_max + 1), 2**40]:
+        # max A_s passes m once any element above m has entered
+        above = stream.entry[m + 1:]
+        assert stream.first_stage_above(m) == above.min(initial=NEVER)
+
+
+@settings(max_examples=150, deadline=None)
+@given(streams(), st.lists(st.integers(-1, 61), min_size=1, max_size=4))
+def test_next_entrant_matches_scan(stream, mosts):
+    """The driver's step sees the least entrant at each stage it visits,
+    and next_entrant answers, through its cache, the least later stage
+    whose least entrant is at most ``most``."""
+    stops = probes(stream)
+    drive = prioritysim._StageDriver("probe", stream.n_max, stream.stage_max)
+    seen = []
+
+    def step(s, y):
+        here = np.flatnonzero(stream.entry == s)
+        assert y == (int(here[0]) if here.size else None)
+        for most in mosts:
+            upto = stream.entry[:most + 1]
+            later = upto[(upto > s) & (upto != NEVER)]
+            assert drive.next_entrant(s, most) == later.min(initial=NEVER)
+        seen.append(s)
+        return next((v for v in stops if v > s), NEVER)
+
+    drive.run(step, permitter=stream)
+    assert seen == [0, *(v for v in stops if 0 < v <= stream.stage_max)]
 
 
 def sparse_hitting_scan(roster, n_max, stage_max):
@@ -273,7 +324,8 @@ def sparse_hitting_scan(roster, n_max, stage_max):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(streams(), min_size=1, max_size=8), st.integers(1, 60),
+@given(st.lists(streams(far=False), min_size=1, max_size=8),
+       st.integers(1, 60),
        st.integers(1, 30))
 def test_sparse_hitting_matches_stage_scan(roster, n_max, stage_max):
     stream, report = builders.sparse_hitting_build(roster, n_max, stage_max)
