@@ -7,11 +7,15 @@ exhaustion yields a *partial* artifact with a diagnostic — a finite window
 failing to produce a witness says nothing about the underlying set, so it
 is never treated as a hard error at this layer.
 
-The checkpoint pair search and the look-ahead stage table read one order
-statistic, through ``_kth_scan``: the k-th smallest entry stage among the
-enumerated elements of a prefix.  When the live entry stages are
-nondecreasing in the element (``CEStream.stage_index.monotone``), that is
-simply the k-th live entry, computed with whole-array numpy operations.
+There is one checkpoint pair search, ``_first_pair_search``: the fixed-q
+checkpoint extraction runs it once per checkpoint, and the tracking
+extraction once per run of equal targets in t, since its target sequences
+are finite lists whose last value holds from there on.  The pair search
+and the look-ahead stage table read one order statistic, through
+``_kth_scan``: the k-th smallest entry stage among the enumerated
+elements of a prefix.  When the live entry stages are nondecreasing in
+the element (``CEStream.stage_index.monotone``), that is simply the k-th
+live entry, computed with whole-array numpy operations.
 That holds for every CLI schedule except ``scripted``.  Other streams use
 a sorted window grown one element at a time; both paths give the same
 numbers.  The look-ahead bits and the margin check are vectorized for
@@ -67,25 +71,29 @@ class SubsetArtifact:
 _FIRST_CHUNK = 64
 
 
-def _first_pair_search(stream: CEStream, s_lo: int, need):
+def _first_pair_search(stream: CEStream, s_lo: int, need, t_lo: int = 0,
+                       t_hi: int = NEVER - 1):
     """First (s, t) in dovetail order (s + t ascending, ties by smaller s)
-    with s > s_lo, t <= stage_max, and at least need(s) elements of
-    [s_lo, s) enumerated by stage t; ``need`` maps an int64 array of s to
-    the int64 array of counts.
+    with s > s_lo, t_lo <= t <= t_hi (by default every t up to stage_max),
+    and at least need(s) elements of [s_lo, s) enumerated by stage t;
+    ``need`` maps an int64 array of s to the int64 array of counts.
 
     For each s the least workable t is an order statistic of the entry
-    stages of [s_lo, s) (``_kth_scan``).  Candidates are scanned in chunks
-    that double in length, and no chunk starts at or past the best cost so
-    far, since cost = s + t >= s; within a chunk the first least cost wins.
+    stages of [s_lo, s) (``_kth_scan``), raised to t_lo.  Candidates are
+    scanned in chunks that double in length, and no chunk starts where
+    s + t_lo reaches the best cost so far; within a chunk the first least
+    cost wins.
     """
     scan = _kth_scan(stream, s_lo)
     best = None  # (cost, s, t)
     start, size = s_lo + 1, _FIRST_CHUNK
-    while start <= stream.n_max and (best is None or start < best[0]):
+    while start <= stream.n_max and (best is None or start + t_lo < best[0]):
         stop = min(start + size, stream.n_max + 1,
-                   NEVER if best is None else best[0])
+                   NEVER if best is None else best[0] - t_lo)
         s = np.arange(start, stop, dtype=np.int64)
         t, _ = scan(s, need(s))
+        t = np.maximum(t, t_lo)
+        t[t > t_hi] = NEVER
         cost = s + np.minimum(t, NEVER - s)  # s + t, capped at NEVER
         i = int(np.argmin(cost))
         if t[i] != NEVER and (best is None or cost[i] < best[0]):
@@ -138,10 +146,11 @@ def _kth_scan(stream: CEStream, s_lo: int):
 
 
 def _ceil_q(q: Fraction, n: np.ndarray, n_max: int) -> np.ndarray:
-    """ceil(q·n) as int64 for 0 <= n <= n_max, exact where q·n passes
-    int64 before the division."""
-    wide = exact_ints(n, max(q.numerator, q.denominator) * n_max)
-    return (-(-q.numerator * wide // q.denominator)).astype(np.int64)
+    """ceil(q·n) for 0 <= n <= n_max, clipped to [0, n_max + 1], as int64;
+    exact where q·n passes int64 before the division."""
+    wide = exact_ints(n, max(abs(q.numerator), q.denominator) * n_max)
+    return np.clip(-(-q.numerator * wide // q.denominator), 0,
+                   n_max + 1).astype(np.int64)
 
 
 def _checkpoint_loop(stream: CEStream, search, record):
@@ -204,96 +213,65 @@ def tracking_checkpoint_subset(stream: CEStream, q_seq) -> SubsetArtifact:
     sequence indexed by stage (the caller asserts the sequence tracks the
     upper density of A; that limit claim is recorded, never checked).
 
-    The pair search for checkpoint n+1 demands s > s_n, t > n, and at
-    least ceil((q_t − 2^{−n})·s) elements of [s_n, s) in A_t.  The slack
-    term is what the search can actually promise, so the certified
-    inequality is count_B(s_{n+1}) >= ceil((q_{t_{n+1}} − 2^{−n})·s_{n+1});
-    whether the unslacked bound count >= ceil(q_{t_{n+1}}·s_{n+1}) also
-    held is recorded per checkpoint as an observation.
+    ``q_seq`` is a finite list q_0, …, q_L whose last value holds from
+    stage L on (``_targets``).  The pair search for checkpoint n+1 demands
+    s > s_n, t > n, and at least ceil((q_t − 2^{−n})·s) elements of
+    [s_n, s) in A_t.  The slack term is what the search can actually
+    promise, so the certified inequality is
+    count_B(s_{n+1}) >= ceil((q_{t_{n+1}} − 2^{−n})·s_{n+1}); whether the
+    unslacked bound count >= ceil(q_{t_{n+1}}·s_{n+1}) also held is
+    recorded per checkpoint as an observation.
     """
-    qs = _seq_to_fn(q_seq)
+    q = _targets(q_seq)
 
     def record(s, t, count, n):
-        target = Fraction(qs(t))
+        target = q[min(t, len(q) - 1)]
         return {"target_num": target.numerator,
                 "target_den": target.denominator, "slack_pow": n,
                 "observed_unslacked": (count * target.denominator
                                        >= target.numerator * s)}
 
     bits, checkpoints, diagnostics = _checkpoint_loop(
-        stream, lambda s_n, n: _tracking_pair_search(stream, s_n, n, qs),
+        stream, lambda s_n, n: _tracking_pair_search(stream, s_n, n, q),
         record)
     return SubsetArtifact("tracking_checkpoint_subset", bits, checkpoints,
                           {"form": "tracking-checkpoint-ratio"}, diagnostics,
                           meta={"stream": stream.label})
 
 
-def _tracking_pair_search(stream: CEStream, s_lo: int, n: int, qs):
-    """Dovetail search where the required count depends on t via q_t."""
-    entry = stream.entry
-    window = SortedList()
-    best = None  # (cost, s, t)
-    slack = Fraction(1, 2 ** n)
-    s = s_lo
-    while True:
-        s += 1
-        if s > stream.n_max:
+def _tracking_pair_search(stream: CEStream, s_lo: int, n: int, q: list):
+    """The first (s, t) in dovetail order with s > s_lo, n < t <= stage_max
+    and at least ceil((q_t − 2^{−n})·s) elements of [s_lo, s) in A_t.
+
+    The need is fixed on each run of t with one target: every single t
+    below the list's last index, then all t from there on.  Each run is one
+    ``_first_pair_search``; the least (cost, s) over the runs wins.  Runs
+    come in ascending t, and one starting past the best cost so far can
+    only lose (at equal cost a smaller s may still win).
+    """
+    last, tail = len(q) - 1, max(n + 1, len(q) - 1)
+    runs = [(t, t) for t in range(n + 1, min(tail, stream.stage_max + 1))]
+    if tail <= stream.stage_max:
+        runs.append((tail, stream.stage_max))
+    pairs = []  # (cost, s, t) of each run searched
+    for t_lo, t_hi in runs:
+        if pairs and s_lo + 1 + t_lo > min(pairs)[0]:
             break
-        if best is not None and s + n + 1 >= best[0]:
-            break
-        e = int(entry[s - 1])
-        if e != NEVER:
-            window.add(e)
-        t_hi = stream.stage_max if best is None else min(stream.stage_max,
-                                                         best[0] - s - 1)
-        t = _least_workable_t(window, qs, slack, s, n, t_hi)
-        if t is not None:
-            cost = s + t
-            if best is None or cost < best[0]:
-                best = (cost, s, t)
-    if best is None:
-        return None
-    return best[1], best[2]
+        thr = q[min(t_lo, last)] - Fraction(1, 2 ** n)
+        pair = _first_pair_search(
+            stream, s_lo, lambda s: _ceil_q(thr, s, stream.n_max), t_lo, t_hi)
+        if pair is not None:
+            pairs.append((sum(pair), *pair))
+    return min(pairs)[1:] if pairs else None
 
 
-def _least_workable_t(window, qs, slack, s, n, t_hi):
-    """Smallest t in (n, t_hi] with |window ∩ [0, t]| >= ceil((q_t − slack)·s),
-    or None.  Larger t only raises the dovetail cost at fixed s, so the
-    first hit is the only one worth keeping."""
-    settle = getattr(qs, "settle_at", None)
-    vary_hi = t_hi if settle is None else min(settle - 1, t_hi)
-    for t in range(n + 1, vary_hi + 1):
-        thr = Fraction(qs(t)) - slack
-        if window.bisect_right(t) >= ceil_div(thr.numerator * s,
-                                              thr.denominator):
-            return t
-    if settle is None:
-        return None
-    # q_t is constant from settle on: the count requirement is fixed, and
-    # |window ∩ [0, t]| first reaches k at the k-th smallest entry stage
-    lo_t = max(n + 1, settle)
-    if lo_t > t_hi:
-        return None
-    thr = Fraction(qs(lo_t)) - slack
-    k = ceil_div(thr.numerator * s, thr.denominator)
-    if k <= 0:
-        return lo_t
-    if k > len(window):
-        return None
-    t = max(lo_t, int(window[k - 1]))
-    return t if t <= t_hi else None
-
-
-def _seq_to_fn(q_seq):
-    if callable(q_seq):
-        return q_seq
-    seq = [Fraction(v) for v in q_seq]
-
-    def fn(i):
-        return seq[i] if i < len(seq) else seq[-1]
-
-    fn.settle_at = len(seq) - 1  # constant from this index on
-    return fn
+def _targets(q_seq) -> list:
+    """A target sequence as the list of its values, as Fractions; reader i
+    takes value min(i, len − 1), so the last value holds from there on."""
+    q = [Fraction(v) for v in q_seq]
+    if not q:
+        raise ValueError("a target sequence needs at least one value")
+    return q
 
 
 # -- look-ahead family ---------------------------------------------------
@@ -508,13 +486,14 @@ def tracked_witness_subset(stream: CEStream, q_seq,
                            g: LimitApprox) -> SubsetArtifact:
     """Extraction toward a per-n rational target sequence q_n with a
     limit-approximated witness: level k binds at (n, s) when g(k, s) <= n,
-    demanding count(n at s) >= ceil((q_n − 2^{−k})·n).  Guarantee is the
-    same relative margin as limit_witness_subset.
+    demanding count(n at s) >= ceil((q_n − 2^{−k})·n).  ``q_seq`` is a
+    finite list whose last value holds from its index on (``_targets``).
+    Guarantee is the same relative margin as limit_witness_subset.
     """
-    qs = _seq_to_fn(q_seq)
+    q = _targets(q_seq)
 
     def level_need(n, h):
-        thr = Fraction(qs(n)) - Fraction(1, 1 << h)
+        thr = q[min(n, len(q) - 1)] - Fraction(1, 1 << h)
         return ceil_div(thr.numerator * n, thr.denominator) if thr > 0 else 0
 
     s_table, in_a = _guarded_search(stream, g, level_need)

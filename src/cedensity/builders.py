@@ -14,7 +14,7 @@ from math import factorial
 
 import numpy as np
 
-from .approximators import SubsetArtifact, _seq_to_fn
+from .approximators import SubsetArtifact, _targets
 from .artifacts import passed_groups
 from .core import CEStream, NEVER, ceil_div, prefix_counts
 from .errors import CapExceeded, ContractViolated, RatioUnrealizable
@@ -43,19 +43,20 @@ def infsup_build(q_seq, n_checkpoints: int, n_max: int) -> SubsetArtifact:
     all-in or all-out makes every intermediate density lie between the
     checkpoint densities.  The window min/max of the checkpoint densities
     therefore track liminf/limsup of the targets — on the window only.
+    ``q_seq`` is a finite list whose last value holds from its index on.
     """
-    qs = _seq_to_fn(q_seq)
+    qs = _targets(q_seq)
     if n_max < 2:
         raise ValueError("n_max too small")
     included = [(0, 1)]  # list of included [lo, hi) blocks
+    q0 = _clamp_unit(qs[0], 0)
     checkpoints = [{"n": 0, "s": 1, "count": 1,
-                    "q_num": _clamp_unit(Fraction(qs(0)), 0).numerator,
-                    "q_den": _clamp_unit(Fraction(qs(0)), 0).denominator}]
+                    "q_num": q0.numerator, "q_den": q0.denominator}]
     diagnostics = []
     s = 1
     count = 1
     for n in range(1, n_checkpoints + 1):
-        q = _clamp_unit(Fraction(qs(n)), n)
+        q = _clamp_unit(qs[min(n, len(qs) - 1)], n)
         num, den = q.numerator, q.denominator
         if count * den > num * s:
             # excluded block: density falls as 1/t; least t with c/t <= q
@@ -87,14 +88,14 @@ def interleave_targets(low_seq, high_seq, pivot, n_pairs: int):
     """Merge a lower-target and an upper-target sequence into one target
     list, pinning both against a pivot rational (lower targets are capped
     at the pivot, upper targets floored at it) so the built set's density
-    oscillates across the pivot."""
-    lo = _seq_to_fn(low_seq)
-    hi = _seq_to_fn(high_seq)
+    oscillates across the pivot.  Each input is a finite list whose last
+    value holds from its index on."""
+    lo, hi = _targets(low_seq), _targets(high_seq)
     p = Fraction(pivot)
     out = []
     for n in range(n_pairs):
-        out.append(min(Fraction(lo(n)), p))
-        out.append(max(Fraction(hi(n)), p))
+        out.append(min(lo[min(n, len(lo) - 1)], p))
+        out.append(max(hi[min(n, len(hi) - 1)], p))
     return out
 
 
@@ -319,33 +320,41 @@ def _round_to_grid(v: Fraction, n: int) -> int:
     return min(max(L, 0), n)
 
 
-def blockwise_limit_build(g: StableMonotoneG, n_blocks: int,
-                          stage_max: int, *, allow_large=False):
+def _empty_blocks(n_blocks: int):
+    """The entry array over the factorial blocks 1..n_blocks, with nothing
+    entered, and every block's level at 0.  Raises CapExceeded past
+    FACTORIAL_BLOCK_CAP."""
+    if n_blocks > FACTORIAL_BLOCK_CAP:
+        raise CapExceeded(
+            f"n_blocks={n_blocks} exceeds cap {FACTORIAL_BLOCK_CAP}")
+    return (np.full(factorial(n_blocks + 1), NEVER, dtype=np.int64),
+            {n: 0 for n in range(1, n_blocks + 1)})
+
+
+def _raise_level(entry: np.ndarray, levels: dict, n: int, L: int, s: int):
+    """Raise block n to level L at stage s if that is higher: elements
+    levels[n] .. L − 1 of each of its runs of length n enter at stage s."""
+    if L > levels[n]:
+        entry[factorial(n):factorial(n + 1)].reshape(-1, n)[:, levels[n]:L] = s
+        levels[n] = L
+
+
+def blockwise_limit_build(g: StableMonotoneG, n_blocks: int, stage_max: int):
     """Enumerate a set over factorial blocks [n!, (n+1)!) so that the final
     density of each block equals g's settled value rounded to the 1/n grid.
 
     Block n is split into n! runs of length n; a run holds exactly L
     elements (its least ones) when the rounded level is L/n, so the block
     density equals L/n exactly, which in turn pins rho at (n+1)! within
-    [−L/n, 1 − L/n]·1/(n+1) of L/n.  Returns (stream, levels) where
-    levels[n] is the final grid numerator L.
+    [−L/n, 1 − L/n]·1/(n+1) of L/n.  g is polled at every stage up to
+    stage_max.  Returns (stream, levels) where levels[n] is the final grid
+    numerator L.
     """
-    if n_blocks > FACTORIAL_BLOCK_CAP and not allow_large:
-        raise CapExceeded(
-            f"n_blocks={n_blocks} exceeds cap {FACTORIAL_BLOCK_CAP}")
-    n_max = factorial(n_blocks + 1)
-    entry = np.full(n_max, NEVER, dtype=np.int64)
-    levels = {n: 0 for n in range(1, n_blocks + 1)}
+    entry, levels = _empty_blocks(n_blocks)
     for s in range(stage_max + 1):
-        for n in range(1, n_blocks + 1):
-            L = _round_to_grid(g.eval(n, s), n)
-            if L > levels[n]:
-                lo, hi = factorial(n), factorial(n + 1)
-                for run in range(lo, hi, n):
-                    entry[run + levels[n]: run + L] = s
-                levels[n] = L
-    stream = CEStream(entry, stage_max=stage_max, label="blockwise")
-    return stream, levels
+        for n in levels:
+            _raise_level(entry, levels, n, _round_to_grid(g.eval(n, s), n), s)
+    return CEStream(entry, stage_max=stage_max, label="blockwise"), levels
 
 
 def levels_guarantee(levels: dict) -> dict:
@@ -365,29 +374,25 @@ def verify_blockwise(stream: CEStream, levels: dict) -> dict:
 def limsup_density_build(q_seq, n_blocks: int, stage_max: int):
     """Blockwise build whose level for block n ratchets up to a stage value
     q_s whenever q_s clears the current level by at least 1/(n+1) (and
-    s >= n).  The settled level h(n) then satisfies
-    b(n) − 1/(n+1) <= h(n) <= b(n) for b(n) = max of q_s over the explored
-    stages s >= n — a finite-stage surrogate for the running supremum.
-    Returns (stream, levels, g_final) with g_final[n] the pre-rounding
-    settled value.
+    s >= n); the raised level fills at stage s + 1.  The settled level h(n)
+    then satisfies b(n) − 1/(n+1) <= h(n) <= b(n) for b(n) = max of q_s
+    over the explored stages s >= n — a finite-stage surrogate for the
+    running supremum.  ``q_seq`` is a finite list whose last value holds
+    from its index on.  Returns (stream, levels, g_final) with g_final[n]
+    the pre-rounding settled value.
     """
-    if n_blocks > FACTORIAL_BLOCK_CAP:
-        raise CapExceeded(
-            f"n_blocks={n_blocks} exceeds cap {FACTORIAL_BLOCK_CAP}")
-    qs = _seq_to_fn(q_seq)
-    g_vals = {n: [Fraction(0)] for n in range(1, n_blocks + 1)}
-    for s in range(stage_max):
-        q = Fraction(qs(s))
-        for n in range(1, n_blocks + 1):
-            cur = g_vals[n][-1]
-            if s >= n and q >= cur + Fraction(1, n + 1):
-                g_vals[n].append(q)
-            else:
-                g_vals[n].append(cur)
-    g = StableMonotoneG(lambda n, s: g_vals[n][min(s, stage_max)],
-                        label="ratchet")
-    stream, levels = blockwise_limit_build(g, n_blocks, stage_max)
-    g_final = {n: g_vals[n][-1] for n in g_vals}
+    entry, levels = _empty_blocks(n_blocks)
+    q = _targets(q_seq)
+    g_final = {n: Fraction(0) for n in levels}
+    # from s = max(n_blocks, len − 1) on, q_s is the last value and s >= n
+    # for every block, so no level moves after that stage
+    for s in range(min(stage_max, max(n_blocks, len(q) - 1) + 1)):
+        q_s = q[min(s, len(q) - 1)]
+        for n in levels:
+            if s >= n and q_s >= g_final[n] + Fraction(1, n + 1):
+                g_final[n] = q_s
+                _raise_level(entry, levels, n, _round_to_grid(q_s, n), s + 1)
+    stream = CEStream(entry, stage_max=stage_max, label="blockwise")
     return stream, levels, g_final
 
 

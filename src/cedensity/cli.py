@@ -406,9 +406,10 @@ def _dispatch_construct(cfg, sets, streams, deciders):
         vals = {int(k): given[k].frac() for k in given.value}
         g = builders.StableMonotoneG(
             lambda n, s: vals.get(n, Fraction(0)), label="const-levels")
+        # g is constant in s, so every level is set at stage 0; the
+        # artifact keeps only the final members, never stage_max
         st, levels = builders.blockwise_limit_build(
-            g, spec["n_blocks"].int(0, builders.FACTORIAL_BLOCK_CAP),
-            stage_max)
+            g, spec["n_blocks"].int(0, builders.FACTORIAL_BLOCK_CAP), 0)
         return _stream_artifact(st, "blockwise_levels",
                                 builders.levels_guarantee(levels)), None
     if op == "limsup-blockwise":

@@ -620,7 +620,10 @@ class CEStream:
         return self.snapshot(self.stage_max)
 
     def count_at(self, n: int, s: int) -> int:
-        """|A_s ∩ [0, n)|."""
+        """|A_s ∩ [0, n)|; n must be >= 0, and an n past n_max counts the
+        whole window."""
+        if n < 0:
+            raise InvalidWindow(f"prefix length {n} is negative")
         return int(np.count_nonzero(self.entry[:n] <= min(s, NEVER - 1)))
 
     @cached_property

@@ -9,6 +9,7 @@ from sortedcontainers import SortedList
 
 from cedensity import approximators as ap
 from cedensity import artifacts as ar
+from cedensity import builders
 from cedensity.core import NEVER, CEStream, SetOracle, ceil_div, ceil_sqrt
 from cedensity.errors import BudgetExceeded, PreconditionViolated
 
@@ -132,10 +133,27 @@ def test_tracked_witness_subset_runs():
     assert art.guarantee["holds"]
 
 
-def test_seq_to_fn_extends_last_value():
-    fn = ap._seq_to_fn([Fraction(1, 4), Fraction(1, 2)])
-    assert fn(0) == Fraction(1, 4)
-    assert fn(5) == Fraction(1, 2)
+def test_targets_extend_last_value():
+    assert ap._targets(["1/4", Fraction(1, 2)]) == \
+        [Fraction(1, 4), Fraction(1, 2)]
+    # a reader past the end of a list takes its last value
+    assert builders.interleave_targets(["1/4", "1/3"], ["3/4"], "1/2", 3) \
+        == [Fraction(1, 4), Fraction(3, 4), Fraction(1, 3), Fraction(3, 4),
+            Fraction(1, 3), Fraction(3, 4)]
+    with pytest.raises(ValueError, match="at least one value"):
+        ap._targets([])
+
+
+@pytest.mark.parametrize("producer", [
+    lambda q: ap.tracking_checkpoint_subset(evens_stream(100), q),
+    lambda q: ap.tracked_witness_subset(evens_stream(100), q,
+                                        ap.LimitApprox(lambda k, s: k)),
+    lambda q: builders.infsup_build(q, 2, 100),
+    lambda q: builders.interleave_targets(q, ["3/4"], "1/2", 2),
+    lambda q: builders.limsup_density_build(q, 2, 10)])
+def test_callable_targets_raise_type_error(producer):
+    with pytest.raises(TypeError):
+        producer(lambda i: Fraction(1, 2))
 
 
 def test_lookahead_n0_past_the_window_verifies():
@@ -392,8 +410,76 @@ def old_checkpoint_subset(stream, q):
                              meta={"stream": stream.label})
 
 
+def old_tracking_pair_search(stream, s_lo, n, qs):
+    """Dovetail search where the required count depends on t via q_t."""
+    entry = stream.entry
+    window = SortedList()
+    best = None  # (cost, s, t)
+    slack = Fraction(1, 2 ** n)
+    s = s_lo
+    while True:
+        s += 1
+        if s > stream.n_max:
+            break
+        if best is not None and s + n + 1 >= best[0]:
+            break
+        e = int(entry[s - 1])
+        if e != NEVER:
+            window.add(e)
+        t_hi = stream.stage_max if best is None else min(stream.stage_max,
+                                                         best[0] - s - 1)
+        t = old_least_workable_t(window, qs, slack, s, n, t_hi)
+        if t is not None:
+            cost = s + t
+            if best is None or cost < best[0]:
+                best = (cost, s, t)
+    if best is None:
+        return None
+    return best[1], best[2]
+
+
+def old_least_workable_t(window, qs, slack, s, n, t_hi):
+    """Smallest t in (n, t_hi] with |window ∩ [0, t]| >= ceil((q_t − slack)·s),
+    or None.  Larger t only raises the dovetail cost at fixed s, so the
+    first hit is the only one worth keeping."""
+    settle = getattr(qs, "settle_at", None)
+    vary_hi = t_hi if settle is None else min(settle - 1, t_hi)
+    for t in range(n + 1, vary_hi + 1):
+        thr = Fraction(qs(t)) - slack
+        if window.bisect_right(t) >= ceil_div(thr.numerator * s,
+                                              thr.denominator):
+            return t
+    if settle is None:
+        return None
+    # q_t is constant from settle on: the count requirement is fixed, and
+    # |window ∩ [0, t]| first reaches k at the k-th smallest entry stage
+    lo_t = max(n + 1, settle)
+    if lo_t > t_hi:
+        return None
+    thr = Fraction(qs(lo_t)) - slack
+    k = ceil_div(thr.numerator * s, thr.denominator)
+    if k <= 0:
+        return lo_t
+    if k > len(window):
+        return None
+    t = max(lo_t, int(window[k - 1]))
+    return t if t <= t_hi else None
+
+
+def old_seq_to_fn(q_seq):
+    if callable(q_seq):
+        return q_seq
+    seq = [Fraction(v) for v in q_seq]
+
+    def fn(i):
+        return seq[i] if i < len(seq) else seq[-1]
+
+    fn.settle_at = len(seq) - 1  # constant from this index on
+    return fn
+
+
 def old_tracking_checkpoint_subset(stream, q_seq):
-    qs = ap._seq_to_fn(q_seq)
+    qs = old_seq_to_fn(q_seq)
     entry = stream.entry
     bits = np.zeros(stream.n_max, dtype=bool)
     checkpoints = [{"s": 0, "t": 0, "count": 0}]
@@ -402,7 +488,7 @@ def old_tracking_checkpoint_subset(stream, q_seq):
     running = 0
     n = 0
     while True:
-        found = ap._tracking_pair_search(stream, s_n, n, qs)
+        found = old_tracking_pair_search(stream, s_n, n, qs)
         if found is None:
             diagnostics.append({
                 "error": "BudgetExceeded",
@@ -548,7 +634,7 @@ def old_limit_witness_subset(stream, g):
 
 
 def old_tracked_witness_subset(stream, q_seq, g):
-    qs = ap._seq_to_fn(q_seq)
+    qs = old_seq_to_fn(q_seq)
     n_max = stream.n_max
 
     def need(n, s):
@@ -621,12 +707,22 @@ G_KINDS = {
 }
 
 
-def targets(kind):
-    """A target sequence given as a list or as a callable, and the log of
-    the callable's calls."""
+def targets(kind, stream):
+    """A target sequence for the old code, as a list or as a callable, and
+    the list the new code reads: the callable's values over every index
+    a producer can read, [0, max(n_max, stage_max)]."""
     if kind == "list":
-        return [Fraction(1, 4), Fraction(2, 3), Fraction(1, 2)], []
-    return logged(lambda i: Fraction(1, 2) + Fraction(1, i + 4))
+        q = [Fraction(1, 4), Fraction(2, 3), Fraction(1, 2)]
+        return q, q
+    fn = lambda i: Fraction(1, 2) + Fraction(1, i + 4)
+    return fn, [fn(i) for i in range(max(stream.n_max, stream.stage_max) + 1)]
+
+
+# target values below 0, in (0, 1), at its ends and past 1, repeated freely
+target_lists = st.lists(st.sampled_from(
+    [Fraction(-1, 3), Fraction(0), Fraction(1, 4), Fraction(1, 3),
+     Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), Fraction(1),
+     Fraction(3, 2), Fraction(2**41 + 1, 2**42)]), min_size=1, max_size=6)
 
 
 @settings(max_examples=120, deadline=None)
@@ -651,12 +747,27 @@ def test_unguarded_producers_match_their_old_code(stream, q, n0, shift):
 def test_checkpoint_producers_match_on_short_budgets(stream, q, kind):
     assert outcome(lambda: ap.checkpoint_subset(stream, q)) == \
         outcome(lambda: old_checkpoint_subset(stream, q))
-    runs = []
-    for producer in (ap.tracking_checkpoint_subset,
-                     old_tracking_checkpoint_subset):
-        q_seq, q_log = targets(kind)
-        runs.append((outcome(lambda: producer(stream, q_seq)), q_log))
-    assert runs[0] == runs[1]
+    old_q, new_q = targets(kind, stream)
+    assert outcome(lambda: ap.tracking_checkpoint_subset(stream, new_q)) == \
+        outcome(lambda: old_tracking_checkpoint_subset(stream, old_q))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(short_streams(), streams), target_lists)
+def test_tracking_matches_its_old_code_on_target_lists(stream, q):
+    assert outcome(lambda: ap.tracking_checkpoint_subset(stream, q)) == \
+        outcome(lambda: old_tracking_checkpoint_subset(stream, q))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(short_streams(), streams), target_lists, st.integers(0, 70),
+       st.data())
+def test_tracking_pair_search_matches_its_old_code(stream, q, n, data):
+    # past n = 62 the slack 2^-n puts the needs past int64 before the
+    # division, so they are computed as Python ints
+    s_lo = data.draw(st.integers(0, stream.n_max - 1))
+    assert ap._tracking_pair_search(stream, s_lo, n, ap._targets(q)) == \
+        old_tracking_pair_search(stream, s_lo, n, old_seq_to_fn(q))
 
 
 @settings(max_examples=120, deadline=None)
@@ -670,12 +781,12 @@ def test_guarded_producers_match_their_old_code(stream, g_kind, c, kind):
         runs.append((outcome(lambda: producer(stream, g)), g_log))
     assert runs[0] == runs[1]
     runs = []
-    for producer in (ap.tracked_witness_subset, old_tracked_witness_subset):
+    for producer, q_seq in zip(
+            (old_tracked_witness_subset, ap.tracked_witness_subset),
+            targets(kind, stream)):
         g_fn, g_log = logged(G_KINDS[g_kind](c))
         g = ap.LimitApprox(g_fn, "g")
-        q_seq, q_log = targets(kind)
-        runs.append((outcome(lambda: producer(stream, q_seq, g)), g_log,
-                     q_log))
+        runs.append((outcome(lambda: producer(stream, q_seq, g)), g_log))
     assert runs[0] == runs[1]
 
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from cedensity.builders import (Delta2Approx, StableMonotoneG,
                                 interleave_targets, limsup_density_build,
                                 sparse_hitting_build, verify_blockwise,
                                 verify_infsup)
-from cedensity.core import CEStream, SetOracle
+from cedensity.core import NEVER, CEStream, SetOracle
 from cedensity.errors import CapExceeded, ContractViolated
 
 
@@ -185,6 +186,75 @@ def test_limsup_blockwise_levels_bounded():
     assert rep["sandwich"] is True
     for n, L in levels.items():
         assert 0 <= L <= n
+
+
+def old_blockwise_limit_build(g, n_blocks, stage_max):
+    if n_blocks > builders.FACTORIAL_BLOCK_CAP:
+        raise CapExceeded(
+            f"n_blocks={n_blocks} exceeds cap {builders.FACTORIAL_BLOCK_CAP}")
+    n_max = factorial(n_blocks + 1)
+    entry = np.full(n_max, NEVER, dtype=np.int64)
+    levels = {n: 0 for n in range(1, n_blocks + 1)}
+    for s in range(stage_max + 1):
+        for n in range(1, n_blocks + 1):
+            L = builders._round_to_grid(g.eval(n, s), n)
+            if L > levels[n]:
+                lo, hi = factorial(n), factorial(n + 1)
+                for run in range(lo, hi, n):
+                    entry[run + levels[n]: run + L] = s
+                levels[n] = L
+    stream = CEStream(entry, stage_max=stage_max, label="blockwise")
+    return stream, levels
+
+
+def old_limsup_density_build(q_seq, n_blocks, stage_max):
+    """The ratchet as per-stage tables of g, polled at every stage."""
+    g_vals = {n: [Fraction(0)] for n in range(1, n_blocks + 1)}
+    for s in range(stage_max):
+        q = Fraction(q_seq[min(s, len(q_seq) - 1)])
+        for n in range(1, n_blocks + 1):
+            cur = g_vals[n][-1]
+            if s >= n and q >= cur + Fraction(1, n + 1):
+                g_vals[n].append(q)
+            else:
+                g_vals[n].append(cur)
+    g = StableMonotoneG(lambda n, s: g_vals[n][min(s, stage_max)],
+                        label="ratchet")
+    stream, levels = old_blockwise_limit_build(g, n_blocks, stage_max)
+    g_final = {n: g_vals[n][-1] for n in g_vals}
+    return stream, levels, g_final
+
+
+_fractions = st.fractions(-1, 2, max_denominator=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_fractions, min_size=1, max_size=6), st.integers(0, 4),
+       st.integers(1, 30))
+def test_limsup_matches_its_per_stage_tables(q_seq, n_blocks, stage_max):
+    stream, levels, g_final = limsup_density_build(q_seq, n_blocks, stage_max)
+    old_stream, old_levels, old_g = old_limsup_density_build(
+        q_seq, n_blocks, stage_max)
+    assert stream.entry.tolist() == old_stream.entry.tolist()
+    assert stream.stage_max == old_stream.stage_max
+    assert (levels, g_final) == (old_levels, old_g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(_fractions, min_size=1, max_size=4), max_size=4),
+       st.integers(1, 12))
+def test_blockwise_slices_match_the_run_loop(rows, stage_max):
+    # g(n, s) rises through row n − 1, sorted, and stays at its last value
+    rows = [sorted(r) for r in rows]
+
+    def g(n, s):
+        return rows[n - 1][min(s, len(rows[n - 1]) - 1)]
+
+    new, levels = blockwise_limit_build(StableMonotoneG(g), len(rows),
+                                        stage_max)
+    old, old_levels = old_blockwise_limit_build(StableMonotoneG(g), len(rows),
+                                                stage_max)
+    assert new.entry.tolist() == old.entry.tolist() and levels == old_levels
 
 
 def test_sparse_hitting():

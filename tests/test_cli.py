@@ -494,6 +494,24 @@ def test_huge_stage_max_finishes_when_only_events_are_recorded(
     assert len(lines) < 200 and "outcomes" in json.loads(lines[-1])
 
 
+@pytest.mark.parametrize("construction", [
+    {"op": "blockwise-levels", "n_blocks": 6,
+     "levels": {"2": "1/2", "5": "3/5", "6": "1"}},
+    {"op": "limsup-blockwise", "n_blocks": 6,
+     "targets": ["1/4", "1/2", "1/3", "5/6", "2/3"]}])
+def test_huge_stage_max_finishes_for_the_blockwise_builds(tmp_path,
+                                                           construction):
+    # every level settles within the first stages, so the stages past
+    # them cost nothing; these ops write no trace.jsonl
+    cfg = {"universe": {"n_max": 100, "stage_max": 10**9},
+           "construction": construction}
+    start = time.perf_counter()
+    assert _run(tmp_path, "construct", cfg) == 0
+    assert time.perf_counter() - start < 2
+    art = json.loads((tmp_path / "o" / "artifact.json").read_text())
+    assert art["n_max"] == 5040 and art["guarantee"]["levels"][-1][0] == 6
+
+
 # -- fuzz: mutated configs end in a documented exit code ----------------------
 
 _junk = st.one_of(st.none(), st.booleans(), st.floats(), st.text(max_size=3),

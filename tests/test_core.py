@@ -198,6 +198,17 @@ def test_index_outside_the_window_is_invalid(m):
     assert CEStream(np.array([3, 0, 2]), stage_max=5).member_at(2, 5)
 
 
+@pytest.mark.parametrize("n", [-1, -3])
+def test_negative_prefix_length_is_invalid(n):
+    # a negative n must not wrap: entry[:-1] would count [0, n_max − 1)
+    stream = CEStream(np.array([3, 0, 2]), stage_max=5)
+    with pytest.raises(InvalidWindow):
+        stream.count_at(n, 5)
+    # an n past n_max counts the whole window
+    assert [stream.count_at(n, 5) for n in (0, 2, 3, 4, 100)] == \
+        [0, 2, 3, 3, 3]
+
+
 @pytest.mark.parametrize("s", [NEVER, 10**30])
 def test_never_entries_stay_out_of_every_snapshot(s):
     evens = SetOracle.residue_union(2, [0])
