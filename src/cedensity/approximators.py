@@ -278,20 +278,12 @@ def _targets(q_seq) -> list:
 
 def _stage_table_kth(stream: CEStream, needs: np.ndarray, n_lo: int):
     """s(n) for n in [n_lo, n_max]: the needs[n − n_lo]-th smallest entry
-    stage among [0, n), or 0 where the need is <= 0; returned with
-    in_a(n) = |A_{s(n)} ∩ [0, n)|.  Raises PreconditionViolated at the
-    first n where [0, n) holds fewer enumerated elements than needed."""
+    stage among [0, n), 0 where the need is <= 0, and NEVER where [0, n)
+    holds fewer enumerated elements than needed; returned with
+    in_a(n) = |A_{s(n)} ∩ [0, n)|, the final count of [0, n) at the NEVER
+    rows."""
     ns = np.arange(n_lo, stream.n_max + 1, dtype=np.int64)
-    s_table, in_a = _kth_scan(stream, 0)(ns, needs)
-    short = np.flatnonzero(s_table == NEVER)
-    if short.size:
-        raise _too_few(int(ns[short[0]]))
-    return s_table, in_a
-
-
-def _too_few(n: int) -> PreconditionViolated:
-    return PreconditionViolated(
-        f"[0, {n}) holds fewer enumerated elements than needed", at=n)
+    return _kth_scan(stream, 0)(ns, needs)
 
 
 def _lookahead_bits(stream: CEStream, s_table: np.ndarray, n_lo: int):
@@ -352,16 +344,14 @@ def lookahead_subset(stream: CEStream, q, n0: int = 1) -> SubsetArtifact:
     if not 1 <= n0 <= stream.n_max + 1:
         raise ValueError(f"n0 must be in [1, {stream.n_max + 1}], got {n0}")
     ns = np.arange(n0, stream.n_max + 1, dtype=np.int64)
-    needs = _ceil_q(q, ns, stream.n_max)
-    final_counts = prefix_counts(stream.final_members())[n0:]
-    bad = np.flatnonzero(final_counts < needs)
+    s_table, in_a = _stage_table_kth(stream, _ceil_q(q, ns, stream.n_max),
+                                     n0)
+    bad = np.flatnonzero(s_table == NEVER)
     if bad.size:
         n_bad = int(ns[bad[0]])
         raise PreconditionViolated(
             f"density target {q} fails at n={n_bad}: "
-            f"count={int(final_counts[bad[0]])}", at=n_bad)
-
-    s_table, in_a = _stage_table_kth(stream, needs, n0)
+            f"count={int(in_a[bad[0]])}", at=n_bad)
     art, t_of_k = _lookahead_artifact(
         "lookahead_subset", stream, s_table, in_a, n0,
         {"form": "lookahead-margin", "q_num": q.numerator,
@@ -399,16 +389,13 @@ def witnessed_subset(stream: CEStream, w) -> SubsetArtifact:
                                         ns, side="right"), ns)
     # ceil(n·(2^h − 1)/2^h) = n − ⌊n/2^h⌋, and ⌊n/2^h⌋ = 0 for h >= 62
     needs = (ns - (ns >> np.minimum(h_of_n, 62)))[1:]
-
-    final_counts = prefix_counts(stream.final_members())
-    bad = np.flatnonzero(final_counts[1:] < needs)
+    s_table, _ = _stage_table_kth(stream, needs, 1)
+    bad = np.flatnonzero(s_table == NEVER)
     if bad.size:
         n = int(bad[0]) + 1
         raise PreconditionViolated(
             f"witness promise fails at n={n} (level {int(h_of_n[n])})",
             at=n)
-
-    s_table, _ = _stage_table_kth(stream, needs, 1)
     return _lookahead_artifact(
         "witnessed_subset", stream, s_table, needs, 1,
         {"form": "witness-margin", "h_of_n": h_of_n[1:].tolist()})[0]

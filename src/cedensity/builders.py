@@ -18,6 +18,7 @@ from .approximators import SubsetArtifact, _targets
 from .artifacts import passed_groups
 from .core import CEStream, NEVER, ceil_div, prefix_counts
 from .errors import CapExceeded, ContractViolated, RatioUnrealizable
+from .prioritysim import ConstructionTrace
 
 
 # -- oscillation-target builder -------------------------------------------
@@ -114,13 +115,6 @@ class RatioExtension:
     c: int          # evaluation length with exact ratio
     ratio: Fraction
 
-    def bits(self, n: int) -> np.ndarray:
-        out = np.zeros(n, dtype=bool)
-        for x in self.elements:
-            if x < n:
-                out[x] = True
-        return out
-
 
 def extend_to_ratio(F, a: int, d: int, r) -> RatioExtension:
     """Extend the finite set F with a run [a, b) so that at some length
@@ -203,90 +197,85 @@ def density_transfer_build(B: Delta2Approx, n_checkpoints: int,
     repairs it with extend_to_ratio (target = rho_n(B_s) clamped into
     (0,1): 0 becomes 1/(n+1), 1 becomes n/(n+1)); rows above n are
     re-based past the new evaluation length.  Because repairs only append
-    beyond t(n−1), lower settled rows are never disturbed.
+    beyond t(n−1), lower settled rows are never disturbed.  Returns
+    (stream, t, trace, report); the trace records each repair, and its
+    outcomes hold the report's two row maps.
     """
     if n_checkpoints >= B.window:
         raise ValueError("n_checkpoints must be below the approximation window")
-    t = {0: 0}
-    for n in range(1, n_checkpoints + 1):
-        t[n] = n + 1
-    entry = {}          # element -> stage
-    members = set()
-    trace = []
+    rows = np.arange(1, n_checkpoints + 1)
+    t = np.concatenate(([0], rows + 1))  # t(0) = 0, t(n) = n + 1
+    entry = np.full(n_max, NEVER, dtype=np.int64)
+    live = np.zeros(0, dtype=np.int64)   # A's elements, ascending
+    have = np.zeros(n_checkpoints, dtype=np.int64)  # |A ∩ [0, t(n))|
+    # identities are cross-multiplied in int64: each product is below
+    # (n_max + n)·(n + 1), and n_max and n < B.window both size arrays
+    trace = ConstructionTrace("density_transfer")
+    quiet, quiet_from = (lambda s: {"fired": None, "stage": s}), 1
     truncated = None
     for s in range(1, stage_budget + 1):
-        bs = B.at(s - 1)
-        bcounts = prefix_counts(bs)
-        fired = None
-        for n in range(1, min(s, n_checkpoints) + 1):
-            target = _transfer_target(int(bcounts[n]), n)
-            tn = t[n]
-            have = sum(1 for x in members if x < tn)
-            if have * target.denominator != target.numerator * tn:
-                fired = (n, target)
-                break
-        if fired is None:
-            trace.append({"stage": s, "fired": None})
+        k = min(s, n_checkpoints)
+        num, den = _transfer_targets(np.cumsum(B.at(s - 1)[:k]), rows[:k])
+        broken = have[:k] * den != num * t[1:k + 1]
+        if not broken.any():
             continue
-        n, target = fired
-        a = t[n - 1]
-        d = max(members | {t[n]}) if members else t[n]
-        ext = extend_to_ratio(members, a, d, target)
+        trace.run(quiet, np.arange(quiet_from, s))
+        quiet_from = s + 1
+        n = int(broken.argmax()) + 1
+        target = Fraction(int(num[n - 1]), int(den[n - 1]))
+        a, old_c = int(t[n - 1]), int(t[n])
+        d = max(old_c, int(live[-1])) if live.size else old_c
+        ext = extend_to_ratio(live.tolist(), a, d, target)
         if ext.c > n_max:
             truncated = {"error": "Truncated", "stage": s,
                          "detail": f"evaluation length {ext.c} beyond n_max"}
             break
-        new = sorted(ext.elements - members)
-        for x in new:
-            entry[x] = s
-        members = set(ext.elements)
-        old_c = t[n]
-        t[n] = ext.c
-        for m in range(n + 1, n_checkpoints + 1):
-            t[m] = ext.c + (m - n)
-        trace.append({"stage": s, "fired": n, "a": a, "b": ext.b,
-                      "c": ext.c, "prev_t": old_c,
-                      "target": [target.numerator, target.denominator],
-                      "new_elements": len(new)})
-    stream = CEStream.from_schedule(entry.items(), n_max=n_max,
-                                    stage_max=stage_budget, label="transfer")
-    report = _transfer_report(stream, B, t, n_checkpoints, stage_budget)
+        # the extension is A ∪ [a, b), and every element of A past a is below b
+        new = entry[a:ext.b] == NEVER
+        entry[a:ext.b][new] = s
+        live = np.flatnonzero(entry != NEVER)
+        t[n:] = ext.c + np.arange(n_checkpoints - n + 1)
+        have = np.searchsorted(live, t[1:])
+        trace.record(s, fired=n, a=a, b=ext.b, c=ext.c, prev_t=old_c,
+                     target=[target.numerator, target.denominator],
+                     new_elements=int(np.count_nonzero(new)))
+    else:
+        trace.run(quiet, np.arange(quiet_from, stage_budget + 1))
+    stream = CEStream(entry, stage_max=stage_budget, label="transfer")
+    report = _transfer_report(stream, B.at(max(stage_budget - 1, 0)), t)
+    trace.outcomes = dict(report)
     if truncated:
         report["diagnostics"] = [truncated]
-    return stream, dict(t), trace, report
+    return stream, dict(enumerate(t.tolist())), trace, report
 
 
-def _transfer_target(count_n: int, n: int) -> Fraction:
-    q = Fraction(count_n, n)
-    if q == 0:
-        return Fraction(1, n + 1)
-    if q == 1:
-        return Fraction(n, n + 1)
-    return q
+def _transfer_targets(counts: np.ndarray, ns: np.ndarray):
+    """The targets counts/ns as unreduced (num, den) int64 arrays, clamped
+    into (0, 1): 0 becomes 1/(n+1) and n/n becomes n/(n+1)."""
+    return np.maximum(counts, 1), ns + ((counts == 0) | (counts == ns))
 
 
-def _transfer_report(stream, B, t, n_checkpoints, stage_budget):
-    final_b = B.at(stage_budget - 1) if stage_budget >= 1 else B.at(0)
-    bcounts = prefix_counts(final_b)
+def _transfer_report(stream: CEStream, final_b: np.ndarray, t: np.ndarray):
+    """Per row n >= 1 with t(n) in the window: whether the identity holds
+    on A's final members, and whether A ∩ [t(n−1), t(n)) is an initial
+    segment of that interval.  Rows past the window map to None in the
+    first map and are left out of the second."""
     members = stream.final_members()
-    acounts = prefix_counts(members)
-    settled = {}
-    segments = {}
-    for n in range(1, n_checkpoints + 1):
-        tn = t[n]
-        target = _transfer_target(int(bcounts[n]), n)
-        if tn > stream.n_max:
-            settled[n] = None  # out of window, unverifiable
-            continue
-        settled[n] = bool(int(acounts[tn]) * target.denominator
-                          == target.numerator * tn)
-        lo = t[n - 1]
-        hi = tn
-        if hi <= stream.n_max:
-            seg = members[lo:hi]
-            k = int(np.count_nonzero(seg))
-            segments[n] = bool(np.all(seg[:k]) and not seg[k:].any())
-    return {"settled_identity": settled, "initial_segment": segments}
+    rows = np.arange(1, t.size)
+    num, den = _transfer_targets(np.cumsum(final_b[:rows.size]), rows)
+    lo, hi = t[:-1], t[1:]
+    inside = (hi <= stream.n_max).tolist()
+    have = prefix_counts(members)[np.minimum(hi, stream.n_max)]
+    exact = (have * den == num * hi).tolist()
+    # an initial segment has no element just past a gap strictly inside it
+    rises = np.flatnonzero(members[1:] & ~members[:-1]) + 1
+    initial = (np.searchsorted(rises, lo, "right")
+               == np.searchsorted(rises, hi)).tolist()
+    rows = rows.tolist()
+    return {"settled_identity": {n: e if i else None
+                                 for n, e, i in zip(rows, exact, inside)},
+            "initial_segment": {n: g for n, g, i in zip(rows, initial, inside)
+                                if i}}
 
 
 # -- factorial-block enumeration with prescribed block densities -----------

@@ -22,7 +22,7 @@ import numpy as np
 from . import approximators, artifacts, builders, genericity, prioritysim
 from .approximators import SubsetArtifact
 from .core import (NEVER, CEStream, SetOracle, density_profile,
-                   dyadic_class, dyadic_union, write_json, write_jsonl)
+                   dyadic_class, dyadic_union, write_json)
 from .errors import (ArtifactError, BudgetExceeded, CedensityError,
                      ConfigError)
 from .metrics import symdiff_profile
@@ -280,16 +280,6 @@ def _jump(spec: _Field) -> prioritysim.JumpApprox:
     raise spec.get("kind").error(f"unknown jump kind {kind!r}")
 
 
-class _ListTrace:
-    """JSONL adapter for builders whose trace is a plain list of records."""
-
-    def __init__(self, rows):
-        self.rows = rows
-
-    def write_jsonl(self, path):
-        write_jsonl(path, self.rows)
-
-
 def _approx(spec: _Field, sets, n_max: int) -> builders.Delta2Approx:
     kind = spec.obj().get("kind").value
     window = spec.get("window", n_max).int(1, NEVER // 16)
@@ -387,7 +377,7 @@ def _dispatch_construct(cfg, sets, streams, deciders):
             spec["n_checkpoints"].int(0), n_max), None
     if op == "density-transfer":
         B = _approx(spec["approx"], sets, n_max)
-        st, t, rows, report = builders.density_transfer_build(
+        st, t, trace, report = builders.density_transfer_build(
             B, spec["n_checkpoints"].int(0, B.window - 1), stage_max, n_max)
         art = _stream_artifact(st, "density_transfer",
                                {"form": "membership-only"})
@@ -398,7 +388,7 @@ def _dispatch_construct(cfg, sets, streams, deciders):
         # order, and the reloaded artifact would fail its digest
         art.meta["report"] = {name: {str(n): v for n, v in by_n.items()}
                               for name, by_n in report.items()}
-        return art, _ListTrace(rows)
+        return art, trace
     if op == "blockwise-levels":
         given = spec["levels"].obj()
         if not all(k.isdecimal() for k in given.value):

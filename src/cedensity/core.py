@@ -21,20 +21,6 @@ import numpy as np
 from .errors import InvalidResidue, InvalidWindow
 
 
-@dataclass(frozen=True)
-class Universe:
-    """Finite evaluation horizon: elements in [0, n_max), stages in [0, stage_max]."""
-
-    n_max: int
-    stage_max: int
-
-    def __post_init__(self):
-        if self.n_max < 1:
-            raise InvalidWindow(f"n_max must be >= 1, got {self.n_max}")
-        if self.stage_max < 1:
-            raise InvalidWindow(f"stage_max must be >= 1, got {self.stage_max}")
-
-
 class SetOracle:
     """A pure membership predicate over the naturals.
 

@@ -110,14 +110,14 @@ def set_to_index(D, *, allow_large: bool = False) -> int:
     return n
 
 
-def hitset_oracle(X: SetOracle, width: int = INDEX_WIDTH_CAP):
+def hitset_oracle(X: SetOracle):
     """(C, psi) where C = {n : index_to_set(n) meets X} and psi is the
     one-sided decider defined (with value 1) exactly on C.
 
-    Membership of n needs X only on n's bit positions, all < width for
-    n < 2^width.
+    Membership of n needs X only on n's bit positions, all below
+    INDEX_WIDTH_CAP for n < 2^INDEX_WIDTH_CAP.
     """
-    xbits = X.membership_array(width)
+    xbits = X.membership_array(INDEX_WIDTH_CAP)
 
     def member(n: int) -> bool:
         i = 0
@@ -166,8 +166,7 @@ def avoid_density(D) -> tuple[Fraction, int, list]:
     return dens, modulus, residues
 
 
-def strong_array_extract(T, X: SetOracle, count: int,
-                         width: int = INDEX_WIDTH_CAP) -> list:
+def strong_array_extract(T, X: SetOracle, count: int) -> list:
     """Pull ``count`` pairwise disjoint finite sets out of the index stream
     T, each meeting X.
 
@@ -178,7 +177,7 @@ def strong_array_extract(T, X: SetOracle, count: int,
     out of stream raises BudgetExceeded carrying the partial list in
     ``.partial``.
     """
-    xbits = X.membership_array(width)
+    xbits = X.membership_array(INDEX_WIDTH_CAP)
     order = T.stage_index.order.tolist()
     out = []
     m = 0
@@ -190,7 +189,7 @@ def strong_array_extract(T, X: SetOracle, count: int,
             pos += 1
             dset = index_to_set(n)
             if all(x >= m for x in dset):
-                if not any(x < width and xbits[x] for x in dset):
+                if not any(x < INDEX_WIDTH_CAP and xbits[x] for x in dset):
                     raise ContractViolated(
                         f"stream offered index {n} whose set misses X")
                 pick = dset

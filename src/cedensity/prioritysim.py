@@ -59,12 +59,12 @@ class PartialDecider:
             self._seen[n] = (s, v)
         return v
 
-    def defined_from(self, top: int):
+    def defined_from(self, top: int) -> int:
         """The least stage from which the decider is defined at every
-        n <= top (past any stage when never), or None for a decider with
-        no array form."""
+        n <= top (past any stage when never); 0 for a decider with no
+        array form, which may become defined at any stage and is polled."""
         if self._value is None:
-            return None
+            return 0
         if self._delay is None:
             return NEVER
         return self._delay + self._factor * top
@@ -528,8 +528,7 @@ def ratio_interval_build(deciders, n_max: int, stage_max: int):
         nxt = NEVER
         for e, iv in enumerate(last):
             if iv is not None and iv["state"] == "waiting":
-                t = deciders[e].defined_from(iv["c"])
-                t = s + 1 if t is None else max(t, s + 1)
+                t = max(deciders[e].defined_from(iv["c"]), s + 1)
             elif frontier is not None and (iv is None
                                            or iv["state"] != "finalized"):
                 t = s + 1
@@ -841,7 +840,7 @@ def split_interval_build(B: CEStream, deciders, n_max: int, stage_max: int):
                     mins.append(iv["min"])
                 else:
                     t = deciders[e].defined_from(iv["elems"][-1])
-                    nxt = min(nxt, s + 1 if t is None else max(t, s + 1))
+                    nxt = min(nxt, max(t, s + 1))
         return min(nxt, drive.next_entrant(s, max(mins)))
 
     drive.run(step, permitter=B)

@@ -173,8 +173,8 @@ def test_lookahead_n0_past_the_window_verifies():
 # replaced: one sorted window of entry stages, grown one element per n.
 
 def ref_stage_table(stream, need_fn, n_lo):
-    """(s_table, in_a), or (None, bad_n) at the first n with too few
-    enumerated elements."""
+    """(s_table, in_a), with s = NEVER (and in_a the whole count) at each
+    n with too few enumerated elements."""
     entry = stream.entry
     window = SortedList(int(e) for e in entry[:n_lo] if e != NEVER)
     s_table, in_a = [], []
@@ -187,7 +187,7 @@ def ref_stage_table(stream, need_fn, n_lo):
         if k <= 0:
             s = 0
         elif len(window) < k:
-            return None, n
+            s = NEVER
         else:
             s = window[k - 1]
         s_table.append(s)
@@ -308,20 +308,17 @@ def test_stage_table_matches_sorted_window(stream, data):
     _check_monotone_flag(stream)
     n_lo = data.draw(st.integers(1, stream.n_max + 1))
     q = data.draw(st.sampled_from(QS))
-    # a need above the live count below n (slack < 0) must be reported
+    # a need above the live count below n (slack < 0) must read NEVER
     slack = data.draw(st.integers(-1, 2))
     below = np.cumsum(stream.entry != NEVER)[n_lo - 1:].tolist()
     needs = [ceil_div(q.numerator * c, q.denominator) - slack
              for c in below]
     ref = ref_stage_table(stream, lambda n: needs[n - n_lo], n_lo)
-    if ref[0] is None:
-        with pytest.raises(PreconditionViolated) as exc:
-            ap._stage_table_kth(stream, np.array(needs, dtype=np.int64), n_lo)
-        assert exc.value.at == ref[1]
-        return
     s_table, in_a = ap._stage_table_kth(
         stream, np.array(needs, dtype=np.int64), n_lo)
     assert (s_table.tolist(), in_a.tolist()) == ref
+    if NEVER in ref[0]:
+        return
     bits, t_of_k = ap._lookahead_bits(stream, s_table, n_lo)
     ref_bits, ref_t = ref_lookahead_bits(stream, s_table, n_lo)
     assert t_of_k.tolist() == ref_t
@@ -340,9 +337,12 @@ def test_lookahead_subset_matches_reference(stream, q, n0):
     n0 = min(n0, stream.n_max + 1)
     ref = ref_stage_table(
         stream, lambda n: ceil_div(q.numerator * n, q.denominator), n0)
-    if ref[0] is None:
-        with pytest.raises(PreconditionViolated):
+    if NEVER in ref[0]:
+        i = ref[0].index(NEVER)
+        with pytest.raises(PreconditionViolated) as exc:
             ap.lookahead_subset(stream, q, n0)
+        assert exc.value.at == n0 + i
+        assert str(exc.value).endswith(f"count={ref[1][i]}")
         return
     art = ap.lookahead_subset(stream, q, n0)
     s_table = ref[0]

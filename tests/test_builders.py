@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from math import factorial
 
@@ -6,14 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cedensity import builders
+from cedensity import builders, cli
 from cedensity.builders import (Delta2Approx, StableMonotoneG,
                                 blockwise_limit_build, density_transfer_build,
                                 extend_to_ratio, infsup_build,
                                 interleave_targets, limsup_density_build,
                                 sparse_hitting_build, verify_blockwise,
                                 verify_infsup)
-from cedensity.core import NEVER, CEStream, SetOracle
+from cedensity.core import (NEVER, CEStream, SetOracle, prefix_counts,
+                            write_jsonl)
 from cedensity.errors import CapExceeded, ContractViolated
 
 
@@ -111,6 +113,104 @@ def test_extension_randomized_with_bruteforce(data):
 
 # -- density transfer ---------------------------------------------------------
 
+# density_transfer_build and its two helpers as they were on per-element
+# dicts and sets, verbatim
+def old_density_transfer_build(B: Delta2Approx, n_checkpoints: int,
+                               stage_budget: int, n_max: int):
+    """Build a stage enumeration A and a checkpoint map t so that, for
+    every index n whose row settled, the prefix density of A at length
+    t(n) equals the (clamped) prefix density of B at length n, exactly.
+
+    Stage s+1 finds the least n with the identity currently broken and
+    repairs it with extend_to_ratio (target = rho_n(B_s) clamped into
+    (0,1): 0 becomes 1/(n+1), 1 becomes n/(n+1)); rows above n are
+    re-based past the new evaluation length.  Because repairs only append
+    beyond t(n−1), lower settled rows are never disturbed.
+    """
+    if n_checkpoints >= B.window:
+        raise ValueError("n_checkpoints must be below the approximation window")
+    t = {0: 0}
+    for n in range(1, n_checkpoints + 1):
+        t[n] = n + 1
+    entry = {}          # element -> stage
+    members = set()
+    trace = []
+    truncated = None
+    for s in range(1, stage_budget + 1):
+        bs = B.at(s - 1)
+        bcounts = prefix_counts(bs)
+        fired = None
+        for n in range(1, min(s, n_checkpoints) + 1):
+            target = old_transfer_target(int(bcounts[n]), n)
+            tn = t[n]
+            have = sum(1 for x in members if x < tn)
+            if have * target.denominator != target.numerator * tn:
+                fired = (n, target)
+                break
+        if fired is None:
+            trace.append({"stage": s, "fired": None})
+            continue
+        n, target = fired
+        a = t[n - 1]
+        d = max(members | {t[n]}) if members else t[n]
+        ext = extend_to_ratio(members, a, d, target)
+        if ext.c > n_max:
+            truncated = {"error": "Truncated", "stage": s,
+                         "detail": f"evaluation length {ext.c} beyond n_max"}
+            break
+        new = sorted(ext.elements - members)
+        for x in new:
+            entry[x] = s
+        members = set(ext.elements)
+        old_c = t[n]
+        t[n] = ext.c
+        for m in range(n + 1, n_checkpoints + 1):
+            t[m] = ext.c + (m - n)
+        trace.append({"stage": s, "fired": n, "a": a, "b": ext.b,
+                      "c": ext.c, "prev_t": old_c,
+                      "target": [target.numerator, target.denominator],
+                      "new_elements": len(new)})
+    stream = CEStream.from_schedule(entry.items(), n_max=n_max,
+                                    stage_max=stage_budget, label="transfer")
+    report = old_transfer_report(stream, B, t, n_checkpoints, stage_budget)
+    if truncated:
+        report["diagnostics"] = [truncated]
+    return stream, dict(t), trace, report
+
+
+def old_transfer_target(count_n: int, n: int) -> Fraction:
+    q = Fraction(count_n, n)
+    if q == 0:
+        return Fraction(1, n + 1)
+    if q == 1:
+        return Fraction(n, n + 1)
+    return q
+
+
+def old_transfer_report(stream, B, t, n_checkpoints, stage_budget):
+    final_b = B.at(stage_budget - 1) if stage_budget >= 1 else B.at(0)
+    bcounts = prefix_counts(final_b)
+    members = stream.final_members()
+    acounts = prefix_counts(members)
+    settled = {}
+    segments = {}
+    for n in range(1, n_checkpoints + 1):
+        tn = t[n]
+        target = old_transfer_target(int(bcounts[n]), n)
+        if tn > stream.n_max:
+            settled[n] = None  # out of window, unverifiable
+            continue
+        settled[n] = bool(int(acounts[tn]) * target.denominator
+                          == target.numerator * tn)
+        lo = t[n - 1]
+        hi = tn
+        if hi <= stream.n_max:
+            seg = members[lo:hi]
+            k = int(np.count_nonzero(seg))
+            segments[n] = bool(np.all(seg[:k]) and not seg[k:].any())
+    return {"settled_identity": settled, "initial_segment": segments}
+
+
 def transfer_fixture(fn, window=40):
     return Delta2Approx(fn, window)
 
@@ -133,13 +233,113 @@ def test_transfer_with_midrun_flip():
     assert all(report["settled_identity"][n] for n in range(1, 6))
     assert all(report["initial_segment"].values())
     # the flip must actually have fired a repair after stage 20
-    assert any(r["fired"] is not None for r in trace if r["stage"] > 20)
+    assert any(r["fired"] is not None for r in trace.stages
+               if r["stage"] > 20)
 
 
 def test_transfer_rejects_checkpoints_beyond_window():
     B = Delta2Approx.constant(np.zeros(10, dtype=bool))
     with pytest.raises(ValueError):
         density_transfer_build(B, 10, 50, 1000)
+
+
+@st.composite
+def transfer_cases(draw):
+    """(approximation maker, n_checkpoints, stage budget, n_max); the
+    approximation is constant, flips once, varies per stage, or answers
+    with a short array from some stage on."""
+    window = draw(st.integers(2, 60))
+    bits = st.lists(st.booleans(), min_size=window, max_size=window).map(
+        lambda b: np.array(b, dtype=bool))
+    kind = draw(st.sampled_from(["constant", "flip", "per-stage", "short"]))
+    arrays = draw(st.lists(bits, min_size=1 if kind == "constant" else 2,
+                           max_size=2 if kind != "per-stage" else 6))
+    at = draw(st.integers(0, 40))
+    fns = {
+        "constant": lambda s: arrays[0],
+        "flip": lambda s: arrays[s >= at],
+        "per-stage": lambda s: arrays[s % len(arrays)],
+        "short": lambda s: arrays[0] if s < at else arrays[1][1:],
+    }
+    return (lambda: Delta2Approx(fns[kind], window),
+            draw(st.integers(0, window - 1)), draw(st.integers(0, 120)),
+            draw(st.integers(1, 600)))
+
+
+def _outcome(build, *args):
+    try:
+        return build(*args)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(transfer_cases())
+def test_transfer_matches_its_old_code(case):
+    make, n_checkpoints, stage_budget, n_max = case
+    new = _outcome(density_transfer_build, make(), n_checkpoints,
+                   stage_budget, n_max)
+    old = _outcome(old_density_transfer_build, make(), n_checkpoints,
+                   stage_budget, n_max)
+    if isinstance(old[0], type):
+        assert new == old
+        return
+    stream, t, trace, report = new
+    old_stream, old_t, old_rows, old_report = old
+    assert stream.entry.tolist() == old_stream.entry.tolist()
+    assert (stream.stage_max, stream.label) == (old_stream.stage_max,
+                                                old_stream.label)
+    assert t == old_t
+    assert trace.stages == old_rows
+    assert report == old_report
+    assert trace.outcomes == {k: old_report[k] for k in
+                              ("settled_identity", "initial_segment")}
+
+
+@pytest.mark.parametrize("n_max", [2000, 60])  # 60 truncates
+def test_cli_transfer_trace_is_the_old_rows_then_outcomes(tmp_path, n_max):
+    window = 30
+    cfg = {"universe": {"n_max": n_max, "stage_max": 200},
+           "sets": [{"label": "lo", "kind": "residue-union", "modulus": 3,
+                     "residues": [0, 1]},
+                    {"label": "hi", "kind": "residue-union", "modulus": 5,
+                     "residues": [2]}],
+           "construction": {"op": "density-transfer", "n_checkpoints": 12,
+                            "approx": {"kind": "flip", "before": "lo",
+                                       "after": "hi", "at": 5,
+                                       "window": window}}}
+    (tmp_path / "c.json").write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert cli.main(["construct", "--config", str(tmp_path / "c.json"),
+                     "--out", str(out)]) == 0
+    before, after = (SetOracle.residue_union(m, r).membership_array(window)
+                     for m, r in ((3, [0, 1]), (5, [2])))
+    _, _, rows, report = old_density_transfer_build(
+        Delta2Approx(lambda s: after if s >= 5 else before, window), 12,
+        200, n_max)
+    assert ("diagnostics" in report) == (n_max == 60)
+    lines = (out / "trace.jsonl").read_bytes().splitlines(keepends=True)
+    write_jsonl(tmp_path / "rows.jsonl", rows)
+    assert b"".join(lines[:-1]) == (tmp_path / "rows.jsonl").read_bytes()
+    assert json.loads(lines[-1]) == {
+        "construction": "density_transfer",
+        "outcomes": {name: {str(n): v for n, v in report[name].items()}
+                     for name in ("settled_identity", "initial_segment")}}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.booleans(), min_size=1, max_size=40),
+       st.lists(st.integers(1, 8), max_size=10), st.data())
+def test_transfer_report_matches_its_old_code(members, steps, data):
+    # any members and any rising t, so that segments fail as well as hold
+    stream = CEStream(np.where(members, 0, NEVER), stage_max=0)
+    t = np.cumsum([0] + steps)
+    bits = np.array(data.draw(st.lists(st.booleans(), min_size=t.size,
+                                       max_size=t.size)), dtype=bool)
+    report = builders._transfer_report(stream, bits, t)
+    old = old_transfer_report(stream, Delta2Approx.constant(bits),
+                              dict(enumerate(t.tolist())), len(steps), 0)
+    assert report == old
 
 
 # -- factorial-block builder ---------------------------------------------------
