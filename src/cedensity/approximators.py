@@ -46,6 +46,9 @@ class SubsetArtifact:
     ``guarantee`` describes the inequality family the artifact certifies
     (with every number needed to re-check it); ``checkpoints`` carry the
     committed search results; ``diagnostics`` record budget exhaustion.
+    Per-n tables in ``guarantee`` (such as ``s_table``) are int64 arrays.
+    ``format_version`` is that of the file the artifact was loaded from,
+    None for one built in memory, which is of the current format.
     """
 
     kind: str
@@ -54,6 +57,7 @@ class SubsetArtifact:
     guarantee: dict = field(default_factory=dict)
     diagnostics: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
+    format_version: int | None = None
 
     @property
     def n_max(self) -> int:
@@ -102,17 +106,17 @@ def _first_pair_search(stream: CEStream, s_lo: int, need, t_lo: int = 0,
     return None if best is None else best[1:]
 
 
-def _kth_scan(stream: CEStream, s_lo: int):
+def _kth_scan(stream: CEStream, s_lo: int, counted: bool = False):
     """The order statistic read by the pair search and the stage table.
 
     ``scan(s, k)`` takes int64 arrays of window ends s (ascending, and
     past the ends of any earlier call) and of ranks k.  For each it gives
     t, the k-th smallest entry stage among the enumerated elements of
-    [s_lo, s) (0 where k <= 0, NEVER where there are fewer than k), and
-    how many of those entries are at or below t.  When the entry stages
-    rise with the element, t is the k-th live entry of [s_lo, s), read
-    with numpy; otherwise one sorted window of entry stages grows to each
-    s in turn.
+    [s_lo, s) (0 where k <= 0, NEVER where there are fewer than k), and,
+    if ``counted``, how many of those entries are at or below t (else
+    None).  When the entry stages rise with the element, t is the k-th
+    live entry of [s_lo, s), read with numpy; otherwise one sorted window
+    of entry stages grows to each s in turn.
     """
     order, stages, _, monotone = stream.stage_index
     if monotone:
@@ -124,6 +128,8 @@ def _kth_scan(stream: CEStream, s_lo: int):
             t = np.where(k > live, NEVER, 0)
             pick = (k > 0) & (k <= live)
             t[pick] = stages[k[pick] - 1]
+            if not counted:
+                return t, None
             # entries at or below t are a prefix of the live ones
             return t, np.minimum(np.searchsorted(stages, t, "right"), live)
 
@@ -137,10 +143,11 @@ def _kth_scan(stream: CEStream, s_lo: int):
         for i, (sv, kv) in enumerate(zip(s.tolist(), k.tolist())):
             grown, end = entry[end:sv], sv
             window.update(grown[grown != NEVER].tolist())
-            ti = (NEVER if kv > len(window) else
-                  window[kv - 1] if kv > 0 else 0)
-            t[i], have[i] = ti, window.bisect_right(ti)
-        return t, have
+            t[i] = ti = (NEVER if kv > len(window) else
+                         window[kv - 1] if kv > 0 else 0)
+            if counted:
+                have[i] = window.bisect_right(ti)
+        return t, have if counted else None
 
     return scan
 
@@ -283,7 +290,7 @@ def _stage_table_kth(stream: CEStream, needs: np.ndarray, n_lo: int):
     in_a(n) = |A_{s(n)} ∩ [0, n)|, the final count of [0, n) at the NEVER
     rows."""
     ns = np.arange(n_lo, stream.n_max + 1, dtype=np.int64)
-    return _kth_scan(stream, 0)(ns, needs)
+    return _kth_scan(stream, 0, counted=True)(ns, needs)
 
 
 def _lookahead_bits(stream: CEStream, s_table: np.ndarray, n_lo: int):
@@ -320,7 +327,7 @@ def _lookahead_artifact(kind: str, stream: CEStream, s_table: np.ndarray,
     ``guarantee`` with the table.  Returns the artifact and t(k)."""
     bits, t_of_k = _lookahead_bits(stream, s_table, n_lo)
     viol = _margin_guarantee_holds(bits, base, n_lo)
-    guarantee.update(s_table=s_table.tolist(), holds=viol is None,
+    guarantee.update(s_table=s_table, holds=viol is None,
                      first_violation=viol)
     return SubsetArtifact(kind, bits, guarantee=guarantee,
                           meta={"stream": stream.label, **meta}), t_of_k
@@ -336,7 +343,8 @@ def lookahead_subset(stream: CEStream, q, n0: int = 1) -> SubsetArtifact:
     makes the margin √n instead of a constant.  Certifies, in integers,
     counts_B[n] >= ceil(q·n) − ceil_sqrt(n) (via the stronger
     counts_B[n] >= |A_{s(n)} ∩ [0,n)| − ceil_sqrt(n)) for all n in
-    [n0, n_max].
+    [n0, n_max]; stores in_a[n] = |A_{s(n)} ∩ [0,n)|, so that the check
+    in_a[n] >= ceil(q·n) is re-done from the artifact.
     """
     q = Fraction(q)
     if not 0 < q < 1:
@@ -355,7 +363,7 @@ def lookahead_subset(stream: CEStream, q, n0: int = 1) -> SubsetArtifact:
     art, t_of_k = _lookahead_artifact(
         "lookahead_subset", stream, s_table, in_a, n0,
         {"form": "lookahead-margin", "q_num": q.numerator,
-         "q_den": q.denominator, "n0": n0})
+         "q_den": q.denominator, "n0": n0, "in_a": in_a})
     art.checkpoints = [{"t_of_k_tail": int(t_of_k[-1])}]
     return art
 
@@ -398,7 +406,7 @@ def witnessed_subset(stream: CEStream, w) -> SubsetArtifact:
             at=n)
     return _lookahead_artifact(
         "witnessed_subset", stream, s_table, needs, 1,
-        {"form": "witness-margin", "h_of_n": h_of_n[1:].tolist()})[0]
+        {"form": "witness-margin", "h_of_n": h_of_n[1:]})[0]
 
 
 class LimitApprox:
@@ -460,13 +468,13 @@ def limit_witness_subset(stream: CEStream, g: LimitApprox) -> SubsetArtifact:
     guarded: a level k <= n binds at stage s only if g(k, s) <= n, and then
     [0, n) must already hold ceil(n·(1 − 2^{−k})) = n − ⌊n/2^k⌋ elements
     at stage s.  Because nothing here is verified against the true limit,
-    the guarantee is relative: counts_B[n] >= |A_{s(n)} ∩ [0,n)| −
-    ceil_sqrt(n).
+    the guarantee is relative: counts_B[n] >= in_a[n] − ceil_sqrt(n),
+    with in_a[n] = |A_{s(n)} ∩ [0,n)| stored for every n.
     """
     s_table, in_a = _guarded_search(stream, g, lambda n, h: n - (n >> h))
     return _lookahead_artifact(
         "limit_witness_subset", stream, s_table, in_a, 1,
-        {"form": "lookahead-margin-relative"}, g=g.label)[0]
+        {"form": "lookahead-margin-relative", "in_a": in_a}, g=g.label)[0]
 
 
 def tracked_witness_subset(stream: CEStream, q_seq,
@@ -486,4 +494,4 @@ def tracked_witness_subset(stream: CEStream, q_seq,
     s_table, in_a = _guarded_search(stream, g, level_need)
     return _lookahead_artifact(
         "tracked_witness_subset", stream, s_table, in_a, 1,
-        {"form": "lookahead-margin-relative"}, g=g.label)[0]
+        {"form": "lookahead-margin-relative", "in_a": in_a}, g=g.label)[0]

@@ -1,5 +1,5 @@
 """Artifact files: run-length-encoded bitsets, checkpoint and guarantee
-records, and an integrity digest.
+records, packed per-n integer tables, and an integrity digest.
 
 Verification is two-layered: the digest catches any byte-level corruption
 (including bit flips that would otherwise *strengthen* an inequality and
@@ -9,6 +9,8 @@ certified inequality from the stored bitset and numbers.
 
 from __future__ import annotations
 
+import base64
+import binascii
 import hashlib
 import json
 from math import factorial
@@ -18,10 +20,10 @@ import numpy as np
 
 from .approximators import SubsetArtifact
 from .core import (ceil_sqrt_array, compact_json, csv_bytes, exact_ints,
-                   json_indent1, write_columns)
+                   write_columns)
 from .errors import ArtifactError
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def bits_to_rle(bits) -> list:
@@ -48,36 +50,77 @@ def rle_to_bits(runs, n: int) -> np.ndarray:
     return np.repeat(values, np.array(runs, dtype=np.int64))
 
 
+_WIDTHS = {"i1": 1, "i2": 2, "i4": 4, "i8": 8}  # bytes per packed difference
+
+
+def ints_to_packed(values) -> str:
+    """An integer table as ``"i<w>:"`` plus the base64 of its first
+    differences (the first taken from 0) as little-endian signed ints of
+    the narrowest width w in {1, 2, 4, 8} bytes that holds them.  The
+    differences wrap modulo 2^64, as the sum that decodes them does, so
+    every int64 array comes back exactly."""
+    deltas = np.diff(np.asarray(values, dtype=np.int64), prepend=np.int64(0))
+    lo, hi = (int(deltas.min()), int(deltas.max())) if deltas.size else (0, 0)
+    w = next(w for w in _WIDTHS.values()
+             if -(1 << 8 * w - 1) <= lo and hi < 1 << 8 * w - 1)
+    packed = base64.b64encode(deltas.astype(f"<i{w}").tobytes())
+    return f"i{w}:{packed.decode()}"
+
+
+def packed_to_ints(text, size=None) -> np.ndarray:
+    """Inverse of ``ints_to_packed``, as an int64 array; the artifact is
+    rejected unless text is a string with a known width tag and valid
+    base64 of whole w-byte ints, ``size`` of them if size is given."""
+    if not isinstance(text, str):
+        raise ArtifactError(f"{text!r:.40} is not a packed integer string")
+    tag, _, body = text.partition(":")
+    w = _WIDTHS.get(tag) if ":" in text else None
+    if w is None:
+        raise ArtifactError(f"unknown packed integer width {tag!r:.20}")
+    try:
+        raw = base64.b64decode(body, validate=True)
+    except (binascii.Error, ValueError) as exc:
+        raise ArtifactError(f"packed integers are not base64: {exc}") from exc
+    if len(raw) % w:
+        raise ArtifactError(
+            f"{len(raw)} packed bytes are not whole {w}-byte ints")
+    if size is not None and len(raw) // w != size:
+        raise ArtifactError(
+            f"{len(raw) // w} packed integers, expected {size}")
+    return np.cumsum(np.frombuffer(raw, f"<i{w}"), dtype=np.int64)
+
+
 _canonical = compact_json  # the bytes the integrity digest is taken of
 
 
 def artifact_payload(art: SubsetArtifact) -> dict:
+    arrays = (_form(art.guarantee.get("form")) or Form()).arrays
     return {
         "format_version": FORMAT_VERSION,
         "kind": art.kind,
         "n_max": art.n_max,
         "bits_rle": bits_to_rle(art.bits),
         "checkpoints": art.checkpoints,
-        "guarantee": art.guarantee,
+        "guarantee": {k: ints_to_packed(v) if k in arrays else v
+                      for k, v in art.guarantee.items()},
         "diagnostics": art.diagnostics,
         "meta": art.meta,
     }
 
 
 def save_artifact(art: SubsetArtifact, path) -> None:
-    """Write ``write_json`` of the payload with its digest added, encoding
-    the payload once: the keys sorting before and after the digest's key
-    are two compact halves, which joined are the canonical bytes."""
+    """Write the canonical bytes of the payload with its digest added in
+    its sorted place, LF-terminated.  The digest is the sha256 of the
+    payload's canonical bytes; the keys sorting before and after its key
+    are two compact halves, so the payload is encoded once."""
     payload = artifact_payload(art)
     head = _canonical({k: v for k, v in payload.items()
-                       if k < "integrity_sha256"})
+                       if k < "integrity_sha256"})[:-1]
     tail = _canonical({k: v for k, v in payload.items()
-                       if k > "integrity_sha256"})
-    digest = hashlib.sha256(head[:-1] + b"," + tail[1:]).hexdigest()
+                       if k > "integrity_sha256"})[1:]
+    digest = hashlib.sha256(head + b"," + tail).hexdigest().encode()
     with open(path, "wb") as fh:
-        fh.write(json_indent1(b'%s,"integrity_sha256":"%s",%s' % (
-            head[:-1], digest.encode(), tail[1:])))
-        fh.write(b"\n")
+        fh.write(b'%s,"integrity_sha256":"%s",%s\n' % (head, digest, tail))
 
 
 # the payload's fields and their JSON types; rle_to_bits checks bits_rle
@@ -88,7 +131,20 @@ _FIELD_TYPES = {"format_version": (int, "an integer"),
                 "diagnostics": (list, "an array"), "meta": (dict, "an object")}
 
 
+def _v1_ints(values, size) -> np.ndarray:
+    """A format 1 table, a list of ints, as an int64 array."""
+    if not (isinstance(values, list) and set(map(type, values)) <= {int}
+            and (size is None or len(values) == size)
+            and -2**63 <= min(values, default=0) <= max(values, default=0)
+            < 2**63):
+        raise ArtifactError(f"not a list of {size} 64-bit integers")
+    return np.array(values, dtype=np.int64)
+
+
 def load_artifact(path) -> SubsetArtifact:
+    """The artifact of a file whose digest matches its payload.  Format 2
+    tables are unpacked and format 1 lists converted, so either way each
+    table a form declares in ``Form.arrays`` reads as an int64 array."""
     try:
         with open(path) as fh:
             payload = json.load(fh)
@@ -101,18 +157,29 @@ def load_artifact(path) -> SubsetArtifact:
         raise ArtifactError("artifact missing integrity digest")
     if hashlib.sha256(_canonical(payload)).hexdigest() != digest:
         raise ArtifactError("integrity digest mismatch")
-    if payload.get("format_version") != FORMAT_VERSION:
-        raise ArtifactError(
-            f"unsupported format version {payload.get('format_version')}")
+    version = payload.get("format_version")
+    if type(version) is not int or version not in (1, FORMAT_VERSION):
+        raise ArtifactError(f"unsupported format version {version}")
     for key, (t, name) in _FIELD_TYPES.items():
         if type(payload.get(key)) is not t:
             raise ArtifactError(f"artifact field {key!r} must be {name}")
-    bits = rle_to_bits(payload.get("bits_rle"), payload["n_max"])
+    n_max, guarantee = payload["n_max"], payload["guarantee"]
+    bits = rle_to_bits(payload.get("bits_rle"), n_max)
+    form = _form(guarantee.get("form"), version) or Form()
+    size = _table_size(form, guarantee, n_max)
+    for name in form.arrays:
+        if version == 1 and name not in guarantee:
+            continue  # a table format 1 did not store
+        try:
+            guarantee[name] = (_v1_ints if version == 1 else packed_to_ints)(
+                guarantee.get(name), size)
+        except ArtifactError as exc:
+            raise ArtifactError(f"guarantee table {name!r}: {exc}") from exc
     return SubsetArtifact(payload["kind"], bits,
                           checkpoints=payload["checkpoints"],
-                          guarantee=payload["guarantee"],
+                          guarantee=guarantee,
                           diagnostics=payload["diagnostics"],
-                          meta=payload["meta"])
+                          meta=payload["meta"], format_version=version)
 
 
 # -- guarantee forms ----------------------------------------------------------
@@ -136,7 +203,11 @@ class Form(NamedTuple):
     hi)`` for every stored number that bounds or checks use as a position
     in the window; each must lie in [lo, hi] before either runs.
     ``exponents(art)`` lists ``(name, value)`` for every stored power of
-    two they shift by; each must be non-negative before either runs."""
+    two they shift by; each must be non-negative before either runs.
+    ``arrays`` names the guarantee's per-n tables: int64 arrays with one
+    entry for each n from the guarantee's ``first_n`` key (or 1) to n_max,
+    packed in the file (``ints_to_packed``).  A table named ``in_a``
+    counts elements of [0, n), so it must lie in [0, n] at each n."""
 
     bounds: Callable | None = None
     strict_upper: bool = False
@@ -144,6 +215,8 @@ class Form(NamedTuple):
     checks: tuple = ()
     positions: Callable | None = None
     exponents: Callable | None = None
+    arrays: tuple = ()
+    first_n: str | None = None
 
 
 def _column(records, key) -> np.ndarray:
@@ -192,24 +265,32 @@ def _tracking_bounds(art):
     return s.astype(np.int64), _reduced(slacked * s, den * scale), None
 
 
-def _lookahead_bounds(art):
-    # count >= ceil(q·n) − ceil_sqrt(n) for n in [n0, n_max]
+def _ceil_qn(art):
+    # n in [n0, n_max] and ceil(q·n)
     g = art.guarantee
     q_num, q_den = _rational(g)
     n = np.arange(g["n0"], art.n_max + 1, dtype=np.int64)
-    need = -(-q_num * exact_ints(n, max(q_num, q_den) * art.n_max) // q_den)
+    wide = exact_ints(n, max(q_num, q_den) * art.n_max)
+    return n, -(-q_num * wide // q_den)
+
+
+def _lookahead_bounds(art):
+    # count >= ceil(q·n) − ceil_sqrt(n) for n in [n0, n_max]
+    n, need = _ceil_qn(art)
     return n, _whole(need - ceil_sqrt_array(n)), None
+
+
+def _relative_bounds(art):
+    # count >= in_a[n] − ceil_sqrt(n) for n in [1, n_max]
+    n = np.arange(1, art.n_max + 1, dtype=np.int64)
+    return n, _whole(art.guarantee["in_a"] - ceil_sqrt_array(n)), None
 
 
 def _witness_bounds(art):
     # count >= ceil(n·(2^h − 1)/2^h) − ceil_sqrt(n) = n − ⌊n/2^h⌋ − ceil_sqrt(n);
     # n < 2^62, so every h >= 62 gives ⌊n/2^h⌋ = 0
-    h = art.guarantee["h_of_n"]
-    if not (isinstance(h, list) and len(h) == art.n_max
-            and set(map(type, h)) <= {int}):
-        raise ValueError("h_of_n must hold n_max integers")
     n = np.arange(1, art.n_max + 1, dtype=np.int64)
-    h = np.minimum(np.asarray(h, dtype=np.int64), 62)
+    h = np.minimum(art.guarantee["h_of_n"], 62)
     return n, _whole(n - (n >> h) - ceil_sqrt_array(n)), None
 
 
@@ -274,6 +355,17 @@ def _interval_positions(art):
     return out
 
 
+def _counted_interval_positions(art):
+    # r_b = |S ∩ [0, b]| <= b + 1, and r_c − r_b = |S ∩ (b, c]| <= c − b
+    out = _interval_positions(art)
+    for iv in art.checkpoints:
+        b, r_b = iv["b"], iv["r_b"]
+        out += [("interval b", b, 0, iv["c"]),
+                ("interval r_b", r_b, 0, b + 1),
+                ("interval r_c", iv["r_c"], r_b, r_b + iv["c"] - b)]
+    return out
+
+
 def _restraint_positions(art):
     return [("final interval end", r["final_interval"][1], 0, art.n_max)
             for r in art.checkpoints if r.get("final_interval") is not None]
@@ -324,7 +416,27 @@ def _block_density(art, counts):
     return failures
 
 
+def _ratio_identity(iv):
+    """(gap_avoided, identity_exact) recomputed from an interval's stored
+    r_b = |S ∩ [0, b]| and r_c = |S ∩ [0, c]| for the decider's 1-set S:
+    the gap (b, c] is avoided when r_b = r_c, and then, for b >= 1, the
+    identity r_b/b − r_c/c = r_b/(b·2^(e+1)) is compared over the common
+    denominator b·c·2^(e+1); None where it is not claimed."""
+    b, c, r_b, r_c = iv["b"], iv["c"], iv["r_b"], iv["r_c"]
+    if r_b != r_c or b < 1:
+        return r_b == r_c, None
+    return True, (r_b * c - r_c * b) << (iv["e"] + 1) == r_b * c
+
+
 def _interval_records(art, counts):
+    """Each interval's block count, completion and witness against the
+    bitset, and its density floor 1 − 2^-e.  The ratio identity is about
+    the decider's 1-set S, which the artifact does not hold: its counts
+    r_b and r_c come from the decider.  From them the flags are
+    recomputed (``_ratio_identity``); an interval fails where a stored
+    flag disagrees or the identity does not hold.  Version 1 records hold
+    no counts, and fail only where their flags record the identity
+    violated."""
     failures = []
     for iv in art.checkpoints:
         a, c, e = iv["a"], iv["c"], iv["e"]
@@ -334,9 +446,19 @@ def _interval_records(art, counts):
         if iv["state"] == "completed" and blk != c - a + 1:
             failures.append(f"interval [{a},{c}]: marked completed but "
                             "not fully enumerated")
-        if iv.get("gap_avoided") and iv.get("identity_exact") is False:
-            failures.append(f"interval [{a},{c}]: exact ratio identity "
-                            "recorded violated")
+        if art.format_version == 1:
+            if iv.get("gap_avoided") and iv.get("identity_exact") is False:
+                failures.append(f"interval [{a},{c}]: exact ratio identity "
+                                "recorded violated")
+        else:
+            avoided, identity = _ratio_identity(iv)
+            if (iv["gap_avoided"] is not avoided
+                    or iv["identity_exact"] is not identity):
+                failures.append(f"interval [{a},{c}]: stored gap_avoided "
+                                "or identity_exact disagrees with r_b, r_c")
+            if identity is False:
+                failures.append(f"interval [{a},{c}]: exact ratio identity "
+                                "fails")
         if iv["state"] == "finalized" and art.bits[iv["witness"]]:
             failures.append(f"witness {iv['witness']} was enumerated")
         # block density floor 1 − 2^-e (waiting/finalized keep >= |J|/|I|)
@@ -345,8 +467,16 @@ def _interval_records(art, counts):
     return failures
 
 
+def _in_a_meets_q(art, counts):
+    # s(n) is a stage at which [0, n) held ceil(q·n) elements
+    n, need = _ceil_qn(art)
+    in_a = art.guarantee["in_a"]
+    return [f"in_a[{n[i]}] = {in_a[i]} is below ceil(q·n) = {need[i]}"
+            for i in np.flatnonzero(in_a < need)[:1]]
+
+
 def _recorded_verdict(art, counts):
-    # the relative margin needs the source stream; the artifact alone can
+    # a version 1 relative margin stores no in_a; the artifact alone can
     # only re-check its recorded verdict flag
     if art.guarantee.get("holds") is True:
         return []
@@ -362,10 +492,12 @@ FORMS = {
                                       positions=_checkpoint_positions,
                                       exponents=_slack_exponents),
     "lookahead-margin": Form(_lookahead_bounds,
-                             positions=_lookahead_positions),
-    "witness-margin": Form(_witness_bounds),
-    "lookahead-margin-relative": Form(
-        checks=(("holds", _recorded_verdict),)),
+                             checks=(("in_a", _in_a_meets_q),),
+                             positions=_lookahead_positions,
+                             arrays=("s_table", "in_a"), first_n="n0"),
+    "witness-margin": Form(_witness_bounds, arrays=("s_table", "h_of_n")),
+    "lookahead-margin-relative": Form(_relative_bounds,
+                                      arrays=("s_table", "in_a")),
     "target-approach": Form(_approach_bounds, bound_label="approach",
                             checks=(("approach", _stored_counts),
                                     ("between", _betweenness)),
@@ -374,7 +506,7 @@ FORMS = {
                              checks=(("block_density", _block_density),),
                              positions=_block_positions),
     "ratio-interval-report": Form(checks=(("interval", _interval_records),),
-                                  positions=_interval_positions,
+                                  positions=_counted_interval_positions,
                                   exponents=_interval_exponents),
     "restraint-report": Form(_restraint_bounds, strict_upper=True,
                              positions=_restraint_positions,
@@ -382,6 +514,32 @@ FORMS = {
     "log-sparse": Form(_sparse_bounds),
     "membership-only": Form(),
 }
+
+# format 1 stored no in_a and no interval counts r_b, r_c
+V1_FORMS = dict(FORMS, **{
+    "lookahead-margin": FORMS["lookahead-margin"]._replace(
+        checks=(), arrays=("s_table",)),
+    "lookahead-margin-relative": Form(checks=(("holds", _recorded_verdict),),
+                                      arrays=("s_table",)),
+    "ratio-interval-report": FORMS["ratio-interval-report"]._replace(
+        positions=_interval_positions),
+})
+
+
+def _form(name, version=None) -> Form | None:
+    """The named form as read in artifacts of ``version`` (None: one built
+    in memory, of the current format), or None if there is no such form."""
+    forms = V1_FORMS if version == 1 else FORMS
+    return forms.get(name) if isinstance(name, str) else None
+
+
+def _table_size(form: Form, guarantee: dict, n_max: int):
+    """The length of the form's tables, or None where their first n is not
+    a position in the window (the form's position check reports it)."""
+    first = guarantee.get(form.first_n) if form.first_n else 1
+    if type(first) is not int or not 0 <= first <= n_max + 1:
+        return None
+    return n_max + 1 - first
 
 
 def _bound_rows(form: Form, art: SubsetArtifact, counts):
@@ -401,17 +559,37 @@ def _bound_rows(form: Form, art: SubsetArtifact, counts):
 
 def _range_failures(form: Form, art: SubsetArtifact) -> list:
     """(label, message) for every stored position outside its range in the
-    window and every negative exponent; raises TypeError if one is not an
-    integer."""
+    window and every negative exponent, or if there is none, the failures
+    of the form's tables (``_table_failures``); raises TypeError if a
+    position or exponent is not an integer."""
     positions = form.positions(art) if form.positions is not None else []
     exponents = form.exponents(art) if form.exponents is not None else []
     for name, value, *_ in positions + exponents:
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise TypeError(f"{name} {value!r} is not an integer")
-    return ([("window", f"{name} {value} outside [{lo}, {hi}]")
-             for name, value, lo, hi in positions if not lo <= value <= hi]
-            + [("exponent", f"{name} {value} is negative")
-               for name, value in exponents if value < 0])
+    out = ([("window", f"{name} {value} outside [{lo}, {hi}]")
+            for name, value, lo, hi in positions if not lo <= value <= hi]
+           + [("exponent", f"{name} {value} is negative")
+              for name, value in exponents if value < 0])
+    return out or _table_failures(form, art)
+
+
+def _table_failures(form: Form, art: SubsetArtifact) -> list:
+    """("window", message) for the first n with in_a[n] outside [0, n];
+    raises ValueError if a table is not an int64 array of the form's
+    length."""
+    size = _table_size(form, art.guarantee, art.n_max)
+    for name in form.arrays:
+        table = art.guarantee[name]
+        if not (isinstance(table, np.ndarray) and table.dtype == np.int64
+                and table.shape == (size,)):
+            raise ValueError(f"{name} must hold {size} int64 values")
+    if "in_a" not in form.arrays:
+        return []
+    in_a = art.guarantee["in_a"]
+    n = np.arange(art.n_max + 1 - size, art.n_max + 1)
+    return [("window", f"in_a[{n[i]}] {in_a[i]} outside [0, {n[i]}]")
+            for i in np.flatnonzero((in_a < 0) | (in_a > n))[:1]]
 
 
 # a form raises one of these on reading a record that lacks a field, or
@@ -425,7 +603,7 @@ def _evaluate(art: SubsetArtifact):
     ``labelled_failures``, and the columns of the form's bound rows; no
     columns if it has none, or if a record is malformed or out of range."""
     name = art.guarantee.get("form", "")
-    form = FORMS.get(name) if isinstance(name, str) else None
+    form = _form(name, art.format_version)
     if form is None:
         return [("form", f"unknown guarantee form {name!r}")], []
     counts = art.counts()
@@ -477,9 +655,9 @@ def write_certified_csv(art: SubsetArtifact, path) -> None:
     Checkpoint-style guarantees yield one row per checkpoint length;
     margin-style guarantees one row per window n.  Upper bounds from the
     restraint form are strict; all others are non-strict.  Forms whose
-    guarantee cannot be expressed as per-n count bounds (relative margins,
-    interval reports, bare membership) emit only the header, and so do
-    artifacts whose records are malformed, point outside the window or
-    hold a negative exponent.
+    guarantee cannot be expressed as per-n count bounds (interval reports,
+    bare membership, and format 1 relative margins, which store no
+    in_a) emit only the header, and so do artifacts whose records are
+    malformed, point outside the window or hold a negative exponent.
     """
     write_columns(path, CSV_HEADER, _evaluate(art)[1])

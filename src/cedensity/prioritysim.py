@@ -479,7 +479,8 @@ def ratio_interval_build(deciders, n_max: int, stage_max: int):
     decider's 1-set avoids the gap, the exact identity
     rho_b(S) − rho_c(S) = rho_b(S)·2^-(e+1) holds (prefix counts taken
     inclusively: rho_m(S) here means |S ∩ [0, m]| / m, the convention the
-    ratio b/c is built for).
+    ratio b/c is built for).  Each interval's outcome records the counts
+    r_b = |S ∩ [0, b]| and r_c = |S ∩ [0, c]| its flags are computed from.
     """
     E = len(deciders)
     drive = _StageDriver("ratio_interval", n_max, stage_max)
@@ -563,8 +564,8 @@ def _ratio_outcomes(deciders, intervals, stream, stage_max):
                         == Fraction(r_b, b) * Fraction(1, 1 << (e + 1)))
         per_e[e].append({
             "a": a, "b": b, "c": c, "state": iv["state"],
-            "witness": iv["witness"], "gap_avoided": r_c == r_b,
-            "identity_exact": identity,
+            "witness": iv["witness"], "r_b": r_b, "r_c": r_c,
+            "gap_avoided": r_c == r_b, "identity_exact": identity,
             "block_count": int(counts[c + 1] - counts[a]),
             "block_size": c - a + 1,
         })

@@ -159,7 +159,7 @@ def test_callable_targets_raise_type_error(producer):
 def test_lookahead_n0_past_the_window_verifies():
     stream = evens_stream(50)
     art = ap.lookahead_subset(stream, "1/4", n0=51)
-    assert art.guarantee["s_table"] == [] and art.guarantee["holds"]
+    assert art.guarantee["s_table"].size == 0 and art.guarantee["holds"]
     # t(k) = 0 throughout: B is what enters at stage 0
     assert np.array_equal(art.bits, stream.entry <= 0)
     assert ar.verify_artifact(art)["ok"]
@@ -348,7 +348,7 @@ def test_lookahead_subset_matches_reference(stream, q, n0):
     s_table = ref[0]
     bits, t_of_k = ref_lookahead_bits(stream, s_table, n0)
     g = art.guarantee
-    assert g["s_table"] == s_table
+    assert g["s_table"].tolist() == s_table
     assert np.array_equal(art.bits, bits)
     assert art.checkpoints == [{"t_of_k_tail": t_of_k[-1]}]
     assert g["first_violation"] == ref_first_violation(bits, stream,
@@ -535,7 +535,7 @@ def old_lookahead_subset(stream, q, n0=1):
     guarantee = {
         "form": "lookahead-margin",
         "q_num": q.numerator, "q_den": q.denominator, "n0": n0,
-        "s_table": s_table.tolist(),
+        "s_table": s_table.tolist(), "in_a": in_a,
         "holds": viol is None, "first_violation": viol,
     }
     return ap.SubsetArtifact("lookahead_subset", bits,
@@ -625,7 +625,7 @@ def old_limit_witness_subset(stream, g):
     viol = ap._margin_guarantee_holds(bits, in_a, 1)
     guarantee = {
         "form": "lookahead-margin-relative",
-        "s_table": s_table.tolist(),
+        "s_table": s_table.tolist(), "in_a": in_a,
         "holds": viol is None, "first_violation": viol,
     }
     return ap.SubsetArtifact("limit_witness_subset", bits,
@@ -656,7 +656,7 @@ def old_tracked_witness_subset(stream, q_seq, g):
     viol = ap._margin_guarantee_holds(bits, in_a, 1)
     guarantee = {
         "form": "lookahead-margin-relative",
-        "s_table": s_table.tolist(),
+        "s_table": s_table.tolist(), "in_a": in_a,
         "holds": viol is None, "first_violation": viol,
     }
     return ap.SubsetArtifact("tracked_witness_subset", bits,

@@ -52,7 +52,7 @@ def test_load_rejects_tampered_bytes(tmp_path):
     path = tmp_path / "a.json"
     ar.save_artifact(art, path)
     raw = path.read_text()
-    i = raw.index('"n_max": ') + len('"n_max": ')
+    i = raw.index('"n_max":') + len('"n_max":')
     flip = "9" if raw[i] != "9" else "8"
     (tmp_path / "b.json").write_text(raw[:i] + flip + raw[i + 1:])
     with pytest.raises(ArtifactError):
@@ -164,7 +164,8 @@ def test_check_reports_out_of_window_checkpoint(tmp_path, capsys):
 
 def _interval(**kw):
     return dict({"a": 2, "b": 3, "c": 3, "e": 1, "state": "waiting",
-                 "witness": None, "block_count": 0}, **kw)
+                 "witness": None, "block_count": 0, "r_b": 0, "r_c": 0},
+                **kw)
 
 
 @pytest.mark.parametrize("form, bits, records, guarantee, message", [
@@ -246,9 +247,15 @@ def _sample_payload(**changes):
 
 
 def _form_payload(form, bits, **guarantee):
+    """A payload of ``form`` over ``bits`` zero bits; each per-n table of
+    the form that ``guarantee`` leaves out holds zeros from n0 (or 1)."""
+    arrays = ar.FORMS[form].arrays if isinstance(form, str) else ()
+    n0 = guarantee.get("n0")
+    size = bits + 1 - (n0 if type(n0) is int else 1)
+    tables = {name: np.zeros(size, dtype=np.int64) for name in arrays}
     return ar.artifact_payload(ap.SubsetArtifact(
         "tampered", np.zeros(bits, dtype=bool), [],
-        dict(guarantee, form=form)))
+        dict(tables, **guarantee, form=form)))
 
 
 def _tracking_payload(**target):
@@ -306,8 +313,7 @@ def test_tracking_target_past_one_verifies():
     (_form_payload(["lookahead-margin"], 3),
      "unknown guarantee form ['lookahead-margin']"),
     (_form_payload("witness-margin", 3, h_of_n=[5]),
-     "malformed witness-margin record: "
-     "ValueError('h_of_n must hold n_max integers')"),
+     "guarantee table 'h_of_n': 1 packed integers, expected 3"),
     (_form_payload("lookahead-margin", 16, q_num=1, q_den=0, n0=1),
      "malformed lookahead-margin record: "
      "ValueError('q 1/0 is not a ratio in (0, 1)')"),
@@ -351,3 +357,92 @@ def test_check_rejects_malformed_artifact(tmp_path, capsys, payload, message):
         assert ar.labelled_failures(art)[0][0] == "form"
         ar.write_certified_csv(art, tmp_path / "c.csv")
         assert (tmp_path / "c.csv").read_text() == ar.CSV_HEADER
+
+
+# -- format 2: per-n tables and interval counts ------------------------------
+
+def _relative(n_max=40):
+    stream = CEStream.from_oracle(SetOracle.naturals(), n_max=n_max,
+                                  stage_max=4 * n_max,
+                                  delay_fn=lambda m: 2 * m + 1)
+    return ap.limit_witness_subset(stream, ap.LimitApprox(lambda k, s: 2 ** k))
+
+
+def test_relative_margin_is_checked_from_in_a_not_its_flag(tmp_path):
+    art = _relative()
+    art.guarantee["holds"] = False  # no check reads the stored verdict
+    assert ar.verify_artifact(art) == {"ok": True, "failures": []}
+    ar.write_certified_csv(art, tmp_path / "c.csv")
+    assert len((tmp_path / "c.csv").read_text().splitlines()) == 41
+    empty = ap.SubsetArtifact(art.kind, np.zeros(40, dtype=bool),
+                              guarantee=art.guarantee)
+    failures = ar.verify_artifact(empty)["failures"]
+    assert failures and all(f.startswith("certified row fails: ")
+                            for f in failures)
+
+
+def test_in_a_outside_its_window_fails_before_any_bound(tmp_path):
+    art = _relative()
+    art.guarantee["in_a"] = art.guarantee["in_a"].copy()
+    art.guarantee["in_a"][4] = 6  # n = 5
+    assert ar.verify_artifact(art) == {
+        "ok": False, "failures": ["in_a[5] 6 outside [0, 5]"]}
+    ar.write_certified_csv(art, tmp_path / "c.csv")
+    assert (tmp_path / "c.csv").read_text() == ar.CSV_HEADER
+
+
+def test_lookahead_in_a_must_meet_q():
+    stream = CEStream.from_oracle(SetOracle.residue_union(2, [0]), n_max=64,
+                                  stage_max=256, delay_fn=lambda m: 2 * m)
+    art = ap.lookahead_subset(stream, "1/3", n0=4)
+    assert ar.verify_artifact(art)["ok"]
+    art.guarantee["in_a"] = art.guarantee["in_a"].copy()
+    art.guarantee["in_a"][0] = 1  # n = 4, ceil(4/3) = 2
+    assert ar.labelled_failures(art) == [
+        ("in_a", "in_a[4] = 1 is below ceil(q·n) = 2")]
+
+
+def test_tables_must_match_the_window():
+    art = _relative()
+    art.guarantee["s_table"] = art.guarantee["s_table"][1:]
+    (failure,) = ar.verify_artifact(art)["failures"]
+    assert failure == ("malformed lookahead-margin-relative record: "
+                       "ValueError('s_table must hold 40 int64 values')")
+
+
+def _counted(**kw):
+    # [0, 2] for e = 0: b/c = 1/2, and S = {0, 1, 2} avoids no gap element
+    return dict({"a": 0, "b": 1, "c": 2, "e": 0, "state": "completed",
+                 "witness": None, "block_count": 3, "block_size": 3,
+                 "r_b": 1, "r_c": 1, "gap_avoided": True,
+                 "identity_exact": True}, **kw)
+
+
+@pytest.mark.parametrize("record, failures", [
+    (_counted(), []),
+    (_counted(r_c=2), ["disagrees"]),
+    (_counted(b=0, r_b=1, r_c=1), ["disagrees"]),
+    (_counted(identity_exact=False), ["disagrees"]),
+    (_counted(gap_avoided=False, identity_exact=None), ["disagrees"]),
+    (_counted(r_b=0, r_c=0, identity_exact=True), []),
+    (_counted(e=1), ["disagrees", "identity fails"]),
+    (_counted(e=1, identity_exact=False), ["identity fails"]),
+])
+def test_interval_flags_are_recomputed_from_r_b_r_c(record, failures):
+    art = ap.SubsetArtifact("t", np.ones(4, dtype=bool), [record],
+                            {"form": "ratio-interval-report"})
+    got = ar.verify_artifact(art)["failures"]
+    assert len(got) == len(failures)
+    assert all(want in f for want, f in zip(failures, got))
+
+
+def test_v1_interval_records_keep_their_flag_check():
+    record = _counted(e=1)
+    del record["r_b"], record["r_c"]
+    art = ap.SubsetArtifact("t", np.ones(4, dtype=bool), [record],
+                            {"form": "ratio-interval-report"},
+                            format_version=1)
+    assert ar.verify_artifact(art)["ok"]
+    art.checkpoints[0]["identity_exact"] = False
+    assert ar.verify_artifact(art)["failures"] == [
+        "interval [0,2]: exact ratio identity recorded violated"]

@@ -79,11 +79,14 @@ FIXTURES = {
 }
 
 # sha256 of each output file, recorded before the guarantee forms were
-# gathered into one table; any change to these bytes is a format change
+# gathered into one table; any change to these bytes is a format change.
+# Re-recorded for artifact format 2: every artifact.json, the relative
+# margin's certified.csv (rows from its stored in_a) and the ratio-interval
+# trace.jsonl (each interval's r_b, r_c)
 GOLDEN = {
     "blockwise-levels": {
         "artifact.json":
-            "c29db0c9e4197e2722729f8911e5f9056cc250303dde41f9e6eb96764fa41807",
+            "25306f0af7a281ffa2be1f2d4c5b4f8d6f4a9bad3a538ea43eeb94f09c6df477",
         "certified.csv":
             "890f15d1ef956b01ba9122161968fd3f417471a58da97fa5e01987658a34e441",
         "verify.json":
@@ -91,7 +94,7 @@ GOLDEN = {
     },
     "checkpoint-ratio": {
         "artifact.json":
-            "33e3039ae8395c0b40aa421f12eb1c85c333015e013331075e4fc621988892f9",
+            "07a28b3c1e5a3aa8216fbe8f14614f14ded69a0955c823824d2045997320a528",
         "certified.csv":
             "3cceba3b3bc08ee056111faa0e0f2cee22f621436395be76d56c7102a98eb343",
         "verify.json":
@@ -99,7 +102,7 @@ GOLDEN = {
     },
     "log-sparse": {
         "artifact.json":
-            "95ad47788be4b8ba693f7c2137e8f2db6da2f4a1f64c567f576bb4fabe75fb9e",
+            "b4bcdf5ae19b40b135cb537be53179ab07aa8778eedf69526153f792052e3512",
         "certified.csv":
             "87cc8ad0251c508e0d4ce169d86f7db15d13ae4445dc637754a088022eb289b2",
         "verify.json":
@@ -107,7 +110,7 @@ GOLDEN = {
     },
     "lookahead-margin": {
         "artifact.json":
-            "41903a47e36352beb92b85aaa5e023f1b30e59afb1c5ea9d3af1a9f3b3b62a9e",
+            "5065b8da9108520f86c717b7012adcd8a158c54af09752f494d32e949a84863a",
         "certified.csv":
             "8346639897e32c9a3b0435db7318bf1372dfc888692e3a06433009f60568e8ca",
         "verify.json":
@@ -115,15 +118,15 @@ GOLDEN = {
     },
     "lookahead-margin-relative": {
         "artifact.json":
-            "ec5444213a69e21589a1f6ce787ffaf9f89e7efe34cd64661508e57c78645d19",
+            "abb946f815b792cf8c806e721df326e0b7e1f127e8bea049c3019a5571ced313",
         "certified.csv":
-            "3b03dba15efdbd85bc87d0bc3d13d90b7f9abd99af2ec175e8e541f7eca3d2e2",
+            "5c9499325d05b4c11c58ceb15dda4763f75b5ea063b0a292c9f140f7a09bb77c",
         "verify.json":
             "8d8d84c4fd77f28c24147ff4e5ed939d1954b33b616740447fb7c47470f1fd21",
     },
     "membership-only": {
         "artifact.json":
-            "12de939a3685653094f6fefe8f11774a5384028d308716efc40fc5d3329bea55",
+            "f86585327e7885e7edd142e80fd4d9121d4731933a2c1dd9d8d5d2c7520cce02",
         "certified.csv":
             "3b03dba15efdbd85bc87d0bc3d13d90b7f9abd99af2ec175e8e541f7eca3d2e2",
         "verify.json":
@@ -131,17 +134,17 @@ GOLDEN = {
     },
     "ratio-interval-report": {
         "artifact.json":
-            "5743d930c914d14955f58ef2cd9d02f3b6d97ab5fe991ce2d65eacdb669e7bec",
+            "d0ab26e3a1f11210a74f7657605fdc95c66c4775370c93f263df85ddef8cd3f1",
         "certified.csv":
             "3b03dba15efdbd85bc87d0bc3d13d90b7f9abd99af2ec175e8e541f7eca3d2e2",
         "trace.jsonl":
-            "91e30d92c3bc0b37621279c8648a06ba3108753da9769b24703e0b11a903795f",
+            "6993330b7ef22c81455769cc7cb08fdc6a1b2a8b20f2069273223d16f367ae24",
         "verify.json":
             "8d8d84c4fd77f28c24147ff4e5ed939d1954b33b616740447fb7c47470f1fd21",
     },
     "restraint-report": {
         "artifact.json":
-            "106919ed9bb8e42fdddbc710503d69464801e08ceabb9af6ecaf56cf184ccc2d",
+            "52891503f1412ef1a714a9e27369c1f7ac67d69debdf7e21df677c366f32a08a",
         "certified.csv":
             "6d13ea93da00c95615b9e8ded7f6d55a83fd1750eefb30dcad84535e303bf109",
         "trace.jsonl":
@@ -151,7 +154,7 @@ GOLDEN = {
     },
     "target-approach": {
         "artifact.json":
-            "63a08825f684d6f699047671e48c753fafc16a53f9fcfb4a03494fae80f406b1",
+            "d9f4bf113206fd692be5e75c00294f4463f0ecd1b079116fd73ce8c0f7d0e160",
         "certified.csv":
             "c9515285db11ed8080ed6755a84774dd5b2cfd5e2b12e884a2e4c3c0002d8dc6",
         "verify.json":
@@ -159,7 +162,7 @@ GOLDEN = {
     },
     "tracking-checkpoint-ratio": {
         "artifact.json":
-            "6d03dbfb266626635b4d6eac5b98e2f59a6287da0cd9c0f6bc1a84484578142c",
+            "be0950cc4fd73cfd1e6c181372643d46f1f633be8e14fba4be85c5e2c1794a23",
         "certified.csv":
             "9955ccced87508b494a6f6e2806e545a82a665fca0add1dd0661c2bf30c20220",
         "verify.json":
@@ -167,7 +170,7 @@ GOLDEN = {
     },
     "witness-margin": {
         "artifact.json":
-            "60732342fdfd010bbd7c989a9e09fa531309a86d5ec151ff06f81d76ccf0a79c",
+            "ed6e0e125484d39a5bf1d61d46b643f3c2aa9c511ccdf9b316882766ced6377d",
         "certified.csv":
             "f3df42ef9dea447427f3e2624b905e69f4b7ba9193e09af5aff61862df1834dc",
         "verify.json":
@@ -225,6 +228,8 @@ def _per_n_artifacts():
             evens, ["1/4", "1/3"]),
         "lookahead-margin": ap.lookahead_subset(evens, "1/3"),
         "witness-margin": ap.witnessed_subset(full, lambda k: 2 ** (k + 1)),
+        "lookahead-margin-relative": ap.limit_witness_subset(
+            full, ap.LimitApprox(lambda k, s: 2 ** (k + 1))),
         "target-approach": builders.infsup_build(["1/3", "2/3"] * 2, 4, 64),
         "blockwise-levels": ap.SubsetArtifact(
             "blockwise_levels", stream.final_members(),

@@ -2,9 +2,9 @@
 
 ``json_indent1`` re-indents the C encoder's compact bytes, ``write_jsonl``
 calls one reused C encoder, and ``save_artifact`` encodes its payload once
-in two halves around the digest key.  The writers they replaced are kept
-here as references: ``json.dump(indent=1)`` for files and
-``json.dumps(sort_keys=True)`` for JSONL lines.
+in two halves around the digest key.  The references: ``json.dump(indent=1)``
+for files, ``json.dumps(sort_keys=True)`` for JSONL lines, and the sorted
+compact ``json.dumps`` of the payload with its digest for artifacts.
 """
 
 import hashlib
@@ -36,7 +36,9 @@ def ref_save_artifact(art, path):
     payload = ar.artifact_payload(art)
     payload["integrity_sha256"] = hashlib.sha256(json.dumps(
         payload, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
-    ref_write_json(path, payload)
+    with open(path, "w") as fh:
+        fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        fh.write("\n")
 
 
 # strings full of the bytes the re-indenter looks at or must leave alone

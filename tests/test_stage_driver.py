@@ -130,8 +130,8 @@ def old_ratio_outcomes(deciders, intervals, stream, stage_max):
             blk = int(members[a:c + 1].sum())
             per_interval.append({
                 "a": a, "b": b, "c": c, "state": iv["state"],
-                "witness": iv["witness"], "gap_avoided": not gap_hit,
-                "identity_exact": identity,
+                "witness": iv["witness"], "r_b": r_b, "r_c": r_c,
+                "gap_avoided": not gap_hit, "identity_exact": identity,
                 "block_count": blk, "block_size": c - a + 1,
             })
         out[e] = {"intervals": per_interval,

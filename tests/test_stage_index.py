@@ -58,11 +58,13 @@ STAGE_LOOPS = {
 }
 
 # sha256 of each output file, recorded before the stage loops read the
-# stage index; any change to these bytes is an output change
+# stage index; any change to these bytes is an output change.  Re-recorded
+# for artifact format 2: every artifact.json, and the ratio-interval
+# trace.jsonl (each interval's r_b, r_c)
 GOLDEN = {
     "permitted-interval": {
         "artifact.json":
-            "929a9b1c100bc137c496e18027fc82b452b2e75a0eff23089f23231d07ce8125",
+            "de68edcd73d3d7be061c8c334cdae3591aa650fb6234d01e26363b27adf71c3f",
         "certified.csv":
             "3b03dba15efdbd85bc87d0bc3d13d90b7f9abd99af2ec175e8e541f7eca3d2e2",
         "trace.jsonl":
@@ -73,7 +75,7 @@ GOLDEN = {
     # recorded before the four prioritysim builders ran on one stage driver
     "prefix-gated": {
         "artifact.json":
-            "6c8f87980595a3b4ba007fb682c39e01b321ff506b02b71c2b13e502570b5575",
+            "3ce916e3bfc3a7314503ebd3ab4ee8623d152d87a45a2e7181b912154f103292",
         "certified.csv":
             "3b03dba15efdbd85bc87d0bc3d13d90b7f9abd99af2ec175e8e541f7eca3d2e2",
         "verify.json":
@@ -81,17 +83,17 @@ GOLDEN = {
     },
     "ratio-interval": {
         "artifact.json":
-            "929d8e60f233f1f9357a36ea82bd6dec9523d05a35d3100bb94940e58f7dbfeb",
+            "1f0a137ff12888cc8ccab7d4862b496b16d89b278c9fb7c600f4b44d2df3d2c3",
         "certified.csv":
             "3b03dba15efdbd85bc87d0bc3d13d90b7f9abd99af2ec175e8e541f7eca3d2e2",
         "trace.jsonl":
-            "12076a999e117a99843b331a9cc4ff52eeac0043829ffd50dfc5769897fd709b",
+            "00c0d7bd859fe2d619ca9fb9806398b927ce34df7638e96b4c69b23ff05bc6ec",
         "verify.json":
             "8d8d84c4fd77f28c24147ff4e5ed939d1954b33b616740447fb7c47470f1fd21",
     },
     "restraint-witness": {
         "artifact.json":
-            "1f78301f7baa4aeb9f4ceb9b0162f29f7b19c9cc930e44602f5b2ad2f5bb111a",
+            "2c3c4308081fe3e7bcba5cd14dad8c2e6f247eff655b76aff41b39d081ecaab4",
         "certified.csv":
             "6d13ea93da00c95615b9e8ded7f6d55a83fd1750eefb30dcad84535e303bf109",
         "trace.jsonl":
@@ -101,7 +103,7 @@ GOLDEN = {
     },
     "sparse-hitting": {
         "artifact.json":
-            "fb66a9408a675ed594297339b7f53aced3cbf8ad3c2de4bfa48aac07811e0eec",
+            "88a59295fb4a02f0a611937a8bd34ee016357680af7e86d74c6cf99d4d6b3e88",
         "certified.csv":
             "fafe1c72bccc1da635d73a19bbc3a598e06a58c70bd5fe84b1854617b26ef4b2",
         "verify.json":
@@ -109,7 +111,7 @@ GOLDEN = {
     },
     "split-interval": {
         "artifact.json":
-            "2b871b0a8cc0ae53e3d33818e5aef427a5d269332833226586a25034ee45fdec",
+            "6b04a74023e7328fc3dad413fa7c78b1c7390ae79af0634afc75a138d7befab7",
         "certified.csv":
             "3b03dba15efdbd85bc87d0bc3d13d90b7f9abd99af2ec175e8e541f7eca3d2e2",
         "trace.jsonl":
