@@ -37,7 +37,7 @@ def bits_to_rle(bits) -> list:
     runs = np.diff(edges).tolist()
     if bits[0]:
         runs.insert(0, 0)
-    return [int(r) for r in runs]
+    return runs
 
 
 def rle_to_bits(runs, n: int) -> np.ndarray:
@@ -640,15 +640,19 @@ def passed_groups(art: SubsetArtifact, labels) -> dict:
     return {label: label not in failed for label in labels}
 
 
+def _report(labelled) -> dict:
+    failures = [msg for _, msg in labelled]
+    return {"ok": not failures, "failures": failures}
+
+
 def verify_artifact(art: SubsetArtifact) -> dict:
     """Recompute every certified inequality from the artifact's own bitset
     and stored numbers.  Returns {'ok': bool, 'failures': [...]} with one
     entry per failed record check or violated bound row."""
-    failures = [msg for _, msg in labelled_failures(art)]
-    return {"ok": not failures, "failures": failures}
+    return _report(labelled_failures(art))
 
 
-def write_certified_csv(art: SubsetArtifact, path) -> None:
+def write_certified_csv(art: SubsetArtifact, path) -> dict:
     """One row per certified per-n bound: the count at n together with the
     certified rational lower and/or upper bound on it.
 
@@ -659,5 +663,9 @@ def write_certified_csv(art: SubsetArtifact, path) -> None:
     bare membership, and format 1 relative margins, which store no
     in_a) emit only the header, and so do artifacts whose records are
     malformed, point outside the window or hold a negative exponent.
+
+    Returns ``verify_artifact(art)``, taken from the same evaluation.
     """
-    write_columns(path, CSV_HEADER, _evaluate(art)[1])
+    failures, cols = _evaluate(art)
+    write_columns(path, CSV_HEADER, cols)
+    return _report(failures)

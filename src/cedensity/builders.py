@@ -161,25 +161,26 @@ def extend_to_ratio(F, a: int, d: int, r) -> RatioExtension:
 class Delta2Approx:
     """A stage-indexed approximation B_s to a set over a declared window.
 
-    at(s) returns the membership array of B_s over [0, window); answers are
-    memoized so the approximation is pure by construction.  Pointwise
-    settling is a caller contract.
+    at(s) returns the membership array of B_s over [0, window).  Only the
+    latest answer is kept, so a stage read again right away is not
+    recomputed; fn must be pure, and pointwise settling is a caller
+    contract.
     """
 
     def __init__(self, fn, window: int, label=""):
         self._fn = fn
         self.window = window
         self.label = label
-        self._memo = {}
+        self._last = (None, None)  # (s, B_s) of the latest call
 
     def at(self, s: int) -> np.ndarray:
-        if s not in self._memo:
+        if self._last[0] != s:
             arr = np.asarray(self._fn(s), dtype=bool)
             if arr.shape != (self.window,):
                 raise ContractViolated(
                     f"approximation window {arr.shape} != {(self.window,)}")
-            self._memo[s] = arr
-        return self._memo[s]
+            self._last = (s, arr)
+        return self._last[1]
 
     @staticmethod
     def constant(bits, label="const"):

@@ -487,9 +487,8 @@ def cmd_construct(cfg, outdir):
         trace.write_jsonl(os.path.join(outdir, "trace.jsonl"))
     # independent re-verification pass, from the file just written
     reloaded = artifacts.load_artifact(apath)
-    artifacts.write_certified_csv(reloaded, os.path.join(outdir,
-                                                         "certified.csv"))
-    report = artifacts.verify_artifact(reloaded)
+    report = artifacts.write_certified_csv(
+        reloaded, os.path.join(outdir, "certified.csv"))
     write_json(os.path.join(outdir, "verify.json"), report)
     if not report["ok"]:
         print("verification failed:", report["failures"][:3],

@@ -8,7 +8,6 @@ over an explicit finite window [1, n_max] and never claim limit values.
 from __future__ import annotations
 
 import json
-import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -424,76 +423,26 @@ def write_columns(path, header: str, cols) -> None:
                                 else col[i:i + _CHUNK_ROWS] for col in cols]))
 
 
-_JSON_MARKS = np.zeros(256, dtype=bool)
-_JSON_MARKS[list(b'"[]{}')] = True
-_JSON_STRING = re.compile(rb'"[^"\\]*(?:\\.[^"\\]*)*"')
-
-
 def compact_json(payload) -> bytes:
     """payload as JSON, keys sorted, no whitespace, by the C encoder."""
     return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
 
 
-def _spaced(run: bytes, pad: bytes) -> bytes:
-    return run.replace(b",", b"," + pad).replace(b":", b": ")
-
-
-def json_indent1(compact: bytes) -> bytes:
-    """The bytes of ``json.dumps(payload, sort_keys=True, indent=1)``,
-    given ``compact_json(payload)``.
-
-    Compact JSON has no whitespace outside strings, and its strings hold
-    no raw newline.  So only the marked bytes (quotes and brackets) need a
-    look: a string or an empty ``[]``/``{}`` is copied whole, any other
-    bracket moves the pad, and each run between marks gets the pad after
-    its commas and a space after its colons.
-    """
-    marks = np.flatnonzero(_JSON_MARKS[np.frombuffer(compact, np.uint8)])
-    out = []
-    depth = pos = 0  # compact[:pos] is rendered
-    pad = b"\n"
-    for m in marks.tolist():
-        if m < pos:
-            continue  # inside a string already copied
-        out.append(_spaced(compact[pos:m], pad))
-        c = compact[m:m + 1]
-        if c == b'"':
-            pos = _JSON_STRING.match(compact, m).end()
-            out.append(compact[m:pos])
-        elif c in b"[{" and compact[m + 1] in b"]}":
-            pos = m + 2
-            out.append(compact[m:pos])
-        elif c in b"[{":
-            depth += 1
-            pad = b"\n" + b" " * depth
-            pos = m + 1
-            out.append(c + pad)
-        else:
-            depth -= 1
-            pad = b"\n" + b" " * depth
-            pos = m + 1
-            out.append(pad + c)
-    out.append(_spaced(compact[pos:], pad))
-    return b"".join(out)
-
-
 def write_json(path, payload) -> None:
-    """payload as JSON, keys sorted, one-space indents, LF-terminated: the
-    bytes of ``json.dump(payload, fh, sort_keys=True, indent=1)``."""
-    with open(path, "wb") as fh:
-        fh.write(json_indent1(compact_json(payload)))
-        fh.write(b"\n")
+    """payload as JSON, keys sorted, one-space indents, LF-terminated."""
+    with open(path, "w", newline="\n") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=1)
+        fh.write("\n")
+
+
+_JSONL_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
 
 
 def jsonl_bytes(records) -> bytes:
     """One LF-terminated line per record, each the bytes of
-    ``json.dumps(record, sort_keys=True)``, through one C encoder built
-    once (``JSONEncoder.encode`` builds a new one per call)."""
-    encode = json.encoder.c_make_encoder(
-        None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
-        None, ": ", ", ", True, False, True)
-    return "".join(["".join(encode(rec, 0)) + "\n"
-                    for rec in records]).encode()
+    ``json.dumps(record, sort_keys=True)``."""
+    encode = _JSONL_ENCODER.encode
+    return "".join([encode(rec) + "\n" for rec in records]).encode()
 
 
 def write_jsonl(path, records) -> None:

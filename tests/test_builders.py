@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from fractions import Fraction
 from math import factorial
 
@@ -235,6 +236,20 @@ def test_transfer_with_midrun_flip():
     # the flip must actually have fired a repair after stage 20
     assert any(r["fired"] is not None for r in trace.stages
                if r["stage"] > 20)
+
+
+def test_transfer_holds_one_stage_of_the_approximation():
+    # 1000 stages of a 10^4-wide approximation: 10 MB if every stage's
+    # array were kept, one array's worth if only the latest is
+    bits = np.arange(10_000) % 2 == 0
+    B = Delta2Approx(lambda s: bits.copy(), bits.size)
+    tracemalloc.start()
+    try:
+        density_transfer_build(B, 10, 1000, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * bits.size
 
 
 def test_transfer_rejects_checkpoints_beyond_window():

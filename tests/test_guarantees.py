@@ -204,6 +204,18 @@ def test_golden_outputs(form, tmp_path, monkeypatch):
     assert digests == GOLDEN[form]
 
 
+def test_construct_evaluates_the_artifact_once(tmp_path, monkeypatch):
+    # certified.csv and verify.json come from one evaluation
+    calls = []
+    evaluate = ar._evaluate
+    monkeypatch.setattr(ar, "_evaluate",
+                        lambda art: calls.append(art) or evaluate(art))
+    code, out = construct("lookahead-margin", tmp_path, monkeypatch)
+    assert code == 0 and len(calls) == 1
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in out.iterdir()} == GOLDEN["lookahead-margin"]
+
+
 # -- certified.csv against verify_artifact -----------------------------------
 
 def _per_n_artifacts():

@@ -1,10 +1,10 @@
 """The JSON writers against the standard library's own layouts.
 
-``json_indent1`` re-indents the C encoder's compact bytes, ``write_jsonl``
-calls one reused C encoder, and ``save_artifact`` encodes its payload once
-in two halves around the digest key.  The references: ``json.dump(indent=1)``
-for files, ``json.dumps(sort_keys=True)`` for JSONL lines, and the sorted
-compact ``json.dumps`` of the payload with its digest for artifacts.
+``write_json`` and ``write_jsonl`` call the standard encoder, and
+``save_artifact`` encodes its payload once in two halves around the digest
+key.  The references: ``json.dump(indent=1)`` for files,
+``json.dumps(sort_keys=True)`` for JSONL lines, and the sorted compact
+``json.dumps`` of the payload with its digest for artifacts.
 """
 
 import hashlib
@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from cedensity import approximators as ap
 from cedensity import artifacts as ar
-from cedensity.core import compact_json, json_indent1, write_json, write_jsonl
+from cedensity.core import write_json, write_jsonl
 
 
 def ref_write_json(path, payload):
@@ -41,7 +41,7 @@ def ref_save_artifact(art, path):
         fh.write("\n")
 
 
-# strings full of the bytes the re-indenter looks at or must leave alone
+# strings full of the bytes JSON escapes or structures with
 tricky_text = st.text(
     st.sampled_from('"\\,:[]{} \n\tabé☃\U0001f600\x00\x1f')
     | st.characters(), max_size=12)
@@ -61,10 +61,7 @@ json_trees = st.recursive(
 
 @settings(max_examples=200, deadline=None)
 @given(json_trees)
-def test_json_indent1_and_write_json_match_json_dump(tmp_path_factory,
-                                                     tree):
-    assert json_indent1(compact_json(tree)) == json.dumps(
-        tree, sort_keys=True, indent=1).encode()
+def test_write_json_matches_json_dump(tmp_path_factory, tree):
     d = tmp_path_factory.mktemp("json")
     write_json(d / "got.json", tree)
     ref_write_json(d / "want.json", tree)
@@ -79,13 +76,6 @@ def test_write_jsonl_matches_json_dumps(tmp_path_factory, records):
     write_jsonl(d / "got.jsonl", records)
     ref_write_jsonl(d / "want.jsonl", records)
     assert (d / "got.jsonl").read_bytes() == (d / "want.jsonl").read_bytes()
-
-
-def test_json_indent1_fixed_cases():
-    for tree in ({}, [], {"a": []}, [{}], [[[]]], {"": {"": ""}}, 0, "x",
-                 '"', "\\", {"k": '\\"],:{'}, [1, [2, [3, {}]], {"z": 2}]):
-        assert json_indent1(compact_json(tree)) == json.dumps(
-            tree, sort_keys=True, indent=1).encode()
 
 
 # artifacts whose nested dicts hold the top-level keys, the digest key
