@@ -34,8 +34,8 @@ from math import isqrt
 import numpy as np
 from sortedcontainers import SortedList
 
-from .core import (CEStream, NEVER, ceil_div, ceil_sqrt_array, exact_ints,
-                   prefix_counts)
+from .core import (CEStream, NEVER, StageGuess, ceil_div, ceil_sqrt_array,
+                   exact_ints, prefix_counts)
 from .errors import BudgetExceeded, PreconditionViolated
 
 
@@ -409,15 +409,14 @@ def witnessed_subset(stream: CEStream, w) -> SubsetArtifact:
         {"form": "witness-margin", "h_of_n": h_of_n[1:]})[0]
 
 
-class LimitApprox:
+class LimitApprox(StageGuess):
     """A stage-indexed approximation g(k, s) asserted (by the caller) to be
     eventually constant in s for each k.  Answers are memoized so repeated
     queries are pure by construction."""
 
     def __init__(self, fn, label=""):
-        self._fn = fn
+        super().__init__(fn, label)
         self._memo = {}
-        self.label = label
 
     def eval(self, k: int, s: int):
         key = (k, s)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .approximators import SubsetArtifact, _targets
 from .artifacts import passed_groups
-from .core import CEStream, NEVER, ceil_div, prefix_counts
+from .core import CEStream, NEVER, StageGuess, ceil_div, prefix_counts
 from .errors import CapExceeded, ContractViolated, RatioUnrealizable
 from .prioritysim import ConstructionTrace
 
@@ -158,34 +158,29 @@ def extend_to_ratio(F, a: int, d: int, r) -> RatioExtension:
 
 # -- density transfer through a settling approximation ---------------------
 
-class Delta2Approx:
+class Delta2Approx(StageGuess):
     """A stage-indexed approximation B_s to a set over a declared window.
 
-    at(s) returns the membership array of B_s over [0, window).  Only the
-    latest answer is kept, so a stage read again right away is not
-    recomputed; fn must be pure, and pointwise settling is a caller
-    contract.
+    at(s) returns the membership array of B_s over [0, window).  fn must be
+    pure, and pointwise settling is a caller contract.
     """
 
-    def __init__(self, fn, window: int, label=""):
-        self._fn = fn
+    def __init__(self, fn, window: int, label="", next_change=None):
+        super().__init__(fn, label, next_change)
         self.window = window
-        self.label = label
-        self._last = (None, None)  # (s, B_s) of the latest call
 
     def at(self, s: int) -> np.ndarray:
-        if self._last[0] != s:
-            arr = np.asarray(self._fn(s), dtype=bool)
-            if arr.shape != (self.window,):
-                raise ContractViolated(
-                    f"approximation window {arr.shape} != {(self.window,)}")
-            self._last = (s, arr)
-        return self._last[1]
+        arr = np.asarray(self._fn(s), dtype=bool)
+        if arr.shape != (self.window,):
+            raise ContractViolated(
+                f"approximation window {arr.shape} != {(self.window,)}")
+        return arr
 
     @staticmethod
     def constant(bits, label="const"):
         bits = np.asarray(bits, dtype=bool)
-        return Delta2Approx(lambda s: bits, bits.size, label=label)
+        return Delta2Approx(lambda s: bits, bits.size, label=label,
+                            next_change=lambda s: NEVER)
 
 
 def density_transfer_build(B: Delta2Approx, n_checkpoints: int,
@@ -198,9 +193,10 @@ def density_transfer_build(B: Delta2Approx, n_checkpoints: int,
     repairs it with extend_to_ratio (target = rho_n(B_s) clamped into
     (0,1): 0 becomes 1/(n+1), 1 becomes n/(n+1)); rows above n are
     re-based past the new evaluation length.  Because repairs only append
-    beyond t(n−1), lower settled rows are never disturbed.  Returns
-    (stream, t, trace, report); the trace records each repair, and its
-    outcomes hold the report's two row maps.
+    beyond t(n−1), lower settled rows are never disturbed.  Once every
+    row is read and none is broken, B is read next at its next change.
+    Returns (stream, t, trace, report); the trace records each repair and
+    each quiet stage, and its outcomes hold the report's two row maps.
     """
     if n_checkpoints >= B.window:
         raise ValueError("n_checkpoints must be below the approximation window")
@@ -214,11 +210,14 @@ def density_transfer_build(B: Delta2Approx, n_checkpoints: int,
     trace = ConstructionTrace("density_transfer")
     quiet, quiet_from = (lambda s: {"fired": None, "stage": s}), 1
     truncated = None
-    for s in range(1, stage_budget + 1):
+    s = 1
+    while s <= stage_budget:
         k = min(s, n_checkpoints)
         num, den = _transfer_targets(np.cumsum(B.at(s - 1)[:k]), rows[:k])
         broken = have[:k] * den != num * t[1:k + 1]
         if not broken.any():
+            # once every row is read, none breaks before B_{s−1} changes
+            s = B.next_change(s - 1) + 1 if k == n_checkpoints else s + 1
             continue
         trace.run(quiet, np.arange(quiet_from, s))
         quiet_from = s + 1
@@ -240,6 +239,7 @@ def density_transfer_build(B: Delta2Approx, n_checkpoints: int,
         trace.record(s, fired=n, a=a, b=ext.b, c=ext.c, prev_t=old_c,
                      target=[target.numerator, target.denominator],
                      new_elements=int(np.count_nonzero(new)))
+        s += 1
     else:
         trace.run(quiet, np.arange(quiet_from, stage_budget + 1))
     stream = CEStream(entry, stage_max=stage_budget, label="transfer")
@@ -284,13 +284,12 @@ def _transfer_report(stream: CEStream, final_b: np.ndarray, t: np.ndarray):
 FACTORIAL_BLOCK_CAP = 9
 
 
-class StableMonotoneG:
+class StableMonotoneG(StageGuess):
     """A stage approximation g(n, s), nondecreasing and eventually constant
     in s for each n (the monotone half is checked on the fly)."""
 
-    def __init__(self, fn, label=""):
-        self._fn = fn
-        self.label = label
+    def __init__(self, fn, label="", next_change=None):
+        super().__init__(fn, label, next_change)
         self._last = {}
 
     def eval(self, n: int, s: int) -> Fraction:
@@ -336,14 +335,16 @@ def blockwise_limit_build(g: StableMonotoneG, n_blocks: int, stage_max: int):
     Block n is split into n! runs of length n; a run holds exactly L
     elements (its least ones) when the rounded level is L/n, so the block
     density equals L/n exactly, which in turn pins rho at (n+1)! within
-    [−L/n, 1 − L/n]·1/(n+1) of L/n.  g is polled at every stage up to
-    stage_max.  Returns (stream, levels) where levels[n] is the final grid
-    numerator L.
+    [−L/n, 1 − L/n]·1/(n+1) of L/n.  g is read at stage 0 and then at
+    each of its change stages up to stage_max.  Returns (stream, levels)
+    where levels[n] is the final grid numerator L.
     """
     entry, levels = _empty_blocks(n_blocks)
-    for s in range(stage_max + 1):
+    s = 0
+    while s <= stage_max:
         for n in levels:
             _raise_level(entry, levels, n, _round_to_grid(g.eval(n, s), n), s)
+        s = g.next_change(s)
     return CEStream(entry, stage_max=stage_max, label="blockwise"), levels
 
 

@@ -292,7 +292,8 @@ def _approx(spec: _Field, sets, n_max: int) -> builders.Delta2Approx:
                          for key in ("before", "after"))
         at = spec["at"].int(0)
         return builders.Delta2Approx(
-            lambda s: after if s >= at else before, window, label="flip")
+            lambda s: after if s >= at else before, window, label="flip",
+            next_change=lambda s: at if s < at else NEVER)
     raise spec.get("kind").error(f"unknown approximation kind {kind!r}")
 
 
@@ -395,11 +396,11 @@ def _dispatch_construct(cfg, sets, streams, deciders):
             raise given.error("every key must be a block number")
         vals = {int(k): given[k].frac() for k in given.value}
         g = builders.StableMonotoneG(
-            lambda n, s: vals.get(n, Fraction(0)), label="const-levels")
-        # g is constant in s, so every level is set at stage 0; the
-        # artifact keeps only the final members, never stage_max
+            lambda n, s: vals.get(n, Fraction(0)), label="const-levels",
+            next_change=lambda s: NEVER)
         st, levels = builders.blockwise_limit_build(
-            g, spec["n_blocks"].int(0, builders.FACTORIAL_BLOCK_CAP), 0)
+            g, spec["n_blocks"].int(0, builders.FACTORIAL_BLOCK_CAP),
+            stage_max)
         return _stream_artifact(st, "blockwise_levels",
                                 builders.levels_guarantee(levels)), None
     if op == "limsup-blockwise":

@@ -499,6 +499,19 @@ NEVER = np.iinfo(np.int64).max
 """Sentinel entry stage for elements never enumerated within the horizon."""
 
 
+class StageGuess:
+    """A guess ``fn(..., s)`` known stage by stage.  ``next_change(s)`` is
+    the least stage after s at which it can differ from its guess at s
+    (NEVER once settled): a vocabulary kind declares it in closed form, and
+    a guess from a bare callable answers s + 1 and is polled."""
+
+    def __init__(self, fn, label="", next_change=None):
+        self._fn = fn
+        self.label = label
+        self.polled = next_change is None
+        self.next_change = next_change or (lambda s: s + 1)
+
+
 class StageIndex(NamedTuple):
     """A stream's enumerated elements in stage order, one entry each.
 

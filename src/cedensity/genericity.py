@@ -39,7 +39,7 @@ def evaluate_partial(decider: PartialDecider, A: SetOracle, n_max: int,
     still undefined then are conservatively treated as outside the domain
     (never guessed).  Defined answers are compared against A exactly."""
     truth = A.membership_array(n_max)
-    values = decider.values(n_max, stage_budget)
+    values = decider.at(np.arange(n_max), stage_budget)
     dom = values >= 0
     errors = np.flatnonzero(dom & ((values == 1) != truth)).tolist()
     return GenericityReport(profile_from_bits(dom, label="domain"),

@@ -17,8 +17,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import (_CHUNK_ROWS, CEStream, NEVER, jsonl_bytes, prefix_counts,
-                   row_bytes, trailing_zeros)
+from .core import (_CHUNK_ROWS, CEStream, NEVER, StageGuess, jsonl_bytes,
+                   prefix_counts, row_bytes, trailing_zeros)
 from .errors import ContractViolated, RatioUnrealizable, WindowExhausted
 
 
@@ -30,22 +30,25 @@ class PartialDecider:
     definedness may never be revoked; both are checked across the queries
     actually made.
 
-    The vocabulary kinds below also declare an array form: ``value`` maps
-    an int64 array of n to their int8 values, and the decider is defined
-    at (n, s) exactly when s >= delay + factor·n (nowhere when delay is
-    None).  Such a decider keeps its contract by construction, so
-    ``at``, ``defined_on`` and ``defined_from`` answer from the form with
-    numpy.  A decider built from a bare callable has no such form: it is
-    asked through ``eval``, with its contract checks, and polled at every
-    stage."""
+    The vocabulary kinds below are declared by an array form alone:
+    ``value`` maps an int64 array of n to their int8 values, and the
+    decider is defined at (n, s) exactly when s >= delay + factor·n
+    (nowhere when delay is None).  Such a decider keeps its contract by
+    construction, so every question, ``eval`` too, is answered from the
+    form with numpy.  A decider built from a bare callable has no such
+    form: it is asked through ``eval``, with its contract checks, and
+    polled at every stage."""
 
-    def __init__(self, fn, label="", *, value=None, delay=0, factor=0):
+    def __init__(self, fn=None, label="", *, value=None, delay=0, factor=0):
         self._fn = fn
         self.label = label
         self._seen = {}  # n -> (first defined stage, value)
         self._value, self._delay, self._factor = value, delay, factor
 
     def eval(self, n: int, s: int):
+        if self._value is not None:
+            v = int(self.at([n], s)[0])
+            return None if v < 0 else v
         v = self._fn(n, s)
         if v not in (0, 1, None):
             raise ContractViolated(f"decider returned {v!r}")
@@ -59,15 +62,15 @@ class PartialDecider:
             self._seen[n] = (s, v)
         return v
 
-    def defined_from(self, top: int) -> int:
-        """The least stage from which the decider is defined at every
-        n <= top (past any stage when never); 0 for a decider with no
-        array form, which may become defined at any stage and is polled."""
+    def defined_from(self, top: int, s: int) -> int:
+        """The least stage after s from which the decider is defined at
+        every n <= top (NEVER if there is none); s + 1 for a decider with
+        no array form, which is polled."""
         if self._value is None:
-            return 0
+            return s + 1
         if self._delay is None:
             return NEVER
-        return self._delay + self._factor * top
+        return max(self._delay + self._factor * top, s + 1)
 
     def defined_on(self, xs, s: int) -> bool:
         if self._value is None:
@@ -90,25 +93,17 @@ class PartialDecider:
             out[xs > (s - self._delay) // self._factor] = -1
         return out
 
-    def values(self, n_max: int, s: int) -> np.ndarray:
-        """eval(n, s) for every n < n_max, in order, as an int8 array with
-        −1 where undefined."""
-        return self.at(np.arange(n_max), s)
-
     # fixed vocabulary of rule kinds (no arbitrary code from configs)
     @staticmethod
     def constant(value: int, delay: int = 0, label=None):
-        return PartialDecider(lambda n, s: value if s >= delay else None,
-                              label=label or f"const{value}@+{delay}",
+        return PartialDecider(label=label or f"const{value}@+{delay}",
                               value=lambda n: np.full(n.shape, value),
                               delay=delay)
 
     @staticmethod
     def parity(delay: int = 0, label=None):
-        return PartialDecider(
-            lambda n, s: (1 if n % 2 == 0 else 0) if s >= delay else None,
-            label=label or "parity", value=lambda n: n % 2 == 0,
-            delay=delay)
+        return PartialDecider(label=label or "parity",
+                              value=lambda n: n % 2 == 0, delay=delay)
 
     @staticmethod
     def residue(m: int, residues, delay: int = 0, label=None):
@@ -120,22 +115,20 @@ class PartialDecider:
             mask[[r for r in rs if 0 <= r < mask.size]] = True
             return mask[n % m if mask.size == m else n]
 
-        return PartialDecider(
-            lambda n, s: (1 if n % m in rs else 0) if s >= delay else None,
-            label=label or f"residue{sorted(rs)}mod{m}", value=value,
-            delay=delay)
+        return PartialDecider(label=label or f"residue{sorted(rs)}mod{m}",
+                              value=value, delay=delay)
 
     @staticmethod
     def never(label="never"):
-        return PartialDecider(lambda n, s: None, label=label,
-                              value=lambda n: np.zeros(n.shape), delay=None)
+        return PartialDecider(label=label, value=lambda n: np.zeros(n.shape),
+                              delay=None)
 
     @staticmethod
     def linear_delay(value: int, factor: int, label="value-delay"):
         """The value at every n, defined once s >= factor·n."""
-        return PartialDecider(
-            lambda n, s: value if s >= factor * n else None, label=label,
-            value=lambda n: np.full(n.shape, value), factor=factor)
+        return PartialDecider(label=label,
+                              value=lambda n: np.full(n.shape, value),
+                              factor=factor)
 
     @staticmethod
     def delayed_rule(value_fn, delay_fn, label="delayed-rule"):
@@ -145,47 +138,39 @@ class PartialDecider:
             label=label)
 
 
-class JumpApprox:
+class JumpApprox(StageGuess):
     """Stage guesses at membership of indices in a jump-style set: guess(i,s)
     in {0,1}; use(i, s) must be a natural whenever guess(i, s) = 1.
 
-    The vocabulary kinds below also declare ``on_from(t)``, the least stage
-    >= t at which a guess can be 1, and keep one use wherever the guess is
-    1.  A jump built from bare callables declares neither and is polled at
-    every stage."""
+    The vocabulary kinds below declare ``next_change`` and keep one use
+    wherever the guess is 1.  A jump built from bare callables declares
+    nothing and is polled at every stage."""
 
-    def __init__(self, guess_fn, use_fn, label="", on_from=None):
-        self._guess = guess_fn
-        self._use = use_fn
-        self.label = label
-        self._on_from = on_from
-
-    @property
-    def polled(self) -> bool:
-        return self._on_from is None
+    def __init__(self, guess_fn, use_fn, label="", next_change=None):
+        super().__init__(guess_fn, label, next_change)
+        self.use = use_fn
 
     def guess(self, i: int, s: int) -> int:
-        return int(self._guess(i, s))
+        return int(self._fn(i, s))
 
-    def use(self, i: int, s: int):
-        return self._use(i, s)
-
-    def on_from(self, t: int) -> int:
-        """The least stage >= t at which a guess can be 1 (NEVER if none);
-        t itself for a polled jump."""
-        return t if self._on_from is None else self._on_from(t)
+    def on_from(self, i: int, t: int) -> int:
+        """The least stage >= t at which guess(i, ·) can be 1 (NEVER if
+        none): t for a polled jump or a guess of 1, else the next change."""
+        if self.polled or self.guess(i, t) == 1:
+            return t
+        return self.next_change(t)
 
     @staticmethod
     def never(label="never"):
         return JumpApprox(lambda i, s: 0, lambda i, s: None, label,
-                          on_from=lambda t: NEVER)
+                          next_change=lambda s: NEVER)
 
     @staticmethod
     def step(on_at: int, use: int, label="step"):
         """Guess 1 with the given use from stage on_at on."""
         return JumpApprox(lambda i, s: 1 if s >= on_at else 0,
                           lambda i, s: use if s >= on_at else None, label,
-                          on_from=lambda t: max(t, on_at))
+                          next_change=lambda s: on_at if s < on_at else NEVER)
 
     @staticmethod
     def blink(period: int, use: int, label="blink"):
@@ -193,8 +178,7 @@ class JumpApprox:
         block 0; the use is fixed."""
         return JumpApprox(
             lambda i, s: (s // period) % 2, lambda i, s: use, label,
-            on_from=lambda t: t if (t // period) % 2 else
-            (t // period + 1) * period)
+            next_change=lambda s: (s // period + 1) * period)
 
 
 class _Run(NamedTuple):
@@ -529,7 +513,7 @@ def ratio_interval_build(deciders, n_max: int, stage_max: int):
         nxt = NEVER
         for e, iv in enumerate(last):
             if iv is not None and iv["state"] == "waiting":
-                t = max(deciders[e].defined_from(iv["c"]), s + 1)
+                t = deciders[e].defined_from(iv["c"], s)
             elif frontier is not None and (iv is None
                                            or iv["state"] != "finalized"):
                 t = s + 1
@@ -552,7 +536,7 @@ def ratio_interval_build(deciders, n_max: int, stage_max: int):
 
 def _ratio_outcomes(deciders, intervals, stream, stage_max):
     counts = prefix_counts(stream.final_members())
-    ones = [prefix_counts(d.values(stream.n_max, stage_max) == 1)
+    ones = [prefix_counts(d.at(np.arange(stream.n_max), stage_max) == 1)
             for d in deciders]  # |S ∩ [0, m)| at m, per decider's 1-set S
     per_e = [[] for _ in deciders]
     for iv in intervals:
@@ -750,7 +734,7 @@ def permitted_interval_build(C: CEStream, jump: JumpApprox, streams,
                 if st["g"] == 0:
                     nxt = min(nxt, max(st["cover"], s + 1))
             elif not st["stuck"]:
-                nxt = min(nxt, jump.on_from(max(codes[p], s + 1)))
+                nxt = min(nxt, jump.on_from(p[1], max(codes[p], s + 1)))
         return min(nxt, drive.next_entrant(s, max(uses)))
 
     def quiet(lo, hi):
@@ -840,8 +824,8 @@ def split_interval_build(B: CEStream, deciders, n_max: int, stage_max: int):
                 if iv["realized"]:
                     mins.append(iv["min"])
                 else:
-                    t = deciders[e].defined_from(iv["elems"][-1])
-                    nxt = min(nxt, max(t, s + 1))
+                    nxt = min(nxt, deciders[e].defined_from(
+                        iv["elems"][-1], s))
         return min(nxt, drive.next_entrant(s, max(mins)))
 
     drive.run(step, permitter=B)

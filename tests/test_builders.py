@@ -252,6 +252,23 @@ def test_transfer_holds_one_stage_of_the_approximation():
     assert peak < 100 * bits.size
 
 
+def test_declared_flip_is_read_at_its_change_stages():
+    # a flip at stage 5 over 10^5 stages; a polled B is read at each one
+    before, after = (SetOracle.residue_union(m, r).membership_array(100)
+                     for m, r in ((3, [0, 1]), (5, [2])))
+    reads = []
+
+    def fn(s):
+        reads.append(s)
+        return after if s >= 5 else before
+
+    B = Delta2Approx(fn, 100, next_change=lambda s: 5 if s < 5 else NEVER)
+    stream, t, trace, report = density_transfer_build(B, 20, 10**5, 10**5)
+    assert len(reads) < 100
+    assert all(report["settled_identity"].values())
+    assert len(trace.stages) == 10**5
+
+
 def test_transfer_rejects_checkpoints_beyond_window():
     B = Delta2Approx.constant(np.zeros(10, dtype=bool))
     with pytest.raises(ValueError):
@@ -262,23 +279,32 @@ def test_transfer_rejects_checkpoints_beyond_window():
 def transfer_cases(draw):
     """(approximation maker, n_checkpoints, stage budget, n_max); the
     approximation is constant, flips once, varies per stage, or answers
-    with a short array from some stage on."""
+    with a short array from some stage on, all polled, or is one of the
+    CLI's declared kinds, constant or flip, read at its change stages.
+    A flip falls before, inside or past the budget, or past NEVER."""
     window = draw(st.integers(2, 60))
     bits = st.lists(st.booleans(), min_size=window, max_size=window).map(
         lambda b: np.array(b, dtype=bool))
-    kind = draw(st.sampled_from(["constant", "flip", "per-stage", "short"]))
-    arrays = draw(st.lists(bits, min_size=1 if kind == "constant" else 2,
+    kind = draw(st.sampled_from(["constant", "flip", "per-stage", "short",
+                                 "declared-constant", "declared-flip"]))
+    arrays = draw(st.lists(bits, min_size=1 if "constant" in kind else 2,
                            max_size=2 if kind != "per-stage" else 6))
-    at = draw(st.integers(0, 40))
+    at = draw(st.integers(0, 40) | st.integers(121, 400) | st.just(2**64))
     fns = {
         "constant": lambda s: arrays[0],
         "flip": lambda s: arrays[s >= at],
         "per-stage": lambda s: arrays[s % len(arrays)],
         "short": lambda s: arrays[0] if s < at else arrays[1][1:],
     }
-    return (lambda: Delta2Approx(fns[kind], window),
-            draw(st.integers(0, window - 1)), draw(st.integers(0, 120)),
-            draw(st.integers(1, 600)))
+    sets = {"lo": SetOracle.from_bits(arrays[0]),
+            "hi": SetOracle.from_bits(arrays[-1])}
+    spec = cli._Field({"kind": kind.removeprefix("declared-"), "set": "lo",
+                       "before": "lo", "after": "hi", "at": at})
+    make = ((lambda: cli._approx(spec, sets, window))
+            if kind.startswith("declared") else
+            (lambda: Delta2Approx(fns[kind], window)))
+    return (make, draw(st.integers(0, window - 1)),
+            draw(st.integers(0, 120)), draw(st.integers(1, 600)))
 
 
 def _outcome(build, *args):
@@ -366,6 +392,19 @@ def test_blockwise_constant_half():
     rep = verify_blockwise(stream, levels)
     assert rep["block_density"] is True
     assert rep["sandwich"] is True
+
+
+def test_blockwise_reads_a_declared_constant_g_at_stage_0_only():
+    reads = []
+
+    def g(n, s):
+        reads.append(s)
+        return Fraction(1, 2)
+
+    stream, levels = blockwise_limit_build(
+        StableMonotoneG(g, next_change=lambda s: NEVER), 3, 10**9)
+    assert levels == {1: 0, 2: 1, 3: 1} and reads == [0, 0, 0]
+    assert stream.stage_max == 10**9
 
 
 def test_blockwise_block_cap():

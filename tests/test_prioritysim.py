@@ -36,12 +36,13 @@ def test_partial_decider_contract():
 
 def test_decider_values_sweep_keeps_the_contract():
     p = PartialDecider.residue(3, [1], delay=2)
-    assert p.values(7, 1).tolist() == [-1] * 7
-    assert p.values(7, 2).tolist() == [0, 1, 0, 0, 1, 0, 0]
+    assert p.at(np.arange(7), 1).tolist() == [-1] * 7
+    assert p.at(np.arange(7), 2).tolist() == [0, 1, 0, 0, 1, 0, 0]
     bad = PartialDecider(lambda n, s: 1 if s == 2 else None)
-    assert bad.values(3, 2).tolist() == [1, 1, 1]
+    assert bad.at(np.arange(3), 2).tolist() == [1, 1, 1]
     with pytest.raises(ContractViolated):
-        bad.values(3, 3)  # each eval still checks the decider's contract
+        # each eval still checks the decider's contract
+        bad.at(np.arange(3), 3)
 
 
 def test_region_helpers():

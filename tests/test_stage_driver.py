@@ -3,11 +3,13 @@ code that the stage driver replaced; the old builders are kept here as
 references, each with its own stage loop."""
 
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cedensity import builders, cli
 from cedensity import prioritysim as ps
 from cedensity.core import (NEVER, CEStream, SetOracle, prefix_counts,
                             write_jsonl)
@@ -662,44 +664,97 @@ def test_audits_read_runs_as_records(parts):
 
 # -- array forms of the vocabulary -------------------------------------------
 
+def scalar_rule(spec):
+    """The declared decider of spec as a scalar rule n, s -> 0, 1 or None,
+    written apart from its array form so that each checks the other."""
+    kind, *args = spec
+    if kind == "constant":
+        v, delay = args
+        return lambda n, s: v if s >= delay else None
+    if kind == "parity":
+        (delay,) = args
+        return lambda n, s: (1 if n % 2 == 0 else 0) if s >= delay else None
+    if kind == "residue":
+        m, r, delay = args
+        rs = {r % m}
+        return lambda n, s: (1 if n % m in rs else 0) if s >= delay else None
+    if kind == "residue-wide":  # residues r and 5 of a modulus past every n
+        return lambda n, s: 1 if n % 2**70 in (args[0], 5) else 0
+    if kind == "never":
+        return lambda n, s: None
+    v, factor = args  # value-delay
+    return lambda n, s: v if s >= factor * n else None
+
+
 @settings(max_examples=100, deadline=None)
 @given(DECLARED | st.tuples(st.just("residue-wide"), st.integers(0, 2**70)),
        st.integers(0, 60), st.integers(0, 20) | st.integers(0, 2**64))
 def test_declared_deciders_answer_as_eval(spec, n_max, s):
-    if spec[0] == "residue-wide":  # a modulus past every n of the window
-        made = lambda: PartialDecider.residue(2**70, [spec[1], 5])  # noqa
+    if spec[0] == "residue-wide":
+        d = PartialDecider.residue(2**70, [spec[1], 5])
     else:
-        made = lambda: decider(spec)  # noqa: E731
-    want = [made().eval(n, s) for n in range(n_max)]
-    d = made()
-    assert d.values(n_max, s).tolist() == [-1 if v is None else v
-                                           for v in want]
-    xs = np.arange(n_max)[::-1]
-    assert d.at(xs, s).tolist() == d.values(n_max, s).tolist()[::-1]
+        d = decider(spec)
+    rule = scalar_rule(spec)
+    want = [rule(n, s) for n in range(n_max)]
+    assert [d.eval(n, s) for n in range(n_max)] == want
+    values = [-1 if v is None else v for v in want]
+    assert d.at(np.arange(n_max), s).tolist() == values
+    assert d.at(np.arange(n_max)[::-1], s).tolist() == values[::-1]
     assert d.defined_on(range(n_max), s) == (None not in want)
     top = n_max
-    t = d.defined_from(top)
-    if t < NEVER:  # the least stage defined at every n <= top
-        assert all(made().eval(n, t) is not None for n in range(top + 1))
-        assert t == 0 or any(made().eval(n, t - 1) is None
-                             for n in range(top + 1))
-    else:
-        assert all(v is None for v in want)
-    assert PartialDecider(made().eval).defined_from(top) == 0
+    t = d.defined_from(top, s)
+    if spec[0] == "never":
+        assert t == NEVER
+    else:  # the least stage after s defined at every n <= top
+        assert t > s and all(rule(n, t) is not None for n in range(top + 1))
+        assert t == s + 1 or any(rule(n, t - 1) is None
+                                 for n in range(top + 1))
+    assert PartialDecider(rule).defined_from(top, s) == s + 1
+
+
+def cli_kind(kind, at, period):
+    """The guess the CLI declares for a vocabulary kind, and its whole
+    guess at a stage: every jump index, every window bit or every level."""
+    spec = cli._Field({"kind": kind, "on_at": at, "period": period, "use": 7,
+                       "set": "lo", "before": "lo", "after": "hi", "at": at})
+    if kind in ("step", "blink", "never"):
+        j = cli._jump(spec)
+        return j, lambda s: [j.guess(i, s) for i in range(4)]
+    if kind in ("constant", "flip"):
+        sets = {"lo": SetOracle.residue_union(3, [0, 1]),
+                "hi": SetOracle.residue_union(5, [2])}
+        B = cli._approx(spec, sets, 30)
+        return B, lambda s: B.at(s).tolist()
+    cfg = {"universe": {"n_max": 1, "stage_max": 10**9},
+           "construction": {"op": "blockwise-levels", "n_blocks": 3,
+                            "levels": {"1": "1/2", "3": "2/3"}}}
+    with mock.patch.object(builders, "blockwise_limit_build",
+                           wraps=builders.blockwise_limit_build) as build:
+        cli._dispatch_construct(cli._Field(cfg), {}, {}, {})
+    g = build.call_args.args[0]
+    return g, lambda s: [g.eval(n, s) for n in range(1, 5)]
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from(["step", "blink", "never"]), st.integers(0, 30),
+@given(st.sampled_from(["step", "blink", "never", "constant", "flip",
+                        "levels"]), st.integers(0, 30),
        st.integers(1, 12), st.integers(0, 80))
 def test_declared_jumps_name_their_next_positive_stage(kind, on_at, period,
                                                        t):
-    j = {"step": JumpApprox.step(on_at, 7), "blink": JumpApprox.blink(
-        period, 7), "never": JumpApprox.never()}[kind]
+    """A declared jump's on_from(i, t) is its first positive stage from t,
+    and every kind the CLI declares keeps its guess at t at each stage
+    strictly between t and its next change (scanned 100 stages on)."""
+    j, guess = cli_kind(kind, on_at, period)
+    nxt = j.next_change(t)
+    assert nxt > t
+    assert all(guess(s) == guess(t) for s in range(t + 1, min(nxt, t + 100)))
+    if kind not in ("step", "blink", "never"):
+        return
     on = [s for s in range(t, t + 2 * period + on_at + 1)
           if j.guess(0, s) == 1]
-    assert j.on_from(t) == (on[0] if on else NEVER)
+    assert j.on_from(0, t) == (on[0] if on else NEVER)
     assert all(j.use(0, s) == 7 for s in on)
-    assert JumpApprox(j.guess, j.use).on_from(t) == t
+    assert JumpApprox(j.guess, j.use).on_from(0, t) == t
 
 
 # -- appointments that find no room -------------------------------------------
