@@ -93,7 +93,18 @@ def packed_to_ints(text, size=None) -> np.ndarray:
 _canonical = compact_json  # the bytes the integrity digest is taken of
 
 
+def _str_keys(value):
+    """value with every mapping key, at any depth through mappings, as
+    str(key), the key it reloads as.  The encoder sorts int keys as
+    numbers, so a map with keys past 9 would fail its digest on reload."""
+    if not isinstance(value, dict):
+        return value
+    return {str(k): _str_keys(v) for k, v in value.items()}
+
+
 def artifact_payload(art: SubsetArtifact) -> dict:
+    """The artifact as JSON values: per-n tables packed, meta map keys as
+    strings."""
     arrays = (_form(art.guarantee.get("form")) or Form()).arrays
     return {
         "format_version": FORMAT_VERSION,
@@ -104,7 +115,7 @@ def artifact_payload(art: SubsetArtifact) -> dict:
         "guarantee": {k: ints_to_packed(v) if k in arrays else v
                       for k, v in art.guarantee.items()},
         "diagnostics": art.diagnostics,
-        "meta": art.meta,
+        "meta": _str_keys(art.meta),
     }
 
 
@@ -186,7 +197,8 @@ def load_artifact(path) -> SubsetArtifact:
 #
 # Every guarantee form is declared once, in FORMS: (a) its per-n count bounds
 # lower_num/lower_den <= counts[n] <= upper_num/upper_den, as reduced integer
-# fractions, and (b) labelled checks of whatever else its records claim.
+# fractions, (b) labelled checks of whatever else its records claim, and (c)
+# the range of each stored position, index and exponent that (a) or (b) reads.
 # verify_artifact, write_certified_csv and the builders' verifiers read it.
 # Bound arithmetic is exact: int64 where a value provably fits, Python ints
 # (dtype=object) where a user's rational or a power of two may not.
@@ -199,11 +211,11 @@ class Form(NamedTuple):
     window lengths n and the (num, den) array pairs bounding counts[n], or
     None where the form has no such bound.  ``checks`` are
     ``(label, fn(art, counts) -> [message])`` pairs; violated bound rows
-    carry ``bound_label``.  ``positions(art)`` lists ``(name, value, lo,
+    carry ``bound_label``.  ``ranges(art)`` lists ``(name, value, lo,
     hi)`` for every stored number that bounds or checks use as a position
-    in the window; each must lie in [lo, hi] before either runs.
-    ``exponents(art)`` lists ``(name, value)`` for every stored power of
-    two they shift by; each must be non-negative before either runs.
+    or index in the window, which must lie in [lo, hi], and for every
+    stored exponent of a power of two they shift by, with lo 0 and hi
+    None: no upper end.  Each must lie in its range before either runs.
     ``arrays`` names the guarantee's per-n tables: int64 arrays with one
     entry for each n from the guarantee's ``first_n`` key (or 1) to n_max,
     packed in the file (``ints_to_packed``).  A table named ``in_a``
@@ -213,8 +225,7 @@ class Form(NamedTuple):
     strict_upper: bool = False
     bound_label: str = "bound"
     checks: tuple = ()
-    positions: Callable | None = None
-    exponents: Callable | None = None
+    ranges: Callable | None = None
     arrays: tuple = ()
     first_n: str | None = None
 
@@ -317,7 +328,7 @@ def _blockwise_bounds(art):
 
 def _restraint_bounds(art):
     # rho_m(A) strictly below 1 − 2^-(k+2) at each final interval's end m
-    recs = [r for r in art.checkpoints if r.get("final_interval") is not None]
+    recs = _finals(art)
     m = np.array([r["final_interval"][1] for r in recs], dtype=object)
     p = np.array([1 << (r["k"] + 2) for r in recs], dtype=object)
     return m.astype(np.int64), None, _reduced((p - 1) * m, p)
@@ -330,59 +341,60 @@ def _sparse_bounds(art):
     return n, None, _whole(np.searchsorted(powers, n, side="right"))
 
 
-def _checkpoint_positions(art):
+def _checkpoint_ranges(art):
     return [("checkpoint s", cp["s"], 0, art.n_max) for cp in art.checkpoints]
 
 
-def _lookahead_positions(art):
+def _tracking_ranges(art):
+    return _checkpoint_ranges(art) + [("slack_pow", cp["slack_pow"], 0, None)
+                                      for cp in art.checkpoints
+                                      if cp["s"] != 0]
+
+
+def _approach_ranges(art):
+    # checkpoint n's bounds divide by n + 1; the producer numbers them 0, 1, …
+    last = len(art.checkpoints) - 1
+    return _checkpoint_ranges(art) + [("checkpoint n", cp["n"], 0, last)
+                                      for cp in art.checkpoints]
+
+
+def _lookahead_ranges(art):
     return [("n0", art.guarantee["n0"], 0, art.n_max + 1)]
 
 
-def _block_positions(art):
+def _block_ranges(art):
     # block n reads counts at (n+1)!, and 21! is past any window
     last = max((k for k in range(1, 21) if factorial(k + 1) <= art.n_max),
                default=0)
     return [("block", n, 1, last) for n, _ in art.guarantee["levels"]]
 
 
-def _interval_positions(art):
+def _interval_ranges(art):
     out = []
     for iv in art.checkpoints:
         out += [("interval a", iv["a"], 0, art.n_max),
                 ("interval c", iv["c"], 0, art.n_max - 1)]
         if iv["state"] == "finalized":
             out.append(("witness", iv["witness"], 0, art.n_max - 1))
-    return out
-
-
-def _counted_interval_positions(art):
-    # r_b = |S ∩ [0, b]| <= b + 1, and r_c − r_b = |S ∩ (b, c]| <= c − b
-    out = _interval_positions(art)
-    for iv in art.checkpoints:
+    # r_b = |S ∩ [0, b]| <= b + 1, and r_c − r_b = |S ∩ (b, c]| <= c − b;
+    # format 1 stored no r_b, r_c
+    for iv in art.checkpoints if art.format_version != 1 else ():
         b, r_b = iv["b"], iv["r_b"]
         out += [("interval b", b, 0, iv["c"]),
                 ("interval r_b", r_b, 0, b + 1),
                 ("interval r_c", iv["r_c"], r_b, r_b + iv["c"] - b)]
-    return out
+    return out + [("interval e", iv["e"], 0, None) for iv in art.checkpoints]
 
 
-def _restraint_positions(art):
-    return [("final interval end", r["final_interval"][1], 0, art.n_max)
-            for r in art.checkpoints if r.get("final_interval") is not None]
+def _finals(art):
+    """The restraint records that hold a final interval."""
+    return [r for r in art.checkpoints if r.get("final_interval") is not None]
 
 
-def _slack_exponents(art):
-    return [("slack_pow", cp["slack_pow"]) for cp in art.checkpoints
-            if cp["s"] != 0]
-
-
-def _interval_exponents(art):
-    return [("interval e", iv["e"]) for iv in art.checkpoints]
-
-
-def _restraint_exponents(art):
-    return [("k", r["k"]) for r in art.checkpoints
-            if r.get("final_interval") is not None]
+def _restraint_ranges(art):
+    recs = _finals(art)
+    return ([("final interval end", r["final_interval"][1], 0, art.n_max)
+             for r in recs] + [("k", r["k"], 0, None) for r in recs])
 
 
 def _stored_counts(art, counts):
@@ -467,6 +479,26 @@ def _interval_records(art, counts):
     return failures
 
 
+def _restraint_verdicts(art, counts):
+    """Each final interval's stored rho_m = |A ∩ [0, m)|/m and
+    strictly_below_bound against the bitset, where the record stores
+    them; rho_m is compared by cross-multiplication."""
+    failures = []
+    for r in _finals(art):
+        k, m = r["k"], r["final_interval"][1]
+        c, p = int(counts[m]), 1 << (k + 2)
+        if "rho_m_num" in r or "rho_m_den" in r:
+            num, den = _rational(r, "rho_m", unit=False)
+            if num * m != den * c:
+                failures.append(f"restraint k={k}: stored rho_m {num}/{den} "
+                                f"!= bitset rho_m {c}/{m}")
+        below = c * p < (p - 1) * m
+        if r.get("strictly_below_bound", below) is not below:
+            failures.append(f"restraint k={k}: stored strictly_below_bound "
+                            "disagrees with the bitset")
+    return failures
+
+
 def _in_a_meets_q(art, counts):
     # s(n) is a stage at which [0, n) held ceil(q·n) elements
     n, need = _ceil_qn(art)
@@ -486,14 +518,13 @@ def _recorded_verdict(art, counts):
 FORMS = {
     "checkpoint-ratio": Form(_checkpoint_bounds,
                              checks=(("count", _stored_counts),),
-                             positions=_checkpoint_positions),
+                             ranges=_checkpoint_ranges),
     "tracking-checkpoint-ratio": Form(_tracking_bounds,
                                       checks=(("count", _stored_counts),),
-                                      positions=_checkpoint_positions,
-                                      exponents=_slack_exponents),
+                                      ranges=_tracking_ranges),
     "lookahead-margin": Form(_lookahead_bounds,
                              checks=(("in_a", _in_a_meets_q),),
-                             positions=_lookahead_positions,
+                             ranges=_lookahead_ranges,
                              arrays=("s_table", "in_a"), first_n="n0"),
     "witness-margin": Form(_witness_bounds, arrays=("s_table", "h_of_n")),
     "lookahead-margin-relative": Form(_relative_bounds,
@@ -501,28 +532,25 @@ FORMS = {
     "target-approach": Form(_approach_bounds, bound_label="approach",
                             checks=(("approach", _stored_counts),
                                     ("between", _betweenness)),
-                            positions=_checkpoint_positions),
+                            ranges=_approach_ranges),
     "blockwise-levels": Form(_blockwise_bounds, bound_label="sandwich",
                              checks=(("block_density", _block_density),),
-                             positions=_block_positions),
+                             ranges=_block_ranges),
     "ratio-interval-report": Form(checks=(("interval", _interval_records),),
-                                  positions=_counted_interval_positions,
-                                  exponents=_interval_exponents),
+                                  ranges=_interval_ranges),
     "restraint-report": Form(_restraint_bounds, strict_upper=True,
-                             positions=_restraint_positions,
-                             exponents=_restraint_exponents),
+                             checks=(("verdict", _restraint_verdicts),),
+                             ranges=_restraint_ranges),
     "log-sparse": Form(_sparse_bounds),
     "membership-only": Form(),
 }
 
-# format 1 stored no in_a and no interval counts r_b, r_c
+# format 1 stored no in_a
 V1_FORMS = dict(FORMS, **{
     "lookahead-margin": FORMS["lookahead-margin"]._replace(
         checks=(), arrays=("s_table",)),
     "lookahead-margin-relative": Form(checks=(("holds", _recorded_verdict),),
                                       arrays=("s_table",)),
-    "ratio-interval-report": FORMS["ratio-interval-report"]._replace(
-        positions=_interval_positions),
 })
 
 
@@ -535,7 +563,7 @@ def _form(name, version=None) -> Form | None:
 
 def _table_size(form: Form, guarantee: dict, n_max: int):
     """The length of the form's tables, or None where their first n is not
-    a position in the window (the form's position check reports it)."""
+    a position in the window (the form's range check reports it)."""
     first = guarantee.get(form.first_n) if form.first_n else 1
     if type(first) is not int or not 0 <= first <= n_max + 1:
         return None
@@ -558,19 +586,18 @@ def _bound_rows(form: Form, art: SubsetArtifact, counts):
 
 
 def _range_failures(form: Form, art: SubsetArtifact) -> list:
-    """(label, message) for every stored position outside its range in the
-    window and every negative exponent, or if there is none, the failures
-    of the form's tables (``_table_failures``); raises TypeError if a
-    position or exponent is not an integer."""
-    positions = form.positions(art) if form.positions is not None else []
-    exponents = form.exponents(art) if form.exponents is not None else []
-    for name, value, *_ in positions + exponents:
+    """(label, message) for every stored number outside its range: a
+    position or index outside the window, or a negative exponent; if there
+    is none, the failures of the form's tables (``_table_failures``).
+    Raises TypeError if a ranged number is not an integer."""
+    out = []
+    for name, value, lo, hi in form.ranges(art) if form.ranges else ():
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise TypeError(f"{name} {value!r} is not an integer")
-    out = ([("window", f"{name} {value} outside [{lo}, {hi}]")
-            for name, value, lo, hi in positions if not lo <= value <= hi]
-           + [("exponent", f"{name} {value} is negative")
-              for name, value in exponents if value < 0])
+        if hi is None and value < lo:
+            out.append(("exponent", f"{name} {value} is negative"))
+        elif hi is not None and not lo <= value <= hi:
+            out.append(("window", f"{name} {value} outside [{lo}, {hi}]"))
     return out or _table_failures(form, art)
 
 

@@ -380,16 +380,9 @@ def _dispatch_construct(cfg, sets, streams, deciders):
         B = _approx(spec["approx"], sets, n_max)
         st, t, trace, report = builders.density_transfer_build(
             B, spec["n_checkpoints"].int(0, B.window - 1), stage_max, n_max)
-        art = _stream_artifact(st, "density_transfer",
-                               {"form": "membership-only"})
-        art.meta["t"] = {str(k): v for k, v in sorted(t.items())}
-        if "diagnostics" in report:
-            art.diagnostics = report.pop("diagnostics")
-        # keys as strings, as they reload: int keys past 9 sort in another
-        # order, and the reloaded artifact would fail its digest
-        art.meta["report"] = {name: {str(n): v for n, v in by_n.items()}
-                              for name, by_n in report.items()}
-        return art, trace
+        return _stream_artifact(st, "density_transfer",
+                                diagnostics=report.pop("diagnostics", []),
+                                t=t, report=report), trace
     if op == "blockwise-levels":
         given = spec["levels"].obj()
         if not all(k.isdecimal() for k in given.value):
@@ -412,39 +405,32 @@ def _dispatch_construct(cfg, sets, streams, deciders):
     if op == "blockwise-union":
         st = prioritysim.blockwise_union_build(
             spec["streams"].refs(streams), n_max, stage_max)
-        return _stream_artifact(st, "blockwise_union",
-                                {"form": "membership-only"}), None
+        return _stream_artifact(st, "blockwise_union"), None
     if op == "prefix-gated":
         st, report = prioritysim.prefix_gated_build(
             spec["streams"].refs(streams), n_max, stage_max)
-        art = _stream_artifact(st, "prefix_gated",
-                               {"form": "membership-only"})
-        art.meta["report"] = {str(k): v for k, v in report.items()}
-        return art, None
+        return _stream_artifact(st, "prefix_gated", report=report), None
     if op == "ratio-interval":
         st, intervals, trace = prioritysim.ratio_interval_build(
             spec["deciders"].refs(deciders), n_max, stage_max)
         recs = [iv for e in sorted(trace.outcomes)
                 for iv in [dict(v, e=e) for v in
                            trace.outcomes[e]["intervals"]]]
-        art = _stream_artifact(st, "ratio_interval",
-                               {"form": "ratio-interval-report"})
-        art.checkpoints = recs
-        return art, trace
+        return _stream_artifact(st, "ratio_interval",
+                                {"form": "ratio-interval-report"},
+                                checkpoints=recs), trace
     if op == "restraint-witness":
         st, trace = prioritysim.restraint_witness_build(
             spec["streams"].refs(streams), n_max, stage_max)
-        art = _stream_artifact(st, "restraint_witness",
-                               {"form": "restraint-report"})
-        art.checkpoints = [dict(v, k=k) for k, v in
-                           sorted(trace.outcomes.items())]
-        return art, trace
+        recs = [dict(v, k=k) for k, v in sorted(trace.outcomes.items())]
+        return _stream_artifact(st, "restraint_witness",
+                                {"form": "restraint-report"},
+                                checkpoints=recs), trace
     if op == "sparse-hitting":
         st, report = builders.sparse_hitting_build(
             spec["streams"].refs(streams), n_max, stage_max)
-        art = _stream_artifact(st, "sparse_hitting", {"form": "log-sparse"})
-        art.checkpoints = report
-        return art, None
+        return _stream_artifact(st, "sparse_hitting", {"form": "log-sparse"},
+                                checkpoints=report), None
     if op == "permitted-interval":
         permitter = spec["permitter"].ref(streams)
         jump = _jump(spec["jump"])
@@ -457,24 +443,26 @@ def _dispatch_construct(cfg, sets, streams, deciders):
                 raise spec["pairs"].error("a pair is listed twice")
         st, g_rows, trace = prioritysim.permitted_interval_build(
             permitter, jump, members, n_max, stage_max, pairs=pairs)
-        art = _stream_artifact(st, "permitted_interval",
-                               {"form": "membership-only"})
-        art.meta["g_rows"] = {str(p): rows for p, rows in g_rows.items()}
-        return art, trace
+        return _stream_artifact(st, "permitted_interval",
+                                g_rows=g_rows), trace
     if op == "split-interval":
         a0, a1, trace = prioritysim.split_interval_build(
             spec["permitter"].ref(streams), spec["deciders"].refs(deciders),
             n_max, stage_max)
-        art = _stream_artifact(a0, "split_interval_a0",
-                               {"form": "membership-only"})
-        art.meta["a1_rle"] = artifacts.bits_to_rle(a1.final_members())
-        return art, trace
+        return _stream_artifact(
+            a0, "split_interval_a0",
+            a1_rle=artifacts.bits_to_rle(a1.final_members())), trace
     raise spec.get("op").error(f"unknown construction op {op!r}")
 
 
-def _stream_artifact(st: CEStream, kind: str, guarantee: dict):
-    return SubsetArtifact(kind, st.final_members(), guarantee=guarantee,
-                          meta={"stream": st.label})
+def _stream_artifact(st: CEStream, kind: str, guarantee: dict | None = None,
+                     checkpoints=(), diagnostics=(), **meta):
+    """The artifact of a built stream's final members; its guarantee is
+    bare membership unless given, and meta holds the stream's label and
+    the given fields."""
+    return SubsetArtifact(kind, st.final_members(), list(checkpoints),
+                          guarantee or {"form": "membership-only"},
+                          list(diagnostics), meta={"stream": st.label, **meta})
 
 
 def cmd_construct(cfg, outdir):

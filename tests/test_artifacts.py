@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,9 +9,11 @@ from hypothesis import strategies as st
 
 from cedensity import approximators as ap
 from cedensity import artifacts as ar
-from cedensity import builders, cli
+from cedensity import builders, cli, prioritysim
 from cedensity.core import CEStream, SetOracle
 from cedensity.errors import ArtifactError
+
+FIXTURES = Path(__file__).parent / "fixtures" / "v1"
 
 
 def sample_artifact(n_max=500):
@@ -162,6 +165,14 @@ def test_check_reports_out_of_window_checkpoint(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def _approach_checkpoints(last_n):
+    """Five target-approach checkpoints, the last one numbered last_n."""
+    cps = [{"n": n, "s": n + 1, "count": 0, "q_num": 1, "q_den": 2}
+           for n in range(5)]
+    cps[-1]["n"] = last_n
+    return cps
+
+
 def _interval(**kw):
     return dict({"a": 2, "b": 3, "c": 3, "e": 1, "state": "waiting",
                  "witness": None, "block_count": 0, "r_b": 0, "r_c": 0},
@@ -182,6 +193,10 @@ def _interval(**kw):
      {}, "witness 12 outside [0, 9]"),
     ("restraint-report", 4, [{"k": 0, "final_interval": [2, 40]}], {},
      "final interval end 40 outside [0, 4]"),
+    ("target-approach", 64, _approach_checkpoints(-1), {},
+     "checkpoint n -1 outside [0, 4]"),
+    ("target-approach", 64, _approach_checkpoints(-2), {},
+     "checkpoint n -2 outside [0, 4]"),
 ])
 def test_out_of_window_records_fail_verification(tmp_path, form, bits,
                                                  records, guarantee, message):
@@ -446,3 +461,60 @@ def test_v1_interval_records_keep_their_flag_check():
     art.checkpoints[0]["identity_exact"] = False
     assert ar.verify_artifact(art)["failures"] == [
         "interval [0,2]: exact ratio identity recorded violated"]
+
+
+def test_meta_map_keys_are_saved_as_strings(tmp_path, capsys):
+    # json sorts int keys as numbers on write, but as strings after a reload
+    streams = [CEStream.from_oracle(SetOracle.residue_union(12, [i]),
+                                    n_max=240, stage_max=480)
+               for i in range(12)]
+    st, report = prioritysim.prefix_gated_build(streams, 240, 480)
+    assert sorted(report) == list(range(12))
+    art = ap.SubsetArtifact("prefix_gated", st.final_members(),
+                            guarantee={"form": "membership-only"},
+                            meta={"report": report, "t": {3: {10: 1, 2: 0}}})
+    path = tmp_path / "a.json"
+    ar.save_artifact(art, path)
+    back = ar.load_artifact(path)
+    assert back.meta == {"report": {str(k): v for k, v in report.items()},
+                         "t": {"3": {"10": 1, "2": 0}}}
+    assert ar.verify_artifact(back) == {"ok": True, "failures": []}
+    assert cli.main(["check", "--artifact", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("PASS: prefix_gated")
+
+
+def _restraint_payload(version):
+    if version == 1:
+        with open(FIXTURES / "restraint-report.json") as fh:
+            return json.load(fh)
+    none, evens = (CEStream.from_oracle(oracle, n_max=200, stage_max=200)
+                   for oracle in (SetOracle.empty(),
+                                  SetOracle.residue_union(2, [0])))
+    st, trace = prioritysim.restraint_witness_build([none, evens], 200, 200)
+    return ar.artifact_payload(ap.SubsetArtifact(
+        "restraint_witness", st.final_members(),
+        [dict(v, k=k) for k, v in sorted(trace.outcomes.items())],
+        {"form": "restraint-report"}))
+
+
+@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("field, message", [
+    ("rho_m_num", "restraint k=0: stored rho_m 5/3 != bitset rho_m 1/3"),
+    ("rho_m_den", "restraint k=0: stored rho_m 1/5 != bitset rho_m 1/3"),
+    ("strictly_below_bound", "restraint k=0: stored strictly_below_bound "
+                             "disagrees with the bitset"),
+])
+def test_restraint_stored_verdicts_are_recomputed(tmp_path, capsys, version,
+                                                  field, message):
+    payload = _restraint_payload(version)
+    record = payload["checkpoints"][0]
+    assert record["final_interval"] == [1, 3]
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(redigest(payload)))
+    assert cli.main(["check", "--artifact", str(path)]) == 0
+    record[field] = False if field == "strictly_below_bound" else 5
+    path.write_text(json.dumps(redigest(payload)))
+    assert cli.main(["check", "--artifact", str(path)]) == 4
+    assert message in capsys.readouterr().err
+    assert ar.labelled_failures(ar.load_artifact(path)) == [
+        ("verdict", message)]
