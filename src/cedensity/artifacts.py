@@ -40,14 +40,30 @@ def bits_to_rle(bits) -> list:
     return runs
 
 
+def _int64s(values, message: str) -> np.ndarray:
+    """A list of ints (not bools) as an int64 array; ArtifactError with
+    ``message`` unless values is such a list and every int fits int64."""
+    try:
+        if isinstance(values, list) and set(map(type, values)) <= {int}:
+            return np.array(values, dtype=np.int64)
+    except OverflowError:
+        pass
+    raise ArtifactError(message)
+
+
 def rle_to_bits(runs, n: int) -> np.ndarray:
     """Inverse of ``bits_to_rle``: runs must be a list of non-negative ints
     (not bools) summing to n, else the artifact is rejected."""
-    if not (isinstance(runs, list) and set(map(type, runs)) <= {int}
-            and min(runs, default=0) >= 0 and sum(runs) == n):
-        raise ArtifactError("run-length data inconsistent with n_max")
-    values = np.arange(len(runs)) % 2 == 1  # runs alternate, zeros first
-    return np.repeat(values, np.array(runs, dtype=np.int64))
+    message = "run-length data inconsistent with n_max"
+    lengths = _int64s(runs, message)
+    top = int(lengths.max(initial=0))
+    # with no run below 0, the int64 sum is exact while len · top < 2^63
+    total = int(lengths.sum()) if lengths.size * top < 1 << 63 else sum(runs)
+    if lengths.min(initial=0) < 0 or total != n:
+        raise ArtifactError(message)
+    values = np.zeros(lengths.size, dtype=bool)
+    values[1::2] = True  # runs alternate, zeros first
+    return np.repeat(values, lengths)
 
 
 _WIDTHS = {"i1": 1, "i2": 2, "i4": 4, "i8": 8}  # bytes per packed difference
@@ -144,29 +160,48 @@ _FIELD_TYPES = {"format_version": (int, "an integer"),
 
 def _v1_ints(values, size) -> np.ndarray:
     """A format 1 table, a list of ints, as an int64 array."""
-    if not (isinstance(values, list) and set(map(type, values)) <= {int}
-            and (size is None or len(values) == size)
-            and -2**63 <= min(values, default=0) <= max(values, default=0)
-            < 2**63):
-        raise ArtifactError(f"not a list of {size} 64-bit integers")
-    return np.array(values, dtype=np.int64)
+    message = f"not a list of {size} 64-bit integers"
+    table = _int64s(values, message)
+    if size is not None and table.size != size:
+        raise ArtifactError(message)
+    return table
+
+
+def _digest_covers(raw: bytes, digest) -> bool:
+    """Whether digest is the sha256 of the file's bytes without its
+    ``"integrity_sha256"`` member and final LF: the bytes save_artifact
+    hashes, so a saved file needs no re-encode."""
+    if not (isinstance(digest, str) and digest.isascii()):
+        return False
+    head, member, tail = raw.partition(
+        b',"integrity_sha256":"%s",' % digest.encode())
+    if not member:
+        return False
+    h = hashlib.sha256(head)
+    h.update(b",")
+    h.update(tail.removesuffix(b"\n"))
+    return h.hexdigest() == digest
 
 
 def load_artifact(path) -> SubsetArtifact:
-    """The artifact of a file whose digest matches its payload.  Format 2
+    """The artifact of a file whose digest matches its payload: the digest
+    of the file's own bytes (``_digest_covers``), or else of the payload's
+    canonical re-encoding, as in format 1's indented files.  Format 2
     tables are unpacked and format 1 lists converted, so either way each
     table a form declares in ``Form.arrays`` reads as an int64 array."""
     try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        payload = json.loads(raw.decode())
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or JSON
         raise ArtifactError(f"unreadable artifact: {exc}") from exc
     if not isinstance(payload, dict):
         raise ArtifactError("artifact is not a JSON object")
     digest = payload.pop("integrity_sha256", None)
     if digest is None:
         raise ArtifactError("artifact missing integrity digest")
-    if hashlib.sha256(_canonical(payload)).hexdigest() != digest:
+    if not (_digest_covers(raw, digest) or hashlib.sha256(
+            _canonical(payload)).hexdigest() == digest):
         raise ArtifactError("integrity digest mismatch")
     version = payload.get("format_version")
     if type(version) is not int or version not in (1, FORMAT_VERSION):
@@ -219,7 +254,10 @@ class Form(NamedTuple):
     ``arrays`` names the guarantee's per-n tables: int64 arrays with one
     entry for each n from the guarantee's ``first_n`` key (or 1) to n_max,
     packed in the file (``ints_to_packed``).  A table named ``in_a``
-    counts elements of [0, n), so it must lie in [0, n] at each n."""
+    counts elements of [0, n), so it must lie in [0, n] at each n.
+    ``margin(art, cols, holds)`` is the producer's own check at each bound
+    row, whose verdict the guarantee stores as ``holds`` and
+    ``first_violation``; they must agree with it."""
 
     bounds: Callable | None = None
     strict_upper: bool = False
@@ -228,6 +266,7 @@ class Form(NamedTuple):
     ranges: Callable | None = None
     arrays: tuple = ()
     first_n: str | None = None
+    margin: Callable | None = None
 
 
 def _column(records, key) -> np.ndarray:
@@ -507,6 +546,34 @@ def _in_a_meets_q(art, counts):
             for i in np.flatnonzero(in_a < need)[:1]]
 
 
+def _rows_hold(art, cols, holds):
+    # the producer checked the form's own bound rows
+    return holds
+
+
+def _in_a_margin(art, cols, holds):
+    # the producer checked count >= in_a[n] − ceil_sqrt(n), a stronger
+    # check than the bound rows' ceil(q·n) − ceil_sqrt(n) where in_a
+    # meets q
+    n, c = cols[:2]
+    return c >= art.guarantee["in_a"] - ceil_sqrt_array(n)
+
+
+def _stored_verdict(art, n, margin) -> list:
+    """The guarantee's stored holds and first_violation against the first
+    row n at which the producer's margin check fails (None if none)."""
+    bad = np.flatnonzero(~margin)[:1]
+    first = int(n[bad[0]]) if bad.size else None
+    holds = art.guarantee.get("holds", first is None)
+    stored = art.guarantee.get("first_violation", first)
+    if (holds is not (first is None) or type(stored) is not type(first)
+            or stored != first):
+        found = "holds" if first is None else f"first fails at n={first}"
+        return [f"stored verdict holds={holds!r}, first_violation="
+                f"{stored!r} disagrees with the margin check, which {found}"]
+    return []
+
+
 def _recorded_verdict(art, counts):
     # a version 1 relative margin stores no in_a; the artifact alone can
     # only re-check its recorded verdict flag
@@ -525,10 +592,13 @@ FORMS = {
     "lookahead-margin": Form(_lookahead_bounds,
                              checks=(("in_a", _in_a_meets_q),),
                              ranges=_lookahead_ranges,
-                             arrays=("s_table", "in_a"), first_n="n0"),
-    "witness-margin": Form(_witness_bounds, arrays=("s_table", "h_of_n")),
+                             arrays=("s_table", "in_a"), first_n="n0",
+                             margin=_in_a_margin),
+    "witness-margin": Form(_witness_bounds, arrays=("s_table", "h_of_n"),
+                           margin=_rows_hold),
     "lookahead-margin-relative": Form(_relative_bounds,
-                                      arrays=("s_table", "in_a")),
+                                      arrays=("s_table", "in_a"),
+                                      margin=_rows_hold),
     "target-approach": Form(_approach_bounds, bound_label="approach",
                             checks=(("approach", _stored_counts),
                                     ("between", _betweenness)),
@@ -545,10 +615,11 @@ FORMS = {
     "membership-only": Form(),
 }
 
-# format 1 stored no in_a
+# format 1 stored no in_a, and its stored margin verdicts are not compared
 V1_FORMS = dict(FORMS, **{
     "lookahead-margin": FORMS["lookahead-margin"]._replace(
-        checks=(), arrays=("s_table",)),
+        checks=(), arrays=("s_table",), margin=None),
+    "witness-margin": FORMS["witness-margin"]._replace(margin=None),
     "lookahead-margin-relative": Form(checks=(("holds", _recorded_verdict),),
                                       arrays=("s_table",)),
 })
@@ -643,6 +714,9 @@ def _evaluate(art: SubsetArtifact):
         if form.bounds is None:
             return out, []
         cols, holds = _bound_rows(form, art, counts)
+        if form.margin is not None:
+            out += [("verdict", msg) for msg in _stored_verdict(
+                art, cols[0], form.margin(art, cols, holds))]
     except _MALFORMED as exc:
         return [("form", f"malformed {name} record: {exc!r}")], []
     bad = ~holds

@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 library precondition error (``InvalidResidue``,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -126,9 +127,9 @@ class _Field:
 
 def _load_config(path) -> _Field:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             cfg = _Field(json.load(fh)).obj()
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or JSON
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     uni = cfg.get("universe", {}).obj()
     for key in ("n_max", "stage_max"):
@@ -519,7 +520,10 @@ def cmd_generic(cfg, outdir):
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as
+    it was."""
     ap = argparse.ArgumentParser(
         prog="cedensity",
         description="exact density profiles and effective constructions")
@@ -530,7 +534,11 @@ def main(argv=None) -> int:
         p.add_argument("--out", required=True)
     pc = sub.add_parser("check")
     pc.add_argument("--artifact", required=True)
-    args = ap.parse_args(argv)
+    return ap
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         if args.command == "check":

@@ -264,6 +264,47 @@ def test_rle_to_bits_matches_run_loop(runs, n):
     assert artifacts.rle_to_bits(runs, n).tolist() == want.tolist()
 
 
+def rle_to_bits_python(runs, n):
+    """rle_to_bits with its checks in Python: the type of every run, then
+    the min and sum of the list."""
+    if not (isinstance(runs, list) and set(map(type, runs)) <= {int}
+            and min(runs, default=0) >= 0 and sum(runs) == n):
+        raise ArtifactError("run-length data inconsistent with n_max")
+    values = np.arange(len(runs)) % 2 == 1
+    return np.repeat(values, np.array(runs, dtype=np.int64))
+
+
+_RUN = st.one_of(st.integers(0, 12), st.integers(-2**63 - 2, -1),
+                 st.integers(2**62, 2**64), st.booleans(), st.floats(),
+                 st.text(max_size=3), st.none(),
+                 st.lists(st.integers(0, 3), max_size=2))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.lists(_RUN, max_size=10),
+                 st.lists(st.integers(0, 12), max_size=10),
+                 st.lists(st.integers(2**60, 2**63 - 1), max_size=20)),
+       st.integers(0, 60), st.sampled_from(["drawn", "sum", "wrapped"]))
+def test_rle_to_bits_matches_its_python_checks(runs, n, target):
+    # n is at most 60 unless it differs from the sum, so no call allocates
+    # more than 60 bits
+    if target != "drawn" and runs and set(map(type, runs)) <= {int}:
+        total = sum(runs)
+        wrapped = (total + 2**63) % 2**64 - 2**63  # an int64 sum's reading
+        if target == "sum" and total <= 60:
+            n = total
+        elif target == "wrapped" and wrapped != total:
+            n = wrapped
+    try:
+        want = rle_to_bits_python(runs, n).tolist()
+    except ArtifactError:
+        with pytest.raises(ArtifactError,
+                           match="run-length data inconsistent with n_max"):
+            artifacts.rle_to_bits(runs, n)
+    else:
+        assert artifacts.rle_to_bits(runs, n).tolist() == want
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(0, 5), max_size=6),
        st.one_of(st.floats(), st.text(), st.booleans(), st.none(),

@@ -385,15 +385,20 @@ def _relative(n_max=40):
 
 def test_relative_margin_is_checked_from_in_a_not_its_flag(tmp_path):
     art = _relative()
-    art.guarantee["holds"] = False  # no check reads the stored verdict
-    assert ar.verify_artifact(art) == {"ok": True, "failures": []}
+    art.guarantee["holds"] = False  # compared with the rows, not trusted
+    assert ar.labelled_failures(art) == [(
+        "verdict", "stored verdict holds=False, first_violation=None "
+                   "disagrees with the margin check, which holds")]
     ar.write_certified_csv(art, tmp_path / "c.csv")
-    assert len((tmp_path / "c.csv").read_text().splitlines()) == 41
+    rows = (tmp_path / "c.csv").read_text().splitlines()[1:]
+    assert len(rows) == 40 and all(row.endswith(",1") for row in rows)
+    art.guarantee["holds"] = True
     empty = ap.SubsetArtifact(art.kind, np.zeros(40, dtype=bool),
                               guarantee=art.guarantee)
-    failures = ar.verify_artifact(empty)["failures"]
-    assert failures and all(f.startswith("certified row fails: ")
-                            for f in failures)
+    verdict, *failures = ar.verify_artifact(empty)["failures"]
+    assert verdict.endswith("which first fails at n=4")
+    assert failures[0].startswith("certified row fails: 4,0,")
+    assert all(f.startswith("certified row fails: ") for f in failures)
 
 
 def test_in_a_outside_its_window_fails_before_any_bound(tmp_path):
@@ -518,3 +523,138 @@ def test_restraint_stored_verdicts_are_recomputed(tmp_path, capsys, version,
     assert message in capsys.readouterr().err
     assert ar.labelled_failures(ar.load_artifact(path)) == [
         ("verdict", message)]
+
+
+# -- the look-ahead family's stored verdicts ----------------------------------
+
+def _margin_artifact(form):
+    """A valid artifact of the form and the producer's margin base and
+    first n: its check is count >= base[n − first] − ceil_sqrt(n)."""
+    if form == "lookahead-margin":
+        # entries in bursts of 8 put in_a above ceil(q·n), so the
+        # producer's check is stronger than the bound rows
+        bursts = CEStream.from_oracle(SetOracle.naturals(), n_max=40,
+                                      stage_max=80,
+                                      delay_fn=lambda m: (m // 8 + 1) * 8)
+        art = ap.lookahead_subset(bursts, "1/2", n0=3)
+        return art, art.guarantee["in_a"], 3
+    if form == "witness-margin":
+        naturals = CEStream.from_oracle(SetOracle.naturals(), n_max=40,
+                                        stage_max=80)
+        art = ap.witnessed_subset(naturals, lambda k: 2 ** k)
+        n = np.arange(1, 41)
+        return art, n - (n >> art.guarantee["h_of_n"]), 1
+    art = _relative()
+    return art, art.guarantee["in_a"], 1
+
+
+MARGIN_FORMS = ["lookahead-margin", "witness-margin",
+                "lookahead-margin-relative"]
+
+
+@pytest.mark.parametrize("form", MARGIN_FORMS)
+@pytest.mark.parametrize("holds, first", [(False, None), (True, 7),
+                                          (False, 7)])
+def test_stored_margin_verdicts_are_recomputed(tmp_path, capsys, form, holds,
+                                               first):
+    art, _, _ = _margin_artifact(form)
+    assert (art.guarantee["holds"], art.guarantee["first_violation"]) == (
+        True, None)
+    path = tmp_path / "a.json"
+    ar.save_artifact(art, path)
+    assert cli.main(["check", "--artifact", str(path)]) == 0
+    payload = json.loads(path.read_text())
+    payload["guarantee"].update(holds=holds, first_violation=first)
+    path.write_text(json.dumps(redigest(payload)))
+    assert cli.main(["check", "--artifact", str(path)]) == 4
+    message = (f"stored verdict holds={holds}, first_violation={first} "
+               "disagrees with the margin check, which holds")
+    assert capsys.readouterr().err == f"FAIL: {message}\n"
+    assert ar.labelled_failures(ar.load_artifact(path)) == [
+        ("verdict", message)]
+
+
+@pytest.mark.parametrize("form", MARGIN_FORMS)
+def test_a_failing_margin_must_store_its_first_failure(form):
+    art, base, first_n = _margin_artifact(form)
+    art.bits[8:] = False
+    first = ap._margin_guarantee_holds(art.bits, base, first_n)
+    assert first is not None
+    art.guarantee.update(holds=False, first_violation=first)
+    assert {label for label, _ in ar.labelled_failures(art)} == {"bound"}
+    art.guarantee["first_violation"] = first + 1
+    assert ar.labelled_failures(art)[0] == (
+        "verdict", f"stored verdict holds=False, first_violation={first + 1} "
+                   f"disagrees with the margin check, which first fails at "
+                   f"n={first}")
+
+
+# -- loading: the digest of the file's own bytes ------------------------------
+
+def _saved_artifacts():
+    stream = CEStream.from_oracle(SetOracle.residue_union(2, [0]), n_max=200,
+                                  stage_max=400)
+    return [sample_artifact(), ap.lookahead_subset(stream, "1/3"),
+            _relative(), builders.infsup_build(["1/3", "2/3"] * 3, 6, 10**4),
+            ap.SubsetArtifact("empty", np.zeros(0, dtype=bool),
+                              guarantee={"form": "membership-only"},
+                              meta={"t": {3: {10: 1}}, "label": "é"})]
+
+
+def test_saved_files_load_without_a_re_encode(tmp_path, monkeypatch):
+    paths = []
+    for i, art in enumerate(_saved_artifacts()):
+        paths.append(tmp_path / f"{i}.json")
+        ar.save_artifact(art, paths[-1])
+    calls = []
+    canonical = ar._canonical
+    monkeypatch.setattr(ar, "_canonical",
+                        lambda payload: calls.append(1) or canonical(payload))
+    for path in paths:
+        assert ar.verify_artifact(ar.load_artifact(path))["ok"]
+    assert calls == []
+    # format 1's indented files and json.dumps layouts: the re-encode
+    v1 = sorted(p for p in FIXTURES.glob("*.json") if p.name != "configs.json")
+    for path in v1:
+        assert ar.verify_artifact(ar.load_artifact(path))["ok"]
+    assert len(calls) == len(v1)
+    for path in paths:
+        payload = json.loads(path.read_text())
+        path.write_text(json.dumps(payload))
+        ar.load_artifact(path)
+        path.write_text(json.dumps(payload, sort_keys=True,
+                                   separators=(",", ":")))  # no final LF
+        ar.load_artifact(path)
+    assert len(calls) == len(v1) + len(paths)
+
+
+def test_every_single_bit_flip_is_caught(tmp_path):
+    path = tmp_path / "a.json"
+    ar.save_artifact(sample_artifact(n_max=24), path)
+    raw = path.read_bytes()
+    assert ar.verify_artifact(ar.load_artifact(path))["ok"]
+    flipped = tmp_path / "b.json"
+    for i in range(len(raw)):
+        for bit in range(8):
+            flipped.write_bytes(raw[:i] + bytes([raw[i] ^ 1 << bit])
+                                + raw[i + 1:])
+            try:
+                art = ar.load_artifact(flipped)
+            except ArtifactError:
+                continue
+            assert not ar.verify_artifact(art)["ok"], (i, bit)
+
+
+def test_a_digest_of_the_files_own_bytes_loads_in_any_layout(tmp_path):
+    # the digest is unkeyed: it detects corruption, not who wrote the file
+    payload = ar.artifact_payload(sample_artifact())
+    spaced = json.dumps(payload, sort_keys=True, separators=(", ", ": "))
+    head, tail = spaced[:-1].encode(), b'"z": 0}'
+    digest = hashlib.sha256(head + b"," + tail).hexdigest()
+    path = tmp_path / "a.json"
+    path.write_bytes(b'%s,"integrity_sha256":"%s",%s\n'
+                     % (head, digest.encode(), tail))
+    assert ar.verify_artifact(ar.load_artifact(path))["ok"]
+    path.write_bytes(path.read_bytes().replace(b'"z": 0', b'"z": 1'))
+    with pytest.raises(ArtifactError, match="integrity digest mismatch"):
+        ar.load_artifact(path)

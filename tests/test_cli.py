@@ -117,6 +117,36 @@ def test_missing_artifact_exit_code(tmp_path):
                      str(tmp_path / "absent.json")]) == 4
 
 
+def test_non_utf8_files_are_read_errors(tmp_path, capsys):
+    path = tmp_path / "f.json"
+    path.write_bytes(b'{"a":"\xff"}')
+    reason = ("'utf-8' codec can't decode byte 0xff in position 6: "
+              "invalid start byte")
+    assert cli.main(["check", "--artifact", str(path)]) == 4
+    assert capsys.readouterr().err == f"FAIL: unreadable artifact: {reason}\n"
+    assert cli.main(["construct", "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: cannot read config {path}: {reason}\n")
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "c.json",
+                    construct_cfg({"op": "checkpoint-subset",
+                                   "stream": "evs", "q": "1/4"}))
+    out = tmp_path / "o"
+    assert cli.main(["construct", "--config", cfg, "--out", str(out)]) == 0
+    assert cli.main(["check", "--artifact", str(out / "artifact.json")]) == 0
+    assert capsys.readouterr().out.startswith("PASS: checkpoint_subset")
+    assert cli._parser() is cli._parser()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "cedensity check: error: the following arguments are required: "
+        "--artifact\n")
+
+
 def test_metrics_summary(tmp_path):
     cfg = {"universe": {"n_max": 1000, "stage_max": 1000},
            "sets": [{"label": "all", "kind": "naturals"},

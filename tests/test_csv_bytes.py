@@ -131,6 +131,12 @@ def _reference_failures(art) -> list:
     form = ar.FORMS[art.guarantee["form"]]
     counts = art.counts()
     out = [msg for _, check in form.checks for msg in check(art, counts)]
+    g = art.guarantee
+    if g["form"] == "lookahead-margin":  # its producer's check, on the bits
+        first = ap._margin_guarantee_holds(art.bits, g["in_a"], g["n0"])
+        out.append(f"stored verdict holds=True, first_violation=None "
+                   f"disagrees with the margin check, which first fails "
+                   f"at n={first}")
     cols, holds = ar._bound_rows(form, art, counts)
     out += [f"certified row fails: {row}" for row in reference_lines(
         [None if col is None else col[~holds] for col in cols])]
