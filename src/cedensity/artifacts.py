@@ -214,8 +214,6 @@ def load_artifact(path) -> SubsetArtifact:
     form = _form(guarantee.get("form"), version) or Form()
     size = _table_size(form, guarantee, n_max)
     for name in form.arrays:
-        if version == 1 and name not in guarantee:
-            continue  # a table format 1 did not store
         try:
             guarantee[name] = (_v1_ints if version == 1 else packed_to_ints)(
                 guarantee.get(name), size)
@@ -230,43 +228,55 @@ def load_artifact(path) -> SubsetArtifact:
 
 # -- guarantee forms ----------------------------------------------------------
 #
-# Every guarantee form is declared once, in FORMS: (a) its per-n count bounds
-# lower_num/lower_den <= counts[n] <= upper_num/upper_den, as reduced integer
-# fractions, (b) labelled checks of whatever else its records claim, and (c)
-# the range of each stored position, index and exponent that (a) or (b) reads.
-# verify_artifact, write_certified_csv and the builders' verifiers read it.
-# Bound arithmetic is exact: int64 where a value provably fits, Python ints
-# (dtype=object) where a user's rational or a power of two may not.
+# Every guarantee form is declared once, in FORMS (``Form``): one table of
+# its certified rows (``Rows``), each column computed once per evaluation,
+# and its record checks, ranges and keys.  verify_artifact,
+# write_certified_csv and the builders' verifiers read it.  Bound arithmetic
+# is exact: int64 where a value provably fits, Python ints (dtype=object)
+# where a user's rational or a power of two may not.
 
 CSV_HEADER = "n,count,lower_num,lower_den,upper_num,upper_den,holds\n"
 
 
-class Form(NamedTuple):
-    """``bounds(art)`` returns ``(n, lower, upper)``: the int64 array of
-    window lengths n and the (num, den) array pairs bounding counts[n], or
-    None where the form has no such bound.  ``checks`` are
-    ``(label, fn(art, counts) -> [message])`` pairs; violated bound rows
-    carry ``bound_label``.  ``ranges(art)`` lists ``(name, value, lo,
-    hi)`` for every stored number that bounds or checks use as a position
-    or index in the window, which must lie in [lo, hi], and for every
-    stored exponent of a power of two they shift by, with lo 0 and hi
-    None: no upper end.  Each must lie in its range before either runs.
-    ``arrays`` names the guarantee's per-n tables: int64 arrays with one
-    entry for each n from the guarantee's ``first_n`` key (or 1) to n_max,
-    packed in the file (``ints_to_packed``).  A table named ``in_a``
-    counts elements of [0, n), so it must lie in [0, n] at each n.
-    ``margin(art, cols, holds)`` is the producer's own check at each bound
-    row, whose verdict the guarantee stores as ``holds`` and
-    ``first_violation``; they must agree with it."""
+class Rows(NamedTuple):
+    """A form's certified rows: the int64 array of window lengths ``n``,
+    ``count`` = counts[n], and the (num, den) array pairs ``lower`` and
+    ``upper`` bounding it as reduced fractions, or None where the form has
+    no such bound; the upper relation is ``<`` where ``strict``, else
+    ``<=``.  ``margin`` is the producer's own per-row verdict, whose first
+    failure the guarantee stores as ``holds`` and ``first_violation``, or
+    None where the producer checked these bound rows.  ``failures`` are
+    the (label, message) failures of per-row checks on the same columns."""
 
-    bounds: Callable | None = None
-    strict_upper: bool = False
+    n: np.ndarray
+    count: np.ndarray
+    lower: tuple | None
+    upper: tuple | None = None
+    strict: bool = False
+    margin: np.ndarray | None = None
+    failures: list | tuple = ()
+
+
+class Form(NamedTuple):
+    """``rows(art, counts)`` returns the form's ``Rows``; violated rows
+    carry ``bound_label``.  ``checks`` are ``(label, fn(art, counts) ->
+    [message])`` pairs.  ``ranges(art)`` lists ``(name, value, lo, hi)``
+    for every stored number that rows or checks use as a position or index
+    in the window, which must lie in [lo, hi], and for every stored
+    exponent of a power of two they shift by, with lo 0 and hi None: no
+    upper end.  ``arrays`` maps the guarantee's per-n tables, int64 arrays
+    over n from its ``n0`` (in forms with that key) or 1 to n_max, packed
+    in the file (``ints_to_packed``), to their range: [0, n] at each n
+    ("window"), >= 0 ("exponent") or none (None).  Every number and table
+    must lie in its range before rows or checks run.  ``keys`` are the
+    guarantee's keys besides ``form`` and the tables; it holds no others."""
+
+    rows: Callable | None = None
     bound_label: str = "bound"
     checks: tuple = ()
     ranges: Callable | None = None
-    arrays: tuple = ()
-    first_n: str | None = None
-    margin: Callable | None = None
+    arrays: dict = {}
+    keys: tuple = ()
 
 
 def _column(records, key) -> np.ndarray:
@@ -295,16 +305,16 @@ def _rational(rec, key="q", unit=True):
     return num, den
 
 
-def _checkpoint_bounds(art):
+def _checkpoint_rows(art, counts):
     # count · den >= num · s at every checkpoint with s >= 1
     q_num, q_den = _rational(art.guarantee)
     n = np.array([cp["s"] for cp in art.checkpoints if cp["s"] > 0],
                  dtype=np.int64)
     s = exact_ints(n, max(q_num, q_den) * art.n_max)
-    return n, _reduced(q_num * s, q_den), None
+    return Rows(n, counts[n], _reduced(q_num * s, q_den))
 
 
-def _tracking_bounds(art):
+def _tracking_rows(art, counts):
     # count >= max(q_t − 2^-slack_pow, 0) · s
     cps = [cp for cp in art.checkpoints if cp["s"] != 0]
     for cp in cps:
@@ -312,72 +322,80 @@ def _tracking_bounds(art):
     s, num, den = (_column(cps, k) for k in ("s", "target_num", "target_den"))
     scale = np.array([1 << cp["slack_pow"] for cp in cps], dtype=object)
     slacked = np.maximum(num * scale - den, 0)
-    return s.astype(np.int64), _reduced(slacked * s, den * scale), None
+    n = s.astype(np.int64)
+    return Rows(n, counts[n], _reduced(slacked * s, den * scale))
 
 
-def _ceil_qn(art):
-    # n in [n0, n_max] and ceil(q·n)
+def _lookahead_rows(art, counts):
+    # count >= ceil(q·n) − ceil_sqrt(n) for n in [n0, n_max]; the producer
+    # checked count >= in_a[n] − ceil_sqrt(n), which implies it where
+    # in_a[n] >= ceil(q·n) (format 1 stored no in_a)
     g = art.guarantee
     q_num, q_den = _rational(g)
     n = np.arange(g["n0"], art.n_max + 1, dtype=np.int64)
-    wide = exact_ints(n, max(q_num, q_den) * art.n_max)
-    return n, -(-q_num * wide // q_den)
+    need = -(-q_num * exact_ints(n, max(q_num, q_den) * art.n_max) // q_den)
+    root, count = ceil_sqrt_array(n), counts[g["n0"]:]
+    rows = Rows(n, count, _whole(need - root))
+    if art.format_version == 1:
+        return rows
+    in_a = g["in_a"]
+    return rows._replace(margin=count >= in_a - root, failures=[
+        ("in_a", f"in_a[{n[i]}] = {in_a[i]} is below ceil(q·n) = {need[i]}")
+        for i in np.flatnonzero(in_a < need)[:1]])
 
 
-def _lookahead_bounds(art):
-    # count >= ceil(q·n) − ceil_sqrt(n) for n in [n0, n_max]
-    n, need = _ceil_qn(art)
-    return n, _whole(need - ceil_sqrt_array(n)), None
-
-
-def _relative_bounds(art):
+def _relative_rows(art, counts):
     # count >= in_a[n] − ceil_sqrt(n) for n in [1, n_max]
     n = np.arange(1, art.n_max + 1, dtype=np.int64)
-    return n, _whole(art.guarantee["in_a"] - ceil_sqrt_array(n)), None
+    return Rows(n, counts[1:],
+                _whole(art.guarantee["in_a"] - ceil_sqrt_array(n)))
 
 
-def _witness_bounds(art):
+def _witness_rows(art, counts):
     # count >= ceil(n·(2^h − 1)/2^h) − ceil_sqrt(n) = n − ⌊n/2^h⌋ − ceil_sqrt(n);
     # n < 2^62, so every h >= 62 gives ⌊n/2^h⌋ = 0
     n = np.arange(1, art.n_max + 1, dtype=np.int64)
     h = np.minimum(art.guarantee["h_of_n"], 62)
-    return n, _whole(n - (n >> h) - ceil_sqrt_array(n)), None
+    return Rows(n, counts[1:], _whole(n - (n >> h) - ceil_sqrt_array(n)))
 
 
-def _approach_bounds(art):
+def _approach_rows(art, counts):
     # |count − q·s| <= s/(n+1) at checkpoint n, over the denominator q_den·(n+1)
     cps = art.checkpoints
     for cp in cps:
         _rational(cp)
     s, q_num, q_den = (_column(cps, k) for k in ("s", "q_num", "q_den"))
     m = _column(cps, "n") + 1
-    return (s.astype(np.int64), _reduced(s * (q_num * m - q_den), q_den * m),
-            _reduced(s * (q_num * m + q_den), q_den * m))
+    n = s.astype(np.int64)
+    return Rows(n, counts[n], _reduced(s * (q_num * m - q_den), q_den * m),
+                _reduced(s * (q_num * m + q_den), q_den * m))
 
 
-def _blockwise_bounds(art):
+def _blockwise_rows(art, counts):
     # rho((n+1)!) − L/n within [−L/n, 1 − L/n]·1/(n+1), i.e.
     # L·n! <= count((n+1)!) <= (L + 1)·n!
     levels = art.guarantee["levels"]
     n = np.array([factorial(k + 1) for k, _ in levels], dtype=np.int64)
     block = np.array([factorial(k) for k, _ in levels], dtype=object)
     L = np.array([L for _, L in levels], dtype=object)
-    return n, _whole(L * block), _whole((L + 1) * block)
+    return Rows(n, counts[n], _whole(L * block), _whole((L + 1) * block))
 
 
-def _restraint_bounds(art):
+def _restraint_rows(art, counts):
     # rho_m(A) strictly below 1 − 2^-(k+2) at each final interval's end m
     recs = _finals(art)
     m = np.array([r["final_interval"][1] for r in recs], dtype=object)
     p = np.array([1 << (r["k"] + 2) for r in recs], dtype=object)
-    return m.astype(np.int64), None, _reduced((p - 1) * m, p)
+    n = m.astype(np.int64)
+    return Rows(n, counts[n], None, _reduced((p - 1) * m, p), strict=True)
 
 
-def _sparse_bounds(art):
+def _sparse_rows(art, counts):
     # count <= floor(log2 n) + 1, the number of powers of two <= n
     n = np.arange(1, art.n_max + 1, dtype=np.int64)
     powers = np.left_shift(1, np.arange(63, dtype=np.int64))
-    return n, None, _whole(np.searchsorted(powers, n, side="right"))
+    return Rows(n, counts[1:], None,
+                _whole(np.searchsorted(powers, n, side="right")))
 
 
 def _checkpoint_ranges(art):
@@ -538,34 +556,12 @@ def _restraint_verdicts(art, counts):
     return failures
 
 
-def _in_a_meets_q(art, counts):
-    # s(n) is a stage at which [0, n) held ceil(q·n) elements
-    n, need = _ceil_qn(art)
-    in_a = art.guarantee["in_a"]
-    return [f"in_a[{n[i]}] = {in_a[i]} is below ceil(q·n) = {need[i]}"
-            for i in np.flatnonzero(in_a < need)[:1]]
-
-
-def _rows_hold(art, cols, holds):
-    # the producer checked the form's own bound rows
-    return holds
-
-
-def _in_a_margin(art, cols, holds):
-    # the producer checked count >= in_a[n] − ceil_sqrt(n), a stronger
-    # check than the bound rows' ceil(q·n) − ceil_sqrt(n) where in_a
-    # meets q
-    n, c = cols[:2]
-    return c >= art.guarantee["in_a"] - ceil_sqrt_array(n)
-
-
 def _stored_verdict(art, n, margin) -> list:
     """The guarantee's stored holds and first_violation against the first
     row n at which the producer's margin check fails (None if none)."""
     bad = np.flatnonzero(~margin)[:1]
     first = int(n[bad[0]]) if bad.size else None
-    holds = art.guarantee.get("holds", first is None)
-    stored = art.guarantee.get("first_violation", first)
+    holds, stored = art.guarantee["holds"], art.guarantee["first_violation"]
     if (holds is not (first is None) or type(stored) is not type(first)
             or stored != first):
         found = "holds" if first is None else f"first fails at n={first}"
@@ -575,53 +571,54 @@ def _stored_verdict(art, n, margin) -> list:
 
 
 def _recorded_verdict(art, counts):
-    # a version 1 relative margin stores no in_a; the artifact alone can
-    # only re-check its recorded verdict flag
-    if art.guarantee.get("holds") is True:
-        return []
-    return ["recorded guarantee verdict is not 'holds'"]
+    # a format 1 relative margin stores no in_a: only its verdict is checked
+    return [] if art.guarantee["holds"] is True else [
+        "recorded guarantee verdict is not 'holds'"]
 
+
+_VERDICT = ("holds", "first_violation")
 
 FORMS = {
-    "checkpoint-ratio": Form(_checkpoint_bounds,
+    "checkpoint-ratio": Form(_checkpoint_rows,
                              checks=(("count", _stored_counts),),
-                             ranges=_checkpoint_ranges),
-    "tracking-checkpoint-ratio": Form(_tracking_bounds,
+                             ranges=_checkpoint_ranges,
+                             keys=("q_num", "q_den")),
+    "tracking-checkpoint-ratio": Form(_tracking_rows,
                                       checks=(("count", _stored_counts),),
                                       ranges=_tracking_ranges),
-    "lookahead-margin": Form(_lookahead_bounds,
-                             checks=(("in_a", _in_a_meets_q),),
-                             ranges=_lookahead_ranges,
-                             arrays=("s_table", "in_a"), first_n="n0",
-                             margin=_in_a_margin),
-    "witness-margin": Form(_witness_bounds, arrays=("s_table", "h_of_n"),
-                           margin=_rows_hold),
-    "lookahead-margin-relative": Form(_relative_bounds,
-                                      arrays=("s_table", "in_a"),
-                                      margin=_rows_hold),
-    "target-approach": Form(_approach_bounds, bound_label="approach",
+    "lookahead-margin": Form(_lookahead_rows, ranges=_lookahead_ranges,
+                             arrays={"s_table": None, "in_a": "window"},
+                             keys=("q_num", "q_den", "n0", *_VERDICT)),
+    "witness-margin": Form(_witness_rows,
+                           arrays={"s_table": None, "h_of_n": "exponent"},
+                           keys=_VERDICT),
+    "lookahead-margin-relative": Form(_relative_rows,
+                                      arrays={"s_table": None,
+                                              "in_a": "window"},
+                                      keys=_VERDICT),
+    "target-approach": Form(_approach_rows, bound_label="approach",
                             checks=(("approach", _stored_counts),
                                     ("between", _betweenness)),
                             ranges=_approach_ranges),
-    "blockwise-levels": Form(_blockwise_bounds, bound_label="sandwich",
+    "blockwise-levels": Form(_blockwise_rows, bound_label="sandwich",
                              checks=(("block_density", _block_density),),
-                             ranges=_block_ranges),
+                             ranges=_block_ranges, keys=("levels",)),
     "ratio-interval-report": Form(checks=(("interval", _interval_records),),
                                   ranges=_interval_ranges),
-    "restraint-report": Form(_restraint_bounds, strict_upper=True,
+    "restraint-report": Form(_restraint_rows,
                              checks=(("verdict", _restraint_verdicts),),
                              ranges=_restraint_ranges),
-    "log-sparse": Form(_sparse_bounds),
+    "log-sparse": Form(_sparse_rows),
     "membership-only": Form(),
 }
 
-# format 1 stored no in_a, and its stored margin verdicts are not compared
+# format 1 stored no in_a, and _evaluate compares no format 1 margin verdict
 V1_FORMS = dict(FORMS, **{
     "lookahead-margin": FORMS["lookahead-margin"]._replace(
-        checks=(), arrays=("s_table",), margin=None),
-    "witness-margin": FORMS["witness-margin"]._replace(margin=None),
+        arrays={"s_table": None}),
     "lookahead-margin-relative": Form(checks=(("holds", _recorded_verdict),),
-                                      arrays=("s_table",)),
+                                      arrays={"s_table": None},
+                                      keys=_VERDICT),
 })
 
 
@@ -635,25 +632,10 @@ def _form(name, version=None) -> Form | None:
 def _table_size(form: Form, guarantee: dict, n_max: int):
     """The length of the form's tables, or None where their first n is not
     a position in the window (the form's range check reports it)."""
-    first = guarantee.get(form.first_n) if form.first_n else 1
+    first = guarantee.get("n0") if "n0" in form.keys else 1
     if type(first) is not int or not 0 <= first <= n_max + 1:
         return None
     return n_max + 1 - first
-
-
-def _bound_rows(form: Form, art: SubsetArtifact, counts):
-    """The columns of ``CSV_HEADER`` (None where a bound is absent) for the
-    form's bounds, and whether each row holds."""
-    n, lower, upper = form.bounds(art)
-    c = counts[n]
-    holds = np.ones(n.size, dtype=bool)
-    if lower is not None:
-        holds &= c * lower[1] >= lower[0]
-    if upper is not None:
-        lhs = c * upper[1]
-        holds &= lhs < upper[0] if form.strict_upper else lhs <= upper[0]
-    return [n, c, *(lower or (None, None)), *(upper or (None, None)),
-            holds.view(np.uint8)], holds
 
 
 def _range_failures(form: Form, art: SubsetArtifact) -> list:
@@ -673,21 +655,36 @@ def _range_failures(form: Form, art: SubsetArtifact) -> list:
 
 
 def _table_failures(form: Form, art: SubsetArtifact) -> list:
-    """("window", message) for the first n with in_a[n] outside [0, n];
-    raises ValueError if a table is not an int64 array of the form's
-    length."""
-    size = _table_size(form, art.guarantee, art.n_max)
-    for name in form.arrays:
+    """(label, message) for the first entry of each table outside its
+    range, labelled by the range; raises ValueError if a table is not an
+    int64 array of the form's length."""
+    size, out = _table_size(form, art.guarantee, art.n_max), []
+    for name, kind in form.arrays.items():
         table = art.guarantee[name]
         if not (isinstance(table, np.ndarray) and table.dtype == np.int64
                 and table.shape == (size,)):
             raise ValueError(f"{name} must hold {size} int64 values")
-    if "in_a" not in form.arrays:
-        return []
-    in_a = art.guarantee["in_a"]
-    n = np.arange(art.n_max + 1 - size, art.n_max + 1)
-    return [("window", f"in_a[{n[i]}] {in_a[i]} outside [0, {n[i]}]")
-            for i in np.flatnonzero((in_a < 0) | (in_a > n))[:1]]
+        first = art.n_max + 1 - size
+        if kind == "window":
+            n = np.arange(first, art.n_max + 1)
+            out += [(kind, f"{name}[{n[i]}] {table[i]} outside [0, {n[i]}]")
+                    for i in np.flatnonzero((table < 0) | (table > n))[:1]]
+        elif kind == "exponent":
+            out += [(kind, f"{name}[{first + i}] {table[i]} is negative")
+                    for i in np.flatnonzero(table < 0)[:1]]
+    return out
+
+
+def _check_keys(form: Form, guarantee: dict) -> None:
+    """Raises KeyError for a key the form declares that the guarantee
+    lacks, and ValueError for one the guarantee holds that it does not."""
+    declared = {"form", *form.keys, *form.arrays}
+    missing = declared - guarantee.keys()
+    if missing:
+        raise KeyError(min(missing))
+    unknown = guarantee.keys() - declared
+    if unknown:
+        raise ValueError(f"unknown guarantee key {min(map(repr, unknown))}")
 
 
 # a form raises one of these on reading a record that lacks a field, or
@@ -698,8 +695,8 @@ _MALFORMED = (LookupError, TypeError, ValueError, AttributeError,
 
 def _evaluate(art: SubsetArtifact):
     """(failures, cols): the (label, message) failures of
-    ``labelled_failures``, and the columns of the form's bound rows; no
-    columns if it has none, or if a record is malformed or out of range."""
+    ``labelled_failures``, and the columns of the form's rows; no columns
+    if it has none, or if a record is malformed or out of range."""
     name = art.guarantee.get("form", "")
     form = _form(name, art.format_version)
     if form is None:
@@ -711,27 +708,36 @@ def _evaluate(art: SubsetArtifact):
             return out_of_range, []
         out = [(label, msg) for label, check in form.checks
                for msg in check(art, counts)]
-        if form.bounds is None:
-            return out, []
-        cols, holds = _bound_rows(form, art, counts)
-        if form.margin is not None:
-            out += [("verdict", msg) for msg in _stored_verdict(
-                art, cols[0], form.margin(art, cols, holds))]
+        rows = form.rows(art, counts) if form.rows else None
+        if rows is not None:
+            holds = np.ones(rows.n.size, dtype=bool)
+            if rows.lower is not None:
+                holds &= rows.count * rows.lower[1] >= rows.lower[0]
+            if rows.upper is not None:
+                holds &= (np.less if rows.strict else np.less_equal)(
+                    rows.count * rows.upper[1], rows.upper[0])
+            out += rows.failures
+            if "holds" in form.keys and art.format_version != 1:
+                out += [("verdict", msg) for msg in _stored_verdict(
+                    art, rows.n, holds if rows.margin is None else rows.margin)]
+        _check_keys(form, art.guarantee)
     except _MALFORMED as exc:
         return [("form", f"malformed {name} record: {exc!r}")], []
-    bad = ~holds
-    rows = csv_bytes([None if col is None else col[bad] for col in cols])
+    if rows is None:
+        return out, []
+    cols = [rows.n, rows.count, *(rows.lower or (None, None)),
+            *(rows.upper or (None, None)), holds.view(np.uint8)]
+    failed = csv_bytes([None if col is None else col[~holds] for col in cols])
     out += [(form.bound_label, f"certified row fails: {row}")
-            for row in rows.decode().split("\n")[:-1]]
+            for row in failed.decode().split("\n")[:-1]]
     return out, cols
 
 
 def labelled_failures(art: SubsetArtifact) -> list:
     """(label, message) for every failed record check and every violated
-    bound row of the artifact's guarantee form; only the out-of-range
-    records, if some point outside the window or hold a negative
-    exponent; one ``form`` failure, if a record the form reads is
-    malformed."""
+    row of the artifact's guarantee form; only the out-of-range records
+    and tables, if there are any; one ``form`` failure, if a record the
+    form reads is malformed or the guarantee's keys are not the form's."""
     return _evaluate(art)[0]
 
 
@@ -754,19 +760,12 @@ def verify_artifact(art: SubsetArtifact) -> dict:
 
 
 def write_certified_csv(art: SubsetArtifact, path) -> dict:
-    """One row per certified per-n bound: the count at n together with the
-    certified rational lower and/or upper bound on it.
-
-    Checkpoint-style guarantees yield one row per checkpoint length;
-    margin-style guarantees one row per window n.  Upper bounds from the
-    restraint form are strict; all others are non-strict.  Forms whose
-    guarantee cannot be expressed as per-n count bounds (interval reports,
-    bare membership, and format 1 relative margins, which store no
-    in_a) emit only the header, and so do artifacts whose records are
-    malformed, point outside the window or hold a negative exponent.
-
-    Returns ``verify_artifact(art)``, taken from the same evaluation.
-    """
+    """One line per row of the form's ``Rows``: the count at n with its
+    certified rational lower and/or upper bound (strict only in the
+    restraint form).  Forms with no rows (interval reports, bare
+    membership, and format 1 relative margins, which store no in_a), and
+    artifacts whose records are malformed or out of range, give only the
+    header.  Returns ``verify_artifact(art)``, from the same evaluation."""
     failures, cols = _evaluate(art)
     write_columns(path, CSV_HEADER, cols)
     return _report(failures)

@@ -483,10 +483,14 @@ def ceil_sqrt(n: int) -> int:
 
 
 def ceil_sqrt_array(n: np.ndarray) -> np.ndarray:
-    """``ceil_sqrt`` of every entry of a non-negative int64 array."""
-    roots = np.arange(ceil_sqrt(int(n.max())) + 1 if n.size else 1,
-                      dtype=np.int64)
-    return np.searchsorted(roots * roots, n)  # least c with c·c >= n
+    """``ceil_sqrt`` of every entry of an int64 array in [0, 2^62]: the
+    float root is monotone in n and exact at each square k² (its error is
+    under half a unit in k's last place), so its ceiling is the answer or
+    one below it, and no square taken passes 2^62."""
+    root = np.sqrt(n)
+    c = np.ceil(root, out=root).astype(np.int64)
+    c += np.multiply(c, c, out=root.view(np.int64)) < n  # root's buffer
+    return c
 
 
 def ceil_div(a: int, b: int) -> int:

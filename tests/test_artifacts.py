@@ -430,6 +430,25 @@ def test_tables_must_match_the_window():
                        "ValueError('s_table must hold 40 int64 values')")
 
 
+@pytest.mark.parametrize("h", [-3, -(1 << 40)])
+def test_witness_exponents_must_not_be_negative(tmp_path, capsys, h):
+    # numpy's n >> h is 0 for a negative h: a different, unstated bound
+    naturals = CEStream.from_oracle(SetOracle.naturals(), n_max=40,
+                                    stage_max=80)
+    art = ap.witnessed_subset(naturals, lambda k: 2 ** k)
+    assert ar.verify_artifact(art)["ok"]
+    art.guarantee["h_of_n"] = art.guarantee["h_of_n"].copy()
+    art.guarantee["h_of_n"][4] = h  # n = 5
+    message = f"h_of_n[5] {h} is negative"
+    assert ar.labelled_failures(art) == [("exponent", message)]
+    path = tmp_path / "a.json"
+    ar.save_artifact(art, path)
+    assert cli.main(["check", "--artifact", str(path)]) == 4
+    assert capsys.readouterr().err == f"FAIL: {message}\n"
+    ar.write_certified_csv(ar.load_artifact(path), tmp_path / "c.csv")
+    assert (tmp_path / "c.csv").read_text() == ar.CSV_HEADER
+
+
 def _counted(**kw):
     # [0, 2] for e = 0: b/c = 1/2, and S = {0, 1, 2} avoids no gap element
     return dict({"a": 0, "b": 1, "c": 2, "e": 0, "state": "completed",
@@ -587,6 +606,67 @@ def test_a_failing_margin_must_store_its_first_failure(form):
         "verdict", f"stored verdict holds=False, first_violation={first + 1} "
                    f"disagrees with the margin check, which first fails at "
                    f"n={first}")
+
+
+def test_one_evaluation_takes_one_square_root_pass(monkeypatch):
+    stream = CEStream.from_oracle(SetOracle.residue_union(2, [0]), n_max=200,
+                                  stage_max=400)
+    art = ap.lookahead_subset(stream, "1/3")
+    sizes = []
+    ceil_sqrt_array = ar.ceil_sqrt_array
+    monkeypatch.setattr(ar, "ceil_sqrt_array",
+                        lambda n: sizes.append(n.size) or ceil_sqrt_array(n))
+    assert ar.verify_artifact(art)["ok"]
+    assert sizes == [200]
+
+
+# -- the guarantee's keys: the form's, and no others --------------------------
+
+def _v1_guarantee(form):
+    return json.loads((FIXTURES / f"{form}.json").read_text())
+
+
+def _v2_lookahead():
+    stream = CEStream.from_oracle(SetOracle.residue_union(2, [0]), n_max=60,
+                                  stage_max=120)
+    return ar.artifact_payload(ap.lookahead_subset(stream, "1/3", n0=4))
+
+
+def _keyed(payload, drop=(), **extra):
+    payload["guarantee"].update(extra)
+    for key in drop:
+        del payload["guarantee"][key]
+    return payload
+
+
+@pytest.mark.parametrize("payload, form, error", [
+    (_keyed(_v2_lookahead(), extra=1), "lookahead-margin",
+     "ValueError(\"unknown guarantee key 'extra'\")"),
+    (_keyed(_v2_lookahead(), drop=["first_violation"]), "lookahead-margin",
+     "KeyError('first_violation')"),
+    (_keyed(_v1_guarantee("lookahead-margin"), drop=["first_violation"]),
+     "lookahead-margin", "KeyError('first_violation')"),
+    (_keyed(_v1_guarantee("lookahead-margin"), in_a=[0] * 39),
+     "lookahead-margin", "ValueError(\"unknown guarantee key 'in_a'\")"),
+    (_keyed(_v1_guarantee("witness-margin"), drop=["holds"]),
+     "witness-margin", "KeyError('holds')"),
+    (_keyed(_sample_payload(), n0=1), "checkpoint-ratio",
+     "ValueError(\"unknown guarantee key 'n0'\")"),
+    (_keyed(_v1_guarantee("membership-only"), q_num=1), "membership-only",
+     "ValueError(\"unknown guarantee key 'q_num'\")"),
+], ids=["extra", "no-first_violation", "v1-no-first_violation", "v1-in_a",
+        "v1-no-holds", "checkpoint-n0", "membership-q_num"])
+def test_guarantee_keys_are_the_forms(tmp_path, capsys, payload, form,
+                                      error):
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(redigest(payload)))
+    assert cli.main(["check", "--artifact", str(path)]) == 4
+    message = f"malformed {form} record: {error}"
+    assert capsys.readouterr().err == f"FAIL: {message}\n"
+    art = ar.load_artifact(path)
+    assert ar.labelled_failures(art) == [("form", message)]
+    ar.write_certified_csv(art, tmp_path / "c.csv")
+    assert (tmp_path / "c.csv").read_text() == ar.CSV_HEADER
 
 
 # -- loading: the digest of the file's own bytes ------------------------------

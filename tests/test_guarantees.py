@@ -319,7 +319,15 @@ def test_restraint_upper_bound_is_strict(tmp_path):
     assert (tmp_path / "c.csv").read_text().splitlines()[1] == "4,3,,,3,1,0"
 
 
-@given(st.lists(st.integers(0, 2**40), max_size=50))
+def _near_squares(root):
+    return st.builds(lambda r, d: min(max(r * r + d, 0), 2**62), root,
+                     st.integers(-1, 1))
+
+
+@given(st.lists(st.one_of(st.integers(0, 2**62),
+                          _near_squares(st.integers(0, 2**31)),
+                          _near_squares(st.integers(2**31 - 2**10, 2**31)),
+                          st.integers(2**62 - 2**20, 2**62)), max_size=50))
 def test_vectorized_ceil_sqrt_matches_scalar(ns):
     assert ceil_sqrt_array(np.array(ns, dtype=np.int64)).tolist() == [
         ceil_sqrt(n) for n in ns]
