@@ -86,7 +86,8 @@ class _Field:
     def frac(self) -> Fraction:
         try:
             return Fraction(self.value)
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
+        except (TypeError, ValueError, ZeroDivisionError,
+                OverflowError) as exc:  # OverflowError: an infinite float
             raise self.error(f"bad rational {self.value!r}") from exc
 
     def unit(self) -> Fraction:
@@ -148,7 +149,22 @@ def _universe(cfg: _Field) -> tuple:
     return uni["n_max"], uni["stage_max"]
 
 
+def _labelled(cfg: _Field, section: str, build) -> dict:
+    """``build(spec, label)`` of each entry of the section, by its label;
+    each label names one entry."""
+    out = {}
+    for spec in cfg.get(section, []).list():
+        name = spec.obj()["label"]
+        label = name.label()
+        if label in out:
+            raise name.error(f"{label!r} is already defined")
+        out[label] = build(spec, label)
+    return out
+
+
 def _build_set(spec: _Field, label: str) -> SetOracle:
+    if "/" in label or "\0" in label:  # density_<label>.csv is a file
+        raise spec["label"].error(f"must not hold '/' or NUL, got {label!r}")
     kind = spec.get("kind").value
     if kind == "empty":
         return SetOracle.empty(label)
@@ -174,14 +190,7 @@ def _build_set(spec: _Field, label: str) -> SetOracle:
 
 
 def _sets(cfg: _Field) -> dict:
-    out = {}
-    for spec in cfg.get("sets", []).list():
-        name = spec.obj()["label"]
-        label = name.label()
-        if "/" in label or "\0" in label:  # density_<label>.csv is a file
-            raise name.error(f"must not hold '/' or NUL, got {label!r}")
-        out[label] = _build_set(spec, label)
-    return out
+    return _labelled(cfg, "sets", _build_set)
 
 
 def _affine_stages(q, f: int, off: int, cut: int):
@@ -220,25 +229,24 @@ def _stage_fn(schedule: dict, path: str, stage_max: int):
 
 def _streams(cfg: _Field, sets) -> dict:
     n_max, stage_max = _universe(cfg)
-    out = {}
-    for spec in cfg.get("streams", []).list():
-        label = spec.obj()["label"].label()
+
+    def build(spec: _Field, label: str) -> CEStream:
         schedule = spec.get("schedule", {}).obj()
         if schedule.value.get("kind") == "scripted":
             pairs = schedule["pairs"]
             try:
-                out[label] = CEStream.from_schedule(
+                return CEStream.from_schedule(
                     pairs.pairs("[element, stage]"), n_max=n_max,
                     stage_max=stage_max, label=label)
             except ValueError as exc:  # an element given two stages
                 raise pairs.error(exc) from None
-            continue
         base = spec["set"].ref(sets)
-        out[label] = CEStream.from_oracle(
+        return CEStream.from_oracle(
             base, n_max=n_max, stage_max=stage_max,
             delay_fn=_stage_fn(schedule.value, schedule.path, stage_max),
             label=label)
-    return out
+
+    return _labelled(cfg, "streams", build)
 
 
 def _decider(spec: _Field, label: str) -> prioritysim.PartialDecider:
@@ -262,11 +270,7 @@ def _decider(spec: _Field, label: str) -> prioritysim.PartialDecider:
 
 
 def _deciders(cfg: _Field) -> dict:
-    out = {}
-    for spec in cfg.get("deciders", []).list():
-        label = spec.obj()["label"].label()
-        out[label] = _decider(spec, label)
-    return out
+    return _labelled(cfg, "deciders", _decider)
 
 
 def _jump(spec: _Field) -> prioritysim.JumpApprox:
@@ -327,7 +331,8 @@ def cmd_metrics(cfg, outdir):
     spec = _section(cfg, "metrics")
     a, b = (spec[key].ref(sets) for key in ("a", "b"))
     n_max, _ = _universe(cfg)
-    lo = spec.get("lo", 1).int(1)
+    spec.get("lo", 1).int(1)
+    lo = spec.get("lo", 1).int(1, n_max)
     spec.get("hi", n_max).int(lo)
     hi = spec.get("hi", n_max).int(lo, n_max)  # no rows past the universe
     prof = symdiff_profile(a, b, hi)
@@ -552,7 +557,9 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (BudgetExceeded, MemoryError) as exc:  # a window past memory
-        print(f"budget error: {exc}", file=sys.stderr)
+        # a list's MemoryError has no text; numpy's names the allocation
+        print(f"budget error: {str(exc) or 'out of memory'}",
+              file=sys.stderr)
         return 3
     except ArtifactError as exc:
         print(f"artifact error: {exc}", file=sys.stderr)

@@ -23,12 +23,11 @@ from .errors import InvalidResidue, InvalidWindow
 class SetOracle:
     """A pure membership predicate over the naturals.
 
-    ``fn`` decides membership of a single natural.  ``batch`` optionally
-    produces the whole membership array over [0, n) in one vectorized call;
-    when absent, the scalar predicate is mapped.
+    ``fn`` decides membership of a single natural, and ``batch`` produces
+    the whole membership array over [0, n) in one vectorized call.
     """
 
-    def __init__(self, fn, *, label="", batch=None):
+    def __init__(self, fn, *, label="", batch):
         self._fn = fn
         self._batch = batch
         self.label = label
@@ -40,12 +39,10 @@ class SetOracle:
 
     def membership_array(self, n: int) -> np.ndarray:
         """Membership of [0, n) as a boolean array."""
-        if self._batch is not None:
-            out = np.asarray(self._batch(n), dtype=bool)
-            if out.shape != (n,):
-                raise ValueError("batch membership returned wrong shape")
-            return out
-        return np.fromiter((self.contains(i) for i in range(n)), dtype=bool, count=n)
+        out = np.asarray(self._batch(n), dtype=bool)
+        if out.shape != (n,):
+            raise ValueError("batch membership returned wrong shape")
+        return out
 
     # -- constructors -------------------------------------------------
 
@@ -84,7 +81,8 @@ class SetOracle:
             return bits[:n]
 
         def fn(n):
-            _check_index(n, bits.size)
+            if not 0 <= n < bits.size:  # numpy would wrap a negative n
+                raise InvalidWindow(f"{n} outside the window [0, {bits.size})")
             return bool(bits[n])
 
         return SetOracle(fn, label=label, batch=batch)
@@ -109,26 +107,6 @@ class SetOracle:
 
         return SetOracle(lambda n: (n % m) in rset,
                          label=label or f"residues{rs}mod{m}", batch=batch)
-
-    @staticmethod
-    def complement(inner, label=None):
-        return SetOracle(lambda n: not inner.contains(n),
-                         label=label or f"co({inner.label})",
-                         batch=lambda n: ~inner.membership_array(n))
-
-    @staticmethod
-    def union(a, b, label=None):
-        return SetOracle(lambda n: a.contains(n) or b.contains(n),
-                         label=label or f"({a.label})|({b.label})",
-                         batch=lambda n: (a.membership_array(n)
-                                          | b.membership_array(n)))
-
-
-def _check_index(n: int, size: int) -> None:
-    """Raise InvalidWindow unless 0 <= n < size (numpy would wrap a
-    negative index to the end of the array)."""
-    if not 0 <= n < size:
-        raise InvalidWindow(f"{n} outside the window [0, {size})")
 
 
 # -- dyadic valuation classes ------------------------------------------
@@ -203,28 +181,6 @@ def dyadic_union_from_binary(bits, *, label="dyadic-binary") -> SetOracle:
         return dyadic_union(lambda k: bits(k) == 1, label=label)
     seq = [int(b) for b in bits]
     return dyadic_union(lambda k: k < len(seq) and seq[k] == 1, label=label)
-
-
-def binary_expansion_of(r: Fraction, digits: int):
-    """First ``digits`` binary digits of r in (0,1), favouring the infinite
-    expansion for dyadic rationals (trailing ones)."""
-    if not 0 < r < 1:
-        raise ValueError("expansion defined for r in (0,1)")
-    out = []
-    x = r
-    for _ in range(digits):
-        x *= 2
-        if x > 1 or (x == 1 and len(out) + 1 == digits):
-            out.append(1)
-            x -= 1
-        elif x == 1:
-            # dyadic tail: emit 0 here and ones forever after
-            out.append(0)
-            out.extend([1] * (digits - len(out)))
-            return out
-        else:
-            out.append(0)
-    return out
 
 
 # -- profiles ----------------------------------------------------------
@@ -455,7 +411,7 @@ def residue_union_density(m: int, residues) -> Fraction:
     """Exact asymptotic density |residues| / m of a union of residue classes.
 
     The union's prefix density equals this value exactly at every multiple
-    of m (see ``verify_periodic_density``).
+    of m.
     """
     if m < 1:
         raise InvalidResidue(f"modulus must be >= 1, got {m}")
@@ -464,14 +420,6 @@ def residue_union_density(m: int, residues) -> Fraction:
         if not 0 <= r < m:
             raise InvalidResidue(f"residue {r} outside [0, {m})")
     return Fraction(len(rs), m)
-
-
-def verify_periodic_density(m: int, residues, k_multiples: int) -> bool:
-    """Check rho at n = m, 2m, ..., k·m equals |residues|/m exactly."""
-    oracle = SetOracle.residue_union(m, residues)
-    want = residue_union_density(m, residues)
-    prof = density_profile(oracle, m * k_multiples)
-    return all(prof.rho(m * k) == want for k in range(1, k_multiples + 1))
 
 
 def ceil_sqrt(n: int) -> int:
@@ -559,24 +507,12 @@ class CEStream:
     def n_max(self) -> int:
         return self.entry.size
 
-    def member_at(self, m: int, s: int) -> bool:
-        """Whether m is in A_s; m must lie in [0, n_max)."""
-        _check_index(m, self.entry.size)
-        return bool(self.entry[m] <= min(s, NEVER - 1))
-
     def snapshot(self, s: int) -> np.ndarray:
         """Membership array of A_s over [0, n_max)."""
         return self.entry <= min(s, NEVER - 1)
 
     def final_members(self) -> np.ndarray:
         return self.snapshot(self.stage_max)
-
-    def count_at(self, n: int, s: int) -> int:
-        """|A_s ∩ [0, n)|; n must be >= 0, and an n past n_max counts the
-        whole window."""
-        if n < 0:
-            raise InvalidWindow(f"prefix length {n} is negative")
-        return int(np.count_nonzero(self.entry[:n] <= min(s, NEVER - 1)))
 
     @cached_property
     def stage_index(self) -> StageIndex:

@@ -46,26 +46,11 @@ def evaluate_partial(decider: PartialDecider, A: SetOracle, n_max: int,
                             errors, n_max, stage_budget)
 
 
-def coarse_agreement_profile(f, A: SetOracle, n_max: int) -> DensityProfile:
-    """Profile of {n : f(n) = A(n)} for a total rule f."""
-    truth = A.membership_array(n_max)
-    agree = np.fromiter((bool(f(n)) == bool(truth[n]) for n in range(n_max)),
-                        dtype=bool, count=n_max)
-    return profile_from_bits(agree, label="agreement")
-
-
-def at_density_report(decider: PartialDecider, A: SetOracle, r, n_max: int,
-                      lo: int = 1, stage_budget: int = 10**4) -> dict:
-    """Window verdict for 'decides A at density r': no wrong answers and
-    the window minimum of the domain density clears r.  The reported
-    alpha-estimate is that minimum — an estimator over [lo, n_max], not a
-    limit value."""
-    return density_verdict(evaluate_partial(decider, A, n_max, stage_budget),
-                           r, lo)
-
-
 def density_verdict(rep: GenericityReport, r, lo: int = 1) -> dict:
-    """``at_density_report`` of an already evaluated report."""
+    """Window verdict for 'decides A at density r' from an evaluated
+    report: no wrong answers and the window minimum of the domain density
+    clears r.  The reported alpha-estimate is that minimum — an estimator
+    over [lo, n_max], not a limit value."""
     est = rep.domain_window_min(lo)
     return {
         "agrees": rep.agrees_on_domain,

@@ -2,8 +2,7 @@
 
 The window minimum/maximum of rho_n(A ^ B) estimate the lower/upper
 density of the symmetric difference.  They are estimators only: the
-minimum over a finite window bounds no asymptotic quantity, and the
-documentation of ``dD_window`` is explicit about that.  In particular,
+minimum over a finite window bounds no asymptotic quantity.  In particular,
 window minima over a shared window always satisfy the triangle
 inequality even though the liminf-based distance famously does not in
 the limit; nothing here contradicts that, because no limit is claimed.
@@ -12,7 +11,6 @@ the limit; nothing here contradicts that, because no limit is claimed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -33,12 +31,6 @@ class SymDiffProfile:
     @property
     def n_max(self) -> int:
         return self.sym.n_max
-
-    def diff_identity_holds(self, n: int) -> bool:
-        """When B ⊆ A was verified, rho_n(sym) == rho_n(A) - rho_n(B)."""
-        if not self.b_subset_of_a:
-            return False
-        return self.sym.count(n) == self.a.count(n) - self.b.count(n)
 
     def write_csv(self, path):
         write_columns(path, "n,rhoA_num,rhoA_den,rhoA_float,"
@@ -62,15 +54,3 @@ def symdiff_profile(A: SetOracle, B: SetOracle, n_max: int) -> SymDiffProfile:
         sym=profile_from_bits(sym, label=f"({A.label})^({B.label})"),
         b_subset_of_a=subset,
     )
-
-
-def dD_window(A: SetOracle, B: SetOracle, lo: int, hi: int
-              ) -> tuple[Fraction, Fraction]:
-    """Window (min, max) of rho_n(A ^ B) over n in [lo, hi].
-
-    Estimators of the lower/upper density of the symmetric difference,
-    reported with the window attached by the caller; no limit value is
-    certified or claimed.
-    """
-    prof = symdiff_profile(A, B, hi)
-    return prof.sym.window_bounds(lo, hi)

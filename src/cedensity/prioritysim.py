@@ -130,13 +130,6 @@ class PartialDecider:
                               value=lambda n: np.full(n.shape, value),
                               factor=factor)
 
-    @staticmethod
-    def delayed_rule(value_fn, delay_fn, label="delayed-rule"):
-        """Defined at (n, s) once s >= delay_fn(n); value value_fn(n)."""
-        return PartialDecider(
-            lambda n, s: value_fn(n) if s >= delay_fn(n) else None,
-            label=label)
-
 
 class JumpApprox(StageGuess):
     """Stage guesses at membership of indices in a jump-style set: guess(i,s)

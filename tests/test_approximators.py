@@ -75,7 +75,7 @@ def test_lookahead_subset_margin_holds_everywhere():
     counts = art.counts()
     s_table = g["s_table"]
     for n in range(g["n0"], art.n_max + 1):
-        a_count = stream.count_at(n, int(s_table[n - 1]))
+        a_count = int(np.count_nonzero(stream.entry[:n] <= s_table[n - 1]))
         assert int(counts[n]) >= a_count - ceil_sqrt(n)
 
 

@@ -147,7 +147,7 @@ def permitted_interval_rescan(C, jump, streams, n_max, stage_max, pairs):
                         {"pair": list(p), "y": y})
                     iv = None
                 elif st_["g"] == 0:
-                    if all(streams[e].member_at(x, s) for x in iv
+                    if all(streams[e].entry[x] <= s for x in iv
                            if x < streams[e].n_max):
                         st_["g"] = 1
                         rec.setdefault("covered", []).append(list(p))

@@ -440,6 +440,17 @@ def test_memory_error_is_a_budget_error(tmp_path, capsys, monkeypatch):
     assert "budget error: Unable to allocate 1 EiB" in capsys.readouterr().err
 
 
+def test_memory_error_without_text_is_a_budget_error(tmp_path, capsys,
+                                                     monkeypatch):
+    # a Python list that cannot grow raises a MemoryError with no text
+    def boom(oracle, n_max):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "density_profile", boom)
+    assert _run(tmp_path, "density", density_cfg()) == 3
+    assert capsys.readouterr().err == "budget error: out of memory\n"
+
+
 def _permitted_cfg(**construction):
     cfg = construct_cfg(dict(_permitted({"kind": "step", "on_at": 3,
                                          "use": 5}), **construction))
@@ -1040,6 +1051,31 @@ _TRANSFER = {"kind": "constant", "set": "ev"}
     ("construct", _op("witnessed-subset", stream="evs"),
      "construction: 'witness' not found"),
     ("construct", _op("zz"), "construction.op: unknown construction op 'zz'"),
+    # new rows go at the end, so the parameter ids above stay stable
+    # labels defined twice
+    ("density", _set(label="ev", kind="empty"),
+     "sets[1].label: 'ev' is already defined"),
+    ("construct", {"streams": [{"label": "evs", "set": "ev"},
+                               {"label": "evs", "set": "ev"}]},
+     "streams[1].label: 'evs' is already defined"),
+    ("construct", {"deciders": [{"label": "p", "kind": "parity"},
+                                {"label": "p", "kind": "never"}]},
+     "deciders[1].label: 'p' is already defined"),
+    # infinite rationals (JSON's Infinity, or 1e400 read as a float)
+    ("construct", _op("tracking-checkpoint-subset", stream="evs",
+                      targets=[float("inf")]),
+     "construction.targets[0]: bad rational inf"),
+    ("construct", _op("checkpoint-subset", stream="evs", q=float("-inf")),
+     "construction.q: bad rational -inf"),
+    ("construct", _op("blockwise-levels", n_blocks=2,
+                      levels={"1": float("inf")}),
+     "construction.levels.1: bad rational inf"),
+    ("generic", {"generic": {"decider": "p", "set": "ev",
+                             "r": float("inf")}},
+     "generic.r: bad rational inf"),
+    # a window start past the universe
+    ("metrics", {"metrics": {"a": "ev", "b": "ev", "lo": 101}},
+     "metrics.lo: must be an integer in [1, 100], got 101"),
 ])
 def test_config_error_message_is_pinned(tmp_path, capsys, command, sections,
                                         message):

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from cedensity import core
 from cedensity.core import (CEStream, DensityProfile, NEVER, SetOracle,
-                            binary_expansion_of, ceil_div, ceil_sqrt,
-                            density_profile, dyadic_class, dyadic_union,
+                            ceil_div, ceil_sqrt, density_profile,
+                            dyadic_class, dyadic_union,
                             dyadic_union_from_binary, prefix_count,
                             profile_from_bits, residue_union_density, rho,
-                            trailing_zeros, verify_periodic_density)
+                            trailing_zeros)
 from cedensity.errors import InvalidResidue, InvalidWindow
 
 
@@ -28,10 +28,7 @@ def test_explicit_and_complement():
     s = SetOracle.explicit([1, 4, 9])
     assert [s.contains(i) for i in range(5)] == [False, True, False, False,
                                                  True]
-    c = SetOracle.complement(s)
-    assert c.contains(0) and not c.contains(1)
-    u = SetOracle.union(s, SetOracle.explicit([0]))
-    assert prefix_count(u, 10) == 4
+    assert prefix_count(s, 10) == 3
 
 
 def test_explicit_rejects_negative_elements():
@@ -95,14 +92,6 @@ def test_dyadic_union_from_binary_matches_indices():
     assert np.array_equal(a.membership_array(n), b.membership_array(n))
 
 
-def test_binary_expansion_of_dyadic_prefers_infinite_form():
-    # 1/2 = 0.0111... (infinite expansion), so classes 1, 2, 3, ... appear
-    bits = binary_expansion_of(Fraction(1, 2), 6)
-    assert bits == [0, 1, 1, 1, 1, 1]
-    bits = binary_expansion_of(Fraction(1, 3), 6)
-    assert bits == [0, 1, 0, 1, 0, 1]
-
-
 def test_profile_counts_and_window_bounds():
     prof = density_profile(SetOracle.residue_union(2, [0]), 10)
     assert prof.count(10) == 5
@@ -132,8 +121,10 @@ def test_window_bounds_match_bruteforce(bits, data):
 def test_residue_union_density_is_exact_at_multiples(m, data):
     residues = data.draw(st.lists(st.integers(0, m - 1), max_size=m,
                                   unique=True))
-    assert residue_union_density(m, residues) == Fraction(len(residues), m)
-    assert verify_periodic_density(m, residues, 5)
+    want = residue_union_density(m, residues)
+    assert want == Fraction(len(residues), m)
+    prof = density_profile(SetOracle.residue_union(m, residues), 5 * m)
+    assert all(prof.rho(k * m) == want for k in range(1, 6))
 
 
 def test_residue_union_rejects_bad_residue():
@@ -160,13 +151,13 @@ def test_ceil_sqrt_property(n):
 def test_cestream_snapshots_monotone():
     s = CEStream.from_schedule([(0, 3), (5, 1), (7, 9)], n_max=10,
                                stage_max=20)
-    assert not s.member_at(0, 2) and s.member_at(0, 3)
+    assert not s.snapshot(2)[0] and s.snapshot(3)[0]
     prev = 0
     for t in range(21):
         c = int(s.snapshot(t).sum())
         assert c >= prev
         prev = c
-    assert s.count_at(10, 20) == 3
+    assert int(s.snapshot(20).sum()) == 3
     assert list(np.nonzero(s.final_members())[0]) == [0, 5, 7]
 
 
@@ -192,21 +183,7 @@ def test_index_outside_the_window_is_invalid(m):
     # a negative index must not wrap to the end of the array
     with pytest.raises(InvalidWindow):
         SetOracle.from_bits([0, 0, 1]).contains(m)
-    with pytest.raises(InvalidWindow):
-        CEStream(np.array([3, 0, 2]), stage_max=5).member_at(m, 5)
     assert SetOracle.from_bits([0, 0, 1]).contains(2)
-    assert CEStream(np.array([3, 0, 2]), stage_max=5).member_at(2, 5)
-
-
-@pytest.mark.parametrize("n", [-1, -3])
-def test_negative_prefix_length_is_invalid(n):
-    # a negative n must not wrap: entry[:-1] would count [0, n_max − 1)
-    stream = CEStream(np.array([3, 0, 2]), stage_max=5)
-    with pytest.raises(InvalidWindow):
-        stream.count_at(n, 5)
-    # an n past n_max counts the whole window
-    assert [stream.count_at(n, 5) for n in (0, 2, 3, 4, 100)] == \
-        [0, 2, 3, 3, 3]
 
 
 @pytest.mark.parametrize("s", [NEVER, 10**30])
@@ -215,5 +192,5 @@ def test_never_entries_stay_out_of_every_snapshot(s):
     stream = CEStream.from_oracle(evens, n_max=10, stage_max=s)
     assert stream.final_members().tolist() == [m % 2 == 0 for m in range(10)]
     assert stream.snapshot(s).tolist() == stream.snapshot(20).tolist()
-    assert stream.member_at(2, s) and not stream.member_at(1, s)
-    assert stream.count_at(10, s) == 5
+    assert stream.snapshot(s)[2] and not stream.snapshot(s)[1]
+    assert int(stream.snapshot(s).sum()) == 5

@@ -73,21 +73,16 @@ def test_evaluate_partial_and_report():
     rep = gen.evaluate_partial(good, evens, 500, 100)
     assert rep.agrees_on_domain
     assert rep.domain_window_min() == 1
-    report = gen.at_density_report(good, evens, Fraction(1), 500)
+    report = gen.density_verdict(
+        gen.evaluate_partial(good, evens, 500, 10**4), Fraction(1))
     assert report["verdict"] and report["errors"] == []
 
     # a decider defined only on multiples of 4 has window density well below 1
-    sparse = PartialDecider.delayed_rule(
-        lambda n: 1 if n % 2 == 0 else 0,
-        lambda n: 0 if n % 4 == 0 else 10**9)
-    report = gen.at_density_report(sparse, evens, Fraction(7, 8), 500)
+    sparse = PartialDecider(
+        lambda n, s: (1 if n % 2 == 0 else 0) if n % 4 == 0 else None)
+    report = gen.density_verdict(
+        gen.evaluate_partial(sparse, evens, 500, 10**4), Fraction(7, 8))
     assert report["agrees"] and not report["verdict"]
-
-
-def test_coarse_agreement_profile():
-    evens = SetOracle.residue_union(2, [0])
-    prof = gen.coarse_agreement_profile(lambda n: 1, evens, 100)
-    assert prof.rho(100) == Fraction(1, 2)
 
 
 def strong_array_fixture(indices, n_max=2**16):

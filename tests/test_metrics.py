@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cedensity.core import SetOracle
-from cedensity.metrics import dD_window, symdiff_profile
+from cedensity.metrics import symdiff_profile
 
 
 def test_symdiff_profile_basic():
@@ -14,13 +14,12 @@ def test_symdiff_profile_basic():
     prof = symdiff_profile(full, evens, 10)
     assert prof.b_subset_of_a
     assert prof.sym.rho(10) == Fraction(1, 2)  # the odds
-    assert all(prof.diff_identity_holds(n) for n in range(1, 11))
 
 
 def test_dD_window_example():
     full = SetOracle.naturals()
     evens = SetOracle.residue_union(2, [0])
-    lo, hi = dD_window(full, evens, 2, 10)
+    lo, hi = symdiff_profile(full, evens, 10).sym.window_bounds(2, 10)
     # symmetric difference is the odds: min 1/3 at n = 3, max 1/2
     assert (lo, hi) == (Fraction(1, 3), Fraction(1, 2))
 
@@ -30,7 +29,6 @@ def test_subset_flag_is_verified_not_assumed():
     b = SetOracle.explicit([2])
     prof = symdiff_profile(a, b, 4)
     assert not prof.b_subset_of_a
-    assert not prof.diff_identity_holds(4)
 
 
 bitlists = st.lists(st.booleans(), min_size=1, max_size=150)

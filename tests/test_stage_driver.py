@@ -454,7 +454,7 @@ def decider(spec):
         return PartialDecider(decider(args[0]).eval)
     if kind == "late":
         v, f = args
-        return PartialDecider.delayed_rule(lambda n: v, lambda n: f * n)
+        return PartialDecider(lambda n, s: v if s >= f * n else None)
     (t,) = args
     return PartialDecider(lambda n, s: 1 if s == t else None)
 
