@@ -282,41 +282,77 @@ def profile_from_bits(bits, label="") -> DensityProfile:
 _CHUNK_ROWS = 1 << 12  # rows formatted at a time; bounds write_columns' memory
 
 
-def rho_columns(counts):
-    """Reduced numerator, reduced denominator and float of counts[n] / n
-    for 1 <= n < counts.size, as numpy columns.
+@dataclass(frozen=True)
+class Ratio:
+    """The column num / den of two equal-length int64 columns, den > 0,
+    kept as those two columns: ``row_bytes`` renders each row as
+    ``repr(num / den)`` without building the float column."""
 
-    gcd(0, n) = n writes a zero count as 0/1, and int64 division is
-    correctly rounded below 2^53, so each float is float(Fraction(c, n)).
-    """
+    num: np.ndarray
+    den: np.ndarray
+
+    def __len__(self):
+        return len(self.num)
+
+    def __getitem__(self, rows):
+        return Ratio(self.num[rows], self.den[rows])
+
+
+def rho_columns(counts):
+    """Reduced numerator, reduced denominator and the ``Ratio`` of the two
+    for counts[n] / n, 1 <= n < counts.size, as numpy columns; gcd(0, n) = n
+    writes a zero count as 0/1."""
     c = counts[1:]
     n = np.arange(1, counts.size, dtype=np.int64)
     g = np.gcd(c, n)
-    return c // g, n // g, c / n
+    num, den = c // g, n // g
+    return num, den, Ratio(num, den)
 
 
-_POW10 = np.array([10**k for k in range(1, 20)], dtype=np.uint64)
+def _digit_table() -> np.ndarray:
+    """Entry v < 10^4 is f"{v:04}", and entry 10^4 + v is str(v)
+    right-aligned in 0 bytes (0 becomes four 0 bytes), each as the 4 bytes
+    of one uint32.  Built from broadcast copies alone: a numpy loop that no
+    other code runs would add its pages to every process's resident size."""
+    table = np.empty((2, 10, 10, 10, 10, 4), np.uint8)  # half, digits, place
+    digits = np.frombuffer(b"0123456789", np.uint8)
+    for j in range(4):
+        table[..., j] = digits.reshape((10,) + (1,) * (3 - j))
+    for j in range(4):  # the leading zeros of the second half
+        table[(1,) + (0,) * (j + 1) + (..., j)] = 0
+    return table.view(np.uint32).reshape(-1)
+
+
+_DIGITS4 = _digit_table()
 
 
 def _digit_field(col) -> np.ndarray:
     """The decimal digits of an integer column, right-aligned in a uint8
-    matrix with one row per value; a leading '-' for negatives, 0 bytes as
-    padding.  Magnitudes are taken in uint64, where -(-2^63) is 2^63."""
+    matrix with one row per value, 0 bytes as padding; a column with a
+    negative value gets a first column holding '-' on the negative rows,
+    which the padding separates from the digits.  Magnitudes are
+    taken in uint64, where -(-2^63) is 2^63, and cut into groups of four
+    digits, each looked up in ``_DIGITS4``; the group holding a value's
+    leading digit takes the unpadded half of the table."""
     col = col.astype(np.int64, copy=False)
     neg = col < 0
-    mag = col.view(np.uint64).copy()
-    np.negative(mag, out=mag, where=neg)
-    digits = np.searchsorted(_POW10, mag, side="right") + 1
-    width = int(digits.max()) + bool(neg.any())
-    out = np.empty((col.size, width), dtype=np.uint8)
-    for j in range(width - 1, -1, -1):
-        rest = mag // 10
-        out[:, j] = mag - rest * 10 + ord("0")
+    mag = col.view(np.uint64)
+    if neg.any():
+        mag = np.negative(mag, out=mag.copy(), where=neg)
+    width = len(str(int(mag.max())))
+    groups = -(-width // 4)
+    quads = np.empty((col.size, groups), np.uint32)
+    for j in range(groups - 1, -1, -1):
+        rest = mag // 10**4
+        low = mag - rest * 10**4
+        low[rest == 0] += 10**4
+        np.take(_DIGITS4, low, out=quads[:, j])
         mag = rest
-    lead = width - digits  # padding bytes before the first digit
-    out[np.arange(width) < lead[:, None]] = 0
-    rows = np.flatnonzero(neg)
-    out[rows, lead[rows] - 1] = ord("-")
+    out = quads.view(np.uint8)[:, -width:]
+    out[col == 0, -1] = ord("0")
+    if neg.any():
+        out = np.concatenate([(neg * ord("-")).astype(np.uint8)[:, None], out],
+                             axis=1)
     return out
 
 
@@ -326,7 +362,116 @@ def _text_field(texts) -> np.ndarray:
     return packed.view(np.uint8).reshape(len(texts), packed.itemsize)
 
 
+def _quotients(p, q) -> np.ndarray:
+    """p / q per row, correctly rounded as Python's int division is: numpy
+    rounds each int64 operand to float first, exact only within 2^53."""
+    out = p / q
+    wide = np.flatnonzero((np.maximum(p, q) > 2**53)
+                          | (np.minimum(p, q) < -2**53))
+    out[wide] = [a / b for a, b in zip(p[wide].tolist(), q[wide].tolist())]
+    return out
+
+
+_SCALES = np.array([1e17, 1e18, 1e19, 1e20])  # exact: 5^20 < 2^53
+_SHIFTS = np.array([1, 10, 100, 1000])
+_PREFIXES = _text_field(["0.", "0.0", "0.00", "0.000"])
+
+
+def _ratio_field(num, den) -> np.ndarray:
+    """``repr(num / den)`` per row, as ``_field`` lays it out.
+
+    A fast row has 0 < p < q < 2^31 and p/q >= 10^-4, so its repr is a
+    prefix "0." and s = 0..3 zeros, then the digits of the shortest decimal
+    that rounds back to d = float(p/q), the one nearest to d if several do.
+    ``_locate`` places d on the grid of 17-digit decimals, and
+    ``_shortest`` picks the nearest 16- or 17-digit decimal.  Every other
+    row, and every row those two leave undecided, takes the float64 path
+    of ``_field``: one repr per distinct value."""
+    fast = (0 < num) & (num < den) & (den < 2**31) & (num * 10**4 >= den)
+    # rows outside the fast domain compute 1/3 instead; their text is
+    # replaced below
+    s, n17, x, u, ok = _locate(np.where(fast, num, 1), np.where(fast, den, 3))
+    ok &= fast
+    digits = _shortest(n17, x, u, ok)
+    del n17, x, u  # fewer chunk temporaries alive beside the matrices below
+    digs = _digit_field(digits)
+    slow = np.flatnonzero(~ok)
+    text = _field(_quotients(num[slow], den[slow]))
+    out = np.zeros((len(num), max(5 + digs.shape[1], text.shape[1])),
+                   np.uint8)
+    out[:, :5] = _PREFIXES[s]
+    out[:, 5:5 + digs.shape[1]] = digs
+    out[slow] = 0
+    out[slow, :text.shape[1]] = text
+    return out
+
+
+def _locate(p, q):
+    """For 0 < p < q < 2^31 with p/q >= 10^-4: the zeros s after the
+    point, and d = float(p/q) in units of the 17th significant digit,
+    n17 + x, with its ulp u in the same units; ``ok`` is False where d's
+    significand is 2^52, whose rounding interval is lopsided.
+
+    Scaled by T = 10^(17+s), p/q = n17 + r/q, with n17 the 17 digits from
+    two int64 divisions.  d = m/2^t for its significand m, so
+    d - p/q = z/(q 2^t) with the integer z = m q - p 2^t, |z| <= q/2,
+    which wrapping int64 arithmetic gives exactly; then x = (r + z u)/q
+    with u = T/2^t.  u > 1, since d T >= 10^16 and m < 2^53."""
+    s = (p * 1000 < q).astype(np.intp)
+    s += p * 100 < q
+    s += p * 10 < q
+    n17, r = np.divmod(p * _SHIFTS[s] * 10**9, q)
+    lo, r = np.divmod(r * 10**8, q)
+    n17 *= 10**8
+    n17 += lo
+    m = (p / q).view(np.int64)
+    t = 1075 - (m >> 52)
+    m &= 2**52 - 1
+    ok = m != 0
+    m |= 2**52
+    m *= q
+    m -= p << t  # z
+    u = np.ldexp(_SCALES[s], -t)
+    x = m * u
+    x += r
+    x /= q
+    return s, n17, x, u, ok
+
+
+def _shortest(n17, x, u, ok):
+    """The digits of the shortest decimal in d's rounding interval
+    d ± u/2, nearest to d, where d = n17 + x with u > 1 (see ``_locate``):
+    the nearest 16-digit decimal if it lands in the interval, else the
+    nearest 17-digit one, which always does.  ``ok`` is cleared in place
+    where the nearest 15-digit decimal may land (the repr may be shorter),
+    where a distance lies within u 2^-48 of u/2 or of a rounding midpoint
+    (the float error of x is far smaller), or where a candidate rolls over
+    to one more digit."""
+    half, eps = u / 2, u * 2.0**-48
+
+    def nearest(g):
+        """The multiple of g nearest to n17 + x, over g, and its distance."""
+        low = n17 % g
+        k = np.rint((low + x) / g)
+        far = k * g
+        far -= low
+        far -= x
+        return n17 // g + k.astype(np.int64), np.abs(far, out=far)
+
+    ok &= nearest(100)[1] > half + eps
+    n16, far16 = nearest(10)
+    in16 = far16 < half - eps
+    near17, far17 = nearest(1)
+    ok &= np.where(in16, np.abs(far16 - 5) > eps,
+                   (far16 > half + eps) & (np.abs(far17 - 0.5) > eps))
+    digits = np.where(in16, n16, near17)
+    ok &= digits < np.where(in16, 10**16, 10**17)
+    return digits
+
+
 def _field(col) -> np.ndarray:
+    if isinstance(col, Ratio):
+        return _ratio_field(col.num, col.den)
     if col.dtype.kind in "iu" and np.can_cast(col.dtype, np.int64):
         return _digit_field(col)
     if col.dtype == np.float64:
@@ -340,7 +485,9 @@ def _field(col) -> np.ndarray:
 def row_bytes(fragments, cols) -> bytes:
     """Per row i, the bytes fragments[0], cols[0][i], fragments[1], ...,
     cols[-1][i], fragments[-1]: an integer column (int64 or narrower) in
-    decimal digits, a float64 column as the repr of each value, any other
+    decimal digits, a float64 column as the repr of each value, a ``Ratio``
+    column as ``repr(num / den)`` of each row (in numpy where
+    ``_ratio_field`` can decide it, else by the float64 path), any other
     column (Python ints past int64) as the str of each value, and a None
     column as nothing.
 

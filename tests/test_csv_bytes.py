@@ -36,8 +36,9 @@ def reference_bytes(cols) -> bytes:
 # -- columns: a small pool of values, spread over the rows by a seeded draw, so
 # that every value recurs across the 4096-row chunk boundaries --------------
 
-INT64_EDGES = [0, 1, -1, 9, 10, -10, 99, -100, 2**63 - 1, -(2**63 - 1),
-               -2**63, 10**18, -10**18]
+INT64_EDGES = [0, 1, -1, 2**63 - 1, -(2**63 - 1), -2**63,
+               *(sign * (10**k - d) for k in range(1, 19) for d in (0, 1)
+                 for sign in (1, -1))]
 FLOAT_EDGES = [0.0, -0.0, 1.0, float("inf"), float("-inf"), float("nan"),
                5e-324, 2.2250738585072014e-308 / 3, 1e-05, 1e16, 0.1,
                1 / 3, 123456789.0, -2.5e-10]

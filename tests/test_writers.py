@@ -150,6 +150,23 @@ def test_constant_bitsets_match_row_loops(tmp_path, n, fill):
         tmp_path / "old.csv").read_bytes()
 
 
+@pytest.mark.parametrize("density", [0.003, 0.6])
+def test_random_bitsets_match_row_loops_across_chunks(tmp_path, density):
+    # 9000 rows span three write chunks; most rho_float fields come from the
+    # numpy kernel, and the rest (0, 1, below 1e-4, at most 15 digits) from
+    # repr
+    rng = np.random.default_rng(int(density * 1000))
+    bits = [rng.random(9000) < density for _ in range(2)]
+    a, b, sym = (profile_from_bits(v) for v in (*bits, bits[0] ^ bits[1]))
+    for obj, reference in ((a, reference_profile_csv),
+                           (SymDiffProfile(a, b, sym, b_subset_of_a=False),
+                            reference_symdiff_csv)):
+        obj.write_csv(tmp_path / "new.csv")
+        reference(obj, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (
+            tmp_path / "old.csv").read_bytes()
+
+
 @pytest.mark.parametrize("rounding", ["floor", "ceil"])
 def test_window_bounds_near_tie_at_large_n(rounding):
     # counts[n] = floor(n·a/b) (or ceil) with b prime just above the window:
