@@ -43,9 +43,10 @@ class _Field:
     def _find(self, table, key):
         # a missing field, or a label that names nothing
         try:
-            return table[key]
+            found = table[key]
         except (KeyError, TypeError):
             raise self.error(f"{key!r} not found") from None
+        return found.value if isinstance(found, _Deferred) else found
 
     def _child(self, key: str, value) -> _Field:
         return _Field(value, f"{self.path}.{key}" if self.path else key)
@@ -124,6 +125,18 @@ class _Field:
             _Field(pair.value[0], pair.path).int(0, first_hi)
             _Field(pair.value[1], pair.path).int(0)
         return self.value
+
+
+class _Deferred:
+    """A table entry built when a label first names it: ``_Field`` looks
+    up ``value``, which calls ``build`` once and keeps what it returns."""
+
+    def __init__(self, build):
+        self._build = build
+
+    @functools.cached_property
+    def value(self):
+        return self._build()
 
 
 def _load_config(path) -> _Field:
@@ -228,9 +241,12 @@ def _stage_fn(schedule: dict, path: str, stage_max: int):
 
 
 def _streams(cfg: _Field, sets) -> dict:
+    """The declared streams by label.  Each is checked here, but a stream
+    from a set is built only when a label names it; a scripted stream is
+    built here, where an element given two stages is reported."""
     n_max, stage_max = _universe(cfg)
 
-    def build(spec: _Field, label: str) -> CEStream:
+    def build(spec: _Field, label: str):
         schedule = spec.get("schedule", {}).obj()
         if schedule.value.get("kind") == "scripted":
             pairs = schedule["pairs"]
@@ -241,10 +257,10 @@ def _streams(cfg: _Field, sets) -> dict:
             except ValueError as exc:  # an element given two stages
                 raise pairs.error(exc) from None
         base = spec["set"].ref(sets)
-        return CEStream.from_oracle(
-            base, n_max=n_max, stage_max=stage_max,
-            delay_fn=_stage_fn(schedule.value, schedule.path, stage_max),
-            label=label)
+        delay_fn = _stage_fn(schedule.value, schedule.path, stage_max)
+        return _Deferred(lambda: CEStream.from_oracle(
+            base, n_max=n_max, stage_max=stage_max, delay_fn=delay_fn,
+            label=label))
 
     return _labelled(cfg, "streams", build)
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import groupby
 from math import factorial
 from typing import Callable, NamedTuple
 
@@ -174,6 +173,24 @@ class JumpApprox(StageGuess):
             next_change=lambda s: (s // period + 1) * period)
 
 
+def _rendered(template, cols, sep: str) -> bytes:
+    """``jsonl_bytes`` of the records template(*row) for the rows of the
+    equal-length int64 columns, each line ending in sep instead of LF: the
+    template's line split at its holes into fixed fragments, with the hole
+    digits laid between them by ``row_bytes``."""
+    marks = [_HOLE + j for j in range(len(cols))]
+    line = jsonl_bytes([template(*marks)]).decode()[:-1] + sep
+    # a capturing split alternates fragments and the marks between them
+    parts = re.split(f"({'|'.join(map(str, marks))})", line)
+    frags = [f.encode() for f in parts[::2]]
+    cols = [cols[int(m) - _HOLE] for m in parts[1::2]]
+    return b"".join(row_bytes(frags, [c[i:i + _CHUNK_ROWS] for c in cols])
+                    for i in range(0, len(cols[0]), _CHUNK_ROWS))
+
+
+_HOLE = -(1 << 62)  # hole j of a template is marked by the int _HOLE + j
+
+
 class _Run(NamedTuple):
     """Quiet stages in bulk: the record ``template(*row)`` for each row of
     the int64 hole columns, in order."""
@@ -186,27 +203,56 @@ class _Run(NamedTuple):
                 for row in zip(*(h.tolist() for h in self.holes))]
 
     def jsonl(self) -> bytes:
-        """``jsonl_bytes(self.records())``: the template's line split at
-        its holes into fixed fragments, with the hole digits laid between
-        them by ``row_bytes``."""
-        marks = [_HOLE + j for j in range(len(self.holes))]
-        line = jsonl_bytes([self.template(*marks)]).decode()
-        # a capturing split alternates fragments and the marks between them
-        parts = re.split(f"({'|'.join(map(str, marks))})", line)
-        frags = [f.encode() for f in parts[::2]]
-        cols = [self.holes[int(m) - _HOLE] for m in parts[1::2]]
-        return b"".join(
-            row_bytes(frags, [c[i:i + _CHUNK_ROWS] for c in cols])
-            for i in range(0, len(cols[0]), _CHUNK_ROWS))
+        """``jsonl_bytes(self.records())``."""
+        return _rendered(self.template, self.holes, "\n")
 
 
-_HOLE = -(1 << 62)  # hole j of a template is marked by the int _HOLE + j
+class _Block(NamedTuple):
+    """Entries of a record's "enumerated" list in bulk: {"x": x, **tag} for
+    each x of the int64 array xs, in order."""
+
+    tag: dict
+    xs: np.ndarray
+
+    def entries(self) -> list:
+        return [{"x": x, **self.tag} for x in self.xs.tolist()]
+
+    def json(self) -> bytes:
+        """The JSON of the entries, joined by ", " as in a JSON list."""
+        return _rendered(lambda x: {"x": x, **self.tag}, (self.xs,), ", ")[:-2]
+
+
+def _expanded(rec: dict) -> dict:
+    """The stage record with each block of its "enumerated" list expanded
+    into its entries (the record itself if it holds no block)."""
+    entries = rec.get("enumerated", ())
+    if not any(isinstance(en, _Block) for en in entries):
+        return rec
+    return {**rec, "enumerated": [
+        x for en in entries
+        for x in (en.entries() if isinstance(en, _Block) else [en])]}
+
+
+def _record_jsonl(rec: dict) -> bytes:
+    """``jsonl_bytes([_expanded(rec)])``: the line of the record with its
+    "enumerated" list held out, and the list's entries spliced in, a block
+    as the bytes that ``_Block.json`` renders."""
+    entries = rec.get("enumerated", ())
+    if not any(isinstance(en, _Block) for en in entries):
+        return jsonl_bytes([rec])
+    head, tail = jsonl_bytes([{**rec, "enumerated": _HOLE}]).split(
+        str(_HOLE).encode())
+    items = [en.json() if isinstance(en, _Block) else jsonl_bytes([en])[:-1]
+             for en in entries]
+    return b"".join([head, b"[", b", ".join(filter(None, items)), b"]",
+                     tail])
 
 
 class ConstructionTrace:
     """Per-stage records plus final outcome classifications.  The records
-    of quiet stages are held in runs (``run``); ``stages`` and
-    ``enumerations`` expand them."""
+    of quiet stages are held in runs (``run``), and a record's
+    "enumerated" list may hold blocks (``_Block``) of entries; ``stages``
+    and ``enumerations`` expand both."""
 
     def __init__(self, construction: str):
         self.construction = construction
@@ -229,7 +275,7 @@ class ConstructionTrace:
             if isinstance(part, _Run):
                 out.extend(part.records())
             else:
-                out.append(part)
+                out.append(_expanded(part))
         return out
 
     def enumerations(self):
@@ -239,12 +285,8 @@ class ConstructionTrace:
 
     def write_jsonl(self, path):
         with open(path, "wb") as fh:
-            for is_run, parts in groupby(self._parts,
-                                         lambda p: isinstance(p, _Run)):
-                if is_run:
-                    fh.writelines(run.jsonl() for run in parts)
-                else:
-                    fh.write(jsonl_bytes(parts))
+            fh.writelines(part.jsonl() if isinstance(part, _Run)
+                          else _record_jsonl(part) for part in self._parts)
             fh.write(jsonl_bytes([{"outcomes": self.outcomes,
                                    "construction": self.construction}]))
 
@@ -350,12 +392,12 @@ class _StageDriver:
 
     def enter(self, xs, s: int, tag=None, out: int = 0):
         """Enter the ints xs, none of them in output ``out`` yet, at stage
-        s; given a tag, the record's "enumerated" list gets {"x": x, **tag}
-        for each."""
+        s; given a tag, the record's "enumerated" list gets them as one
+        block, {"x": x, **tag} for each."""
+        xs = np.asarray(xs, dtype=np.int64)
         self.entry[out, xs] = s
         if tag is not None:
-            self.rec.setdefault("enumerated", []).extend(
-                {"x": x, **tag} for x in xs)
+            self.rec.setdefault("enumerated", []).append(_Block(tag, xs))
 
     def appoint(self, k: int, min_elem_above: int, max_above: int):
         """The next interval of class k (``_large_interval``), restrained,
@@ -476,8 +518,8 @@ def ratio_interval_build(deciders, n_max: int, stage_max: int):
                 ones = gap[deciders[e].at(gap, s) == 1]
                 iv["state"] = "finalized" if ones.size else "completed"
                 iv["witness"] = int(ones[0]) if ones.size else None
-                drive.enter([x for x in gap.tolist() if x != iv["witness"]],
-                            s, {"e": e})
+                drive.enter(gap[gap != ones[0]] if ones.size else gap, s,
+                            {"e": e})
                 iv["resolved_stage"] = s
                 drive.rec["resolved"] = {key: iv[key] for key in
                                          ("e", "a", "c", "state", "witness")}
@@ -498,7 +540,7 @@ def ratio_interval_build(deciders, n_max: int, stage_max: int):
                                 "appointed_stage": s}
                 intervals.append(iv)
                 frontier = c + 1
-                drive.enter(range(a, b + 1), s, {"e": e})
+                drive.enter(np.arange(a, b + 1), s, {"e": e})
                 drive.rec["appointed"] = {"e": e, "a": a, "b": b, "c": c}
         # requirement e acts at the stages t ≡ e (mod E): a waiting one
         # once its decider can be defined on the interval, any other

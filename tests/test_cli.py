@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cedensity import cli
-from cedensity.core import NEVER
+from cedensity.core import NEVER, CEStream
 from cedensity.errors import BudgetExceeded
 
 
@@ -364,6 +364,39 @@ def test_bad_schedule_field_is_a_config_error(tmp_path, capsys, schedule,
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert message in err
+
+
+def test_a_stream_is_built_only_when_the_op_names_it(tmp_path, monkeypatch):
+    cfg = construct_cfg({"op": "blockwise-union", "streams": ["evs", "evs"]})
+    cfg["streams"] += [
+        {"label": "burst", "set": "ev",
+         "schedule": {"kind": "burst", "period": 3}},
+        {"label": "late", "set": "ev", "schedule": {"kind": "delayed"}},
+        {"label": "script", "schedule": {"kind": "scripted",
+                                         "pairs": [[1, 2]]}}]
+    built, from_oracle = [], CEStream.from_oracle
+
+    def counted(*args, **kwargs):
+        built.append(kwargs["label"])
+        return from_oracle(*args, **kwargs)
+
+    monkeypatch.setattr(CEStream, "from_oracle", staticmethod(counted))
+    assert _run(tmp_path, "construct", cfg) == 0
+    assert built == ["evs"]  # once, though the op names it twice
+
+
+@pytest.mark.parametrize("stream, message", [
+    ({"label": "x", "set": "ev", "schedule": {"kind": "zz"}},
+     "streams[1].schedule.kind: unknown schedule kind 'zz'"),
+    ({"label": "x", "set": "nope"}, "streams[1].set: 'nope' not found"),
+])
+def test_an_unused_stream_is_still_checked(tmp_path, capsys, stream,
+                                           message):
+    cfg = construct_cfg({"op": "checkpoint-subset", "stream": "evs",
+                         "q": "1/4"})
+    cfg["streams"].append(stream)
+    assert _run(tmp_path, "construct", cfg) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 @pytest.mark.parametrize("schedule", [

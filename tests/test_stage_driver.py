@@ -598,14 +598,32 @@ TEMPLATES = {_acted: 2, _own: 1, _dump: 3}  # template -> number of holes
 
 HOLES = st.integers(0, 3) | st.integers(0, 2**63 - 2)
 
-EVENT = st.fixed_dictionaries({
-    "stage": st.integers(0, 50),
-    "enumerated": st.lists(st.fixed_dictionaries(
-        {"x": st.integers(1, 50),
-         "permission": st.fixed_dictionaries(
-             {"kind": st.just("change"), "y": st.integers(0, 50)})}),
-        max_size=3),
-    "dormant": st.lists(st.integers(0, 5), max_size=2)})
+# the driver's tags, and a key "z" that sorts after an entry's "x"
+TAGS = st.fixed_dictionaries({}, optional={
+    "e": st.integers(0, 5), "k": st.integers(0, 5),
+    "via": st.sampled_from(["dump", "own-stage"]),
+    "permission": st.just({"kind": "own-stage"}) | st.fixed_dictionaries(
+        {"kind": st.just("change"), "y": st.integers(0, 50)}),
+    "pair": st.lists(st.integers(0, 3), min_size=2, max_size=2),
+    "z": st.integers(0, 3)})
+
+
+def blocks(holes):
+    """Blocks as the driver stores them, empty ones included."""
+    return st.builds(lambda tag, xs: ps._Block(tag, np.array(xs, np.int64)),
+                     TAGS, st.lists(holes, max_size=12))
+
+
+def event(holes):
+    """A stage record whose "enumerated" list mixes dicts and blocks."""
+    return st.fixed_dictionaries({
+        "stage": st.integers(0, 50),
+        "enumerated": st.lists(blocks(holes) | st.fixed_dictionaries(
+            {"x": st.integers(1, 50),
+             "permission": st.fixed_dictionaries(
+                 {"kind": st.just("change"), "y": st.integers(0, 50)})}),
+            max_size=3),
+        "dormant": st.lists(st.integers(0, 5), max_size=2)})
 
 
 @st.composite
@@ -614,7 +632,7 @@ def trace_parts(draw, holes=HOLES):
     parts = []
     for _ in range(draw(st.integers(0, 6))):
         if draw(st.booleans()):
-            parts.append(draw(EVENT))
+            parts.append(draw(event(holes)))
             continue
         template = draw(st.sampled_from(sorted(TEMPLATES, key=str)))
         rows = draw(st.integers(1, 12))
@@ -624,12 +642,21 @@ def trace_parts(draw, holes=HOLES):
     return parts
 
 
+def entries(enumerated):
+    """The entries of an "enumerated" list with each block written out."""
+    return [e for en in enumerated for e in (
+        [{"x": x, **en.tag} for x in en.xs.tolist()]
+        if isinstance(en, ps._Block) else [en])]
+
+
 def traced(parts, expand=False):
-    """A trace of the parts, with each run as a run or as its records."""
+    """A trace of the parts, with each run as a run or as its records and
+    each block as a block or as its entries."""
     trace = ConstructionTrace("demo")
     for part in parts:
         if isinstance(part, dict):
-            trace.record(**part)
+            trace.record(**(dict(part, enumerated=entries(part["enumerated"]))
+                            if expand else part))
         elif expand:
             for row in zip(*(h.tolist() for h in part[1])):
                 trace.record(**part[0](*row))
@@ -639,7 +666,7 @@ def traced(parts, expand=False):
     return trace
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(trace_parts())
 def test_trace_runs_render_as_their_records(tmp_path_factory, parts):
     tmp = tmp_path_factory.getbasetemp()
@@ -652,13 +679,27 @@ def test_trace_runs_render_as_their_records(tmp_path_factory, parts):
     assert trace.stages == traced(parts, expand=True).stages
 
 
-@settings(max_examples=40, deadline=None)
+def test_an_empty_block_writes_an_empty_list(tmp_path):
+    # the gap of a ratio interval that holds only its witness
+    trace = ConstructionTrace("demo")
+    trace.record(3, acted=0, enumerated=[ps._Block({"e": 0},
+                                                   np.zeros(0, np.int64))])
+    trace.write_jsonl(tmp_path / "t.jsonl")
+    assert (tmp_path / "t.jsonl").read_bytes().splitlines()[0] == (
+        b'{"acted": 0, "enumerated": [], "stage": 3}')
+    assert trace.stages == [{"stage": 3, "acted": 0, "enumerated": []}]
+
+
+@settings(max_examples=60, deadline=None)
 @given(trace_parts(st.integers(1, 40)))
 def test_audits_read_runs_as_records(parts):
     runs, records = traced(parts), traced(parts, expand=True)
     assert list(runs.enumerations()) == list(records.enumerations())
     assert audit_permissions(runs) == audit_permissions(records)
-    region = lambda k: k % 3  # noqa: E731
+
+    def region(tag):
+        return (ps.pair_code(*tag) if isinstance(tag, list) else tag) % 3
+
     assert audit_regions(runs, region) == audit_regions(records, region)
 
 
