@@ -289,7 +289,7 @@ def _reduced(num, den):
 
 
 def _whole(values):
-    return values, np.ones(len(values), dtype=np.int64)
+    return values, np.broadcast_to(np.int64(1), values.shape)
 
 
 def _rational(rec, key="q", unit=True):

@@ -9,6 +9,7 @@ classification — always qualified "on the window", never as a limit claim.
 
 from __future__ import annotations
 
+import json
 import re
 from fractions import Fraction
 from math import factorial
@@ -173,86 +174,52 @@ class JumpApprox(StageGuess):
             next_change=lambda s: (s // period + 1) * period)
 
 
-def _rendered(template, cols, sep: str) -> bytes:
-    """``jsonl_bytes`` of the records template(*row) for the rows of the
-    equal-length int64 columns, each line ending in sep instead of LF: the
-    template's line split at its holes into fixed fragments, with the hole
-    digits laid between them by ``row_bytes``."""
-    marks = [_HOLE + j for j in range(len(cols))]
-    line = jsonl_bytes([template(*marks)]).decode()[:-1] + sep
-    # a capturing split alternates fragments and the marks between them
-    parts = re.split(f"({'|'.join(map(str, marks))})", line)
-    frags = [f.encode() for f in parts[::2]]
-    cols = [cols[int(m) - _HOLE] for m in parts[1::2]]
-    return b"".join(row_bytes(frags, [c[i:i + _CHUNK_ROWS] for c in cols])
-                    for i in range(0, len(cols[0]), _CHUNK_ROWS))
-
-
 _HOLE = -(1 << 62)  # hole j of a template is marked by the int _HOLE + j
 
 
 class _Run(NamedTuple):
-    """Quiet stages in bulk: the record ``template(*row)`` for each row of
-    the int64 hole columns, in order."""
+    """Records in bulk: ``template(*row)`` for each row of the equal-length
+    int64 hole columns, in order.  A run holds quiet stages' records, or
+    the entries of a record's "enumerated" list (a block)."""
 
     template: Callable
     holes: tuple
 
-    def records(self) -> list:
-        return [self.template(*row)
-                for row in zip(*(h.tolist() for h in self.holes))]
-
-    def jsonl(self) -> bytes:
-        """``jsonl_bytes(self.records())``."""
-        return _rendered(self.template, self.holes, "\n")
-
-
-class _Block(NamedTuple):
-    """Entries of a record's "enumerated" list in bulk: {"x": x, **tag} for
-    each x of the int64 array xs, in order."""
-
-    tag: dict
-    xs: np.ndarray
-
-    def entries(self) -> list:
-        return [{"x": x, **self.tag} for x in self.xs.tolist()]
-
-    def json(self) -> bytes:
-        """The JSON of the entries, joined by ", " as in a JSON list."""
-        return _rendered(lambda x: {"x": x, **self.tag}, (self.xs,), ", ")[:-2]
-
-
-def _expanded(rec: dict) -> dict:
-    """The stage record with each block of its "enumerated" list expanded
-    into its entries (the record itself if it holds no block)."""
-    entries = rec.get("enumerated", ())
-    if not any(isinstance(en, _Block) for en in entries):
-        return rec
-    return {**rec, "enumerated": [
-        x for en in entries
-        for x in (en.entries() if isinstance(en, _Block) else [en])]}
+    def jsonl(self, sep: str = "\n") -> bytes:
+        """``jsonl_bytes`` of the records, each line ending in sep instead of
+        LF: the template's line split at its holes into fixed fragments,
+        with the hole digits laid between them by ``row_bytes``."""
+        marks = [_HOLE + j for j in range(len(self.holes))]
+        line = jsonl_bytes([self.template(*marks)]).decode()[:-1] + sep
+        # a capturing split alternates fragments and the marks between them
+        parts = re.split(f"({'|'.join(map(str, marks))})", line)
+        frags = [f.encode() for f in parts[::2]]
+        cols = [self.holes[int(m) - _HOLE] for m in parts[1::2]]
+        return b"".join(row_bytes(frags, [c[i:i + _CHUNK_ROWS] for c in cols])
+                        for i in range(0, len(cols[0]), _CHUNK_ROWS))
 
 
 def _record_jsonl(rec: dict) -> bytes:
-    """``jsonl_bytes([_expanded(rec)])``: the line of the record with its
-    "enumerated" list held out, and the list's entries spliced in, a block
-    as the bytes that ``_Block.json`` renders."""
+    """The line of the stage record, each block of its "enumerated" list
+    written as its entries: the line with the list held out, and the list's
+    entries spliced in, a block as the bytes its ``jsonl`` renders."""
     entries = rec.get("enumerated", ())
-    if not any(isinstance(en, _Block) for en in entries):
+    if not any(isinstance(en, _Run) for en in entries):
         return jsonl_bytes([rec])
     head, tail = jsonl_bytes([{**rec, "enumerated": _HOLE}]).split(
         str(_HOLE).encode())
-    items = [en.json() if isinstance(en, _Block) else jsonl_bytes([en])[:-1]
-             for en in entries]
+    items = [en.jsonl(", ")[:-2] if isinstance(en, _Run)
+             else jsonl_bytes([en])[:-1] for en in entries]
     return b"".join([head, b"[", b", ".join(filter(None, items)), b"]",
                      tail])
 
 
 class ConstructionTrace:
-    """Per-stage records plus final outcome classifications.  The records
-    of quiet stages are held in runs (``run``), and a record's
-    "enumerated" list may hold blocks (``_Block``) of entries; ``stages``
-    and ``enumerations`` expand both."""
+    """Per-stage records plus final outcome classifications.  Fields are
+    JSON values with string keys.  The records of quiet stages are held in
+    runs (``run``), and a record's "enumerated" list may hold blocks
+    (``_Run``) of entries.  The written lines are the trace: ``stages``
+    and ``enumerations`` read back the lines ``write_jsonl`` writes."""
 
     def __init__(self, construction: str):
         self.construction = construction
@@ -260,6 +227,8 @@ class ConstructionTrace:
         self._parts = []  # stage records and _Runs, in stage order
 
     def record(self, stage: int, **fields):
+        """Append the record {"stage": stage, **fields}; each field is a
+        JSON value whose dicts have string keys."""
         self._parts.append({"stage": stage, **fields})
 
     def run(self, template, *holes):
@@ -268,15 +237,16 @@ class ConstructionTrace:
         if len(holes[0]):
             self._parts.append(_Run(template, holes))
 
+    def _lines(self):
+        """The bytes of the stage records' lines, part by part."""
+        for part in self._parts:
+            yield (part.jsonl() if isinstance(part, _Run)
+                   else _record_jsonl(part))
+
     @property
     def stages(self) -> list:
-        out = []
-        for part in self._parts:
-            if isinstance(part, _Run):
-                out.extend(part.records())
-            else:
-                out.append(_expanded(part))
-        return out
+        return [json.loads(line) for chunk in self._lines()
+                for line in chunk.splitlines()]
 
     def enumerations(self):
         for rec in self.stages:
@@ -285,8 +255,7 @@ class ConstructionTrace:
 
     def write_jsonl(self, path):
         with open(path, "wb") as fh:
-            fh.writelines(part.jsonl() if isinstance(part, _Run)
-                          else _record_jsonl(part) for part in self._parts)
+            fh.writelines(self._lines())
             fh.write(jsonl_bytes([{"outcomes": self.outcomes,
                                    "construction": self.construction}]))
 
@@ -397,7 +366,8 @@ class _StageDriver:
         xs = np.asarray(xs, dtype=np.int64)
         self.entry[out, xs] = s
         if tag is not None:
-            self.rec.setdefault("enumerated", []).append(_Block(tag, xs))
+            self.rec.setdefault("enumerated", []).append(
+                _Run(lambda x: {"x": x, **tag}, (xs,)))
 
     def appoint(self, k: int, min_elem_above: int, max_above: int):
         """The next interval of class k (``_large_interval``), restrained,

@@ -610,7 +610,8 @@ TAGS = st.fixed_dictionaries({}, optional={
 
 def blocks(holes):
     """Blocks as the driver stores them, empty ones included."""
-    return st.builds(lambda tag, xs: ps._Block(tag, np.array(xs, np.int64)),
+    return st.builds(lambda tag, xs: ps._Run(lambda x: {"x": x, **tag},
+                                             (np.array(xs, np.int64),)),
                      TAGS, st.lists(holes, max_size=12))
 
 
@@ -645,8 +646,8 @@ def trace_parts(draw, holes=HOLES):
 def entries(enumerated):
     """The entries of an "enumerated" list with each block written out."""
     return [e for en in enumerated for e in (
-        [{"x": x, **en.tag} for x in en.xs.tolist()]
-        if isinstance(en, ps._Block) else [en])]
+        [en.template(x) for x in en.holes[0].tolist()]
+        if isinstance(en, ps._Run) else [en])]
 
 
 def traced(parts, expand=False):
@@ -672,18 +673,29 @@ def test_trace_runs_render_as_their_records(tmp_path_factory, parts):
     tmp = tmp_path_factory.getbasetemp()
     trace = traced(parts)
     trace.write_jsonl(tmp / "runs.jsonl")
-    write_jsonl(tmp / "records.jsonl", [*trace.stages, {
+    # the records themselves, each a plain dict written by jsonl_bytes
+    traced(parts, expand=True).write_jsonl(tmp / "records.jsonl")
+    write_jsonl(tmp / "stages.jsonl", [*trace.stages, {
         "outcomes": trace.outcomes, "construction": "demo"}])
     assert (tmp / "runs.jsonl").read_bytes() == (
-        tmp / "records.jsonl").read_bytes()
+        tmp / "records.jsonl").read_bytes() == (
+        tmp / "stages.jsonl").read_bytes()
     assert trace.stages == traced(parts, expand=True).stages
+
+
+def test_stages_read_back_json_values():
+    # stages are the written lines read back, so a tuple reads as a list
+    trace = ConstructionTrace("demo")
+    trace.record(2, pair=(0, 1), enumerated=[{"x": 2, "pair": (0, 1)}])
+    assert trace.stages == [{"stage": 2, "pair": [0, 1],
+                             "enumerated": [{"x": 2, "pair": [0, 1]}]}]
 
 
 def test_an_empty_block_writes_an_empty_list(tmp_path):
     # the gap of a ratio interval that holds only its witness
     trace = ConstructionTrace("demo")
-    trace.record(3, acted=0, enumerated=[ps._Block({"e": 0},
-                                                   np.zeros(0, np.int64))])
+    trace.record(3, acted=0, enumerated=[ps._Run(lambda x: {"x": x, "e": 0},
+                                                 (np.zeros(0, np.int64),))])
     trace.write_jsonl(tmp_path / "t.jsonl")
     assert (tmp_path / "t.jsonl").read_bytes().splitlines()[0] == (
         b'{"acted": 0, "enumerated": [], "stage": 3}')
