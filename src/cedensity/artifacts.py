@@ -26,18 +26,16 @@ from .errors import ArtifactError
 FORMAT_VERSION = 2
 
 
-def bits_to_rle(bits) -> list:
+def bits_to_rle(bits) -> np.ndarray:
     """Run lengths of an alternating 0/1 sequence, starting with the length
-    of the initial zero run (possibly 0)."""
+    of the initial zero run (possibly 0), as an int64 array."""
     bits = np.asarray(bits, dtype=bool)
     if bits.size == 0:
-        return []
-    flips = np.nonzero(bits[1:] != bits[:-1])[0] + 1
-    edges = np.concatenate(([0], flips, [bits.size]))
-    runs = np.diff(edges).tolist()
-    if bits[0]:
-        runs.insert(0, 0)
-    return runs
+        return np.zeros(0, np.int64)
+    flips = np.flatnonzero(bits[1:] != bits[:-1]) + 1
+    starts = [0, 0] if bits[0] else [0]
+    return np.diff(np.concatenate((starts, flips, [bits.size]))).astype(
+        np.int64, copy=False)
 
 
 def _int64s(values, message: str) -> np.ndarray:
@@ -52,13 +50,16 @@ def _int64s(values, message: str) -> np.ndarray:
 
 
 def rle_to_bits(runs, n: int) -> np.ndarray:
-    """Inverse of ``bits_to_rle``: runs must be a list of non-negative ints
-    (not bools) summing to n, else the artifact is rejected."""
+    """Inverse of ``bits_to_rle``: runs must be an int64 array, or a list of
+    ints (not bools), of non-negative runs summing to n, else the artifact
+    is rejected."""
     message = "run-length data inconsistent with n_max"
-    lengths = _int64s(runs, message)
+    lengths = (runs if isinstance(runs, np.ndarray) and runs.dtype == np.int64
+               else _int64s(runs, message))
     top = int(lengths.max(initial=0))
     # with no run below 0, the int64 sum is exact while len · top < 2^63
-    total = int(lengths.sum()) if lengths.size * top < 1 << 63 else sum(runs)
+    total = (int(lengths.sum()) if lengths.size * top < 1 << 63
+             else sum(lengths.tolist()))
     if lengths.min(initial=0) < 0 or total != n:
         raise ArtifactError(message)
     values = np.zeros(lengths.size, dtype=bool)
@@ -118,9 +119,9 @@ def _str_keys(value):
     return {str(k): _str_keys(v) for k, v in value.items()}
 
 
-def artifact_payload(art: SubsetArtifact) -> dict:
-    """The artifact as JSON values: per-n tables packed, meta map keys as
-    strings."""
+def _payload(art: SubsetArtifact) -> dict:
+    """The artifact as the values ``compact_json`` writes: bits_rle the
+    int64 array of runs, per-n tables packed, meta map keys as strings."""
     arrays = (_form(art.guarantee.get("form")) or Form()).arrays
     return {
         "format_version": FORMAT_VERSION,
@@ -135,12 +136,20 @@ def artifact_payload(art: SubsetArtifact) -> dict:
     }
 
 
+def artifact_payload(art: SubsetArtifact) -> dict:
+    """``_payload`` with bits_rle as the list of its runs: the artifact as
+    JSON values, but for any int64 array its meta holds."""
+    payload = _payload(art)
+    payload["bits_rle"] = payload["bits_rle"].tolist()
+    return payload
+
+
 def save_artifact(art: SubsetArtifact, path) -> None:
     """Write the canonical bytes of the payload with its digest added in
     its sorted place, LF-terminated.  The digest is the sha256 of the
     payload's canonical bytes; the keys sorting before and after its key
     are two compact halves, so the payload is encoded once."""
-    payload = artifact_payload(art)
+    payload = _payload(art)
     head = _canonical({k: v for k, v in payload.items()
                        if k < "integrity_sha256"})[:-1]
     tail = _canonical({k: v for k, v in payload.items()
@@ -183,17 +192,64 @@ def _digest_covers(raw: bytes, digest) -> bool:
     return h.hexdigest() == digest
 
 
-def load_artifact(path) -> SubsetArtifact:
-    """The artifact of a file whose digest matches its payload: the digest
-    of the file's own bytes (``_digest_covers``), or else of the payload's
-    canonical re-encoding, as in format 1's indented files.  Format 2
-    tables are unpacked and format 1 lists converted, so either way each
-    table a form declares in ``Form.arrays`` reads as an int64 array."""
+_SAVED_HEAD = b'{"bits_rle":['  # how every file save_artifact writes opens
+
+
+def _plain_ints(span: bytes) -> np.ndarray | None:
+    """The comma-separated ints of span as an int64 array, or None unless
+    each is 1 to 18 digits with no sign and no leading zero: the texts
+    JSON reads as those very ints.  Each value starts as its last digit;
+    step k adds the digit k places before each field's end, times 10^k,
+    to the fields that have one."""
+    text = np.frombuffer(span, np.uint8)
+    digit = text - np.uint8(ord("0"))  # commas and other bytes wrap past 9
+    comma = text == ord(",")
+    if not (comma | (digit < 10)).all():
+        return None
+    ends = np.flatnonzero(np.append(comma, True))  # the byte after a field
+    widths = np.diff(ends, prepend=-1)
+    widths -= 1
+    if (widths.min() < 1 or widths.max() > 18
+            or not digit[(ends - widths)[widths > 1]].all()):
+        return None
+    values = digit[ends - 1].astype(np.int64)
+    for k in range(1, int(widths.max())):
+        rows = np.flatnonzero(widths > k)
+        values[rows] += digit[ends[rows] - (k + 1)] * np.int64(10**k)
+    return values
+
+
+def _saved_payload(raw: bytes) -> dict | None:
+    """The payload of a file laid out as save_artifact writes it, its
+    ``bits_rle`` parsed by ``_plain_ints`` and the rest by JSON, digest
+    checked and removed; or None, and the JSON path decides, unless the
+    file opens with ``_SAVED_HEAD``, the runs are plain ints, the rest
+    parses and holds no second ``bits_rle`` (JSON keeps the last of
+    duplicate keys), and the digest covers the file's own bytes."""
+    end = raw.find(b"]", len(_SAVED_HEAD))
+    if not (raw.startswith(_SAVED_HEAD) and raw[end + 1:end + 2] == b","):
+        return None
+    runs = _plain_ints(raw[len(_SAVED_HEAD):end])
+    if runs is None:
+        return None
     try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
+        payload = json.loads((b"{" + raw[end + 2:]).decode())
+    except ValueError:
+        return None
+    if "bits_rle" in payload or not _digest_covers(
+            raw, payload.pop("integrity_sha256", None)):
+        return None
+    payload["bits_rle"] = runs
+    return payload
+
+
+def _json_payload(raw: bytes) -> dict:
+    """The payload of the file's JSON, whose digest matches it: the digest
+    of the file's own bytes (``_digest_covers``), or else of the payload's
+    canonical re-encoding, as in format 1's indented files."""
+    try:
         payload = json.loads(raw.decode())
-    except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or JSON
+    except ValueError as exc:  # not UTF-8 or JSON
         raise ArtifactError(f"unreadable artifact: {exc}") from exc
     if not isinstance(payload, dict):
         raise ArtifactError("artifact is not a JSON object")
@@ -203,6 +259,22 @@ def load_artifact(path) -> SubsetArtifact:
     if not (_digest_covers(raw, digest) or hashlib.sha256(
             _canonical(payload)).hexdigest() == digest):
         raise ArtifactError("integrity digest mismatch")
+    return payload
+
+
+def load_artifact(path) -> SubsetArtifact:
+    """The artifact of a file whose digest matches its payload, read by
+    ``_saved_payload`` where it can, else by ``_json_payload``.  Format 2
+    tables are unpacked and format 1 lists converted, so either way each
+    table a form declares in ``Form.arrays`` reads as an int64 array."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise ArtifactError(f"unreadable artifact: {exc}") from exc
+    payload = _saved_payload(raw)
+    if payload is None:
+        payload = _json_payload(raw)
     version = payload.get("format_version")
     if type(version) is not int or version not in (1, FORMAT_VERSION):
         raise ArtifactError(f"unsupported format version {version}")

@@ -280,6 +280,7 @@ def profile_from_bits(bits, label="") -> DensityProfile:
 # -- output files ------------------------------------------------------
 
 _CHUNK_ROWS = 1 << 12  # rows formatted at a time; bounds write_columns' memory
+_HOLE = -(1 << 62)  # an int written where bytes are spliced into JSON text
 
 
 @dataclass(frozen=True)
@@ -526,9 +527,42 @@ def write_columns(path, header: str, cols) -> None:
                                 else col[i:i + _CHUNK_ROWS] for col in cols]))
 
 
+def _compact(payload, default) -> bytes:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"),
+                      default=default).encode()
+
+
 def compact_json(payload) -> bytes:
-    """payload as JSON, keys sorted, no whitespace, by the C encoder."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+    """payload as JSON, keys sorted, no whitespace, by the C encoder; a 1-d
+    int64 array leaf is written as the list of its ints.
+
+    The encoder writes each array as the int ``_HOLE``, in the order the
+    arrays appear in the text; the text is split at those marks and each
+    array's digits, rendered by ``row_bytes``, laid in its gap.  Where the
+    payload itself holds the mark's digits, the split finds more gaps than
+    arrays, and the arrays are written as lists instead."""
+    arrays = []
+
+    def mark(value):
+        if not (isinstance(value, np.ndarray) and value.ndim == 1
+                and value.dtype == np.int64):
+            raise TypeError(f"Object of type {type(value).__name__} "
+                            "is not JSON serializable")
+        arrays.append(value)
+        return _HOLE
+
+    text = _compact(payload, mark)
+    if not arrays:
+        return text
+    gaps = text.split(b"%d" % _HOLE)
+    if len(gaps) != len(arrays) + 1:
+        return _compact(payload, np.ndarray.tolist)
+    out = [gaps[0]]
+    for values, gap in zip(arrays, gaps[1:]):
+        digits = b"".join(row_bytes([b"", b","], [values[i:i + _CHUNK_ROWS]])
+                          for i in range(0, values.size, _CHUNK_ROWS))
+        out += [b"[", digits[:-1], b"]", gap]
+    return b"".join(out)
 
 
 def write_json(path, payload) -> None:

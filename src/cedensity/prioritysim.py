@@ -17,8 +17,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import (_CHUNK_ROWS, CEStream, NEVER, StageGuess, jsonl_bytes,
-                   prefix_counts, row_bytes, trailing_zeros)
+from .core import (_CHUNK_ROWS, _HOLE, CEStream, NEVER, StageGuess,
+                   jsonl_bytes, prefix_counts, row_bytes, trailing_zeros)
 from .errors import ContractViolated, RatioUnrealizable, WindowExhausted
 
 
@@ -174,9 +174,6 @@ class JumpApprox(StageGuess):
             next_change=lambda s: (s // period + 1) * period)
 
 
-_HOLE = -(1 << 62)  # hole j of a template is marked by the int _HOLE + j
-
-
 class _Run(NamedTuple):
     """Records in bulk: ``template(*row)`` for each row of the equal-length
     int64 hole columns, in order.  A run holds quiet stages' records, or
@@ -189,7 +186,7 @@ class _Run(NamedTuple):
         """``jsonl_bytes`` of the records, each line ending in sep instead of
         LF: the template's line split at its holes into fixed fragments,
         with the hole digits laid between them by ``row_bytes``."""
-        marks = [_HOLE + j for j in range(len(self.holes))]
+        marks = [_HOLE + j for j in range(len(self.holes))]  # hole j's mark
         line = jsonl_bytes([self.template(*marks)]).decode()[:-1] + sep
         # a capturing split alternates fragments and the marks between them
         parts = re.split(f"({'|'.join(map(str, marks))})", line)

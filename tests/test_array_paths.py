@@ -295,14 +295,21 @@ def test_rle_to_bits_matches_its_python_checks(runs, n, target):
             n = total
         elif target == "wrapped" and wrapped != total:
             n = wrapped
+    inputs = [runs]  # and as the int64 array a fast load reads
+    if set(map(type, runs)) <= {int} and all(-2**63 <= r < 2**63
+                                             for r in runs):
+        inputs.append(np.array(runs, dtype=np.int64))
     try:
         want = rle_to_bits_python(runs, n).tolist()
     except ArtifactError:
-        with pytest.raises(ArtifactError,
-                           match="run-length data inconsistent with n_max"):
-            artifacts.rle_to_bits(runs, n)
+        for each in inputs:
+            with pytest.raises(
+                    ArtifactError,
+                    match="run-length data inconsistent with n_max"):
+                artifacts.rle_to_bits(each, n)
     else:
-        assert artifacts.rle_to_bits(runs, n).tolist() == want
+        for each in inputs:
+            assert artifacts.rle_to_bits(each, n).tolist() == want
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,10 +1,13 @@
+import contextlib
 import hashlib
+import io
 import json
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cedensity import approximators as ap
@@ -738,3 +741,127 @@ def test_a_digest_of_the_files_own_bytes_loads_in_any_layout(tmp_path):
     path.write_bytes(path.read_bytes().replace(b'"z": 0', b'"z": 1'))
     with pytest.raises(ArtifactError, match="integrity digest mismatch"):
         ar.load_artifact(path)
+
+
+# -- loading: the runs of a saved file, read in numpy ---------------------------
+
+def json_path_load(path):
+    """load_artifact as it read every file before its runs were read in
+    numpy: the whole file through JSON.  The reference for the fast read."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        payload = json.loads(raw.decode())
+    except (OSError, ValueError) as exc:
+        raise ArtifactError(f"unreadable artifact: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ArtifactError("artifact is not a JSON object")
+    digest = payload.pop("integrity_sha256", None)
+    if digest is None:
+        raise ArtifactError("artifact missing integrity digest")
+    if not (ar._digest_covers(raw, digest) or hashlib.sha256(
+            ar._canonical(payload)).hexdigest() == digest):
+        raise ArtifactError("integrity digest mismatch")
+    version = payload.get("format_version")
+    if type(version) is not int or version not in (1, ar.FORMAT_VERSION):
+        raise ArtifactError(f"unsupported format version {version}")
+    for key, (t, name) in ar._FIELD_TYPES.items():
+        if type(payload.get(key)) is not t:
+            raise ArtifactError(f"artifact field {key!r} must be {name}")
+    n_max, guarantee = payload["n_max"], payload["guarantee"]
+    bits = ar.rle_to_bits(payload.get("bits_rle"), n_max)
+    form = ar._form(guarantee.get("form"), version) or ar.Form()
+    size = ar._table_size(form, guarantee, n_max)
+    for name in form.arrays:
+        try:
+            guarantee[name] = (ar._v1_ints if version == 1
+                               else ar.packed_to_ints)(
+                guarantee.get(name), size)
+        except ArtifactError as exc:
+            raise ArtifactError(f"guarantee table {name!r}: {exc}") from exc
+    return ap.SubsetArtifact(payload["kind"], bits,
+                             checkpoints=payload["checkpoints"],
+                             guarantee=guarantee,
+                             diagnostics=payload["diagnostics"],
+                             meta=payload["meta"], format_version=version)
+
+
+def test_saved_files_read_their_runs_in_numpy(tmp_path):
+    for i, art in enumerate(_saved_artifacts()):
+        path = tmp_path / f"{i}.json"
+        ar.save_artifact(art, path)
+        raw = path.read_bytes()
+        fast, slow = ar._saved_payload(raw), ar._json_payload(raw)
+        if art.n_max == 0:  # "bits_rle":[] is left to the JSON path
+            assert fast is None
+            continue
+        assert fast.pop("bits_rle").tolist() == slow.pop("bits_rle")
+        assert fast == slow
+
+
+# run texts JSON reads otherwise than as a plain int, or not at all
+_ODD_RUNS = st.sampled_from([
+    "007", "00", "-3", "+3", "-0", " 3", "3 ", "3\n", "true", "null", "1.0",
+    "1e2", '"3"', "[3]", "9" * 18, "9" * 19, "1" + "0" * 18, str(2**63 - 1),
+    str(2**63), str(-2**63), ""])
+_RUN_TEXTS = st.lists(st.integers(0, 40).map(str) | _ODD_RUNS, max_size=6)
+
+
+def _runs_file(runs: str, n_max: int, edit: str) -> bytes:
+    """A membership-only artifact laid out as save_artifact lays it out,
+    with ``runs`` as the text between the brackets of its bits_rle, edited
+    by ``edit``, and the digest of its own bytes unless edit says not."""
+    head = b'{"bits_rle":[%s%s],"checkpoints":[],"diagnostics":[],' % (
+        runs.encode(), b"," if edit == "trailing-comma" else b"")
+    head += b'"format_version":2,"guarantee":{"form":"membership-only"}'
+    head += b',"kind":"k"'
+    if edit == "no-bracket":
+        head = head.replace(b"]", b"", 1)
+    tail = b'"meta":{},"n_max":%d}' % n_max
+    if edit == "duplicate":  # JSON keeps the last of a duplicate key
+        tail = tail[:-1] + b',"bits_rle":[%d]}' % min(n_max, 200)
+    digest = hashlib.sha256(head + b"," + tail).hexdigest()
+    if edit == "stale":
+        digest = hashlib.sha256(head + b"," + tail + b" ").hexdigest()
+    elif edit == "re-encoded":  # a digest of the payload, not of these bytes
+        try:
+            digest = hashlib.sha256(ar._canonical(
+                json.loads(head + b"," + tail))).hexdigest()
+        except ValueError:
+            pass
+        head = head.replace(b'"kind":"k"', b'"kind": "k"')
+    return b'%s,"integrity_sha256":"%s",%s\n' % (head, digest.encode(), tail)
+
+
+def _outcome(load, path):
+    """What load makes of the file, and what `cedensity check` prints and
+    returns when it loads with load."""
+    try:
+        art = load(path)
+        got = (art.bits.tolist(), art.kind, art.n_max, art.checkpoints,
+               art.guarantee, art.diagnostics, art.meta, art.format_version)
+    except ArtifactError as exc:
+        got = str(exc)
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(ar, "load_artifact", load), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["check", "--artifact", str(path)])
+    return got, code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_RUN_TEXTS, st.integers(-1, 2), st.sampled_from(
+    ["none", "trailing-comma", "no-bracket", "duplicate", "stale",
+     "re-encoded"]))
+def test_fast_read_matches_the_json_path(tmp_path_factory, texts, offset,
+                                         edit):
+    try:
+        runs = json.loads(f"[{','.join(texts)}]")
+        total = sum(r for r in runs if type(r) is int)
+    except ValueError:
+        total = 0
+    # a window past 200 bits stays inconsistent, so no load fills it
+    n_max = total + offset if total <= 200 else total + 1
+    path = tmp_path_factory.mktemp("runs") / "a.json"
+    path.write_bytes(_runs_file(",".join(texts), max(n_max, 0), edit))
+    assert _outcome(ar.load_artifact, path) == _outcome(json_path_load, path)

@@ -278,7 +278,7 @@ def _flipped(art, how, tmp_path):
     payload = json.loads(path.read_text())
     bits = ar.rle_to_bits(payload["bits_rle"], payload["n_max"])
     bits[0 if how == "fill" else bits.size // 3:] = how != "clear"
-    payload["bits_rle"] = ar.bits_to_rle(bits)
+    payload["bits_rle"] = ar.bits_to_rle(bits).tolist()
     payload.pop("integrity_sha256")
     payload["integrity_sha256"] = ar.hashlib.sha256(
         ar._canonical(payload)).hexdigest()

@@ -30,7 +30,7 @@ def _bit(i):
     def flip(payload):
         bits = ar.rle_to_bits(payload["bits_rle"], payload["n_max"])
         bits[i] ^= True
-        payload["bits_rle"] = ar.bits_to_rle(bits)
+        payload["bits_rle"] = ar.bits_to_rle(bits).tolist()
     return flip
 
 

@@ -5,6 +5,8 @@
 key.  The references: ``json.dump(indent=1)`` for files,
 ``json.dumps(sort_keys=True)`` for JSONL lines, and the sorted compact
 ``json.dumps`` of the payload with its digest for artifacts.
+``compact_json`` writes int64 array leaves as lists; its reference is
+``json.dumps`` of the payload with each array as its ``tolist()``.
 """
 
 import hashlib
@@ -12,12 +14,13 @@ import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cedensity import approximators as ap
 from cedensity import artifacts as ar
-from cedensity.core import write_json, write_jsonl
+from cedensity.core import _HOLE, compact_json, write_json, write_jsonl
 
 
 def ref_write_json(path, payload):
@@ -76,6 +79,50 @@ def test_write_jsonl_matches_json_dumps(tmp_path_factory, records):
     write_jsonl(d / "got.jsonl", records)
     ref_write_jsonl(d / "want.jsonl", records)
     assert (d / "got.jsonl").read_bytes() == (d / "want.jsonl").read_bytes()
+
+
+def listed(tree):
+    """tree with each array leaf as its list of ints."""
+    if isinstance(tree, np.ndarray):
+        return tree.tolist()
+    if isinstance(tree, dict):
+        return {k: listed(v) for k, v in tree.items()}
+    if isinstance(tree, list):
+        return [listed(v) for v in tree]
+    return tree
+
+
+# int64 arrays, empty ones and the extremes among them, in trees that may
+# also hold the mark the writer splits at, as an int or inside a string
+int64s = (st.integers(-2**63, 2**63 - 1)
+          | st.sampled_from([0, -1, -2**63, 2**63 - 1, _HOLE]))
+int64_arrays = st.lists(int64s, max_size=8).map(
+    lambda values: np.array(values, dtype=np.int64))
+marks = st.sampled_from([_HOLE, _HOLE - 1, 10 * _HOLE, f"a{_HOLE}"])
+array_trees = st.recursive(
+    json_trees | int64_arrays | marks,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(tricky_text, inner, max_size=4),
+    max_leaves=12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(array_trees)
+def test_compact_json_writes_arrays_as_their_lists(tree):
+    want = json.dumps(listed(tree), sort_keys=True, separators=(",", ":"))
+    assert compact_json(tree) == want.encode()
+
+
+def test_compact_json_takes_the_list_path_past_the_mark():
+    runs = np.arange(5, dtype=np.int64)
+    for payload in ({"a": runs, "b": _HOLE}, {"a": runs, "b": [str(_HOLE)]},
+                    {"a": [runs, runs], "b": 10 * _HOLE}):
+        want = json.dumps(listed(payload), sort_keys=True,
+                          separators=(",", ":"))
+        assert compact_json(payload) == want.encode()
+    for leaf in (np.int64(1), runs.reshape(1, 5), runs.astype(np.int32)):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            compact_json({"a": leaf})
 
 
 # artifacts whose nested dicts hold the top-level keys, the digest key
