@@ -330,7 +330,8 @@ class Rows(NamedTuple):
 
 
 class Form(NamedTuple):
-    """``rows(art, counts)`` returns the form's ``Rows``; violated rows
+    """``rows(art, counts, window)`` returns the form's ``Rows``, given the
+    int64 column of the n its tables run over (``_window``); violated rows
     carry ``bound_label``.  ``checks`` are ``(label, fn(art, counts) ->
     [message])`` pairs.  ``ranges(art)`` lists ``(name, value, lo, hi)``
     for every stored number that rows or checks use as a position or index
@@ -377,7 +378,7 @@ def _rational(rec, key="q", unit=True):
     return num, den
 
 
-def _checkpoint_rows(art, counts):
+def _checkpoint_rows(art, counts, window):
     # count · den >= num · s at every checkpoint with s >= 1
     q_num, q_den = _rational(art.guarantee)
     n = np.array([cp["s"] for cp in art.checkpoints if cp["s"] > 0],
@@ -386,7 +387,7 @@ def _checkpoint_rows(art, counts):
     return Rows(n, counts[n], _reduced(q_num * s, q_den))
 
 
-def _tracking_rows(art, counts):
+def _tracking_rows(art, counts, window):
     # count >= max(q_t − 2^-slack_pow, 0) · s
     cps = [cp for cp in art.checkpoints if cp["s"] != 0]
     for cp in cps:
@@ -398,13 +399,12 @@ def _tracking_rows(art, counts):
     return Rows(n, counts[n], _reduced(slacked * s, den * scale))
 
 
-def _lookahead_rows(art, counts):
+def _lookahead_rows(art, counts, n):
     # count >= ceil(q·n) − ceil_sqrt(n) for n in [n0, n_max]; the producer
     # checked count >= in_a[n] − ceil_sqrt(n), which implies it where
     # in_a[n] >= ceil(q·n) (format 1 stored no in_a)
     g = art.guarantee
     q_num, q_den = _rational(g)
-    n = np.arange(g["n0"], art.n_max + 1, dtype=np.int64)
     need = -(-q_num * exact_ints(n, max(q_num, q_den) * art.n_max) // q_den)
     root, count = ceil_sqrt_array(n), counts[g["n0"]:]
     rows = Rows(n, count, _whole(need - root))
@@ -416,22 +416,20 @@ def _lookahead_rows(art, counts):
         for i in np.flatnonzero(in_a < need)[:1]])
 
 
-def _relative_rows(art, counts):
+def _relative_rows(art, counts, n):
     # count >= in_a[n] − ceil_sqrt(n) for n in [1, n_max]
-    n = np.arange(1, art.n_max + 1, dtype=np.int64)
     return Rows(n, counts[1:],
                 _whole(art.guarantee["in_a"] - ceil_sqrt_array(n)))
 
 
-def _witness_rows(art, counts):
+def _witness_rows(art, counts, n):
     # count >= ceil(n·(2^h − 1)/2^h) − ceil_sqrt(n) = n − ⌊n/2^h⌋ − ceil_sqrt(n);
     # n < 2^62, so every h >= 62 gives ⌊n/2^h⌋ = 0
-    n = np.arange(1, art.n_max + 1, dtype=np.int64)
     h = np.minimum(art.guarantee["h_of_n"], 62)
     return Rows(n, counts[1:], _whole(n - (n >> h) - ceil_sqrt_array(n)))
 
 
-def _approach_rows(art, counts):
+def _approach_rows(art, counts, window):
     # |count − q·s| <= s/(n+1) at checkpoint n, over the denominator q_den·(n+1)
     cps = art.checkpoints
     for cp in cps:
@@ -443,7 +441,7 @@ def _approach_rows(art, counts):
                 _reduced(s * (q_num * m + q_den), q_den * m))
 
 
-def _blockwise_rows(art, counts):
+def _blockwise_rows(art, counts, window):
     # rho((n+1)!) − L/n within [−L/n, 1 − L/n]·1/(n+1), i.e.
     # L·n! <= count((n+1)!) <= (L + 1)·n!
     levels = art.guarantee["levels"]
@@ -453,7 +451,7 @@ def _blockwise_rows(art, counts):
     return Rows(n, counts[n], _whole(L * block), _whole((L + 1) * block))
 
 
-def _restraint_rows(art, counts):
+def _restraint_rows(art, counts, window):
     # rho_m(A) strictly below 1 − 2^-(k+2) at each final interval's end m
     recs = _finals(art)
     m = np.array([r["final_interval"][1] for r in recs], dtype=object)
@@ -462,9 +460,8 @@ def _restraint_rows(art, counts):
     return Rows(n, counts[n], None, _reduced((p - 1) * m, p), strict=True)
 
 
-def _sparse_rows(art, counts):
+def _sparse_rows(art, counts, n):
     # count <= floor(log2 n) + 1, the number of powers of two <= n
-    n = np.arange(1, art.n_max + 1, dtype=np.int64)
     powers = np.left_shift(1, np.arange(63, dtype=np.int64))
     return Rows(n, counts[1:], None,
                 _whole(np.searchsorted(powers, n, side="right")))
@@ -710,11 +707,21 @@ def _table_size(form: Form, guarantee: dict, n_max: int):
     return n_max + 1 - first
 
 
-def _range_failures(form: Form, art: SubsetArtifact) -> list:
+def _window(form: Form, art: SubsetArtifact):
+    """The int64 column of the n the form's tables run over, from the
+    guarantee's n0 (in forms with that key) or 1 to n_max, or None where
+    that first n is not a position in the window."""
+    size = _table_size(form, art.guarantee, art.n_max)
+    return None if size is None else np.arange(
+        art.n_max + 1 - size, art.n_max + 1, dtype=np.int64)
+
+
+def _range_failures(form: Form, art: SubsetArtifact, window) -> list:
     """(label, message) for every stored number outside its range: a
     position or index outside the window, or a negative exponent; if there
-    is none, the failures of the form's tables (``_table_failures``).
-    Raises TypeError if a ranged number is not an integer."""
+    is none, the failures of the form's tables over the ``window`` column
+    (``_table_failures``).  Raises TypeError if a ranged number is not an
+    integer."""
     out = []
     for name, value, lo, hi in form.ranges(art) if form.ranges else ():
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -723,26 +730,25 @@ def _range_failures(form: Form, art: SubsetArtifact) -> list:
             out.append(("exponent", f"{name} {value} is negative"))
         elif hi is not None and not lo <= value <= hi:
             out.append(("window", f"{name} {value} outside [{lo}, {hi}]"))
-    return out or _table_failures(form, art)
+    return out or _table_failures(form, art, window)
 
 
-def _table_failures(form: Form, art: SubsetArtifact) -> list:
+def _table_failures(form: Form, art: SubsetArtifact, n) -> list:
     """(label, message) for the first entry of each table outside its
-    range, labelled by the range; raises ValueError if a table is not an
-    int64 array of the form's length."""
-    size, out = _table_size(form, art.guarantee, art.n_max), []
+    range, labelled by the range, where entry i belongs to n[i] of the
+    window column ``n``; raises ValueError if a table is not an int64 array
+    of the window's length."""
+    size, out = None if n is None else n.size, []
     for name, kind in form.arrays.items():
         table = art.guarantee[name]
         if not (isinstance(table, np.ndarray) and table.dtype == np.int64
                 and table.shape == (size,)):
             raise ValueError(f"{name} must hold {size} int64 values")
-        first = art.n_max + 1 - size
         if kind == "window":
-            n = np.arange(first, art.n_max + 1)
             out += [(kind, f"{name}[{n[i]}] {table[i]} outside [0, {n[i]}]")
                     for i in np.flatnonzero((table < 0) | (table > n))[:1]]
         elif kind == "exponent":
-            out += [(kind, f"{name}[{first + i}] {table[i]} is negative")
+            out += [(kind, f"{name}[{n[i]}] {table[i]} is negative")
                     for i in np.flatnonzero(table < 0)[:1]]
     return out
 
@@ -775,12 +781,13 @@ def _evaluate(art: SubsetArtifact):
         return [("form", f"unknown guarantee form {name!r}")], []
     counts = art.counts()
     try:
-        out_of_range = _range_failures(form, art)
+        window = _window(form, art)  # shared by the range check and rows
+        out_of_range = _range_failures(form, art, window)
         if out_of_range:
             return out_of_range, []
         out = [(label, msg) for label, check in form.checks
                for msg in check(art, counts)]
-        rows = form.rows(art, counts) if form.rows else None
+        rows = form.rows(art, counts, window) if form.rows else None
         if rows is not None:
             holds = np.ones(rows.n.size, dtype=bool)
             if rows.lower is not None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import isqrt
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -287,7 +287,8 @@ _HOLE = -(1 << 62)  # an int written where bytes are spliced into JSON text
 class Ratio:
     """The column num / den of two equal-length int64 columns, den > 0,
     kept as those two columns: ``row_bytes`` renders each row as
-    ``repr(num / den)`` without building the float column."""
+    ``repr(num / den)`` without building the float column, routing each
+    row by its class (see ``_ratio_field``)."""
 
     num: np.ndarray
     den: np.ndarray
@@ -327,40 +328,90 @@ def _digit_table() -> np.ndarray:
 _DIGITS4 = _digit_table()
 
 
-def _digit_field(col) -> np.ndarray:
-    """The decimal digits of an integer column, right-aligned in a uint8
-    matrix with one row per value, 0 bytes as padding; a column with a
-    negative value gets a first column holding '-' on the negative rows,
-    which the padding separates from the digits.  Magnitudes are
-    taken in uint64, where -(-2^63) is 2^63, and cut into groups of four
-    digits, each looked up in ``_DIGITS4``; the group holding a value's
-    leading digit takes the unpadded half of the table."""
+class _Field(NamedTuple):
+    """A column as ``row_bytes`` lays it into a chunk's zeroed table:
+    ``width`` columns, and ``fill(out)``, which writes each row's bytes into
+    the last ``width`` columns of ``out``, the table's (rows, span) slice
+    that ends where the field does.  A fill may write 0 bytes into the
+    span - width columns before its own (a digit group's leading zeros);
+    ``row_bytes`` fills the table from right to left, so those columns
+    are filled afterwards.  A field's own bytes are never 0; 0 bytes are
+    padding."""
+
+    width: int
+    span: int
+    fill: Callable
+
+
+def _put_digits(out, mag) -> None:
+    """The decimal digits of the uint64 column ``mag`` right-aligned in
+    ``out``, a (rows, 4·groups) uint8 slice: cut into groups of four
+    digits, each written as one uint32 of ``_DIGITS4``, whose unpadded half
+    gives the group that holds a value's leading digit (so every byte left
+    of it is 0); 0 is written as "0"."""
+    quads = out.view(np.uint32)  # unaligned where the slice is: numpy copes
+    zero = mag == 0
+    for j in range(quads.shape[1] - 1, -1, -1):
+        rest = mag // 10**4
+        low = mag - rest * 10**4
+        np.add(low, 10**4, out=low, where=rest == 0)
+        quads[:, j] = _DIGITS4[low.view(np.int64)]  # an int64 index: no cast
+        mag = rest
+    out[zero, -1] = ord("0")
+
+
+def _digit_count(mag) -> int:
+    """The number of digits of the widest value of ``mag``."""
+    return len(str(int(mag.max())))
+
+
+def _group_width(count: int) -> int:
+    """The columns ``_put_digits`` writes for ``count`` digits."""
+    return 4 * -(-count // 4)
+
+
+def _digit_field(col) -> _Field:
+    """The decimal digits of an integer column, as wide as its widest
+    value, written by ``_put_digits`` (whose groups may reach 3 columns
+    left of them); a column with a negative value gets a first column
+    holding '-' on the negative rows, written after the digits.
+    Magnitudes are taken in uint64, where -(-2^63) is 2^63."""
     col = col.astype(np.int64, copy=False)
     neg = col < 0
     mag = col.view(np.uint64)
-    if neg.any():
+    sign = int(neg.any())
+    if sign:
         mag = np.negative(mag, out=mag.copy(), where=neg)
-    width = len(str(int(mag.max())))
-    groups = -(-width // 4)
-    quads = np.empty((col.size, groups), np.uint32)
-    for j in range(groups - 1, -1, -1):
-        rest = mag // 10**4
-        low = mag - rest * 10**4
-        low[rest == 0] += 10**4
-        np.take(_DIGITS4, low, out=quads[:, j])
-        mag = rest
-    out = quads.view(np.uint8)[:, -width:]
-    out[col == 0, -1] = ord("0")
-    if neg.any():
-        out = np.concatenate([(neg * ord("-")).astype(np.uint8)[:, None], out],
-                             axis=1)
-    return out
+    width = sign + _digit_count(mag)
+    grouped = _group_width(width - sign)
+    span = max(width, grouped)
+
+    def fill(out):
+        _put_digits(out[:, span - grouped:], mag)
+        if sign:
+            out[neg, span - width] = ord("-")
+
+    return _Field(width, span, fill)
 
 
 def _text_field(texts) -> np.ndarray:
     """ASCII strings left-aligned in a uint8 matrix, 0 bytes as padding."""
     packed = np.array(texts, dtype=bytes)
     return packed.view(np.uint8).reshape(len(texts), packed.itemsize)
+
+
+def _float_text(col) -> np.ndarray:
+    """The repr of each float64 value as a ``_text_field`` matrix, one repr
+    per distinct bit pattern (-0.0 and 0.0 stay apart)."""
+    bits, where = np.unique(col.view(np.int64), return_inverse=True)
+    return _text_field(list(map(repr, bits.view(np.float64).tolist())))[where]
+
+
+def _matrix_field(matrix) -> _Field:
+    def fill(out):
+        out[...] = matrix
+
+    return _Field(matrix.shape[1], matrix.shape[1], fill)
 
 
 def _quotients(p, q) -> np.ndarray:
@@ -374,156 +425,234 @@ def _quotients(p, q) -> np.ndarray:
 
 
 _SCALES = np.array([1e17, 1e18, 1e19, 1e20])  # exact: 5^20 < 2^53
-_SHIFTS = np.array([1, 10, 100, 1000])
-_PREFIXES = _text_field(["0.", "0.0", "0.00", "0.000"])
+_SHIFTS = 10**np.arange(9, 13)  # 10^(9+s)
+# "0." and s = 0..3 zeros, then "1.", each 0-padded to 5 bytes after 3
+# 0 bytes, as the 8 bytes of one uint64
+_PREFIXES = np.array([b"\0\0\0" + text.ljust(5, b"\0") for text in
+                      (b"0.", b"0.0", b"0.00", b"0.000", b"1.")],
+                     "S8").view(np.uint64)
+_ONE = 4  # the index of "1." in _PREFIXES
 
 
-def _ratio_field(num, den) -> np.ndarray:
-    """``repr(num / den)`` per row, as ``_field`` lays it out.
+def _ratio_field(num, den) -> _Field:
+    """``repr(num / den)`` per row.  Each row is routed by its class, and
+    only the rows of a class take its steps:
 
-    A fast row has 0 < p < q < 2^31 and p/q >= 10^-4, so its repr is a
-    prefix "0." and s = 0..3 zeros, then the digits of the shortest decimal
-    that rounds back to d = float(p/q), the one nearest to d if several do.
-    ``_locate`` places d on the grid of 17-digit decimals, and
-    ``_shortest`` picks the nearest 16- or 17-digit decimal.  Every other
-    row, and every row those two leave undecided, takes the float64 path
-    of ``_field``: one repr per distinct value."""
-    fast = (0 < num) & (num < den) & (den < 2**31) & (num * 10**4 >= den)
-    # rows outside the fast domain compute 1/3 instead; their text is
-    # replaced below
-    s, n17, x, u, ok = _locate(np.where(fast, num, 1), np.where(fast, den, 3))
-    ok &= fast
+    - 0/q is "0.0" and q/q is "1.0";
+    - a decimal row, 0 < p < q < 2^31 with p/q >= 10^-4, is "0.", s = 0..3
+      zeros and the digits ``_decimal`` finds for it, compressed to those
+      rows;
+    - a row outside those classes (p > q, p < 0, q >= 2^31, p/q < 10^-4),
+      and a decimal row that ``_decimal`` leaves undecided, takes the
+      float64 path: ``_quotients``, then one repr per distinct value.  A
+      chunk with no such row makes no float64 call.
+
+    Every row is laid out as a 5-byte prefix, "0." and the zeros or "1.",
+    then the digits, right-aligned (a unit row's digit is 0); a float64
+    row's text then replaces its row.  The digits are written first, as
+    their groups' 0 bytes may reach into the prefix; the prefix is written
+    as one uint64 of ``_PREFIXES``, whose first 3 bytes land left of the
+    field."""
+    prefix = (num == den) * _ONE
+    digits = np.zeros(len(num), np.int64)
+    decimal = (0 < num) & (num < den) & (den < 2**31) & (num * 10**4 >= den)
+    rows = np.flatnonzero(decimal)
+    if rows.size:
+        zeros, found, ok = _decimal(num[rows], den[rows])
+        prefix[rows] = zeros
+        digits[rows] = found
+        decimal[rows[~ok]] = False
+    slow = np.flatnonzero(~decimal & (num != 0) & (num != den))
+    text = _float_text(_quotients(num[slow], den[slow])) if slow.size else None
+    digits = digits.view(np.uint64)
+    count = _digit_count(digits)
+    width = max(5 + count, 0 if text is None else text.shape[1])
+
+    def fill(out):
+        _put_digits(out[:, -_group_width(count):], digits)
+        np.take(_PREFIXES, prefix, out=out[:, :8].view(np.uint64)[:, 0])
+        if slow.size:
+            out[slow, 3:] = 0
+            out[slow, 3:3 + text.shape[1]] = text
+
+    return _Field(width, width + 3, fill)
+
+
+def _decimal(p, q):
+    """For 0 < p < q < 2^31 with p/q >= 10^-4: the zeros s after the point,
+    the digits of repr(p/q) after them, and ``ok``, False on the rows
+    whose digits are undecided.  A p/q that terminates within 15
+    significant digits (17-digit quotient n17 with remainder 0 and last two
+    digits 0, as for q = 2^a·5^b once reduced) is its own repr, with
+    trailing zeros dropped; every other row's digits are ``_shortest``'s."""
+    s, n17, r, x, u, ok = _locate(p, q)
+    exact = np.flatnonzero(r == 0)
+    exact = exact[n17[exact] % 100 == 0]
+    ok[exact] = False  # not searched by _shortest, and decided here
     digits = _shortest(n17, x, u, ok)
-    del n17, x, u  # fewer chunk temporaries alive beside the matrices below
-    digs = _digit_field(digits)
-    slow = np.flatnonzero(~ok)
-    text = _field(_quotients(num[slow], den[slow]))
-    out = np.zeros((len(num), max(5 + digs.shape[1], text.shape[1])),
-                   np.uint8)
-    out[:, :5] = _PREFIXES[s]
-    out[:, 5:5 + digs.shape[1]] = digs
-    out[slow] = 0
-    out[slow, :text.shape[1]] = text
-    return out
+    short = n17[exact]
+    for k in (16, 8, 4, 2, 1):  # drop up to 31 trailing zeros
+        cut = short // 10**k
+        np.copyto(short, cut, where=cut * 10**k == short)
+    digits[exact] = short
+    ok[exact] = True
+    return s, digits, ok
 
 
 def _locate(p, q):
     """For 0 < p < q < 2^31 with p/q >= 10^-4: the zeros s after the
-    point, and d = float(p/q) in units of the 17th significant digit,
-    n17 + x, with its ulp u in the same units; ``ok`` is False where d's
-    significand is 2^52, whose rounding interval is lopsided.
+    point, p/q = n17 + r/q in units of the 17th significant digit, and
+    d = float(p/q) in those units, n17 + x, with its ulp u in the same
+    units; ``ok`` is False where d's significand is 2^52, whose rounding
+    interval is lopsided.
 
-    Scaled by T = 10^(17+s), p/q = n17 + r/q, with n17 the 17 digits from
-    two int64 divisions.  d = m/2^t for its significand m, so
-    d - p/q = z/(q 2^t) with the integer z = m q - p 2^t, |z| <= q/2,
-    which wrapping int64 arithmetic gives exactly; then x = (r + z u)/q
-    with u = T/2^t.  u > 1, since d T >= 10^16 and m < 2^53."""
-    s = (p * 1000 < q).astype(np.intp)
-    s += p * 100 < q
-    s += p * 10 < q
-    n17, r = np.divmod(p * _SHIFTS[s] * 10**9, q)
-    lo, r = np.divmod(r * 10**8, q)
+    s counts the powers 10^-k, k = 1..3, above p/q, compared with d: p/q
+    is 10^-k or at least 1/(10^k q) > 2^-42 from it, far past the error
+    of d or of the float 10^-k.
+    Scaled by T = 10^(17+s), n17 and r come from two int64 divisions.
+    d = m/2^t for its significand m, so d - p/q = z/(q 2^t) with the
+    integer z = m q - p 2^t, |z| <= q/2, which wrapping int64 arithmetic
+    gives exactly; then x = (r + z u)/q with u = T/2^t.  u > 1, since
+    d T >= 10^16 and m < 2^53."""
+    d = p / q
+    s = (d < 1e-3).astype(np.intp)
+    s += d < 1e-2
+    s += d < 1e-1
+    a = p * _SHIFTS[s]  # p·10^s < q < 2^31, so a < 2^63
+    n17 = a // q
+    a -= n17 * q
+    a *= 10**8
+    lo = a // q
+    r = a - lo * q
     n17 *= 10**8
     n17 += lo
-    m = (p / q).view(np.int64)
+    m = d.view(np.int64)
     t = 1075 - (m >> 52)
     m &= 2**52 - 1
     ok = m != 0
     m |= 2**52
     m *= q
     m -= p << t  # z
-    u = np.ldexp(_SCALES[s], -t)
+    u = ((1023 - t) << 52).view(np.float64)  # 2^-t, a normal float
+    u *= _SCALES[s]
     x = m * u
     x += r
     x /= q
-    return s, n17, x, u, ok
+    return s, n17, r, x, u, ok
 
 
 def _shortest(n17, x, u, ok):
     """The digits of the shortest decimal in d's rounding interval
-    d ± u/2, nearest to d, where d = n17 + x with u > 1 (see ``_locate``):
-    the nearest 16-digit decimal if it lands in the interval, else the
-    nearest 17-digit one, which always does.  ``ok`` is cleared in place
-    where the nearest 15-digit decimal may land (the repr may be shorter),
+    d ± u/2, nearest to d, where d = n17 + x with u > 1 (see ``_locate``).
+
+    The nearest 17-digit decimal always lands in the interval; the nearest
+    16-digit one is taken where it lands.  On the rows where it does and
+    ``ok`` holds, the nearest 15-digit decimal is tried, then the nearest
+    14-digit one on the rows where that one landed, and so on while any
+    lands: the shortest that lands is the repr's.  At most one decimal of 15 or fewer digits
+    fits in the interval, which is u < 23 wide.  ``ok`` is cleared in place
     where a distance lies within u 2^-48 of u/2 or of a rounding midpoint
     (the float error of x is far smaller), or where a candidate rolls over
     to one more digit."""
-    half, eps = u / 2, u * 2.0**-48
+    half, eps = u * 0.5, u * 2.0**-48
 
-    def nearest(g):
-        """The multiple of g nearest to n17 + x, over g, and its distance."""
-        low = n17 % g
-        k = np.rint((low + x) / g)
-        far = k * g
-        far -= low
-        far -= x
-        return n17 // g + k.astype(np.int64), np.abs(far, out=far)
+    def nearest(g, rows):
+        """The multiple of g nearest to n17 + x on the rows, over g, and
+        its distance; the distance's integer part is exact in int64."""
+        n = n17[rows]
+        top = n // g
+        low = n - top * g
+        k = np.rint((low + x[rows]) / g).astype(np.int64)
+        return top + k, np.abs((k * g - low) - x[rows])
 
-    ok &= nearest(100)[1] > half + eps
-    n16, far16 = nearest(10)
+    n16, far16 = nearest(10, slice(None))
     in16 = far16 < half - eps
-    near17, far17 = nearest(1)
+    k = np.rint(x)
+    near17, far17 = n17 + k.astype(np.int64), np.abs(k - x)
     ok &= np.where(in16, np.abs(far16 - 5) > eps,
                    (far16 > half + eps) & (np.abs(far17 - 0.5) > eps))
     digits = np.where(in16, n16, near17)
     ok &= digits < np.where(in16, 10**16, 10**17)
+    rows, g = np.flatnonzero(in16 & ok), 100
+    while rows.size:
+        short, far = nearest(g, rows)
+        h, e = half[rows], eps[rows]
+        ok[rows[np.abs(far - h) <= e]] = False
+        lands = far < h - e
+        rows, short = rows[lands], short[lands]
+        digits[rows] = short
+        ok[rows[short >= 10**17 // g]] = False  # rolled over
+        g *= 10
     return digits
 
 
-def _field(col) -> np.ndarray:
+def _field(col) -> _Field:
     if isinstance(col, Ratio):
         return _ratio_field(col.num, col.den)
     if col.dtype.kind in "iu" and np.can_cast(col.dtype, np.int64):
         return _digit_field(col)
     if col.dtype == np.float64:
-        # one repr per distinct bit pattern (-0.0 and 0.0 stay apart)
-        bits, where = np.unique(col.view(np.int64), return_inverse=True)
-        return _text_field(list(map(repr, bits.view(np.float64).tolist())))[
-            where]
-    return _text_field(list(map(str, col.tolist())))
+        return _matrix_field(_float_text(col))
+    return _matrix_field(_text_field(list(map(str, col.tolist()))))
 
 
-def row_bytes(fragments, cols) -> bytes:
+def row_bytes(fragments, cols) -> np.ndarray:
     """Per row i, the bytes fragments[0], cols[0][i], fragments[1], ...,
-    cols[-1][i], fragments[-1]: an integer column (int64 or narrower) in
-    decimal digits, a float64 column as the repr of each value, a ``Ratio``
-    column as ``repr(num / den)`` of each row (in numpy where
-    ``_ratio_field`` can decide it, else by the float64 path), any other
-    column (Python ints past int64) as the str of each value, and a None
-    column as nothing.
+    cols[-1][i], fragments[-1], as one uint8 array: an integer column
+    (int64 or narrower) in decimal digits, a float64 column as the repr of
+    each value, a ``Ratio`` column as ``repr(num / den)`` of each row (see
+    ``_ratio_field``), any other column (Python ints past int64) as the str
+    of each value, and a None column as nothing.
 
-    Each column becomes a 0-padded byte matrix with one row per output
-    row; no field or fragment holds a 0 byte, so the nonzero bytes of the
-    matrices laid side by side with the fragments are the rows, in order.
-    """
+    The rows are rendered into one zeroed uint8 table with a row per
+    output row, filled from its last column to its first: each column's
+    ``_Field`` writes its bytes into its own columns (see ``_Field``), and
+    each fragment is broadcast into its columns.  The table starts with as
+    many 0 columns as a field's span reaches left of the row.  No field or
+    fragment holds a 0 byte, so the nonzero bytes of the table are the
+    rows, in order."""
     rows = next((len(col) for col in cols if col is not None), 0)
     if not rows:
-        return b""
-    parts = []
-    for frag, col in zip(fragments, [*cols, None]):
+        return np.empty(0, np.uint8)
+    slots = list(zip(fragments, [None if col is None else _field(col)
+                                 for col in cols] + [None]))
+    at = lead = 0
+    for frag, field in slots:
+        at += len(frag)
+        if field is not None:
+            lead = max(lead, field.span - field.width - at)
+            at += field.width
+    table = np.zeros((rows, lead + at), np.uint8)
+    at += lead
+    for frag, field in reversed(slots):
+        if field is not None:
+            field.fill(table[:, at - field.span:at])
+            at -= field.width
         if frag:
-            parts.append(np.broadcast_to(np.frombuffer(frag, np.uint8),
-                                         (rows, len(frag))))
-        if col is not None:
-            parts.append(_field(col))
-    table = np.concatenate(parts, axis=1)
-    return table[table != 0].tobytes()
+            table[:, at - len(frag):at] = np.frombuffer(frag, np.uint8)
+            at -= len(frag)
+    return table[table != 0]
 
 
 def csv_bytes(cols) -> bytes:
     """The LF-terminated CSV rows of the equal-length numpy columns, each
     field as ``row_bytes`` renders it (a None column is an empty field)."""
+    return _csv_rows(cols).tobytes()
+
+
+def _csv_rows(cols) -> np.ndarray:
     return row_bytes([b"", *[b","] * (len(cols) - 1), b"\n"], cols)
 
 
 def write_columns(path, header: str, cols) -> None:
     """``header`` as given, then the CSV rows of ``cols`` (see
-    ``csv_bytes``), rendered and written in fixed chunks of rows."""
+    ``csv_bytes``), rendered and written in fixed chunks of rows, each
+    chunk's bytes written from its numpy array."""
     rows = next((len(col) for col in cols if col is not None), 0)
     with open(path, "wb") as fh:
         fh.write(header.encode())
         for i in range(0, rows, _CHUNK_ROWS):
-            fh.write(csv_bytes([None if col is None
+            fh.write(_csv_rows([None if col is None
                                 else col[i:i + _CHUNK_ROWS] for col in cols]))
 
 

@@ -414,6 +414,29 @@ def test_in_a_outside_its_window_fails_before_any_bound(tmp_path):
     assert (tmp_path / "c.csv").read_text() == ar.CSV_HEADER
 
 
+def test_in_a_range_names_the_first_bad_n_at_each_end_of_the_window():
+    # the look-ahead window is [n0, n_max] = [4, 64]: in_a[i] belongs to n0 + i
+    stream = CEStream.from_oracle(SetOracle.residue_union(2, [0]), n_max=64,
+                                  stage_max=256, delay_fn=lambda m: 2 * m)
+    art = ap.lookahead_subset(stream, "1/3", n0=4)
+    good = art.guarantee["in_a"]
+    for changes, failure in (({0: -1}, "in_a[4] -1 outside [0, 4]"),
+                             ({0: 5}, "in_a[4] 5 outside [0, 4]"),
+                             ({-1: 65}, "in_a[64] 65 outside [0, 64]"),
+                             ({-1: -(1 << 62)},
+                              f"in_a[64] {-(1 << 62)} outside [0, 64]"),
+                             ({0: 5, -1: 65}, "in_a[4] 5 outside [0, 4]")):
+        art.guarantee["in_a"] = good.copy()
+        for i, value in changes.items():
+            art.guarantee["in_a"][i] = value
+        assert ar.labelled_failures(art) == [("window", failure)]
+    relative = _relative()
+    relative.guarantee["in_a"] = relative.guarantee["in_a"].copy()
+    relative.guarantee["in_a"][[0, -1]] = 2, 41  # n = 1 and n = 40
+    assert ar.verify_artifact(relative)["failures"] == [
+        "in_a[1] 2 outside [0, 1]"]
+
+
 def test_lookahead_in_a_must_meet_q():
     stream = CEStream.from_oracle(SetOracle.residue_union(2, [0]), n_max=64,
                                   stage_max=256, delay_fn=lambda m: 2 * m)
