@@ -64,7 +64,11 @@ def rle_to_bits(runs, n: int) -> np.ndarray:
         raise ArtifactError(message)
     values = np.zeros(lengths.size, dtype=bool)
     values[1::2] = True  # runs alternate, zeros first
-    return np.repeat(values, lengths)
+    try:
+        return np.repeat(values, lengths)
+    except (MemoryError, ValueError) as exc:  # numpy's size cap is a ValueError
+        raise ArtifactError(f"a window of {n} bits cannot be held in memory: "
+                            f"{exc}") from exc
 
 
 _WIDTHS = {"i1": 1, "i2": 2, "i4": 4, "i8": 8}  # bytes per packed difference

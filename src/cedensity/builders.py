@@ -18,7 +18,7 @@ from .approximators import SubsetArtifact, _targets
 from .artifacts import passed_groups
 from .core import CEStream, NEVER, StageGuess, ceil_div, prefix_counts
 from .errors import CapExceeded, ContractViolated, RatioUnrealizable
-from .prioritysim import ConstructionTrace
+from .prioritysim import _StageDriver
 
 
 # -- oscillation-target builder -------------------------------------------
@@ -202,25 +202,29 @@ def density_transfer_build(B: Delta2Approx, n_checkpoints: int,
         raise ValueError("n_checkpoints must be below the approximation window")
     rows = np.arange(1, n_checkpoints + 1)
     t = np.concatenate(([0], rows + 1))  # t(0) = 0, t(n) = n + 1
-    entry = np.full(n_max, NEVER, dtype=np.int64)
+    drive = _StageDriver("density_transfer", n_max, stage_budget)
+    entry = drive.entry[0]
     live = np.zeros(0, dtype=np.int64)   # A's elements, ascending
     have = np.zeros(n_checkpoints, dtype=np.int64)  # |A ∩ [0, t(n))|
     # identities are cross-multiplied in int64: each product is below
     # (n_max + n)·(n + 1), and n_max and n < B.window both size arrays
-    trace = ConstructionTrace("density_transfer")
-    quiet, quiet_from = (lambda s: {"fired": None, "stage": s}), 1
     truncated = None
-    s = 1
-    while s <= stage_budget:
+
+    def quiet(lo, hi):
+        if truncated is None:  # no stage past a truncation is recorded
+            drive.trace.quiet(lo, hi, "constant", record={"fired": None})
+
+    def step(s, _y):
+        nonlocal live, have, truncated
+        if s == 0:
+            return 1
         k = min(s, n_checkpoints)
         num, den = _transfer_targets(np.cumsum(B.at(s - 1)[:k]), rows[:k])
         broken = have[:k] * den != num * t[1:k + 1]
         if not broken.any():
+            quiet(s, s + 1)
             # once every row is read, none breaks before B_{s−1} changes
-            s = B.next_change(s - 1) + 1 if k == n_checkpoints else s + 1
-            continue
-        trace.run(quiet, np.arange(quiet_from, s))
-        quiet_from = s + 1
+            return B.next_change(s - 1) + 1 if k == n_checkpoints else s + 1
         n = int(broken.argmax()) + 1
         target = Fraction(int(num[n - 1]), int(den[n - 1]))
         a, old_c = int(t[n - 1]), int(t[n])
@@ -229,20 +233,21 @@ def density_transfer_build(B: Delta2Approx, n_checkpoints: int,
         if ext.c > n_max:
             truncated = {"error": "Truncated", "stage": s,
                          "detail": f"evaluation length {ext.c} beyond n_max"}
-            break
+            return NEVER
         # the extension is A ∪ [a, b), and every element of A past a is below b
         new = entry[a:ext.b] == NEVER
         entry[a:ext.b][new] = s
         live = np.flatnonzero(entry != NEVER)
         t[n:] = ext.c + np.arange(n_checkpoints - n + 1)
         have = np.searchsorted(live, t[1:])
-        trace.record(s, fired=n, a=a, b=ext.b, c=ext.c, prev_t=old_c,
-                     target=[target.numerator, target.denominator],
-                     new_elements=int(np.count_nonzero(new)))
-        s += 1
-    else:
-        trace.run(quiet, np.arange(quiet_from, stage_budget + 1))
-    stream = CEStream(entry, stage_max=stage_budget, label="transfer")
+        drive.rec.update(fired=n, a=a, b=ext.b, c=ext.c, prev_t=old_c,
+                         target=[target.numerator, target.denominator],
+                         new_elements=int(np.count_nonzero(new)))
+        return s + 1
+
+    drive.run(step, quiet=quiet)
+    (stream,) = drive.streams("transfer")
+    trace = drive.trace
     report = _transfer_report(stream, B.at(max(stage_budget - 1, 0)), t)
     trace.outcomes = dict(report)
     if truncated:

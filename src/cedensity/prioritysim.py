@@ -9,17 +9,14 @@ classification — always qualified "on the window", never as a limit claim.
 
 from __future__ import annotations
 
-import json
-import re
 from fractions import Fraction
 from math import factorial
-from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import (_CHUNK_ROWS, _HOLE, CEStream, NEVER, StageGuess,
-                   jsonl_bytes, prefix_counts, row_bytes, trailing_zeros)
+from .core import CEStream, NEVER, StageGuess, prefix_counts, trailing_zeros
 from .errors import ContractViolated, RatioUnrealizable, WindowExhausted
+from .trace import ConstructionTrace, _Block
 
 
 # -- roster machinery ------------------------------------------------------
@@ -174,89 +171,6 @@ class JumpApprox(StageGuess):
             next_change=lambda s: (s // period + 1) * period)
 
 
-class _Run(NamedTuple):
-    """Records in bulk: ``template(*row)`` for each row of the equal-length
-    int64 hole columns, in order.  A run holds quiet stages' records, or
-    the entries of a record's "enumerated" list (a block)."""
-
-    template: Callable
-    holes: tuple
-
-    def jsonl(self, sep: str = "\n") -> bytes:
-        """``jsonl_bytes`` of the records, each line ending in sep instead of
-        LF: the template's line split at its holes into fixed fragments,
-        with the hole digits laid between them by ``row_bytes``."""
-        marks = [_HOLE + j for j in range(len(self.holes))]  # hole j's mark
-        line = jsonl_bytes([self.template(*marks)]).decode()[:-1] + sep
-        # a capturing split alternates fragments and the marks between them
-        parts = re.split(f"({'|'.join(map(str, marks))})", line)
-        frags = [f.encode() for f in parts[::2]]
-        cols = [self.holes[int(m) - _HOLE] for m in parts[1::2]]
-        return b"".join(row_bytes(frags, [c[i:i + _CHUNK_ROWS] for c in cols])
-                        for i in range(0, len(cols[0]), _CHUNK_ROWS))
-
-
-def _record_jsonl(rec: dict) -> bytes:
-    """The line of the stage record, each block of its "enumerated" list
-    written as its entries: the line with the list held out, and the list's
-    entries spliced in, a block as the bytes its ``jsonl`` renders."""
-    entries = rec.get("enumerated", ())
-    if not any(isinstance(en, _Run) for en in entries):
-        return jsonl_bytes([rec])
-    head, tail = jsonl_bytes([{**rec, "enumerated": _HOLE}]).split(
-        str(_HOLE).encode())
-    items = [en.jsonl(", ")[:-2] if isinstance(en, _Run)
-             else jsonl_bytes([en])[:-1] for en in entries]
-    return b"".join([head, b"[", b", ".join(filter(None, items)), b"]",
-                     tail])
-
-
-class ConstructionTrace:
-    """Per-stage records plus final outcome classifications.  Fields are
-    JSON values with string keys.  The records of quiet stages are held in
-    runs (``run``), and a record's "enumerated" list may hold blocks
-    (``_Run``) of entries.  The written lines are the trace: ``stages``
-    and ``enumerations`` read back the lines ``write_jsonl`` writes."""
-
-    def __init__(self, construction: str):
-        self.construction = construction
-        self.outcomes = {}
-        self._parts = []  # stage records and _Runs, in stage order
-
-    def record(self, stage: int, **fields):
-        """Append the record {"stage": stage, **fields}; each field is a
-        JSON value whose dicts have string keys."""
-        self._parts.append({"stage": stage, **fields})
-
-    def run(self, template, *holes):
-        """Append the records template(*row) of the rows of the equal-length
-        int64 hole arrays."""
-        if len(holes[0]):
-            self._parts.append(_Run(template, holes))
-
-    def _lines(self):
-        """The bytes of the stage records' lines, part by part."""
-        for part in self._parts:
-            yield (part.jsonl() if isinstance(part, _Run)
-                   else _record_jsonl(part))
-
-    @property
-    def stages(self) -> list:
-        return [json.loads(line) for chunk in self._lines()
-                for line in chunk.splitlines()]
-
-    def enumerations(self):
-        for rec in self.stages:
-            for en in rec.get("enumerated", []):
-                yield rec["stage"], en
-
-    def write_jsonl(self, path):
-        with open(path, "wb") as fh:
-            fh.writelines(self._lines())
-            fh.write(jsonl_bytes([{"outcomes": self.outcomes,
-                                   "construction": self.construction}]))
-
-
 def region_elements(k: int, lo: int, count: int) -> list[int]:
     """The ``count`` consecutive elements of dyadic class k starting at the
     class's lo-th element: 2^k · (2j + 1) for j = lo .. lo+count−1."""
@@ -326,21 +240,22 @@ def prefix_gated_build(streams, n_max: int, stage_max: int):
 # -- the stage driver --------------------------------------------------------
 
 class _StageDriver:
-    """The stage loop of the interval constructions.
+    """The stage loop of the trace-writing constructions.
 
     ``run`` calls the builder's ``step(s, y)`` at stage 0 and then at each
     stage that the previous call returned, the next event: the least later
     stage at which the builder may act.  y is the least element entering
     the permitting stream at s (None if none does or there is none).  The
-    stages between two events are quiet, and are filled in bulk: the
-    own-stage entries by the driver, the rest by the builder's
-    ``quiet(lo, hi)`` for the stages lo..hi-1.  The step's record of an
-    event stage, ``rec``, goes to the trace when it holds something; the
-    records of quiet stages go to it as runs.  The driver holds the entry
-    stages of each output stream, the elements of every appointed
-    interval, and each dyadic class's next interval.  Given an ``own`` tag,
-    every 1 <= s < n_max enters output 0 at stage s first, unless it lies
-    in an appointed interval: restrained, it enters only when released.
+    step's record of an event stage, ``rec``, goes to the trace when it
+    holds something.  Each stretch of quiet stages between two events goes
+    to the trace as run lines, never stage by stage: the own-stage run and
+    what the builder's ``quiet(lo, hi)`` writes for the stages lo..hi-1.
+    The driver holds each output stream's entry stages, every appointed
+    interval and each dyadic class's next interval.  Given an ``own`` tag,
+    every 1 <= s < n_max enters output 0 at stage s, unless it lies in an
+    appointed interval: restrained, it enters only when released.  Each
+    interval lies above the stage that appoints it, so the own-stage run
+    of lo..hi-1 skips the appointed intervals' elements in [lo, hi).
     """
 
     def __init__(self, construction: str, n_max: int, stage_max: int,
@@ -349,6 +264,7 @@ class _StageDriver:
         self.n_max, self.stage_max = n_max, stage_max
         self.entry = np.full((outputs, n_max), NEVER, dtype=np.int64)
         self.restrained = np.zeros(n_max, dtype=bool)
+        self.appointed = []  # (k, min, max) of the intervals past the runs
         self.j_next = {}  # class k -> index past its last interval
         self.no_room = {}  # class k -> (j_next, thresholds) that found none
         self.rec = {}
@@ -363,8 +279,7 @@ class _StageDriver:
         xs = np.asarray(xs, dtype=np.int64)
         self.entry[out, xs] = s
         if tag is not None:
-            self.rec.setdefault("enumerated", []).append(
-                _Run(lambda x: {"x": x, **tag}, (xs,)))
+            self.rec.setdefault("enumerated", []).append(_Block(tag, xs))
 
     def appoint(self, k: int, min_elem_above: int, max_above: int):
         """The next interval of class k (``_large_interval``), restrained,
@@ -382,7 +297,25 @@ class _StageDriver:
             return None
         elems, self.j_next[k] = found
         self.restrained[elems] = True
+        self.appointed.append((k, elems[0], elems[-1]))
         return elems
+
+    def own_run(self, lo: int, hi: int, own: dict):
+        """The own-stage run of the stages lo..hi-1 (none if all are
+        skipped), the appointed intervals cut to [lo, hi) its skip list."""
+        self.appointed = [iv for iv in self.appointed if iv[2] >= lo]
+        skip, count = [], hi - lo
+        for k, first, last in self.appointed:
+            step = 2 << k
+            first += max(0, -((first - lo) // step)) * step  # first >= lo
+            last = min(last, hi - 1)
+            if first <= last:
+                last -= (last - first) % step
+                skip.append([k, first, last])
+                count -= (last - first) // step + 1
+        if count > 0:
+            self.trace.quiet(lo, hi, "own-stage", tag=own,
+                             skip=sorted(skip, key=lambda p: p[1]))
 
     def next_entrant(self, s: int, most: int) -> int:
         """The least stage t > s whose least permitting entrant is <= most,
@@ -404,12 +337,10 @@ class _StageDriver:
 
     def run(self, step, own=None, permitter: CEStream | None = None,
             quiet=None):
-        entry, restrained = self.entry[0], self.restrained
         self.permitter, self._next = permitter, {}
-        s = 0
+        restrained, s = self.restrained, 0
         while s <= self.stage_max:
             if own is not None and 1 <= s < self.n_max and not restrained[s]:
-                entry[s] = s
                 self.rec["enumerated"] = [{"x": s, **own}]
             y = None
             if permitter is not None:
@@ -420,14 +351,13 @@ class _StageDriver:
                 self.trace.record(s, **self.rec)
                 self.rec = {}
             if nxt > s + 1 and own is not None:
-                xs = np.arange(s + 1, min(nxt, self.n_max))
-                xs = xs[~restrained[xs]]
-                entry[xs] = xs
-                self.trace.run(lambda x: {"stage": x, "enumerated": [
-                    {"x": x, **own}]}, xs)
+                self.own_run(s + 1, min(nxt, self.n_max), own)
             if nxt > s + 1 and quiet is not None:
                 quiet(s + 1, nxt)
             s = nxt
+        if own is not None:  # each unrestrained x the stages reach, at x
+            xs = np.flatnonzero(~restrained[1:self.stage_max + 1]) + 1
+            self.entry[0, xs] = xs
 
     def streams(self, *labels) -> list:
         return [CEStream(row, stage_max=self.stage_max, label=label)
@@ -445,10 +375,6 @@ def _ratio_interval(a: int, e: int) -> tuple[int, int]:
     b = k * ((1 << (e + 1)) - 1)
     c = k * (1 << (e + 1))
     return b, c
-
-
-def _acted(acted: int, stage: int) -> dict:
-    return {"acted": acted, "stage": stage}
 
 
 def ratio_interval_build(deciders, n_max: int, stage_max: int):
@@ -524,12 +450,9 @@ def ratio_interval_build(deciders, n_max: int, stage_max: int):
             nxt = min(nxt, t + (e - t) % E)
         return nxt
 
-    def quiet(lo, hi):
-        stages = np.arange(lo, hi)
-        drive.trace.run(_acted, stages % E, stages)
-
     if deciders:  # no requirement acts at any stage otherwise
-        drive.run(step, quiet=quiet)
+        drive.run(step, quiet=lambda lo, hi: drive.trace.quiet(
+            lo, hi, "acted", period=E))
     (stream,) = drive.streams("ratio-interval")
     drive.trace.outcomes = _ratio_outcomes(deciders, intervals, stream,
                                            stage_max)

@@ -254,6 +254,21 @@ def test_check_rejects_bad_run_lengths(tmp_path, capsys, runs):
     assert "Traceback" not in err
 
 
+def test_check_rejects_a_window_past_memory(tmp_path, capsys):
+    # the runs agree with n_max and the digest covers them, but no machine
+    # holds 10^18 bits; numpy refuses the allocation at once
+    with open(FIXTURES / "membership-only.json") as fh:
+        payload = json.load(fh)
+    payload.update(n_max=999999999999999999, bits_rle=[999999999999999999])
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(_redigest(payload)))
+    assert cli.main(["check", "--artifact", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("FAIL: a window of 999999999999999999 bits cannot "
+                          "be held in memory")
+    assert "Traceback" not in err
+
+
 def _sample_payload(**changes):
     payload = ar.artifact_payload(sample_artifact(n_max=100))
     for key, value in changes.items():

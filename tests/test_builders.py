@@ -15,9 +15,10 @@ from cedensity.builders import (Delta2Approx, StableMonotoneG,
                                 interleave_targets, limsup_density_build,
                                 sparse_hitting_build, verify_blockwise,
                                 verify_infsup)
-from cedensity.core import (NEVER, CEStream, SetOracle, prefix_counts,
-                            write_jsonl)
+from cedensity.core import (NEVER, CEStream, SetOracle, jsonl_bytes,
+                            prefix_counts)
 from cedensity.errors import CapExceeded, ContractViolated
+from cedensity.prioritysim import ConstructionTrace
 
 
 # -- target-visiting construction -------------------------------------------
@@ -359,9 +360,10 @@ def test_cli_transfer_trace_is_the_old_rows_then_outcomes(tmp_path, n_max):
         Delta2Approx(lambda s: after if s >= 5 else before, window), 12,
         200, n_max)
     assert ("diagnostics" in report) == (n_max == 60)
-    lines = (out / "trace.jsonl").read_bytes().splitlines(keepends=True)
-    write_jsonl(tmp_path / "rows.jsonl", rows)
-    assert b"".join(lines[:-1]) == (tmp_path / "rows.jsonl").read_bytes()
+    # the file read back, each quiet run expanded, is the old rows
+    assert jsonl_bytes(ConstructionTrace.read(out / "trace.jsonl").stages
+                       ) == jsonl_bytes(rows)
+    lines = (out / "trace.jsonl").read_bytes().splitlines()
     assert json.loads(lines[-1]) == {
         "construction": "density_transfer",
         "outcomes": {name: {str(n): v for n, v in report[name].items()}

@@ -541,11 +541,14 @@ def test_use_past_the_window_appoints_no_interval(tmp_path):
     # is the only input that could cost time or memory per stage
     {"op": "permitted-interval", "permitter": "late",
      "jump": {"kind": "step", "on_at": 3, "use": 9}, "streams": ["late"],
-     "pairs": []}])
+     "pairs": []},
+    # the stages past the last resolution are one "acted" run line
+    {"op": "ratio-interval", "deciders": ["one", "par"]}])
 def test_huge_stage_max_finishes_when_only_events_are_recorded(
         tmp_path, construction):
-    # restraint-witness and split-interval record only their events, so
-    # the stages past the window's last event cost nothing; the evens
+    # the stages past the window's last event cost nothing: a quiet run
+    # is one trace line, and restraint-witness and split-interval record
+    # only their events past the window; the evens
     # enter "late" at stages 10^7·m, up to 9.8·10^8, which a stage index
     # with one entry per stage could not hold in memory
     cfg = {"universe": {"n_max": 100, "stage_max": 10**9},
@@ -566,6 +569,22 @@ def test_huge_stage_max_finishes_when_only_events_are_recorded(
     assert time.perf_counter() - start < 2
     lines = (tmp_path / "o" / "trace.jsonl").read_text().splitlines()
     assert len(lines) < 200 and "outcomes" in json.loads(lines[-1])
+
+
+@pytest.mark.parametrize("stage_max", [10**6, 10**9])
+def test_ratio_interval_trace_grows_with_events_not_stages(tmp_path,
+                                                           stage_max):
+    # the fixture's two intervals resolve within the first stages; a line
+    # per stage would be about 30 bytes a stage
+    path = os.path.join(os.path.dirname(__file__), "fixtures", "v1",
+                        "configs.json")
+    with open(path) as fh:
+        cfg = json.load(fh)["ratio-interval-report"]
+    cfg["universe"]["stage_max"] = stage_max
+    start = time.perf_counter()
+    assert _run(tmp_path, "construct", cfg) == 0
+    assert time.perf_counter() - start < 2
+    assert (tmp_path / "o" / "trace.jsonl").stat().st_size < 10_000
 
 
 @pytest.mark.parametrize("construction", [

@@ -82,7 +82,9 @@ FIXTURES = {
 # gathered into one table; any change to these bytes is a format change.
 # Re-recorded for artifact format 2: every artifact.json, the relative
 # margin's certified.csv (rows from its stored in_a) and the ratio-interval
-# trace.jsonl (each interval's r_b, r_c)
+# trace.jsonl (each interval's r_b, r_c).  Both trace.jsonl re-recorded for
+# trace format 2 (a marker line, and a line per quiet run); their records,
+# each run expanded, are the bytes these digests pinned before
 GOLDEN = {
     "blockwise-levels": {
         "artifact.json":
@@ -138,7 +140,7 @@ GOLDEN = {
         "certified.csv":
             "3b03dba15efdbd85bc87d0bc3d13d90b7f9abd99af2ec175e8e541f7eca3d2e2",
         "trace.jsonl":
-            "6993330b7ef22c81455769cc7cb08fdc6a1b2a8b20f2069273223d16f367ae24",
+            "a73e5ed8d5eab9e8db7734ad895e53011f91ae49692a12624ef3467ebc667a54",
         "verify.json":
             "8d8d84c4fd77f28c24147ff4e5ed939d1954b33b616740447fb7c47470f1fd21",
     },
@@ -148,7 +150,7 @@ GOLDEN = {
         "certified.csv":
             "6d13ea93da00c95615b9e8ded7f6d55a83fd1750eefb30dcad84535e303bf109",
         "trace.jsonl":
-            "db8df139792d7cd2782351a85e87638168dee2db394fda8ca1fe9869ec76e921",
+            "6df02c3b4449bb835188a30f0c1d00324e642809aa9c1644bfaccc54f30701b7",
         "verify.json":
             "8d8d84c4fd77f28c24147ff4e5ed939d1954b33b616740447fb7c47470f1fd21",
     },

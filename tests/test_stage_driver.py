@@ -2,6 +2,7 @@
 code that the stage driver replaced; the old builders are kept here as
 references, each with its own stage loop."""
 
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 
 from cedensity import builders, cli
 from cedensity import prioritysim as ps
-from cedensity.core import (NEVER, CEStream, SetOracle, prefix_counts,
-                            write_jsonl)
+from cedensity.core import (NEVER, CEStream, SetOracle, jsonl_bytes,
+                            prefix_counts, trailing_zeros)
 from cedensity.errors import (ContractViolated, RatioUnrealizable,
                               WindowExhausted)
 from cedensity.prioritysim import (ConstructionTrace, JumpApprox,
@@ -486,8 +487,9 @@ def jump(spec):
 
 
 def snapshot(result, path):
-    """Everything a builder returned, with each trace as its JSONL bytes
-    besides its records, or the error it raised with its requirement."""
+    """Everything a builder returned, with each trace's records as read
+    back from its file besides its records, or the error it raised with
+    its requirement."""
     if isinstance(result, BaseException):
         return (type(result), str(result),
                 getattr(result, "requirement", None))
@@ -495,8 +497,9 @@ def snapshot(result, path):
         return result.entry.tolist(), result.stage_max, result.label
     if isinstance(result, ConstructionTrace):
         result.write_jsonl(path)
+        back = ConstructionTrace.read(path)
         return (result.construction, result.stages, result.outcomes,
-                path.read_bytes())
+                jsonl_bytes(back.stages), back.outcomes)
     if isinstance(result, tuple):
         return tuple(snapshot(r, path) for r in result)
     return result
@@ -581,20 +584,19 @@ def test_prefix_gated_past_int64_classes(tmp_path):
 
 # -- trace runs ---------------------------------------------------------------
 
-def _acted(acted, stage):
-    return {"acted": acted, "stage": stage}
+def run_records(rule, lo, hi, params):
+    """The records of the stages lo..hi-1 that a run line stands for,
+    written out stage by stage apart from the trace's reader."""
+    if rule == "acted":
+        return [{"acted": s % params["period"], "stage": s}
+                for s in range(lo, hi)]
+    if rule == "constant":
+        return [{"stage": s, **params["record"]} for s in range(lo, hi)]
+    skipped = {x for k, first, last in params["skip"]
+               for x in range(first, last + 1, 2 << k)}
+    return [{"stage": x, "enumerated": [{"x": x, **params["tag"]}]}
+            for x in range(lo, hi) if x not in skipped]
 
-
-def _own(x):
-    return {"stage": x, "enumerated": [{"x": x,
-                                        "permission": {"kind": "own-stage"}}]}
-
-
-def _dump(x, stage, k):
-    return {"stage": stage, "enumerated": [{"x": x, "via": "dump", "k": k}]}
-
-
-TEMPLATES = {_acted: 2, _own: 1, _dump: 3}  # template -> number of holes
 
 HOLES = st.integers(0, 3) | st.integers(0, 2**63 - 2)
 
@@ -610,15 +612,14 @@ TAGS = st.fixed_dictionaries({}, optional={
 
 def blocks(holes):
     """Blocks as the driver stores them, empty ones included."""
-    return st.builds(lambda tag, xs: ps._Run(lambda x: {"x": x, **tag},
-                                             (np.array(xs, np.int64),)),
+    return st.builds(lambda tag, xs: ps._Block(tag, np.array(xs, np.int64)),
                      TAGS, st.lists(holes, max_size=12))
 
 
-def event(holes):
+def event(holes, stage):
     """A stage record whose "enumerated" list mixes dicts and blocks."""
     return st.fixed_dictionaries({
-        "stage": st.integers(0, 50),
+        "stage": st.just(stage),
         "enumerated": st.lists(blocks(holes) | st.fixed_dictionaries(
             {"x": st.integers(1, 50),
              "permission": st.fixed_dictionaries(
@@ -628,59 +629,108 @@ def event(holes):
 
 
 @st.composite
-def trace_parts(draw, holes=HOLES):
-    """Stage records and runs (one row or more) in any order."""
-    parts = []
+def skips(draw, lo, hi):
+    """Disjoint class progressions [k, first, last] inside [lo, hi), as an
+    own-stage run names the appointed intervals it passes over: one
+    element long or more, side by side at times, and at the run's ends."""
+    out = []
+    for k in range(4):
+        elems = [x for x in range(max(lo, 1), hi) if trailing_zeros(x) == k]
+        j = draw(st.integers(0, 2))
+        while j < len(elems) and draw(st.booleans()):
+            end = min(j + draw(st.integers(0, 3)), len(elems) - 1)
+            out.append([k, elems[j], elems[end]])
+            j = end + 1 + draw(st.integers(0, 2))
+    return sorted(out, key=lambda p: p[1])
+
+
+@st.composite
+def trace_parts(draw, holes=HOLES, start=st.integers(0, 3)
+                | st.integers(0, 2**62)):
+    """Events and quiet runs in stage order from a first stage on, each
+    run one stage long or more, and at times next to a run of the same
+    rule and parameters, which the trace writes as one line."""
+    parts, s = [], draw(start)
     for _ in range(draw(st.integers(0, 6))):
+        s += draw(st.sampled_from([0, 0, 1, 5]))
         if draw(st.booleans()):
-            parts.append(draw(event(holes)))
+            parts.append(draw(event(holes, s)))
+            s += 1
             continue
-        template = draw(st.sampled_from(sorted(TEMPLATES, key=str)))
-        rows = draw(st.integers(1, 12))
-        parts.append((template, tuple(
-            np.array(draw(st.lists(holes, min_size=rows, max_size=rows)),
-                     dtype=np.int64) for _ in range(TEMPLATES[template]))))
+        rule = draw(st.sampled_from(["acted", "constant", "own-stage"]))
+        hi = s + draw(st.integers(1, 12))
+        if rule == "acted":
+            params = {"period": draw(st.integers(1, 4))}
+        elif rule == "constant":
+            params = {"record": draw(st.just({"fired": None})
+                                     | st.dictionaries(
+                                         st.sampled_from(["a", "fired", "z"]),
+                                         st.integers(0, 3), max_size=2))}
+        else:
+            params = {"skip": draw(skips(s, hi)), "tag": draw(TAGS)}
+        parts.append((rule, s, hi, params))
+        s = hi
     return parts
 
 
 def entries(enumerated):
     """The entries of an "enumerated" list with each block written out."""
     return [e for en in enumerated for e in (
-        [en.template(x) for x in en.holes[0].tolist()]
-        if isinstance(en, ps._Run) else [en])]
+        [{"x": x, **en.tag} for x in en.xs.tolist()]
+        if isinstance(en, ps._Block) else [en])]
 
 
 def traced(parts, expand=False):
-    """A trace of the parts, with each run as a run or as its records and
-    each block as a block or as its entries."""
+    """A trace of the parts: each run as a run line, or as its records by
+    the per-stage writer the run lines replaced, and each block as a block
+    or as its entries."""
     trace = ConstructionTrace("demo")
     for part in parts:
         if isinstance(part, dict):
             trace.record(**(dict(part, enumerated=entries(part["enumerated"]))
                             if expand else part))
         elif expand:
-            for row in zip(*(h.tolist() for h in part[1])):
-                trace.record(**part[0](*row))
+            for rec in run_records(*part):
+                trace.record(**rec)
         else:
-            trace.run(part[0], *part[1])
+            rule, lo, hi, params = part
+            trace.quiet(lo, hi, rule, **params)
     trace.outcomes = {"0": {"case": "demo"}}
     return trace
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(trace_parts())
 def test_trace_runs_render_as_their_records(tmp_path_factory, parts):
     tmp = tmp_path_factory.getbasetemp()
-    trace = traced(parts)
-    trace.write_jsonl(tmp / "runs.jsonl")
-    # the records themselves, each a plain dict written by jsonl_bytes
+    traced(parts).write_jsonl(tmp / "runs.jsonl")
     traced(parts, expand=True).write_jsonl(tmp / "records.jsonl")
-    write_jsonl(tmp / "stages.jsonl", [*trace.stages, {
-        "outcomes": trace.outcomes, "construction": "demo"}])
-    assert (tmp / "runs.jsonl").read_bytes() == (
-        tmp / "records.jsonl").read_bytes() == (
-        tmp / "stages.jsonl").read_bytes()
-    assert trace.stages == traced(parts, expand=True).stages
+    runs = (tmp / "runs.jsonl").read_bytes().splitlines(keepends=True)
+    records = (tmp / "records.jsonl").read_bytes().splitlines(keepends=True)
+    # a line per part at most, between the marker and the outcomes
+    assert runs[0] == records[0] == b'{"trace_format": 2}\n'
+    assert runs[-1] == records[-1] and len(runs) <= len(parts) + 2
+    # the runs read back are the reference's lines, byte for byte
+    back = ConstructionTrace.read(tmp / "runs.jsonl")
+    assert jsonl_bytes(back.stages) == jsonl_bytes(traced(parts).stages) == (
+        b"".join(records[1:-1]))
+    assert back.outcomes == {"0": {"case": "demo"}}
+
+
+def test_a_quiet_run_holds_no_array_of_its_stages():
+    # the frontier runs out within a few stages, and 10^7 quiet ones follow
+    tracemalloc.start()
+    try:
+        _, _, trace = ps.ratio_interval_build([PartialDecider.constant(0)],
+                                              10, 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**5  # 8 bytes a stage would be 8·10^7
+    *events, last = trace._parts
+    assert len(events) < 10 and last == {"run": "acted", "lo": last["lo"],
+                                         "hi": 10**7 + 1, "period": 1}
+    assert next(trace._records())["stage"] == 0  # read lazily
 
 
 def test_stages_read_back_json_values():
@@ -694,16 +744,16 @@ def test_stages_read_back_json_values():
 def test_an_empty_block_writes_an_empty_list(tmp_path):
     # the gap of a ratio interval that holds only its witness
     trace = ConstructionTrace("demo")
-    trace.record(3, acted=0, enumerated=[ps._Run(lambda x: {"x": x, "e": 0},
-                                                 (np.zeros(0, np.int64),))])
+    trace.record(3, acted=0, enumerated=[ps._Block({"e": 0},
+                                                   np.zeros(0, np.int64))])
     trace.write_jsonl(tmp_path / "t.jsonl")
-    assert (tmp_path / "t.jsonl").read_bytes().splitlines()[0] == (
+    assert (tmp_path / "t.jsonl").read_bytes().splitlines()[1] == (
         b'{"acted": 0, "enumerated": [], "stage": 3}')
     assert trace.stages == [{"stage": 3, "acted": 0, "enumerated": []}]
 
 
 @settings(max_examples=60, deadline=None)
-@given(trace_parts(st.integers(1, 40)))
+@given(trace_parts(st.integers(1, 40), st.integers(1, 3)))
 def test_audits_read_runs_as_records(parts):
     runs, records = traced(parts), traced(parts, expand=True)
     assert list(runs.enumerations()) == list(records.enumerations())

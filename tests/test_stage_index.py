@@ -60,7 +60,9 @@ STAGE_LOOPS = {
 # sha256 of each output file, recorded before the stage loops read the
 # stage index; any change to these bytes is an output change.  Re-recorded
 # for artifact format 2: every artifact.json, and the ratio-interval
-# trace.jsonl (each interval's r_b, r_c)
+# trace.jsonl (each interval's r_b, r_c).  Every trace.jsonl re-recorded
+# for trace format 2 (a marker line, and a line per quiet run); its
+# records, each run expanded, are the bytes these digests pinned before
 GOLDEN = {
     "permitted-interval": {
         "artifact.json":
@@ -68,7 +70,7 @@ GOLDEN = {
         "certified.csv":
             "3b03dba15efdbd85bc87d0bc3d13d90b7f9abd99af2ec175e8e541f7eca3d2e2",
         "trace.jsonl":
-            "213169b6d1001589bd210d9bede9aba4e9399bce489201b5e5dec50c62dd4092",
+            "afe5cabcc3513c8d643979a48bae3335c00a24921d8f532b0a6c44ee699ae97b",
         "verify.json":
             "8d8d84c4fd77f28c24147ff4e5ed939d1954b33b616740447fb7c47470f1fd21",
     },
@@ -87,7 +89,7 @@ GOLDEN = {
         "certified.csv":
             "3b03dba15efdbd85bc87d0bc3d13d90b7f9abd99af2ec175e8e541f7eca3d2e2",
         "trace.jsonl":
-            "00c0d7bd859fe2d619ca9fb9806398b927ce34df7638e96b4c69b23ff05bc6ec",
+            "97cdd31bb0d4bd7cc831d9c6628c28b9302262cf3b4b910a7070906623bc0c9f",
         "verify.json":
             "8d8d84c4fd77f28c24147ff4e5ed939d1954b33b616740447fb7c47470f1fd21",
     },
@@ -97,7 +99,7 @@ GOLDEN = {
         "certified.csv":
             "6d13ea93da00c95615b9e8ded7f6d55a83fd1750eefb30dcad84535e303bf109",
         "trace.jsonl":
-            "9160ecf6037cc104cc61f06fffeba116101e79f182acc42cf5b9c71698e4fcc1",
+            "cf9040c6cf8911f0cd0be238c8031a07c85d214899d6b7c7a050c7846f1ea9a4",
         "verify.json":
             "8d8d84c4fd77f28c24147ff4e5ed939d1954b33b616740447fb7c47470f1fd21",
     },
@@ -115,7 +117,7 @@ GOLDEN = {
         "certified.csv":
             "3b03dba15efdbd85bc87d0bc3d13d90b7f9abd99af2ec175e8e541f7eca3d2e2",
         "trace.jsonl":
-            "e492af9936a0e3ab33ace7c5d4705e5ae80899b70283f8aaddfcb56f24994f83",
+            "c0732c22e32070de62986e2d039f279793ecdd3ffc5d709a813e53fe48a689f4",
         "verify.json":
             "8d8d84c4fd77f28c24147ff4e5ed939d1954b33b616740447fb7c47470f1fd21",
     },
