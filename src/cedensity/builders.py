@@ -219,7 +219,7 @@ def density_transfer_build(B: Delta2Approx, n_checkpoints: int,
         if s == 0:
             return 1
         k = min(s, n_checkpoints)
-        num, den = _transfer_targets(np.cumsum(B.at(s - 1)[:k]), rows[:k])
+        num, den = _transfer_targets(B.at(s - 1)[:k], rows[:k])
         broken = have[:k] * den != num * t[1:k + 1]
         if not broken.any():
             quiet(s, s + 1)
@@ -255,9 +255,10 @@ def density_transfer_build(B: Delta2Approx, n_checkpoints: int,
     return stream, dict(enumerate(t.tolist())), trace, report
 
 
-def _transfer_targets(counts: np.ndarray, ns: np.ndarray):
-    """The targets counts/ns as unreduced (num, den) int64 arrays, clamped
-    into (0, 1): 0 becomes 1/(n+1) and n/n becomes n/(n+1)."""
+def _transfer_targets(bits: np.ndarray, ns: np.ndarray):
+    """The densities |bits[:n]|/n, n in ns, as unreduced (num, den) int64
+    arrays, clamped into (0, 1): 0 becomes 1/(n+1) and n/n n/(n+1)."""
+    counts = prefix_counts(bits)[1:]
     return np.maximum(counts, 1), ns + ((counts == 0) | (counts == ns))
 
 
@@ -268,7 +269,7 @@ def _transfer_report(stream: CEStream, final_b: np.ndarray, t: np.ndarray):
     first map and are left out of the second."""
     members = stream.final_members()
     rows = np.arange(1, t.size)
-    num, den = _transfer_targets(np.cumsum(final_b[:rows.size]), rows)
+    num, den = _transfer_targets(final_b[:rows.size], rows)
     lo, hi = t[:-1], t[1:]
     inside = (hi <= stream.n_max).tolist()
     have = prefix_counts(members)[np.minimum(hi, stream.n_max)]

@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import CEStream, NEVER, StageGuess, prefix_counts, trailing_zeros
 from .errors import ContractViolated, RatioUnrealizable, WindowExhausted
-from .trace import ConstructionTrace, _Block
+from .trace import ConstructionTrace, progressions
 
 
 # -- roster machinery ------------------------------------------------------
@@ -264,7 +264,7 @@ class _StageDriver:
         self.n_max, self.stage_max = n_max, stage_max
         self.entry = np.full((outputs, n_max), NEVER, dtype=np.int64)
         self.restrained = np.zeros(n_max, dtype=bool)
-        self.appointed = []  # (k, min, max) of the intervals past the runs
+        self.appointed = []  # (min, max, step) of the intervals past the runs
         self.j_next = {}  # class k -> index past its last interval
         self.no_room = {}  # class k -> (j_next, thresholds) that found none
         self.rec = {}
@@ -273,13 +273,14 @@ class _StageDriver:
         self.rec.setdefault(key, []).append(value)
 
     def enter(self, xs, s: int, tag=None, out: int = 0):
-        """Enter the ints xs, none of them in output ``out`` yet, at stage
-        s; given a tag, the record's "enumerated" list gets them as one
-        block, {"x": x, **tag} for each."""
+        """Enter the ascending ints xs, none of them in output ``out`` yet,
+        at stage s; given a tag, the record's "enumerated" list gets an
+        entry {"xs": [first, last, step], **tag} per progression of xs."""
         xs = np.asarray(xs, dtype=np.int64)
         self.entry[out, xs] = s
         if tag is not None:
-            self.rec.setdefault("enumerated", []).append(_Block(tag, xs))
+            self.rec.setdefault("enumerated", []).extend(
+                {"xs": p, **tag} for p in progressions(xs))
 
     def appoint(self, k: int, min_elem_above: int, max_above: int):
         """The next interval of class k (``_large_interval``), restrained,
@@ -297,25 +298,23 @@ class _StageDriver:
             return None
         elems, self.j_next[k] = found
         self.restrained[elems] = True
-        self.appointed.append((k, elems[0], elems[-1]))
+        self.appointed.append((elems[0], elems[-1], 2 << k))
         return elems
 
     def own_run(self, lo: int, hi: int, own: dict):
         """The own-stage run of the stages lo..hi-1 (none if all are
         skipped), the appointed intervals cut to [lo, hi) its skip list."""
-        self.appointed = [iv for iv in self.appointed if iv[2] >= lo]
+        self.appointed = [iv for iv in self.appointed if iv[1] >= lo]
         skip, count = [], hi - lo
-        for k, first, last in self.appointed:
-            step = 2 << k
+        for first, last, step in self.appointed:
             first += max(0, -((first - lo) // step)) * step  # first >= lo
             last = min(last, hi - 1)
             if first <= last:
                 last -= (last - first) % step
-                skip.append([k, first, last])
+                skip.append([first, last, step])
                 count -= (last - first) // step + 1
         if count > 0:
-            self.trace.quiet(lo, hi, "own-stage", tag=own,
-                             skip=sorted(skip, key=lambda p: p[1]))
+            self.trace.quiet(lo, hi, "own-stage", tag=own, skip=sorted(skip))
 
     def next_entrant(self, s: int, most: int) -> int:
         """The least stage t > s whose least permitting entrant is <= most,
@@ -765,16 +764,9 @@ def audit_permissions(trace: ConstructionTrace) -> bool:
     """Every enumeration carries a permission: either the element's own
     stage, or a recorded y <= x entering the permitting stream then."""
     for stage, en in trace.enumerations():
-        perm = en.get("permission")
-        if perm is None:
-            return False
-        if perm["kind"] == "own-stage":
-            if en["x"] != stage:
-                return False
-        elif perm["kind"] == "change":
-            if not perm["y"] <= en["x"]:
-                return False
-        else:
+        perm = en.get("permission") or {}
+        if not (perm.get("kind") == "own-stage" and en["x"] == stage
+                or perm.get("kind") == "change" and perm["y"] <= en["x"]):
             return False
     return True
 

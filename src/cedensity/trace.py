@@ -1,66 +1,61 @@
-"""The construction trace and its file, trace format 2.
+"""The construction trace and its file, trace format 3.
 
 A trace file is JSON lines, each written by ``core.jsonl_bytes`` (sorted
-keys): the marker ``{"trace_format": 2}``; one line per event stage or
+keys): the marker ``{"trace_format": 3}``; one line per event stage or
 quiet run, in stage order; and ``{"construction": ..., "outcomes": ...}``.
-An event line is the stage's record ``{"stage": s, ...}``.  A run line
-``{"run": rule, "lo": lo, "hi": hi, ...}`` stands for one record per stage
-s = lo..hi-1, by a rule of a closed vocabulary (``_RULES``):
-
-- ``"acted"``: ``{"acted": s mod period, "stage": s}``;
-- ``"constant"``: ``{"stage": s, **record}``;
-- ``"own-stage"``: ``{"stage": s, "enumerated": [{"x": s, **tag}]}``, but
-  at the elements of its ``"skip"`` list, each ``[k, first, last]`` the
-  elements first, first + 2^(k+1), ..., last of dyadic class k.
-
-One reader expands the runs (``ConstructionTrace.read``, ``stages``), so a
-trace grows with its events and not with its stages.
+Each run of elements is a progression ``[first, last, step]``.  An event
+line is the stage's record ``{"stage": s, ...}``; in its "enumerated"
+list, ``{"xs": progression, **tag}`` stands for an entry {"x": x, **tag}
+per element x.  A run line ``{"run": rule, "lo": lo, "hi": hi, ...}``
+stands for one record per stage s = lo..hi-1, by a rule of a closed
+vocabulary (``_RULES``): ``"acted"`` gives ``{"acted": s mod period,
+"stage": s}``, ``"constant"`` ``{"stage": s, **record}``, and
+``"own-stage"`` ``{"stage": s, "enumerated": [{"x": s, **tag}]}`` but at
+the elements of the progressions of its ``"skip"`` list.  One reader
+expands both (``ConstructionTrace.read``, ``stages``), so a trace grows
+with its events, not with its stages or released elements.
 """
 
 from __future__ import annotations
 
 import json
-from typing import NamedTuple
+from bisect import bisect_right
 
 import numpy as np
 
-from .core import _CHUNK_ROWS, _HOLE, jsonl_bytes, row_bytes
+from .core import jsonl_bytes
 
 
-class _Block(NamedTuple):
-    """Entries {"x": x, **tag} for each x of the int64 array xs, in order."""
+def progressions(xs: np.ndarray) -> list:
+    """[first, last, step] of each maximal progression of the ascending
+    int64 array xs, taken greedily from the left; a lone x is [x, x, 1]."""
+    steps, out, i = np.diff(xs), [], 0
+    # the indices j at which steps[j] differs from steps[j - 1], and the end
+    turns = (np.flatnonzero(steps[1:] != steps[:-1]) + 1).tolist()
+    turns.append(steps.size)
+    while i < xs.size:  # xs[i..j] is one progression
+        j = turns[bisect_right(turns, i)] if i + 1 < xs.size else i
+        out.append([int(xs[i]), int(xs[j]), int(steps[i]) if j > i else 1])
+        i = j + 1
+    return out
 
-    tag: dict
-    xs: np.ndarray
+
+def _elements(first: int, last: int, step: int) -> np.ndarray:
+    return first + step * np.arange((last - first) // step + 1,
+                                    dtype=np.int64)
 
 
-def _record_jsonl(rec: dict) -> bytes:
-    """``jsonl_bytes`` of a trace record, each block of its "enumerated"
-    list written as its entries: the digits of each x laid by ``row_bytes``
-    into the text of one entry, and the entries' texts spliced into the
-    line where the list was held out."""
-    entries = rec.get("enumerated", ())
-    if not any(isinstance(en, _Block) for en in entries):
-        return jsonl_bytes([rec])
-    texts = []  # each entry's text and a comma
-    for en in entries:
-        if not isinstance(en, _Block):
-            texts.append(jsonl_bytes([en])[:-1] + b", ")
-            continue
-        head, tail = jsonl_bytes([{"x": _HOLE, **en.tag}])[:-1].split(
-            b"%d" % _HOLE)
-        texts += [row_bytes([head, tail + b", "], [en.xs[i:i + _CHUNK_ROWS]])
-                  for i in range(0, en.xs.size, _CHUNK_ROWS)]
-    head, tail = jsonl_bytes([{**rec, "enumerated": _HOLE}]).split(
-        b"%d" % _HOLE)
-    return b"".join([head, b"[", b"".join(texts)[:-2], b"]", tail])
+def _entries(en: dict) -> list:
+    """The entries {"x": x, **tag} a read "enumerated" entry stands for."""
+    xs = [en.pop("x")] if "x" in en else _elements(*en.pop("xs")).tolist()
+    return [{"x": x, **en} for x in xs]
 
 
 def _own_stage(run: dict):
     """The records of an own-stage run line, its skipped elements left out."""
     free = np.ones(run["hi"] - run["lo"], dtype=bool)
-    for k, first, last in run["skip"]:
-        free[first - run["lo"]:last - run["lo"] + 1:2 << k] = False
+    for p in run["skip"]:
+        free[_elements(*p) - run["lo"]] = False
     return ({"stage": x, "enumerated": [{"x": x, **run["tag"]}]}
             for x in (np.flatnonzero(free) + run["lo"]).tolist())
 
@@ -74,16 +69,14 @@ _RULES = {
                              for s in range(run["lo"], run["hi"])),
 }
 
-_MARKER = {"trace_format": 2}
+_MARKER = {"trace_format": 3}
 
 
 class ConstructionTrace:
     """Stage records, held as event records and run lines (see above),
     plus final outcome classifications.  Fields are JSON values with
-    string keys, and an event's "enumerated" list may hold blocks
-    (``_Block``).  ``stages`` and ``enumerations`` read back the lines
-    ``write_jsonl`` writes, each run expanded into its records, as
-    ``read`` reads a written file."""
+    string keys.  ``stages`` and ``enumerations`` read back the lines
+    ``write_jsonl`` writes, expanded, as ``read`` reads a written file."""
 
     def __init__(self, construction: str):
         self.construction = construction
@@ -107,25 +100,34 @@ class ConstructionTrace:
         else:
             self._parts.append(run)
 
-    def _records(self):
-        for line in map(_record_jsonl, self._parts):
-            rec = json.loads(line)
-            yield from (_RULES[rec["run"]](rec) if "run" in rec else (rec,))
+    def _records(self, enumerating=False):
+        """The records of the written lines; with ``enumerating``, only of
+        those that may hold enumerations: not an acted run, nor a constant
+        one whose record holds none."""
+        for line in (json.loads(jsonl_bytes([p])) for p in self._parts):
+            rule = line.get("run")
+            if rule is None:
+                if "enumerated" in line:
+                    line["enumerated"] = [e for en in line["enumerated"]
+                                          for e in _entries(en)]
+                yield line
+            elif not enumerating or rule == "own-stage" or (
+                    "enumerated" in line.get("record", {})):
+                yield from _RULES[rule](line)
 
     @property
     def stages(self) -> list:
         return list(self._records())
 
     def enumerations(self):
-        for rec in self._records():
+        for rec in self._records(enumerating=True):
             for en in rec.get("enumerated", []):
                 yield rec["stage"], en
 
     def write_jsonl(self, path):
         with open(path, "wb") as fh:
-            fh.write(jsonl_bytes([_MARKER]))
-            fh.writelines(map(_record_jsonl, self._parts))
-            fh.write(jsonl_bytes([{"outcomes": self.outcomes,
+            fh.write(jsonl_bytes([_MARKER, *self._parts,
+                                  {"outcomes": self.outcomes,
                                    "construction": self.construction}]))
 
     @classmethod
@@ -134,7 +136,7 @@ class ConstructionTrace:
         with open(path, "rb") as fh:
             marker, *parts, last = map(json.loads, fh)
         if marker != _MARKER:
-            raise ValueError(f"{path}: no trace format 2 marker")
+            raise ValueError(f"{path}: no trace format 3 marker")
         trace = cls(last["construction"])
         trace.outcomes, trace._parts = last["outcomes"], parts
         return trace

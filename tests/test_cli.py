@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from cedensity import cli
 from cedensity.core import NEVER, CEStream
 from cedensity.errors import BudgetExceeded
+from cedensity.trace import ConstructionTrace
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -571,20 +572,63 @@ def test_huge_stage_max_finishes_when_only_events_are_recorded(
     assert len(lines) < 200 and "outcomes" in json.loads(lines[-1])
 
 
+def _fixture_cfg(form):
+    path = os.path.join(os.path.dirname(__file__), "fixtures", "v1",
+                        "configs.json")
+    with open(path) as fh:
+        return json.load(fh)[form]
+
+
 @pytest.mark.parametrize("stage_max", [10**6, 10**9])
 def test_ratio_interval_trace_grows_with_events_not_stages(tmp_path,
                                                            stage_max):
     # the fixture's two intervals resolve within the first stages; a line
     # per stage would be about 30 bytes a stage
-    path = os.path.join(os.path.dirname(__file__), "fixtures", "v1",
-                        "configs.json")
-    with open(path) as fh:
-        cfg = json.load(fh)["ratio-interval-report"]
+    cfg = _fixture_cfg("ratio-interval-report")
     cfg["universe"]["stage_max"] = stage_max
     start = time.perf_counter()
     assert _run(tmp_path, "construct", cfg) == 0
     assert time.perf_counter() - start < 2
     assert (tmp_path / "o" / "trace.jsonl").stat().st_size < 10_000
+
+
+def test_enumerations_pass_over_runs_that_carry_none(tmp_path):
+    # 10^9 stages of "acted" runs, read for their enumerations: only the
+    # event lines' entries, each progression written out
+    cfg = _fixture_cfg("ratio-interval-report")
+    cfg["universe"]["stage_max"] = 10**9
+    assert _run(tmp_path, "construct", cfg) == 0
+    path = tmp_path / "o" / "trace.jsonl"
+    want = []
+    for line in map(json.loads, path.read_text().splitlines()[1:-1]):
+        for en in line.get("enumerated", []) if "run" not in line else []:
+            tag = {k: v for k, v in en.items() if k != "xs"}
+            first, last, step = en.get("xs", [en.get("x")] * 2 + [1])
+            want += [(line["stage"], dict(tag, x=x))
+                     for x in range(first, last + 1, step)]
+    trace = ConstructionTrace.read(path)
+    start = time.perf_counter()
+    got = list(trace.enumerations())
+    assert time.perf_counter() - start < 1
+    assert got == want and want
+
+
+def test_restraint_trace_grows_with_events_not_elements(tmp_path):
+    # each dumped interval is one progression; an entry per element was
+    # 4.96 MB of trace here
+    cfg = _fixture_cfg("restraint-report")
+    cfg["universe"] = {"n_max": 10**6, "stage_max": 10**6}
+    assert _run(tmp_path, "construct", cfg) == 0
+    assert (tmp_path / "o" / "trace.jsonl").stat().st_size < 64 * 1024
+
+
+def test_a_trace_of_another_format_is_refused(tmp_path):
+    path = tmp_path / "t.jsonl"
+    path.write_text('{"trace_format": 2}\n{"acted": 0, "stage": 0}\n'
+                    '{"construction": "demo", "outcomes": {}}\n')
+    with pytest.raises(ValueError) as exc:
+        ConstructionTrace.read(path)
+    assert str(path) in str(exc.value)
 
 
 @pytest.mark.parametrize("construction", [

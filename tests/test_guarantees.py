@@ -83,8 +83,10 @@ FIXTURES = {
 # Re-recorded for artifact format 2: every artifact.json, the relative
 # margin's certified.csv (rows from its stored in_a) and the ratio-interval
 # trace.jsonl (each interval's r_b, r_c).  Both trace.jsonl re-recorded for
-# trace format 2 (a marker line, and a line per quiet run); their records,
-# each run expanded, are the bytes these digests pinned before
+# trace format 2 (a marker line, and a line per quiet run) and for trace
+# format 3 (a released interval an entry per progression); their records,
+# each run and progression expanded, are the bytes these digests pinned
+# before
 GOLDEN = {
     "blockwise-levels": {
         "artifact.json":
@@ -140,7 +142,7 @@ GOLDEN = {
         "certified.csv":
             "3b03dba15efdbd85bc87d0bc3d13d90b7f9abd99af2ec175e8e541f7eca3d2e2",
         "trace.jsonl":
-            "a73e5ed8d5eab9e8db7734ad895e53011f91ae49692a12624ef3467ebc667a54",
+            "fc537986413d47c32d04abcd7423d995c542781da1932d71c1b421f6093338f1",
         "verify.json":
             "8d8d84c4fd77f28c24147ff4e5ed939d1954b33b616740447fb7c47470f1fd21",
     },
@@ -150,7 +152,7 @@ GOLDEN = {
         "certified.csv":
             "6d13ea93da00c95615b9e8ded7f6d55a83fd1750eefb30dcad84535e303bf109",
         "trace.jsonl":
-            "6df02c3b4449bb835188a30f0c1d00324e642809aa9c1644bfaccc54f30701b7",
+            "f312b3f9d48b5829e757e96bed6b572bcc96379b8efb2b5c2a1f41a2c8a973fe",
         "verify.json":
             "8d8d84c4fd77f28c24147ff4e5ed939d1954b33b616740447fb7c47470f1fd21",
     },

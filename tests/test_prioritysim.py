@@ -212,7 +212,7 @@ def test_trace_jsonl_round_trip(tmp_path):
     path = tmp_path / "t.jsonl"
     t.write_jsonl(path)
     lines = [json.loads(x) for x in path.read_text().splitlines()]
-    assert lines[0] == {"trace_format": 2}  # the format marker comes first
+    assert lines[0] == {"trace_format": 3}  # the format marker comes first
     assert lines[1]["stage"] == 0
     assert lines[-1]["outcomes"] == {"0": {"case": "no-interval"}}
     back = ConstructionTrace.read(path)

@@ -21,6 +21,7 @@ from cedensity.prioritysim import (ConstructionTrace, JumpApprox,
                                    _ratio_interval, audit_permissions,
                                    audit_regions, pair_code,
                                    region_elements)
+from cedensity.trace import progressions
 
 # -- the builders as they were ------------------------------------------------
 
@@ -592,13 +593,14 @@ def run_records(rule, lo, hi, params):
                 for s in range(lo, hi)]
     if rule == "constant":
         return [{"stage": s, **params["record"]} for s in range(lo, hi)]
-    skipped = {x for k, first, last in params["skip"]
-               for x in range(first, last + 1, 2 << k)}
+    skipped = {x for first, last, step in params["skip"]
+               for x in range(first, last + 1, step)}
     return [{"stage": x, "enumerated": [{"x": x, **params["tag"]}]}
             for x in range(lo, hi) if x not in skipped]
 
 
-HOLES = st.integers(0, 3) | st.integers(0, 2**63 - 2)
+HOLES = (st.integers(0, 3) | st.integers(2**62 - 8, 2**62 + 8)
+         | st.integers(0, 2**63 - 2))
 
 # the driver's tags, and a key "z" that sorts after an entry's "x"
 TAGS = st.fixed_dictionaries({}, optional={
@@ -610,10 +612,48 @@ TAGS = st.fixed_dictionaries({}, optional={
     "z": st.integers(0, 3)})
 
 
-def blocks(holes):
-    """Blocks as the driver stores them, empty ones included."""
-    return st.builds(lambda tag, xs: ps._Block(tag, np.array(xs, np.int64)),
-                     TAGS, st.lists(holes, max_size=12))
+def _below_int64(xs):
+    return [x for x in xs if x < 2**63]
+
+
+# the kinds of released blocks, as ascending lists of ints drawn from
+# values, by the most progressions each splits into (None: no bound)
+BLOCK_KINDS = {
+    "empty-or-one": (1, lambda values: st.lists(values, max_size=1)),
+    "progression": (1, lambda values: st.builds(
+        lambda first, step, count: _below_int64(
+            range(first, first + count * step, step)),
+        values, st.integers(1, 4) | st.integers(1, 2**62),
+        st.integers(2, 12))),
+    "set": (None, lambda values: st.lists(values, unique=True,
+                                          max_size=12).map(sorted)),
+    "range-less-one": (2, lambda values: st.builds(
+        lambda first, size, cut: [x for i, x in enumerate(_below_int64(
+            range(first, first + size))) if i != cut],
+        values, st.integers(1, 12), st.integers(0, 11))),
+}
+
+
+def blocks(values):
+    """Released blocks (tag, xs), xs an ascending int64 array of any kind."""
+    return st.tuples(TAGS, st.one_of(
+        [kind(values) for _, kind in BLOCK_KINDS.values()]).map(
+            lambda xs: np.array(xs, np.int64)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.sampled_from(sorted(BLOCK_KINDS)))
+def test_a_block_splits_greedily_into_progressions(data, kind):
+    most, draw = BLOCK_KINDS[kind]
+    xs = np.array(data.draw(draw(HOLES)), np.int64)
+    got = progressions(xs)
+    assert [x for first, last, step in got
+            for x in range(first, last + 1, step)] == xs.tolist()
+    assert len(got) <= (xs.size if most is None else most)
+    # taken from the left: no progression but the last is a lone x, and
+    # none continues into the next one
+    for (first, last, step), nxt in zip(got, got[1:]):
+        assert first < last and nxt[0] - last != step
 
 
 def event(holes, stage):
@@ -630,8 +670,8 @@ def event(holes, stage):
 
 @st.composite
 def skips(draw, lo, hi):
-    """Disjoint class progressions [k, first, last] inside [lo, hi), as an
-    own-stage run names the appointed intervals it passes over: one
+    """Disjoint class progressions [first, last, 2^(k+1)] inside [lo, hi),
+    as an own-stage run names the appointed intervals it passes over: one
     element long or more, side by side at times, and at the run's ends."""
     out = []
     for k in range(4):
@@ -639,9 +679,9 @@ def skips(draw, lo, hi):
         j = draw(st.integers(0, 2))
         while j < len(elems) and draw(st.booleans()):
             end = min(j + draw(st.integers(0, 3)), len(elems) - 1)
-            out.append([k, elems[j], elems[end]])
+            out.append([elems[j], elems[end], 2 << k])
             j = end + 1 + draw(st.integers(0, 2))
-    return sorted(out, key=lambda p: p[1])
+    return sorted(out)
 
 
 @st.composite
@@ -673,22 +713,24 @@ def trace_parts(draw, holes=HOLES, start=st.integers(0, 3)
     return parts
 
 
-def entries(enumerated):
-    """The entries of an "enumerated" list with each block written out."""
+def entries(enumerated, expand):
+    """The entries of an "enumerated" list, each block (tag, xs) written as
+    an entry per progression, or per element by the writer they replaced."""
     return [e for en in enumerated for e in (
-        [{"x": x, **en.tag} for x in en.xs.tolist()]
-        if isinstance(en, ps._Block) else [en])]
+        ([{"x": x, **en[0]} for x in en[1].tolist()] if expand
+         else [{"xs": p, **en[0]} for p in progressions(en[1])])
+        if isinstance(en, tuple) else [en])]
 
 
 def traced(parts, expand=False):
     """A trace of the parts: each run as a run line, or as its records by
-    the per-stage writer the run lines replaced, and each block as a block
-    or as its entries."""
+    the per-stage writer the run lines replaced, and each block as its
+    progressions or as its elements."""
     trace = ConstructionTrace("demo")
     for part in parts:
         if isinstance(part, dict):
-            trace.record(**(dict(part, enumerated=entries(part["enumerated"]))
-                            if expand else part))
+            trace.record(**dict(part, enumerated=entries(part["enumerated"],
+                                                         expand)))
         elif expand:
             for rec in run_records(*part):
                 trace.record(**rec)
@@ -708,7 +750,7 @@ def test_trace_runs_render_as_their_records(tmp_path_factory, parts):
     runs = (tmp / "runs.jsonl").read_bytes().splitlines(keepends=True)
     records = (tmp / "records.jsonl").read_bytes().splitlines(keepends=True)
     # a line per part at most, between the marker and the outcomes
-    assert runs[0] == records[0] == b'{"trace_format": 2}\n'
+    assert runs[0] == records[0] == b'{"trace_format": 3}\n'
     assert runs[-1] == records[-1] and len(runs) <= len(parts) + 2
     # the runs read back are the reference's lines, byte for byte
     back = ConstructionTrace.read(tmp / "runs.jsonl")
@@ -741,11 +783,22 @@ def test_stages_read_back_json_values():
                              "enumerated": [{"x": 2, "pair": [0, 1]}]}]
 
 
+def test_the_driver_writes_an_entry_per_progression():
+    drive = ps._StageDriver("demo", 64, 64)
+    drive.enter(np.arange(2, 40, 4), 5, {"k": 1, "via": "dump"})
+    drive.enter([8, 9, 11, 12], 5, {"e": 0})  # a gap less its witness 10
+    assert drive.rec["enumerated"] == [
+        {"xs": [2, 38, 4], "k": 1, "via": "dump"},
+        {"xs": [8, 9, 1], "e": 0}, {"xs": [11, 12, 1], "e": 0}]
+    assert (drive.entry[0] == 5).sum() == 14
+
+
 def test_an_empty_block_writes_an_empty_list(tmp_path):
     # the gap of a ratio interval that holds only its witness
-    trace = ConstructionTrace("demo")
-    trace.record(3, acted=0, enumerated=[ps._Block({"e": 0},
-                                                   np.zeros(0, np.int64))])
+    drive = ps._StageDriver("demo", 8, 8)
+    drive.enter(np.zeros(0, np.int64), 3, {"e": 0})
+    trace = drive.trace
+    trace.record(3, acted=0, **drive.rec)
     trace.write_jsonl(tmp_path / "t.jsonl")
     assert (tmp_path / "t.jsonl").read_bytes().splitlines()[1] == (
         b'{"acted": 0, "enumerated": [], "stage": 3}')

@@ -61,8 +61,10 @@ STAGE_LOOPS = {
 # stage index; any change to these bytes is an output change.  Re-recorded
 # for artifact format 2: every artifact.json, and the ratio-interval
 # trace.jsonl (each interval's r_b, r_c).  Every trace.jsonl re-recorded
-# for trace format 2 (a marker line, and a line per quiet run); its
-# records, each run expanded, are the bytes these digests pinned before
+# for trace format 2 (a marker line, and a line per quiet run) and for
+# trace format 3 (a released interval an entry per progression); its
+# records, each run and progression expanded, are the bytes these digests
+# pinned before
 GOLDEN = {
     "permitted-interval": {
         "artifact.json":
@@ -70,7 +72,7 @@ GOLDEN = {
         "certified.csv":
             "3b03dba15efdbd85bc87d0bc3d13d90b7f9abd99af2ec175e8e541f7eca3d2e2",
         "trace.jsonl":
-            "afe5cabcc3513c8d643979a48bae3335c00a24921d8f532b0a6c44ee699ae97b",
+            "56138f8e916d0abc1d602291421aa12bb67a2a92113006b93db1963b08dce4e9",
         "verify.json":
             "8d8d84c4fd77f28c24147ff4e5ed939d1954b33b616740447fb7c47470f1fd21",
     },
@@ -89,7 +91,7 @@ GOLDEN = {
         "certified.csv":
             "3b03dba15efdbd85bc87d0bc3d13d90b7f9abd99af2ec175e8e541f7eca3d2e2",
         "trace.jsonl":
-            "97cdd31bb0d4bd7cc831d9c6628c28b9302262cf3b4b910a7070906623bc0c9f",
+            "01fff7e117d8e01a1f4117a54e338786db546c03cf17747be310e41a9eb4443c",
         "verify.json":
             "8d8d84c4fd77f28c24147ff4e5ed939d1954b33b616740447fb7c47470f1fd21",
     },
@@ -99,7 +101,7 @@ GOLDEN = {
         "certified.csv":
             "6d13ea93da00c95615b9e8ded7f6d55a83fd1750eefb30dcad84535e303bf109",
         "trace.jsonl":
-            "cf9040c6cf8911f0cd0be238c8031a07c85d214899d6b7c7a050c7846f1ea9a4",
+            "f43732ee42e627ec6efe3922e064bce844125ada8d2ec20cb7e1d6e38d81893e",
         "verify.json":
             "8d8d84c4fd77f28c24147ff4e5ed939d1954b33b616740447fb7c47470f1fd21",
     },
@@ -117,7 +119,7 @@ GOLDEN = {
         "certified.csv":
             "3b03dba15efdbd85bc87d0bc3d13d90b7f9abd99af2ec175e8e541f7eca3d2e2",
         "trace.jsonl":
-            "c0732c22e32070de62986e2d039f279793ecdd3ffc5d709a813e53fe48a689f4",
+            "c91e0f6439566853e587ecc48f5e09298bd6a88735399c4eddba5028c48c5cd6",
         "verify.json":
             "8d8d84c4fd77f28c24147ff4e5ed939d1954b33b616740447fb7c47470f1fd21",
     },
