@@ -23,7 +23,7 @@ from .core import (ceil_sqrt_array, compact_json, csv_bytes, exact_ints,
                    write_columns)
 from .errors import ArtifactError
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 def bits_to_rle(bits) -> np.ndarray:
@@ -268,9 +268,10 @@ def _json_payload(raw: bytes) -> dict:
 
 def load_artifact(path) -> SubsetArtifact:
     """The artifact of a file whose digest matches its payload, read by
-    ``_saved_payload`` where it can, else by ``_json_payload``.  Format 2
-    tables are unpacked and format 1 lists converted, so either way each
-    table a form declares in ``Form.arrays`` reads as an int64 array."""
+    ``_saved_payload`` where it can, else by ``_json_payload``.  Formats
+    2 and 3 share one layout: their tables are unpacked, and format 1
+    lists converted, so either way each table a form declares in
+    ``Form.arrays`` reads as an int64 array.  Meta is read as written."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -280,7 +281,7 @@ def load_artifact(path) -> SubsetArtifact:
     if payload is None:
         payload = _json_payload(raw)
     version = payload.get("format_version")
-    if type(version) is not int or version not in (1, FORMAT_VERSION):
+    if type(version) is not int or version not in (1, 2, FORMAT_VERSION):
         raise ArtifactError(f"unsupported format version {version}")
     for key, (t, name) in _FIELD_TYPES.items():
         if type(payload.get(key)) is not t:

@@ -463,10 +463,11 @@ def _dispatch_construct(cfg, sets, streams, deciders):
                 "[e, i]", len(members) - 1)]
             if len(set(pairs)) < len(pairs):  # one strategy per pair
                 raise spec["pairs"].error("a pair is listed twice")
-        st, g_rows, trace = prioritysim.permitted_interval_build(
+        st, g_changes, trace = prioritysim.permitted_interval_build(
             permitter, jump, members, n_max, stage_max, pairs=pairs)
         return _stream_artifact(st, "permitted_interval",
-                                g_rows=g_rows), trace
+                                g_changes=g_changes,
+                                stage_max=stage_max), trace
     if op == "split-interval":
         a0, a1, trace = prioritysim.split_interval_build(
             spec["permitter"].ref(streams), spec["deciders"].refs(deciders),

@@ -594,6 +594,11 @@ def permitted_interval_build(C: CEStream, jump: JumpApprox, streams,
     stage (permission x = s).  Outcomes classify each pair on the window:
     'no-interval', 'permanent-uncovered', 'permanent-covered', or
     'cancelled' (appointed intervals all dumped).
+
+    Returns the stream, each pair's g as its change points and the trace.
+    g is 0 or 1; a pair's change points are the ascending stages at which
+    its g changes value, so g(e, i, s) is 0 before the first and is the
+    parity of the number of them at most s.  Quiet stages record nothing.
     """
     if pairs is None:
         pairs = [(e, i) for e in range(len(streams))
@@ -601,7 +606,7 @@ def permitted_interval_build(C: CEStream, jump: JumpApprox, streams,
     drive = _StageDriver("permitted_interval", n_max, stage_max)
     state = {p: {"iv": None, "g": 0, "cancels": 0, "appointed": 0,
                  "use": None, "stuck": False} for p in pairs}
-    g_rows = {p: [] for p in pairs}
+    g_changes = {p: [] for p in pairs}
     codes = {p: pair_code(*p) for p in pairs}
 
     def step(s, y):
@@ -610,9 +615,8 @@ def permitted_interval_build(C: CEStream, jump: JumpApprox, streams,
             k = codes[p]
             st = state[p]
             if k > s:
-                g_rows[p].append(st["g"])
                 continue
-            iv = st["iv"]
+            g, iv = st["g"], st["iv"]
             if iv is not None:
                 if y is not None and y <= st["use"]:
                     drive.enter(iv, s, {"permission": {"kind": "change",
@@ -647,7 +651,8 @@ def permitted_interval_build(C: CEStream, jump: JumpApprox, streams,
                     st["appointed"] += 1
                     drive.note("appointed", {"pair": list(p), "min": elems[0],
                                              "max": elems[-1], "use": int(u)})
-            g_rows[p].append(st["g"])
+            if st["g"] != g:
+                g_changes[p].append(s)
         # a pair acts on a C-entrant at most its use, at its cover stage,
         # or, with no interval, once the jump guess can be positive
         nxt, uses = NEVER, [-1]
@@ -661,12 +666,7 @@ def permitted_interval_build(C: CEStream, jump: JumpApprox, streams,
                 nxt = min(nxt, jump.on_from(p[1], max(codes[p], s + 1)))
         return min(nxt, drive.next_entrant(s, max(uses)))
 
-    def quiet(lo, hi):
-        for p in pairs:
-            g_rows[p].extend([state[p]["g"]] * (hi - lo))
-
-    drive.run(step, own={"permission": {"kind": "own-stage"}}, permitter=C,
-              quiet=quiet)
+    drive.run(step, own={"permission": {"kind": "own-stage"}}, permitter=C)
     (stream,) = drive.streams("permitted-interval")
     out = drive.trace.outcomes
     for p in pairs:
@@ -679,7 +679,7 @@ def permitted_interval_build(C: CEStream, jump: JumpApprox, streams,
             case = "cancelled"
         out[str(p)] = {"case": case, "cancels": st["cancels"],
                        "appointed": st["appointed"]}
-    return stream, g_rows, drive.trace
+    return stream, g_changes, drive.trace
 
 
 # -- realized-interval splitting ----------------------------------------------

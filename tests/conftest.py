@@ -1,6 +1,8 @@
 """Shared fixtures: a suite of synthetic stage enumerations with varied
 schedules, a roster of partial deciders, and contrasting jump guessers."""
 
+from bisect import bisect_right
+
 import pytest
 
 from cedensity.core import CEStream, SetOracle
@@ -56,6 +58,13 @@ def make_jump_fixtures() -> dict:
         "blink": JumpApprox(lambda i, s: (s // 8) % 2,
                             lambda i, s: 20, label="blink"),
     }
+
+
+def expand_g_changes(g_changes: dict, stage_max: int) -> dict:
+    """Each pair's g at the stages 0..stage_max, one value per stage, from
+    its change points: the parity of the change points at most s."""
+    return {p: [bisect_right(points, s) % 2 for s in range(stage_max + 1)]
+            for p, points in g_changes.items()}
 
 
 @pytest.fixture(scope="session")

@@ -268,7 +268,7 @@ def test_criterion_10_permitted_intervals():
              "cancelled"}
     pairs = [(0, 0), (0, 1)]
     for name, jump in make_jump_fixtures().items():
-        stream, g_rows, trace = permitted_interval_build(
+        stream, g_changes, trace = permitted_interval_build(
             C, jump, [W], n_max, n_max, pairs=pairs)
         assert audit_permissions(trace), name
         for _s, en in trace.enumerations():

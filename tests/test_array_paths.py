@@ -14,6 +14,8 @@ from cedensity.prioritysim import (ConstructionTrace, JumpApprox,
                                    _large_interval, pair_code,
                                    permitted_interval_build, region_elements)
 
+from conftest import expand_g_changes
+
 # -- stream build ---------------------------------------------------------------
 
 
@@ -218,13 +220,13 @@ def test_permitted_interval_matches_rescan(data, n_max, stage_max, jump,
                                            pairs):
     C = data.draw(monotone_streams(stage_max))
     W = [data.draw(monotone_streams(stage_max)) for _ in range(2)]
-    stream, g_rows, trace = permitted_interval_build(
+    stream, g_changes, trace = permitted_interval_build(
         C, make_jump(*jump), W, n_max, stage_max, pairs=pairs)
     entry, want_rows, stages, cases = permitted_interval_rescan(
         C, make_jump(*jump), W, n_max, stage_max, pairs)
     assert stream.entry.tolist() == CEStream.from_schedule(
         entry.items(), n_max=n_max, stage_max=stage_max).entry.tolist()
-    assert g_rows == want_rows
+    assert expand_g_changes(g_changes, stage_max) == want_rows
     assert trace.stages == stages
     assert trace.outcomes == cases
 

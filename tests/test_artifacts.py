@@ -801,7 +801,7 @@ def json_path_load(path):
             ar._canonical(payload)).hexdigest() == digest):
         raise ArtifactError("integrity digest mismatch")
     version = payload.get("format_version")
-    if type(version) is not int or version not in (1, ar.FORMAT_VERSION):
+    if type(version) is not int or version not in (1, 2, ar.FORMAT_VERSION):
         raise ArtifactError(f"unsupported format version {version}")
     for key, (t, name) in ar._FIELD_TYPES.items():
         if type(payload.get(key)) is not t:

@@ -538,11 +538,8 @@ def test_use_past_the_window_appoints_no_interval(tmp_path):
      "deciders": ["one", "par", "slow"]},
     {"op": "restraint-witness", "streams": ["late", "none"]},
     {"op": "split-interval", "permitter": "late", "deciders": ["one", "par"]},
-    # a pair stores one g value per stage, so with none the late permitter
-    # is the only input that could cost time or memory per stage
     {"op": "permitted-interval", "permitter": "late",
-     "jump": {"kind": "step", "on_at": 3, "use": 9}, "streams": ["late"],
-     "pairs": []},
+     "jump": {"kind": "step", "on_at": 3, "use": 9}, "streams": ["late"]},
     # the stages past the last resolution are one "acted" run line
     {"op": "ratio-interval", "deciders": ["one", "par"]}])
 def test_huge_stage_max_finishes_when_only_events_are_recorded(
@@ -570,6 +567,23 @@ def test_huge_stage_max_finishes_when_only_events_are_recorded(
     assert time.perf_counter() - start < 2
     lines = (tmp_path / "o" / "trace.jsonl").read_text().splitlines()
     assert len(lines) < 200 and "outcomes" in json.loads(lines[-1])
+
+
+def test_permitted_interval_artifact_grows_with_events_not_stages(tmp_path):
+    # g is stored as the stages where it changes; one value per pair per
+    # stage was about 2 bytes a stage.  The sizes differ only by the digits
+    # of meta.stage_max itself
+    sizes, stage_maxes = [], (10**4, 10**9)
+    for stage_max in stage_maxes:
+        cfg = _permitted_cfg()
+        cfg["universe"]["stage_max"] = stage_max
+        start = time.perf_counter()
+        assert _run(tmp_path, "construct", cfg) == 0
+        assert time.perf_counter() - start < 2
+        sizes.append((tmp_path / "o" / "artifact.json").stat().st_size)
+    digits = [len(str(s)) for s in stage_maxes]
+    assert sizes[1] - sizes[0] == digits[1] - digits[0]
+    assert sizes[1] < 2048
 
 
 def _fixture_cfg(form):

@@ -1,11 +1,13 @@
-"""Format 1 artifacts still check, and the benchmark's own reader accepts
-format 2.
+"""Format 1 and 2 artifacts still check, and the benchmark's own reader
+accepts format 2 and the current format.
 
-``fixtures/v1`` holds one format 1 artifact per guarantee form (see its
-README).  ``cedensity check`` must pass each, and fail a copy with one
-stored bit flipped and the digest re-taken.  ``bench/checker.py``, loaded
-by path, must read one freshly written artifact per form and agree with
-its certified CSV.
+``fixtures/v1`` and ``fixtures/v2`` hold one format 1 and one format 2
+artifact per guarantee form (see their READMEs); ``fixtures/v2`` also
+holds a ``permitted-interval`` artifact with its per-stage ``g_rows``.
+``cedensity check`` must pass each, and fail a copy with one stored bit
+flipped and the digest re-taken.  ``bench/checker.py``, loaded by path,
+must read each format 2 fixture, and one freshly written artifact per
+form and of ``permitted-interval``, and agree with its certified CSV.
 """
 
 import hashlib
@@ -21,9 +23,13 @@ from cedensity import artifacts as ar
 from cedensity import cli
 from cedensity.core import CEStream, SetOracle
 
+from conftest import expand_g_changes
+
 ROOT = Path(__file__).resolve().parent.parent
-V1 = ROOT / "tests" / "fixtures" / "v1"
+FIXTURES = ROOT / "tests" / "fixtures"
+V1, V2 = FIXTURES / "v1", FIXTURES / "v2"
 CONFIGS = json.loads((V1 / "configs.json").read_text())
+CONFIGS.update(json.loads((V2 / "configs.json").read_text()))
 
 
 def _bit(i):
@@ -41,7 +47,8 @@ def _final_interval_end(payload):
 
 
 def _verdict(payload):
-    # format 1 stored no in_a: the verdict flag is all it re-checks
+    # format 1 stored no in_a: the verdict flag is all it re-checks; format
+    # 2 compares the flag with the verdict its in_a gives
     payload["guarantee"]["holds"] ^= True
 
 
@@ -61,27 +68,45 @@ FLIPS = {
 }
 
 
+def _stems(directory):
+    return sorted(p.stem for p in directory.glob("*.json")
+                  if p.name != "configs.json")
+
+
 def test_one_fixture_per_form():
-    assert sorted(p.stem for p in V1.glob("*.json")
-                  if p.name != "configs.json") == sorted(ar.FORMS)
+    assert _stems(V1) == sorted(ar.FORMS)
+    assert _stems(V2) == sorted([*ar.FORMS, "permitted-interval"])
     assert sorted(FLIPS) == sorted(set(ar.FORMS) - {"membership-only"})
 
 
-@pytest.mark.parametrize("form", sorted(ar.FORMS))
-def test_v1_fixture_checks(form, capsys):
-    path = V1 / f"{form}.json"
-    assert json.loads(path.read_text())["format_version"] == 1
+def _fixtures(names, v2_extra=()):
+    """(version, name) of the v1 fixture of each name, with the name alone
+    as its id, then of the v2 fixture of each name and each v2_extra."""
+    return ([pytest.param(1, name, id=name) for name in sorted(names)]
+            + [pytest.param(2, name, id=f"v2-{name}")
+               for name in sorted([*names, *v2_extra])])
+
+
+@pytest.mark.parametrize("version, name",
+                         _fixtures(ar.FORMS, ["permitted-interval"]))
+def test_v1_fixture_checks(version, name, capsys):
+    path = FIXTURES / f"v{version}" / f"{name}.json"
+    assert json.loads(path.read_text())["format_version"] == version
     assert cli.main(["check", "--artifact", str(path)]) == 0
     assert capsys.readouterr().out.startswith("PASS: ")
     art = ar.load_artifact(path)
-    assert art.format_version == 1 and art.guarantee["form"] == form
-    for name in ar.V1_FORMS[form].arrays:
-        assert art.guarantee[name].dtype == np.int64
+    form = art.guarantee["form"]
+    assert art.format_version == version
+    assert form == (name if name in ar.FORMS else "membership-only")
+    for table in ar._form(form, version).arrays:
+        assert art.guarantee[table].dtype == np.int64
 
 
-@pytest.mark.parametrize("form", sorted(FLIPS))
-def test_v1_fixture_with_a_flipped_bit_fails(form, tmp_path, capsys):
-    payload = json.loads((V1 / f"{form}.json").read_text())
+@pytest.mark.parametrize("version, form", _fixtures(FLIPS))
+def test_v1_fixture_with_a_flipped_bit_fails(version, form, tmp_path,
+                                             capsys):
+    payload = json.loads((FIXTURES / f"v{version}" / f"{form}.json")
+                         .read_text())
     del payload["integrity_sha256"]
     FLIPS[form](payload)
     payload["integrity_sha256"] = hashlib.sha256(
@@ -107,8 +132,17 @@ def _bench_checker():
     return module
 
 
-@pytest.mark.parametrize("form", sorted(ar.FORMS))
-def test_benchmark_checker_reads_format_2(form, tmp_path, monkeypatch):
+@pytest.mark.parametrize("name", sorted([*ar.FORMS, "permitted-interval"]))
+def test_benchmark_checker_reads_format_2(name):
+    path = V2 / f"{name}.json"
+    payload, counts = _bench_checker().read_artifact(str(path))
+    assert payload["format_version"] == 2
+    assert np.array_equal(np.diff(counts), ar.load_artifact(path).bits)
+
+
+@pytest.mark.parametrize("form", sorted([*ar.FORMS, "permitted-interval"]))
+def test_benchmark_checker_reads_the_current_format(form, tmp_path,
+                                                    monkeypatch):
     cfg = CONFIGS.get(form)
     if cfg is None:  # no construct op: the library's artifact, handed over
         art = _relative_artifact()
@@ -122,7 +156,14 @@ def test_benchmark_checker_reads_format_2(form, tmp_path, monkeypatch):
                      "--out", str(out)]) == 0
     checker = _bench_checker()
     payload, counts = checker.read_artifact(str(out / "artifact.json"))
-    assert payload["format_version"] == ar.FORMAT_VERSION == 2
+    assert payload["format_version"] == ar.FORMAT_VERSION == 3
+    if form == "permitted-interval":  # g as change points, as format 2's rows
+        meta = payload["meta"]
+        v2 = ar.load_artifact(V2 / "permitted-interval.json")
+        assert expand_g_changes(meta["g_changes"], meta["stage_max"]) == (
+            v2.meta["g_rows"])
+        assert np.array_equal(np.diff(counts), v2.bits)
+        form = "membership-only"
     assert payload["guarantee"]["form"] == form
     assert checker.check_certified_csv(
         str(out / "certified.csv"), counts,

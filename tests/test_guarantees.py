@@ -86,11 +86,12 @@ FIXTURES = {
 # trace format 2 (a marker line, and a line per quiet run) and for trace
 # format 3 (a released interval an entry per progression); their records,
 # each run and progression expanded, are the bytes these digests pinned
-# before
+# before.  Every artifact.json re-recorded for artifact format 3 (its
+# format_version digit)
 GOLDEN = {
     "blockwise-levels": {
         "artifact.json":
-            "25306f0af7a281ffa2be1f2d4c5b4f8d6f4a9bad3a538ea43eeb94f09c6df477",
+            "a94485fdbd49e7e7409050b4dc8d8bdb9d146ebddb9f198978be4e5839549740",
         "certified.csv":
             "890f15d1ef956b01ba9122161968fd3f417471a58da97fa5e01987658a34e441",
         "verify.json":
@@ -98,7 +99,7 @@ GOLDEN = {
     },
     "checkpoint-ratio": {
         "artifact.json":
-            "07a28b3c1e5a3aa8216fbe8f14614f14ded69a0955c823824d2045997320a528",
+            "d3c01b3b73f756acec09b9d02cc7cac5eed84872fc9496fe1e2856182375c190",
         "certified.csv":
             "3cceba3b3bc08ee056111faa0e0f2cee22f621436395be76d56c7102a98eb343",
         "verify.json":
@@ -106,7 +107,7 @@ GOLDEN = {
     },
     "log-sparse": {
         "artifact.json":
-            "b4bcdf5ae19b40b135cb537be53179ab07aa8778eedf69526153f792052e3512",
+            "7d49c2cf4eae0b7d711f9eefe22fd9efeb2bac3ebde724c4e247cefbdae27b90",
         "certified.csv":
             "87cc8ad0251c508e0d4ce169d86f7db15d13ae4445dc637754a088022eb289b2",
         "verify.json":
@@ -114,7 +115,7 @@ GOLDEN = {
     },
     "lookahead-margin": {
         "artifact.json":
-            "5065b8da9108520f86c717b7012adcd8a158c54af09752f494d32e949a84863a",
+            "e284920b7c4c2c1d5eb24936a19933242b4ed0ff8c58bd8a8b3140669f987412",
         "certified.csv":
             "8346639897e32c9a3b0435db7318bf1372dfc888692e3a06433009f60568e8ca",
         "verify.json":
@@ -122,7 +123,7 @@ GOLDEN = {
     },
     "lookahead-margin-relative": {
         "artifact.json":
-            "abb946f815b792cf8c806e721df326e0b7e1f127e8bea049c3019a5571ced313",
+            "b4495930572ca7153da29dc2ed11ac69f12ed8c7fba1f2885fe261a0c7ae77a9",
         "certified.csv":
             "5c9499325d05b4c11c58ceb15dda4763f75b5ea063b0a292c9f140f7a09bb77c",
         "verify.json":
@@ -130,7 +131,7 @@ GOLDEN = {
     },
     "membership-only": {
         "artifact.json":
-            "f86585327e7885e7edd142e80fd4d9121d4731933a2c1dd9d8d5d2c7520cce02",
+            "e9b711e7103064db62f69e6e5eea7ba922b080b5174fbbc53c5723ebbd7e2ea0",
         "certified.csv":
             "3b03dba15efdbd85bc87d0bc3d13d90b7f9abd99af2ec175e8e541f7eca3d2e2",
         "verify.json":
@@ -138,7 +139,7 @@ GOLDEN = {
     },
     "ratio-interval-report": {
         "artifact.json":
-            "d0ab26e3a1f11210a74f7657605fdc95c66c4775370c93f263df85ddef8cd3f1",
+            "5567d245e9eff1e5967717c5c5d89968d377e6cf66e80df455d133604aeca9dc",
         "certified.csv":
             "3b03dba15efdbd85bc87d0bc3d13d90b7f9abd99af2ec175e8e541f7eca3d2e2",
         "trace.jsonl":
@@ -148,7 +149,7 @@ GOLDEN = {
     },
     "restraint-report": {
         "artifact.json":
-            "52891503f1412ef1a714a9e27369c1f7ac67d69debdf7e21df677c366f32a08a",
+            "7bc748f26fdcaff59ec9e20488fc0e7ebd5407c356fb168c50c41c873a5db5e5",
         "certified.csv":
             "6d13ea93da00c95615b9e8ded7f6d55a83fd1750eefb30dcad84535e303bf109",
         "trace.jsonl":
@@ -158,7 +159,7 @@ GOLDEN = {
     },
     "target-approach": {
         "artifact.json":
-            "d9f4bf113206fd692be5e75c00294f4463f0ecd1b079116fd73ce8c0f7d0e160",
+            "1ecb8a2e47780541f43ec5a60366c55793c2fd4bba15d48e77829dec2fa05d8f",
         "certified.csv":
             "c9515285db11ed8080ed6755a84774dd5b2cfd5e2b12e884a2e4c3c0002d8dc6",
         "verify.json":
@@ -166,7 +167,7 @@ GOLDEN = {
     },
     "tracking-checkpoint-ratio": {
         "artifact.json":
-            "be0950cc4fd73cfd1e6c181372643d46f1f633be8e14fba4be85c5e2c1794a23",
+            "8f03fed798d3b539ca05f3d8823cec2fc3fb3fc3dd429311276ccf5717a52062",
         "certified.csv":
             "9955ccced87508b494a6f6e2806e545a82a665fca0add1dd0661c2bf30c20220",
         "verify.json":
@@ -174,7 +175,7 @@ GOLDEN = {
     },
     "witness-margin": {
         "artifact.json":
-            "ed6e0e125484d39a5bf1d61d46b643f3c2aa9c511ccdf9b316882766ced6377d",
+            "b37603110a074dbfc9fdfa0b7a8756f2b7fed22faa5dc0935cc282fe6a1cc021",
         "certified.csv":
             "f3df42ef9dea447427f3e2624b905e69f4b7ba9193e09af5aff61862df1834dc",
         "verify.json":

@@ -161,7 +161,7 @@ def test_permitted_interval_cases_and_audits(name):
     C = own_stage(SetOracle.naturals(), 4000, 4000)
     W = own_stage(SetOracle.residue_union(2, [0]), 4000, 4000)
     pairs = [(0, 0), (0, 1)]
-    stream, g_rows, trace = permitted_interval_build(
+    stream, g_changes, trace = permitted_interval_build(
         C, jump, [W], 4000, 4000, pairs=pairs)
     assert audit_permissions(trace)
     assert audit_regions(trace, lambda tag: pair_code(*tag)
@@ -179,7 +179,7 @@ def test_permitted_regions_respected():
     jump = jump_cases()["step"]
     C = own_stage(SetOracle.empty(), 4000, 4000)  # no permissions ever
     W = own_stage(SetOracle.naturals(), 4000, 4000)
-    stream, g_rows, trace = permitted_interval_build(
+    stream, g_changes, trace = permitted_interval_build(
         C, jump, [W], 4000, 4000, pairs=[(0, 0)])
     # with no permitting changes, an appointed interval is never dumped
     assert trace.outcomes["(0, 0)"]["case"].startswith("permanent")

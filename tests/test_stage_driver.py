@@ -23,6 +23,8 @@ from cedensity.prioritysim import (ConstructionTrace, JumpApprox,
                                    region_elements)
 from cedensity.trace import progressions
 
+from conftest import expand_g_changes
+
 # -- the builders as they were ------------------------------------------------
 
 
@@ -513,6 +515,13 @@ def outcome(build, args):
         return exc
 
 
+def permitted_interval_rows(C, jump, streams, n_max, stage_max, pairs):
+    """permitted_interval_build with each pair's g one value per stage."""
+    stream, g_changes, trace = ps.permitted_interval_build(
+        C, jump, streams, n_max, stage_max, pairs=pairs)
+    return stream, expand_g_changes(g_changes, stage_max), trace
+
+
 def assert_same(tmp, old, new, args):
     """Both builders, each on fresh arguments, agree on every output."""
     want = snapshot(outcome(old, args), tmp / "old.jsonl")
@@ -550,7 +559,7 @@ def test_permitted_interval_matches_old_code(tmp_path_factory, data, C,
         st.tuples(st.integers(0, len(roster) - 1), st.integers(0, 3)),
         unique=True, max_size=5))
     assert_same(tmp_path_factory.getbasetemp(), old_permitted_interval_build,
-                ps.permitted_interval_build,
+                permitted_interval_rows,
                 lambda: (C, jump(jump_spec), roster, n_max, stage_max,
                          pairs))
 

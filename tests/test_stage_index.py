@@ -13,6 +13,8 @@ from cedensity import builders, cli, genericity, prioritysim
 from cedensity.core import NEVER, CEStream, SetOracle
 from cedensity.prioritysim import JumpApprox, PartialDecider
 
+from conftest import expand_g_changes
+
 SETS = [{"label": "ev", "kind": "residue-union", "modulus": 2,
          "residues": [0]},
         {"label": "rm", "kind": "residue-union", "modulus": 4,
@@ -64,11 +66,12 @@ STAGE_LOOPS = {
 # for trace format 2 (a marker line, and a line per quiet run) and for
 # trace format 3 (a released interval an entry per progression); its
 # records, each run and progression expanded, are the bytes these digests
-# pinned before
+# pinned before.  Every artifact.json re-recorded for artifact format 3 (its
+# format_version digit, and permitted-interval's g as change points)
 GOLDEN = {
     "permitted-interval": {
         "artifact.json":
-            "de68edcd73d3d7be061c8c334cdae3591aa650fb6234d01e26363b27adf71c3f",
+            "9046587630a2add9384e66511ca4fa385369bdd2f5855f37ae33547b3afd026b",
         "certified.csv":
             "3b03dba15efdbd85bc87d0bc3d13d90b7f9abd99af2ec175e8e541f7eca3d2e2",
         "trace.jsonl":
@@ -79,7 +82,7 @@ GOLDEN = {
     # recorded before the four prioritysim builders ran on one stage driver
     "prefix-gated": {
         "artifact.json":
-            "3ce916e3bfc3a7314503ebd3ab4ee8623d152d87a45a2e7181b912154f103292",
+            "9d59e9a442d14e7963dd3df8d6398555b8608ba7c98df7766e8e6e129b12e800",
         "certified.csv":
             "3b03dba15efdbd85bc87d0bc3d13d90b7f9abd99af2ec175e8e541f7eca3d2e2",
         "verify.json":
@@ -87,7 +90,7 @@ GOLDEN = {
     },
     "ratio-interval": {
         "artifact.json":
-            "1f0a137ff12888cc8ccab7d4862b496b16d89b278c9fb7c600f4b44d2df3d2c3",
+            "6503601dcd526a98d736189c19c84213d6067e46b65ae5db412c63246a64dad1",
         "certified.csv":
             "3b03dba15efdbd85bc87d0bc3d13d90b7f9abd99af2ec175e8e541f7eca3d2e2",
         "trace.jsonl":
@@ -97,7 +100,7 @@ GOLDEN = {
     },
     "restraint-witness": {
         "artifact.json":
-            "2c3c4308081fe3e7bcba5cd14dad8c2e6f247eff655b76aff41b39d081ecaab4",
+            "0b9d1f1aa33d4123f388036648f63152f5d1bdf0e434b68b2f06032e4efc068d",
         "certified.csv":
             "6d13ea93da00c95615b9e8ded7f6d55a83fd1750eefb30dcad84535e303bf109",
         "trace.jsonl":
@@ -107,7 +110,7 @@ GOLDEN = {
     },
     "sparse-hitting": {
         "artifact.json":
-            "88a59295fb4a02f0a611937a8bd34ee016357680af7e86d74c6cf99d4d6b3e88",
+            "6c3d38497a320beab809f1be21f07e28f0dcf37b5b82a557b312913812c6940e",
         "certified.csv":
             "fafe1c72bccc1da635d73a19bbc3a598e06a58c70bd5fe84b1854617b26ef4b2",
         "verify.json":
@@ -115,7 +118,7 @@ GOLDEN = {
     },
     "split-interval": {
         "artifact.json":
-            "6b04a74023e7328fc3dad413fa7c78b1c7390ae79af0634afc75a138d7befab7",
+            "e1840b7ca19bb9c9a3f994a8ce3b21da51d7572f14fda1d3ff93f0377c685672",
         "certified.csv":
             "3b03dba15efdbd85bc87d0bc3d13d90b7f9abd99af2ec175e8e541f7eca3d2e2",
         "trace.jsonl":
@@ -176,11 +179,11 @@ def test_roster_stage_max_below_construction_stage_max():
     got = {}
     st, trace = prioritysim.restraint_witness_build([quiet, ev, rm], n, n)
     got["restraint-witness"] = _digest(st, trace.stages, trace.outcomes)
-    st, g_rows, trace = prioritysim.permitted_interval_build(
+    st, g_changes, trace = prioritysim.permitted_interval_build(
         rm, jump, [ev, quiet], n, n)
     got["permitted-interval"] = _digest(
         st, trace.stages, trace.outcomes,
-        {str(p): rows for p, rows in g_rows.items()})
+        {str(p): rows for p, rows in expand_g_changes(g_changes, n).items()})
     deciders = [PartialDecider.constant(1, 3), PartialDecider.parity(2)]
     a0, a1, trace = prioritysim.split_interval_build(rm, deciders, n, n)
     got["split-interval"] = _digest(
