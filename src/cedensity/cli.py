@@ -497,6 +497,8 @@ def cmd_construct(cfg, outdir):
     artifacts.save_artifact(art, apath)
     if trace is not None:
         trace.write_jsonl(os.path.join(outdir, "trace.jsonl"))
+    # none is read again: freed before the reload builds its own copy
+    del art, trace, sets, streams, deciders
     # independent re-verification pass, from the file just written
     reloaded = artifacts.load_artifact(apath)
     report = artifacts.write_certified_csv(

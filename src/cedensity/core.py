@@ -1,8 +1,9 @@
 """Set oracles, exact density profiles, and the dyadic valuation classes.
 
-All density values are exact rationals (``fractions.Fraction``); floats
-appear only as convenience columns in CSV output.  Profiles are reported
-over an explicit finite window [1, n_max] and never claim limit values.
+All density values are exact rationals (``fractions.Fraction``), and CSV
+output writes each as its reduced numerator and denominator.  Profiles are
+reported over an explicit finite window [1, n_max] and never claim limit
+values.
 """
 
 from __future__ import annotations
@@ -234,7 +235,7 @@ class DensityProfile:
         return out[0], out[1]
 
     def write_csv(self, path):
-        write_columns(path, "n,count,rho_num,rho_den,rho_float\n",
+        write_columns(path, "n,count,rho_num,rho_den\n",
                       [np.arange(1, self.counts.size), self.counts[1:],
                        *rho_columns(self.counts)])
 
@@ -283,32 +284,14 @@ _CHUNK_ROWS = 1 << 12  # rows formatted at a time; bounds write_columns' memory
 _HOLE = -(1 << 62)  # an int written where bytes are spliced into JSON text
 
 
-@dataclass(frozen=True)
-class Ratio:
-    """The column num / den of two equal-length int64 columns, den > 0,
-    kept as those two columns: ``row_bytes`` renders each row as
-    ``repr(num / den)`` without building the float column, routing each
-    row by its class (see ``_ratio_field``)."""
-
-    num: np.ndarray
-    den: np.ndarray
-
-    def __len__(self):
-        return len(self.num)
-
-    def __getitem__(self, rows):
-        return Ratio(self.num[rows], self.den[rows])
-
-
 def rho_columns(counts):
-    """Reduced numerator, reduced denominator and the ``Ratio`` of the two
-    for counts[n] / n, 1 <= n < counts.size, as numpy columns; gcd(0, n) = n
-    writes a zero count as 0/1."""
+    """Reduced numerator and denominator of counts[n] / n,
+    1 <= n < counts.size, as int64 columns; gcd(0, n) = n writes a zero
+    count as 0/1."""
     c = counts[1:]
     n = np.arange(1, counts.size, dtype=np.int64)
     g = np.gcd(c, n)
-    num, den = c // g, n // g
-    return num, den, Ratio(num, den)
+    return c // g, n // g
 
 
 def _digit_table() -> np.ndarray:
@@ -360,16 +343,6 @@ def _put_digits(out, mag) -> None:
     out[zero, -1] = ord("0")
 
 
-def _digit_count(mag) -> int:
-    """The number of digits of the widest value of ``mag``."""
-    return len(str(int(mag.max())))
-
-
-def _group_width(count: int) -> int:
-    """The columns ``_put_digits`` writes for ``count`` digits."""
-    return 4 * -(-count // 4)
-
-
 def _digit_field(col) -> _Field:
     """The decimal digits of an integer column, as wide as its widest
     value, written by ``_put_digits`` (whose groups may reach 3 columns
@@ -382,8 +355,9 @@ def _digit_field(col) -> _Field:
     sign = int(neg.any())
     if sign:
         mag = np.negative(mag, out=mag.copy(), where=neg)
-    width = sign + _digit_count(mag)
-    grouped = _group_width(width - sign)
+    digits = len(str(int(mag.max())))
+    width = sign + digits
+    grouped = 4 * -(-digits // 4)  # the columns _put_digits writes
     span = max(width, grouped)
 
     def fill(out):
@@ -394,215 +368,29 @@ def _digit_field(col) -> _Field:
     return _Field(width, span, fill)
 
 
-def _text_field(texts) -> np.ndarray:
-    """ASCII strings left-aligned in a uint8 matrix, 0 bytes as padding."""
-    packed = np.array(texts, dtype=bytes)
-    return packed.view(np.uint8).reshape(len(texts), packed.itemsize)
+def _str_field(col) -> _Field:
+    """The str of each value, left-aligned in a uint8 matrix, 0 bytes as
+    padding."""
+    texts = np.array(list(map(str, col.tolist())), dtype=bytes)
+    matrix = texts.view(np.uint8).reshape(len(texts), texts.itemsize)
 
-
-def _float_text(col) -> np.ndarray:
-    """The repr of each float64 value as a ``_text_field`` matrix, one repr
-    per distinct bit pattern (-0.0 and 0.0 stay apart)."""
-    bits, where = np.unique(col.view(np.int64), return_inverse=True)
-    return _text_field(list(map(repr, bits.view(np.float64).tolist())))[where]
-
-
-def _matrix_field(matrix) -> _Field:
     def fill(out):
         out[...] = matrix
 
     return _Field(matrix.shape[1], matrix.shape[1], fill)
 
 
-def _quotients(p, q) -> np.ndarray:
-    """p / q per row, correctly rounded as Python's int division is: numpy
-    rounds each int64 operand to float first, exact only within 2^53."""
-    out = p / q
-    wide = np.flatnonzero((np.maximum(p, q) > 2**53)
-                          | (np.minimum(p, q) < -2**53))
-    out[wide] = [a / b for a, b in zip(p[wide].tolist(), q[wide].tolist())]
-    return out
-
-
-_SCALES = np.array([1e17, 1e18, 1e19, 1e20])  # exact: 5^20 < 2^53
-_SHIFTS = 10**np.arange(9, 13)  # 10^(9+s)
-# "0." and s = 0..3 zeros, then "1.", each 0-padded to 5 bytes after 3
-# 0 bytes, as the 8 bytes of one uint64
-_PREFIXES = np.array([b"\0\0\0" + text.ljust(5, b"\0") for text in
-                      (b"0.", b"0.0", b"0.00", b"0.000", b"1.")],
-                     "S8").view(np.uint64)
-_ONE = 4  # the index of "1." in _PREFIXES
-
-
-def _ratio_field(num, den) -> _Field:
-    """``repr(num / den)`` per row.  Each row is routed by its class, and
-    only the rows of a class take its steps:
-
-    - 0/q is "0.0" and q/q is "1.0";
-    - a decimal row, 0 < p < q < 2^31 with p/q >= 10^-4, is "0.", s = 0..3
-      zeros and the digits ``_decimal`` finds for it, compressed to those
-      rows;
-    - a row outside those classes (p > q, p < 0, q >= 2^31, p/q < 10^-4),
-      and a decimal row that ``_decimal`` leaves undecided, takes the
-      float64 path: ``_quotients``, then one repr per distinct value.  A
-      chunk with no such row makes no float64 call.
-
-    Every row is laid out as a 5-byte prefix, "0." and the zeros or "1.",
-    then the digits, right-aligned (a unit row's digit is 0); a float64
-    row's text then replaces its row.  The digits are written first, as
-    their groups' 0 bytes may reach into the prefix; the prefix is written
-    as one uint64 of ``_PREFIXES``, whose first 3 bytes land left of the
-    field."""
-    prefix = (num == den) * _ONE
-    digits = np.zeros(len(num), np.int64)
-    decimal = (0 < num) & (num < den) & (den < 2**31) & (num * 10**4 >= den)
-    rows = np.flatnonzero(decimal)
-    if rows.size:
-        zeros, found, ok = _decimal(num[rows], den[rows])
-        prefix[rows] = zeros
-        digits[rows] = found
-        decimal[rows[~ok]] = False
-    slow = np.flatnonzero(~decimal & (num != 0) & (num != den))
-    text = _float_text(_quotients(num[slow], den[slow])) if slow.size else None
-    digits = digits.view(np.uint64)
-    count = _digit_count(digits)
-    width = max(5 + count, 0 if text is None else text.shape[1])
-
-    def fill(out):
-        _put_digits(out[:, -_group_width(count):], digits)
-        np.take(_PREFIXES, prefix, out=out[:, :8].view(np.uint64)[:, 0])
-        if slow.size:
-            out[slow, 3:] = 0
-            out[slow, 3:3 + text.shape[1]] = text
-
-    return _Field(width, width + 3, fill)
-
-
-def _decimal(p, q):
-    """For 0 < p < q < 2^31 with p/q >= 10^-4: the zeros s after the point,
-    the digits of repr(p/q) after them, and ``ok``, False on the rows
-    whose digits are undecided.  A p/q that terminates within 15
-    significant digits (17-digit quotient n17 with remainder 0 and last two
-    digits 0, as for q = 2^a·5^b once reduced) is its own repr, with
-    trailing zeros dropped; every other row's digits are ``_shortest``'s."""
-    s, n17, r, x, u, ok = _locate(p, q)
-    exact = np.flatnonzero(r == 0)
-    exact = exact[n17[exact] % 100 == 0]
-    ok[exact] = False  # not searched by _shortest, and decided here
-    digits = _shortest(n17, x, u, ok)
-    short = n17[exact]
-    for k in (16, 8, 4, 2, 1):  # drop up to 31 trailing zeros
-        cut = short // 10**k
-        np.copyto(short, cut, where=cut * 10**k == short)
-    digits[exact] = short
-    ok[exact] = True
-    return s, digits, ok
-
-
-def _locate(p, q):
-    """For 0 < p < q < 2^31 with p/q >= 10^-4: the zeros s after the
-    point, p/q = n17 + r/q in units of the 17th significant digit, and
-    d = float(p/q) in those units, n17 + x, with its ulp u in the same
-    units; ``ok`` is False where d's significand is 2^52, whose rounding
-    interval is lopsided.
-
-    s counts the powers 10^-k, k = 1..3, above p/q, compared with d: p/q
-    is 10^-k or at least 1/(10^k q) > 2^-42 from it, far past the error
-    of d or of the float 10^-k.
-    Scaled by T = 10^(17+s), n17 and r come from two int64 divisions.
-    d = m/2^t for its significand m, so d - p/q = z/(q 2^t) with the
-    integer z = m q - p 2^t, |z| <= q/2, which wrapping int64 arithmetic
-    gives exactly; then x = (r + z u)/q with u = T/2^t.  u > 1, since
-    d T >= 10^16 and m < 2^53."""
-    d = p / q
-    s = (d < 1e-3).astype(np.intp)
-    s += d < 1e-2
-    s += d < 1e-1
-    a = p * _SHIFTS[s]  # p·10^s < q < 2^31, so a < 2^63
-    n17 = a // q
-    a -= n17 * q
-    a *= 10**8
-    lo = a // q
-    r = a - lo * q
-    n17 *= 10**8
-    n17 += lo
-    m = d.view(np.int64)
-    t = 1075 - (m >> 52)
-    m &= 2**52 - 1
-    ok = m != 0
-    m |= 2**52
-    m *= q
-    m -= p << t  # z
-    u = ((1023 - t) << 52).view(np.float64)  # 2^-t, a normal float
-    u *= _SCALES[s]
-    x = m * u
-    x += r
-    x /= q
-    return s, n17, r, x, u, ok
-
-
-def _shortest(n17, x, u, ok):
-    """The digits of the shortest decimal in d's rounding interval
-    d ± u/2, nearest to d, where d = n17 + x with u > 1 (see ``_locate``).
-
-    The nearest 17-digit decimal always lands in the interval; the nearest
-    16-digit one is taken where it lands.  On the rows where it does and
-    ``ok`` holds, the nearest 15-digit decimal is tried, then the nearest
-    14-digit one on the rows where that one landed, and so on while any
-    lands: the shortest that lands is the repr's.  At most one decimal of 15 or fewer digits
-    fits in the interval, which is u < 23 wide.  ``ok`` is cleared in place
-    where a distance lies within u 2^-48 of u/2 or of a rounding midpoint
-    (the float error of x is far smaller), or where a candidate rolls over
-    to one more digit."""
-    half, eps = u * 0.5, u * 2.0**-48
-
-    def nearest(g, rows):
-        """The multiple of g nearest to n17 + x on the rows, over g, and
-        its distance; the distance's integer part is exact in int64."""
-        n = n17[rows]
-        top = n // g
-        low = n - top * g
-        k = np.rint((low + x[rows]) / g).astype(np.int64)
-        return top + k, np.abs((k * g - low) - x[rows])
-
-    n16, far16 = nearest(10, slice(None))
-    in16 = far16 < half - eps
-    k = np.rint(x)
-    near17, far17 = n17 + k.astype(np.int64), np.abs(k - x)
-    ok &= np.where(in16, np.abs(far16 - 5) > eps,
-                   (far16 > half + eps) & (np.abs(far17 - 0.5) > eps))
-    digits = np.where(in16, n16, near17)
-    ok &= digits < np.where(in16, 10**16, 10**17)
-    rows, g = np.flatnonzero(in16 & ok), 100
-    while rows.size:
-        short, far = nearest(g, rows)
-        h, e = half[rows], eps[rows]
-        ok[rows[np.abs(far - h) <= e]] = False
-        lands = far < h - e
-        rows, short = rows[lands], short[lands]
-        digits[rows] = short
-        ok[rows[short >= 10**17 // g]] = False  # rolled over
-        g *= 10
-    return digits
-
-
 def _field(col) -> _Field:
-    if isinstance(col, Ratio):
-        return _ratio_field(col.num, col.den)
     if col.dtype.kind in "iu" and np.can_cast(col.dtype, np.int64):
         return _digit_field(col)
-    if col.dtype == np.float64:
-        return _matrix_field(_float_text(col))
-    return _matrix_field(_text_field(list(map(str, col.tolist()))))
+    return _str_field(col)
 
 
 def row_bytes(fragments, cols) -> np.ndarray:
     """Per row i, the bytes fragments[0], cols[0][i], fragments[1], ...,
     cols[-1][i], fragments[-1], as one uint8 array: an integer column
-    (int64 or narrower) in decimal digits, a float64 column as the repr of
-    each value, a ``Ratio`` column as ``repr(num / den)`` of each row (see
-    ``_ratio_field``), any other column (Python ints past int64) as the str
-    of each value, and a None column as nothing.
+    (int64 or narrower) in decimal digits, any other column (Python ints
+    past int64) as the str of each value, and a None column as nothing.
 
     The rows are rendered into one zeroed uint8 table with a row per
     output row, filled from its last column to its first: each column's

@@ -33,9 +33,8 @@ class SymDiffProfile:
         return self.sym.n_max
 
     def write_csv(self, path):
-        write_columns(path, "n,rhoA_num,rhoA_den,rhoA_float,"
-                      "rhoB_num,rhoB_den,rhoB_float,"
-                      "rhoSym_num,rhoSym_den,rhoSym_float\n",
+        write_columns(path, "n,rhoA_num,rhoA_den,rhoB_num,rhoB_den,"
+                      "rhoSym_num,rhoSym_den\n",
                       [np.arange(1, self.n_max + 1),
                        *(col for prof in (self.a, self.b, self.sym)
                          for col in rho_columns(prof.counts))])

@@ -1,7 +1,9 @@
 """Shared fixtures: a suite of synthetic stage enumerations with varied
 schedules, a roster of partial deciders, and contrasting jump guessers."""
 
+import importlib.util
 from bisect import bisect_right
+from pathlib import Path
 
 import pytest
 
@@ -65,6 +67,16 @@ def expand_g_changes(g_changes: dict, stage_max: int) -> dict:
     its change points: the parity of the change points at most s."""
     return {p: [bisect_right(points, s) % 2 for s in range(stage_max + 1)]
             for p, points in g_changes.items()}
+
+
+def load_bench_checker():
+    """``bench/checker.py``, the benchmark's own output checks, loaded by
+    path: the benchmark directory is not a package."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "checker.py"
+    spec = importlib.util.spec_from_file_location("bench_checker", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="session")

@@ -46,8 +46,8 @@ def test_density_csv_values(tmp_path):
     out = tmp_path / "out"
     assert cli.main(["density", "--config", cfg, "--out", str(out)]) == 0
     rows = (out / "density_r1.csv").read_text().splitlines()
-    assert rows[0] == "n,count,rho_num,rho_den,rho_float"
-    assert rows[1024] == "1024,256,1,4,0.25"
+    assert rows[0] == "n,count,rho_num,rho_den"
+    assert rows[1024] == "1024,256,1,4"
     none_rows = (out / "density_none.csv").read_text().splitlines()
     assert all(r.split(",")[1] == "0" for r in none_rows[1:])
     ru_rows = (out / "density_ru.csv").read_text().splitlines()
@@ -955,8 +955,8 @@ def test_dyadic_class_past_any_window_is_empty(tmp_path):
     assert _run(tmp_path, "density", cfg) == 0
     far = (tmp_path / "o" / "density_far.csv").read_text().splitlines()
     big = (tmp_path / "o" / "density_big.csv").read_text().splitlines()
-    assert far[-1] == "100,0,0,1,0.0"
-    assert big[-1] == "100,1,1,100,0.01"
+    assert far[-1] == "100,0,0,1"
+    assert big[-1] == "100,1,1,100"
 
 
 def test_density_transfer_past_nine_checkpoints_reloads(tmp_path):

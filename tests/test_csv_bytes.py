@@ -22,8 +22,7 @@ from cedensity.core import (NEVER, CEStream, SetOracle, ceil_sqrt, csv_bytes,
 # -- the formatter the renderer replaced --------------------------------------
 
 def reference_lines(cols) -> list:
-    """One comma-joined line per row; a None column is an empty field and
-    str() of a float is its repr."""
+    """One comma-joined line per row; a None column is an empty field."""
     fields = [repeat("") if col is None else map(str, col.tolist())
               for col in cols]
     return list(map(",".join, zip(*fields)))
@@ -39,6 +38,8 @@ def reference_bytes(cols) -> bytes:
 INT64_EDGES = [0, 1, -1, 2**63 - 1, -(2**63 - 1), -2**63,
                *(sign * (10**k - d) for k in range(1, 19) for d in (0, 1)
                  for sign in (1, -1))]
+# no writer writes a float column; one would take the str path, as a column
+# of Python ints does
 FLOAT_EDGES = [0.0, -0.0, 1.0, float("inf"), float("-inf"), float("nan"),
                5e-324, 2.2250738585072014e-308 / 3, 1e-05, 1e16, 0.1,
                1 / 3, 123456789.0, -2.5e-10]

@@ -11,7 +11,6 @@ form and of ``permitted-interval``, and agree with its certified CSV.
 """
 
 import hashlib
-import importlib.util
 import json
 from pathlib import Path
 
@@ -23,7 +22,7 @@ from cedensity import artifacts as ar
 from cedensity import cli
 from cedensity.core import CEStream, SetOracle
 
-from conftest import expand_g_changes
+from conftest import expand_g_changes, load_bench_checker
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "tests" / "fixtures"
@@ -124,18 +123,10 @@ def _relative_artifact():
     return ap.limit_witness_subset(stream, ap.LimitApprox(lambda k, s: 2 ** k))
 
 
-def _bench_checker():
-    spec = importlib.util.spec_from_file_location(
-        "bench_checker", ROOT / "bench" / "checker.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.mark.parametrize("name", sorted([*ar.FORMS, "permitted-interval"]))
 def test_benchmark_checker_reads_format_2(name):
     path = V2 / f"{name}.json"
-    payload, counts = _bench_checker().read_artifact(str(path))
+    payload, counts = load_bench_checker().read_artifact(str(path))
     assert payload["format_version"] == 2
     assert np.array_equal(np.diff(counts), ar.load_artifact(path).bits)
 
@@ -154,7 +145,7 @@ def test_benchmark_checker_reads_the_current_format(form, tmp_path,
     out = tmp_path / "out"
     assert cli.main(["construct", "--config", str(tmp_path / "cfg.json"),
                      "--out", str(out)]) == 0
-    checker = _bench_checker()
+    checker = load_bench_checker()
     payload, counts = checker.read_artifact(str(out / "artifact.json"))
     assert payload["format_version"] == ar.FORMAT_VERSION == 3
     if form == "permitted-interval":  # g as change points, as format 2's rows

@@ -82,6 +82,6 @@ def test_csv_format(tmp_path):
     path = tmp_path / "m.csv"
     prof.write_csv(path)
     lines = path.read_bytes().decode().split("\n")
-    assert lines[0] == ("n,rhoA_num,rhoA_den,rhoA_float,rhoB_num,rhoB_den,"
-                        "rhoB_float,rhoSym_num,rhoSym_den,rhoSym_float")
-    assert lines[1] == "1,1,1,1.0,1,1,1.0,0,1,0.0"
+    assert lines[0] == ("n,rhoA_num,rhoA_den,rhoB_num,rhoB_den,"
+                        "rhoSym_num,rhoSym_den")
+    assert lines[1] == "1,1,1,1,1,0,1"

@@ -1,6 +1,7 @@
 """Exact-rational CSV and JSON outputs: pinned bytes of the density, metrics
-and generic subcommands, the columnar writers against the row-by-row
-``csv``/``Fraction`` loops they replaced, and exact window extremes."""
+and generic subcommands, the benchmark's checks of those outputs, the
+columnar writers against the row-by-row ``csv``/``Fraction`` loops they
+replaced, and exact window extremes."""
 
 import csv
 import hashlib
@@ -15,6 +16,8 @@ from hypothesis import strategies as st
 from cedensity import cli
 from cedensity.core import profile_from_bits
 from cedensity.metrics import SymDiffProfile
+
+from conftest import load_bench_checker
 
 SETS = [{"label": "none", "kind": "empty"},
         {"label": "all", "kind": "naturals"},
@@ -41,34 +44,33 @@ CONFIGS = {
                             "lo": 5}},
 }
 
-# sha256 of each output file, recorded before the writers became columnar;
-# any change to these bytes is a format change
+# sha256 of each output file; any change to these bytes is a format change
 GOLDEN = {
     "density": {
         "density_all.csv":
-            "d45010ee6fc1aaab618edcb62575d103097741c337c68270e602b74d5e45e66a",
+            "a2853033ac4f7c748cf8b7aaf476dab691842368e578ad862f82f0062249567a",
         "density_du.csv":
-            "5dcdf4803cf8a13accc1986974d82acc4f7787d90b864b8f35103e52b3a00a93",
+            "c1595170aadf3cf29820e762470e34fff831ecc2ae11c1742f283d78eaa2dc57",
         "density_ex.csv":
-            "09c7b572f505694b2885dfbba499f7b4ee1720c6f505e58088a5c17474ba808c",
+            "1c570a7ba48bcc47634dec682928befff476cf807af0641fd0626f56e097e386",
         "density_none.csv":
-            "bab4140147930f8254fe3e4767aae5419bae09e816bf80e78655eab21fb6e183",
+            "5a65862f5b15992ad442ab2d84b9b98aa9db0dca1b0c99da87779ae4adfb3b80",
         "density_r1.csv":
-            "0c13b12866b09e86918313afa4e4fd0f8b8454832fa55cb50c141cc17d79fd56",
+            "2e1365a6e030eb333077e7bf98894ae099efc60b13243c59b5259500863444e9",
         "density_ru.csv":
-            "daa104af70ecf6eafc52b059cba2ff3a601c3f21ab543f5745c874fd91d88c33",
+            "e613cec61839a5c874f67aa3a66a4c2ee8f624241c8fe50b4f485fb5a3f8a1a1",
         "density_summary.json":
             "af91813f64631935b75d6a0dbcb7f970ad0d883ae9e74c0960ad349eb36a5075",
     },
     "metrics": {
         "metrics_profile.csv":
-            "9ef5192a0280b0f47f30acefd7ab5a73d3df2b1e705741427cfe9e4d0c1d0441",
+            "f895b7c984d877b661bf694111afc3809223ad05bcc12bb642b56c650356ceea",
         "metrics_summary.json":
             "ed1b2902ef8a5be71f4a6cc572a4f949b07341f69a570eab34f40136f41c143e",
     },
     "generic": {
         "generic_domain.csv":
-            "a40c15804dd4f40600135926fcdc32e26ad99cc1981dd614f2002d7c59fb0f6d",
+            "743ff63bd465df359716dbd19fa051292c0300ed6ef9cfa03f3a6119ad9414ac",
         "generic_summary.json":
             "8fd34ad2ac62b784695d4e03400e747876da7c76a6d59038a13ffe4c323ae7df",
     },
@@ -89,29 +91,36 @@ def test_golden_outputs(command, tmp_path):
     assert run(command, tmp_path) == GOLDEN[command]
 
 
+@pytest.mark.parametrize("command", sorted(CONFIGS))
+def test_benchmark_checker_accepts_the_outputs(command, tmp_path):
+    # the benchmark reads these files by column name: a format it cannot
+    # read fails here, not as an incorrect benchmark run
+    run(command, tmp_path)
+    check = getattr(load_bench_checker(), f"check_{command}")
+    assert check(str(tmp_path / "out"), CONFIGS[command]) == []
+
+
 # -- the row-by-row writers the columnar ones replaced -----------------------
 
 def reference_profile_csv(prof, path):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["n", "count", "rho_num", "rho_den", "rho_float"])
+        w.writerow(["n", "count", "rho_num", "rho_den"])
         for n in range(1, prof.n_max + 1):
             r = Fraction(int(prof.counts[n]), n)
-            w.writerow([n, int(prof.counts[n]), r.numerator, r.denominator,
-                        repr(float(r))])
+            w.writerow([n, int(prof.counts[n]), r.numerator, r.denominator])
 
 
 def reference_symdiff_csv(sd, path):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["n", "rhoA_num", "rhoA_den", "rhoA_float",
-                    "rhoB_num", "rhoB_den", "rhoB_float",
-                    "rhoSym_num", "rhoSym_den", "rhoSym_float"])
+        w.writerow(["n", "rhoA_num", "rhoA_den", "rhoB_num", "rhoB_den",
+                    "rhoSym_num", "rhoSym_den"])
         for n in range(1, sd.n_max + 1):
             row = [n]
             for prof in (sd.a, sd.b, sd.sym):
                 r = prof.rho(n)
-                row += [r.numerator, r.denominator, repr(float(r))]
+                row += [r.numerator, r.denominator]
             w.writerow(row)
 
 
@@ -152,9 +161,8 @@ def test_constant_bitsets_match_row_loops(tmp_path, n, fill):
 
 @pytest.mark.parametrize("density", [0.003, 0.6])
 def test_random_bitsets_match_row_loops_across_chunks(tmp_path, density):
-    # 9000 rows span three write chunks; most rho_float fields come from the
-    # numpy kernel, and the rest (0, 1, below 1e-4, at most 15 digits) from
-    # repr
+    # 9000 rows span three write chunks, and the digit fields of each
+    # chunk's reduced rho_num and rho_den run from one to four digits wide
     rng = np.random.default_rng(int(density * 1000))
     bits = [rng.random(9000) < density for _ in range(2)]
     a, b, sym = (profile_from_bits(v) for v in (*bits, bits[0] ^ bits[1]))
