@@ -382,15 +382,13 @@ def witnessed_subset(stream: CEStream, w) -> SubsetArtifact:
     """
     n_max = stream.n_max
     w_vals = [0]
-    z = 1
-    while True:
+    for z in range(1, n_max + 2):  # it breaks at z = n_max + 1 at the latest
         wz = int(w(z))
         if wz < w_vals[-1]:
             raise PreconditionViolated(f"witness not nondecreasing at k={z}")
         if wz > n_max or z > n_max:
             break
         w_vals.append(wz)
-        z += 1
     # h(n) = min(n, #{z >= 1 : w(z) <= n}), as w is nondecreasing
     ns = np.arange(n_max + 1, dtype=np.int64)
     h_of_n = np.minimum(np.searchsorted(np.array(w_vals[1:], dtype=np.int64),
@@ -448,11 +446,8 @@ def _guarded_search(stream: CEStream, g: LimitApprox, level_need):
                 raise BudgetExceeded(
                     f"guarded stage search exhausted at n={n}", at=n)
             have = window.bisect_right(s)
-            h = 0
-            for k in range(n, 0, -1):
-                if int(g.eval(k, s)) <= n:
-                    h = k
-                    break
+            h = next((k for k in range(n, 0, -1) if int(g.eval(k, s)) <= n),
+                     0)
             if h == 0 or have >= level_need(n, h):
                 break
             s += 1

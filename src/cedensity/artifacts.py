@@ -71,44 +71,83 @@ def rle_to_bits(runs, n: int) -> np.ndarray:
                             f"{exc}") from exc
 
 
-_WIDTHS = {"i1": 1, "i2": 2, "i4": 4, "i8": 8}  # bytes per packed difference
+# bits a packed field: "u<b>" tables, and the "i<w>" tables (w-byte signed
+# differences) that format 2 and the earlier format 3 files hold
+_WIDTHS = {**{f"u{b}": b for b in (1, 2, 4, 8, 16, 32, 64)},
+           **{f"i{w}": 8 * w for w in (1, 2, 4, 8)}}
 
 
 def ints_to_packed(values) -> str:
-    """An integer table as ``"i<w>:"`` plus the base64 of its first
-    differences (the first taken from 0) as little-endian signed ints of
-    the narrowest width w in {1, 2, 4, 8} bytes that holds them.  The
-    differences wrap modulo 2^64, as the sum that decodes them does, so
-    every int64 array comes back exactly."""
-    deltas = np.diff(np.asarray(values, dtype=np.int64), prepend=np.int64(0))
-    lo, hi = (int(deltas.min()), int(deltas.max())) if deltas.size else (0, 0)
-    w = next(w for w in _WIDTHS.values()
-             if -(1 << 8 * w - 1) <= lo and hi < 1 << 8 * w - 1)
-    packed = base64.b64encode(deltas.astype(f"<i{w}").tobytes())
-    return f"i{w}:{packed.decode()}"
+    """An integer table as ``"u<b>:<first>,<lo>:<base64>"``: its first
+    entry, its least step lo, and each later step less lo as an unsigned
+    b-bit field, b in {1, 2, 4, ..., 64} the narrowest that holds them,
+    packed from the low bits of each byte up.  Steps wrap modulo 2^64, as
+    the sum that decodes them does.  The empty table is ``"u1::"``."""
+    values = np.asarray(values, dtype=np.int64)
+    steps = np.diff(values)
+    lo = steps.min() if steps.size else np.int64(0)
+    steps -= lo
+    top = int(steps.view(np.uint64).max(initial=0))
+    b = next(b for b in (1, 2, 4, 8, 16, 32, 64) if top >> b == 0)
+    raw = steps.astype(f"<u{max(b // 8, 1)}")
+    if b < 8:  # 8 / b fields a byte: OR each into the first of its byte
+        raw = np.append(raw, np.zeros(-raw.size % (8 // b), np.uint8))
+        for j in range(1, 8 // b):
+            raw[::8 // b] |= raw[j::8 // b] << j * b
+        raw = raw[::8 // b]
+    head = f"{values[0]},{lo}" if values.size else ""
+    return f"u{b}:{head}:{base64.b64encode(raw.tobytes()).decode()}"
 
 
 def packed_to_ints(text, size=None) -> np.ndarray:
-    """Inverse of ``ints_to_packed``, as an int64 array; the artifact is
-    rejected unless text is a string with a known width tag and valid
-    base64 of whole w-byte ints, ``size`` of them if size is given."""
+    """Inverse of ``ints_to_packed``, and the reader of ``"i<w>:<base64>"``
+    (each entry's difference from the one before, the first from 0), as a
+    fresh int64 array of ``size`` entries, or of as many as the bytes hold.
+    The artifact is rejected unless text is such a string, its bytes are
+    whole fields, ``size`` of them, and the bits past the last are 0."""
     if not isinstance(text, str):
         raise ArtifactError(f"{text!r:.40} is not a packed integer string")
     tag, _, body = text.partition(":")
-    w = _WIDTHS.get(tag) if ":" in text else None
-    if w is None:
+    b = _WIDTHS.get(tag) if ":" in text else None
+    if b is None:
         raise ArtifactError(f"unknown packed integer width {tag!r:.20}")
+    head = ()  # a "u<b>" table's first entry and least step
+    if tag[0] == "u":  # the empty table's head is empty
+        text_head, colon, body = body.partition(":")
+        pair = text_head.partition(",")[::2]
+        if not colon or (text_head or body) and not all(
+                len(v) <= 20 and v.removeprefix("-").isdecimal()
+                and str(int(v)) == v and -1 << 63 <= int(v) < 1 << 63
+                for v in pair):
+            raise ArtifactError("malformed packed table head "
+                                f"{(text_head if colon else text)!r:.40}")
+        head = tuple(map(int, pair)) if text_head else ()
     try:
         raw = base64.b64decode(body, validate=True)
     except (binascii.Error, ValueError) as exc:
         raise ArtifactError(f"packed integers are not base64: {exc}") from exc
-    if len(raw) % w:
+    if len(raw) % max(b // 8, 1):
         raise ArtifactError(
-            f"{len(raw)} packed bytes are not whole {w}-byte ints")
-    if size is not None and len(raw) // w != size:
-        raise ArtifactError(
-            f"{len(raw) // w} packed integers, expected {size}")
-    return np.cumsum(np.frombuffer(raw, f"<i{w}"), dtype=np.int64)
+            f"{len(raw)} packed bytes are not whole {b // 8}-byte ints")
+    lead = len(head) // 2  # 1 if the head holds the first entry
+    have = lead + len(raw) * 8 // b
+    size = have if size is None else size
+    if size < lead or len(raw) != -(-(size - lead) * b // 8):
+        raise ArtifactError(f"{have} packed integers, expected {size}")
+    out = np.empty(size, np.int64)
+    if b >= 8:
+        out[lead:] = np.frombuffer(raw, f"<{tag[0]}{b // 8}")
+    else:  # 8 / b fields a byte, the first in the low bits
+        data = np.frombuffer(raw, np.uint8)
+        for j in range(8 // b):
+            column = out[lead + j::8 // b]
+            column[:] = data[:column.size] >> j * b & (1 << b) - 1
+        if (size - lead) * b % 8 and data[-1] >> (size - lead) * b % 8:
+            raise ArtifactError("nonzero padding bits after the last field")
+    if head:
+        out[0] = head[0]
+        out[1:] += np.int64(head[1])
+    return np.cumsum(out, out=out)
 
 
 _canonical = compact_json  # the bytes the integrity digest is taken of

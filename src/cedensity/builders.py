@@ -131,9 +131,7 @@ def extend_to_ratio(F, a: int, d: int, r) -> RatioExtension:
         raise ValueError(f"ratio must be in (0,1), got {r}")
     F = frozenset(int(x) for x in F)
     num, den = r.numerator, r.denominator
-    b_start = a + 1
-    if F:
-        b_start = max(b_start, max(F) + 1)
+    b_start = max(a, max(F, default=a)) + 1
     below_a = sum(1 for x in F if x < a)
     m0 = below_a - a  # |F ∪ [a,b)| = m0 + b for b >= b_start
     # candidate b's form an arithmetic progression mod num
@@ -141,10 +139,7 @@ def extend_to_ratio(F, a: int, d: int, r) -> RatioExtension:
     b = b_start + ((rem - b_start) % num)
     # need c = (m0+b)//num·den > d  and  c >= b
     lb1 = num * (d // den + 1) - m0              # from c > d
-    if den > num:
-        lb2 = ceil_div(-m0 * den, den - num)     # from c >= b
-    else:
-        lb2 = 0
+    lb2 = ceil_div(-m0 * den, den - num)         # from c >= b; den > num
     need = max(lb1, lb2)
     if b < need:
         b += ((need - b + num - 1) // num) * num

@@ -139,17 +139,11 @@ def dyadic_union(spec, *, include_zero=False, label="dyadic-union") -> SetOracle
     of m > 0 tests the class of its trailing-zero count; 0 belongs to no
     class and is included only when ``include_zero`` is set.
     """
-    if callable(spec):
-        pred = spec
-        fin = None
-    else:
-        fin = frozenset(int(k) for k in spec)
-        pred = fin.__contains__
+    fin = None if callable(spec) else frozenset(int(k) for k in spec)
+    pred = spec if fin is None else fin.__contains__
 
     def fn(n):
-        if n == 0:
-            return include_zero
-        return bool(pred(trailing_zeros(n)))
+        return include_zero if n == 0 else bool(pred(trailing_zeros(n)))
 
     def batch(n):
         if n == 0:
@@ -223,15 +217,17 @@ class DensityProfile:
         # c_j/n_j < c_i/n_i iff c_j·n_i < c_i·n_j; each product is <= hi²
         c = exact_ints(self.counts[lo:hi + 1], hi * hi)
         n = exact_ints(np.arange(lo, hi + 1), hi * hi)
-        ratios = c / n
-        out = []
-        for sign, i in ((1, ratios.argmin()), (-1, ratios.argmax())):
-            # the float extreme is a first guess; take any row that beats
-            # it exactly until none does
-            while (beats := np.flatnonzero(
-                    sign * (c * n[i] - c[i] * n) < 0)).size:
-                i = beats[0]
-            out.append(Fraction(int(c[i]), int(n[i])))
+        ratios, out = c / n, []
+        for beats, tied in ((np.less, ratios == ratios.min()),
+                            (np.greater, ratios == ratios.max())):
+            # correctly rounded division is monotone, so the exact extreme
+            # is a row tied with the float one: from the first tied row,
+            # take any tied row that beats it exactly until none does
+            c_t, n_t, i = (c, n, 0) if tied.all() else (c[tied], n[tied], 0)
+            while (better := np.flatnonzero(
+                    beats(c_t * n_t[i], c_t[i] * n_t))).size:
+                i = better[0]
+            out.append(Fraction(int(c_t[i]), int(n_t[i])))
         return out[0], out[1]
 
     def write_csv(self, path):

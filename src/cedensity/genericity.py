@@ -70,14 +70,7 @@ def index_to_set(n: int) -> frozenset:
     empty set)."""
     if n < 0:
         raise ValueError("index must be a natural")
-    out = []
-    i = 0
-    while n:
-        if n & 1:
-            out.append(i)
-        n >>= 1
-        i += 1
-    return frozenset(out)
+    return frozenset(i for i in range(n.bit_length()) if n >> i & 1)
 
 
 def set_to_index(D, *, allow_large: bool = False) -> int:
@@ -141,9 +134,7 @@ def avoid_density(D) -> tuple[Fraction, int, list]:
     if m >= INDEX_WIDTH_CAP:
         raise CapExceeded(f"max element {m} >= width cap {INDEX_WIDTH_CAP}")
     modulus = 1 << (m + 1)
-    mask = 0
-    for x in D:
-        mask |= 1 << x
+    mask = sum(1 << x for x in D)  # D holds each x once
     residues = np.nonzero(
         np.arange(modulus, dtype=np.int64) & mask == 0)[0].tolist()
     dens = Fraction(1, 1 << len(D))

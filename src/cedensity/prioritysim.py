@@ -50,11 +50,9 @@ class PartialDecider:
         if v not in (0, 1, None):
             raise ContractViolated(f"decider returned {v!r}")
         prev = self._seen.get(n)
-        if prev is not None:
-            ds, dv = prev
-            if s >= ds and v != dv:
-                raise ContractViolated(
-                    f"decider changed value at n={n}: {dv} -> {v}")
+        if prev is not None and s >= prev[0] and v != prev[1]:
+            raise ContractViolated(
+                f"decider changed value at n={n}: {prev[1]} -> {v}")
         if v is not None and (prev is None or s < prev[0]):
             self._seen[n] = (s, v)
         return v

@@ -116,6 +116,54 @@ def test_window_bounds_match_bruteforce(bits, data):
     assert prof.window_bounds(lo, hi) == (want_min, want_max)
 
 
+def reference_window_bounds(prof, lo, hi):
+    """The loop window_bounds ran before it compared only the rows tied
+    with the float extreme: from the float argmin (argmax), any row of the
+    window that beats it exactly, until none does."""
+    c = core.exact_ints(prof.counts[lo:hi + 1], hi * hi)
+    n = core.exact_ints(np.arange(lo, hi + 1), hi * hi)
+    ratios = c / n
+    out = []
+    for sign, i in ((1, ratios.argmin()), (-1, ratios.argmax())):
+        while (beats := np.flatnonzero(
+                sign * (c * n[i] - c[i] * n) < 0)).size:
+            i = beats[0]
+        out.append(Fraction(int(c[i]), int(n[i])))
+    return out[0], out[1]
+
+
+def _bit_patterns():
+    """Bitsets with many exact and float ties: constant, empty and
+    periodic sets, and arbitrary ones."""
+    periodic = st.tuples(st.lists(st.booleans(), min_size=1, max_size=7),
+                         st.integers(1, 300)).map(
+        lambda pr: (pr[0] * (pr[1] // len(pr[0]) + 1))[:pr[1]])
+    return st.one_of(st.integers(1, 300).map(lambda k: [True] * k),
+                     st.integers(1, 300).map(lambda k: [False] * k),
+                     periodic, st.lists(st.booleans(), min_size=1,
+                                        max_size=300))
+
+
+@settings(max_examples=150)
+@given(_bit_patterns(), st.data())
+def test_window_bounds_match_the_full_scan(bits, data):
+    prof = profile_from_bits(np.array(bits, dtype=bool))
+    lo = data.draw(st.integers(1, len(bits)), label="lo")
+    hi = data.draw(st.one_of(st.just(lo), st.integers(lo, len(bits))),
+                   label="hi")
+    assert prof.window_bounds(lo, hi) == reference_window_bounds(prof, lo, hi)
+
+
+@pytest.mark.parametrize("lo, hi", [(1, 10**6), (999_000, 10**6),
+                                    (77, 77)])
+def test_window_bounds_of_constant_and_tied_sets(lo, hi):
+    n = np.arange(10**6)
+    for bits in (n >= 0, n < 0, n % 6 < 2, n % 10**5 == 0):
+        prof = profile_from_bits(bits)
+        assert prof.window_bounds(lo, hi) == reference_window_bounds(
+            prof, lo, hi)
+
+
 @settings(max_examples=40)
 @given(st.integers(1, 24), st.data())
 def test_residue_union_density_is_exact_at_multiples(m, data):

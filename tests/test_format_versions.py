@@ -1,9 +1,12 @@
-"""Format 1 and 2 artifacts still check, and the benchmark's own reader
-accepts format 2 and the current format.
+"""Format 1 and 2 artifacts, and format 3 artifacts with byte-wide
+tables, still check, and the benchmark's own reader accepts format 2 and
+the current format.
 
 ``fixtures/v1`` and ``fixtures/v2`` hold one format 1 and one format 2
 artifact per guarantee form (see their READMEs); ``fixtures/v2`` also
 holds a ``permitted-interval`` artifact with its per-stage ``g_rows``.
+``fixtures/v3`` holds one format 3 artifact per form with per-n tables,
+written while format 3 packed them as ``"i<w>:"`` strings.
 ``cedensity check`` must pass each, and fail a copy with one stored bit
 flipped and the digest re-taken.  ``bench/checker.py``, loaded by path,
 must read each format 2 fixture, and one freshly written artifact per
@@ -26,7 +29,8 @@ from conftest import expand_g_changes, load_bench_checker
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "tests" / "fixtures"
-V1, V2 = FIXTURES / "v1", FIXTURES / "v2"
+V1, V2, V3 = FIXTURES / "v1", FIXTURES / "v2", FIXTURES / "v3"
+TABLE_FORMS = sorted(name for name, form in ar.FORMS.items() if form.arrays)
 CONFIGS = json.loads((V1 / "configs.json").read_text())
 CONFIGS.update(json.loads((V2 / "configs.json").read_text()))
 
@@ -75,15 +79,19 @@ def _stems(directory):
 def test_one_fixture_per_form():
     assert _stems(V1) == sorted(ar.FORMS)
     assert _stems(V2) == sorted([*ar.FORMS, "permitted-interval"])
+    assert _stems(V3) == TABLE_FORMS
     assert sorted(FLIPS) == sorted(set(ar.FORMS) - {"membership-only"})
 
 
 def _fixtures(names, v2_extra=()):
     """(version, name) of the v1 fixture of each name, with the name alone
-    as its id, then of the v2 fixture of each name and each v2_extra."""
+    as its id, then of the v2 fixture of each name and each v2_extra, then
+    of the v3 fixture of each name with tables."""
     return ([pytest.param(1, name, id=name) for name in sorted(names)]
             + [pytest.param(2, name, id=f"v2-{name}")
-               for name in sorted([*names, *v2_extra])])
+               for name in sorted([*names, *v2_extra])]
+            + [pytest.param(3, name, id=f"v3-{name}")
+               for name in sorted(names) if name in TABLE_FORMS])
 
 
 @pytest.mark.parametrize("version, name",
@@ -99,6 +107,16 @@ def test_v1_fixture_checks(version, name, capsys):
     assert form == (name if name in ar.FORMS else "membership-only")
     for table in ar._form(form, version).arrays:
         assert art.guarantee[table].dtype == np.int64
+
+
+@pytest.mark.parametrize("name", TABLE_FORMS)
+def test_v3_fixture_tables_are_byte_wide(name):
+    # the layout these fixtures keep; a file saved now packs them as u<b>
+    guarantee = json.loads((V3 / f"{name}.json").read_text())["guarantee"]
+    art = ar.load_artifact(V3 / f"{name}.json")
+    for table in ar.FORMS[name].arrays:
+        assert guarantee[table][:2] in ("i1", "i2", "i4", "i8")
+        assert ar.ints_to_packed(art.guarantee[table])[0] == "u"
 
 
 @pytest.mark.parametrize("version, form", _fixtures(FLIPS))

@@ -87,7 +87,9 @@ FIXTURES = {
 # format 3 (a released interval an entry per progression); their records,
 # each run and progression expanded, are the bytes these digests pinned
 # before.  Every artifact.json re-recorded for artifact format 3 (its
-# format_version digit)
+# format_version digit), and the lookahead-margin, witness-margin and
+# lookahead-margin-relative ones again for its "u<b>:" tables (the table
+# strings alone; each decodes to the table the "i<w>:" string held)
 GOLDEN = {
     "blockwise-levels": {
         "artifact.json":
@@ -115,7 +117,7 @@ GOLDEN = {
     },
     "lookahead-margin": {
         "artifact.json":
-            "e284920b7c4c2c1d5eb24936a19933242b4ed0ff8c58bd8a8b3140669f987412",
+            "95d3106104f7d20cc87b40f171017976753a2fca9617d3d7623427a627ffc329",
         "certified.csv":
             "8346639897e32c9a3b0435db7318bf1372dfc888692e3a06433009f60568e8ca",
         "verify.json":
@@ -123,7 +125,7 @@ GOLDEN = {
     },
     "lookahead-margin-relative": {
         "artifact.json":
-            "b4495930572ca7153da29dc2ed11ac69f12ed8c7fba1f2885fe261a0c7ae77a9",
+            "b36bdcab032fe2811b439dd976c85868365df596e21b8224744fbeef3c2cfca6",
         "certified.csv":
             "5c9499325d05b4c11c58ceb15dda4763f75b5ea063b0a292c9f140f7a09bb77c",
         "verify.json":
@@ -175,7 +177,7 @@ GOLDEN = {
     },
     "witness-margin": {
         "artifact.json":
-            "b37603110a074dbfc9fdfa0b7a8756f2b7fed22faa5dc0935cc282fe6a1cc021",
+            "ca73f3613724f6ea364aea65b3ae3bd2add3aa86fd4a73a5e6dae3f4e9c8d1bc",
         "certified.csv":
             "f3df42ef9dea447427f3e2624b905e69f4b7ba9193e09af5aff61862df1834dc",
         "verify.json":
